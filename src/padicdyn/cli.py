@@ -20,8 +20,10 @@ from .dynamics import CanonicalMap, SphereSpec, orbit
 from .errors import (
     InconsistentParametersError,
     NotApplicableError,
+    PoleHitError,
     PrecisionError,
     UnsupportedCaseError,
+    VerificationError,
 )
 from .ergodicity import (
     decide_ergodicity,
@@ -36,6 +38,7 @@ from .periodic import three_periodic_from_q, two_periodic, verify_orbit_structur
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNSUPPORTED = 2
+EXIT_VERIFICATION = 3
 
 
 def _frac(x: Fraction) -> str:
@@ -540,6 +543,10 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (VerificationError, PoleHitError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal verification failed: {message}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -22,13 +22,19 @@ from .errors import (
     InconsistentParametersError,
     PoleHitError,
     PrecisionError,
+    PrimeMismatchError,
 )
 from .padic import (
     INFINITY,
     TruncatedPadic,
     Valuation,
+    _add_triples,
+    _coerce_digits,
     _coerce_fraction,
+    _div_triples,
     _fraction_valuation,
+    _mul_triples,
+    _unit_residue,
     hensel_sqrt,
     is_prime,
     is_square,
@@ -120,7 +126,7 @@ class InvariantSpheres:
 class CanonicalMap:
     """f(x) = a*x/(x^2 + c*x + a) with a*c != 0 over Q_p."""
 
-    __slots__ = ("p", "a", "c", "_ab")
+    __slots__ = ("p", "a", "c", "_ab", "_coef")
 
     def __init__(self, p: int, a, c):
         if not is_prime(p):
@@ -135,6 +141,7 @@ class CanonicalMap:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_ab", None)
+        object.__setattr__(self, "_coef", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CanonicalMap is immutable")
@@ -193,9 +200,52 @@ class CanonicalMap:
         return self.a * x / den
 
     def eval_truncated(self, t: TruncatedPadic) -> TruncatedPadic:
-        den = t * t + t * self.c + self.a
-        num = t * self.a
-        return num / den
+        """f(t) in truncated arithmetic, digit for digit equal to the
+        operator composition t*a / (t*t + t*c + a)."""
+        if t.prime != self.p:
+            raise PrimeMismatchError(f"mixed primes {self.p} and {t.prime}")
+        return TruncatedPadic(self.p, *self._step_triple(t.valuation, t.unit, t.precision))
+
+    # -- integer orbit kernel --------------------------------------------------
+    #
+    # Truncated iterates travel as (valuation, unit, precision) triples (see
+    # padic._add_triples). The exact coefficients a and c enter each step
+    # truncated to the digit count TruncatedPadic's operators would give them;
+    # their valuations are computed once per map, their unit residues once
+    # per digit count.
+
+    def _operand(self, index: int, min_absprec, precision: int) -> tuple:
+        """Triple of a (index 0) or c (index 1) as an operand next to a value
+        of the given absolute precision and digit count (INFINITY: in a
+        product)."""
+        coef = self._coef
+        if coef is None:
+            p = self.p
+            coef = tuple((_fraction_valuation(x, p), x, {}) for x in (self.a, self.c))
+            object.__setattr__(self, "_coef", coef)
+        v, frac, residues = coef[index]
+        digits = _coerce_digits(v, min_absprec, precision)
+        if digits is None:
+            return v, 0, 0
+        unit = residues.get(digits)
+        if unit is None:
+            unit = residues[digits] = _unit_residue(frac, self.p, self.p ** digits)
+        return v, unit, digits
+
+    def _step_triple(self, v, u: int, n: int) -> tuple:
+        """One step of f on a triple: (t*t + t*c) + a, t*a, one division."""
+        p = self.p
+        tt = _mul_triples(p, v, u, n, v, u, n)
+        tc = _mul_triples(p, v, u, n, *self._operand(1, INFINITY, n))
+        sv, su, sn = _add_triples(p, *tt, *tc)
+        den = _add_triples(p, sv, su, sn, *self._operand(0, sv + sn, sn))
+        num = _mul_triples(p, v, u, n, *self._operand(0, INFINITY, n))
+        return _div_triples(p, *num, *den)
+
+    def _distance_x2_triple(self, v, u: int, n: int):
+        """Distance exponent of a triple t to x2 = -c: the valuation of t + c."""
+        dv, du, _ = _add_triples(self.p, v, u, n, *self._operand(1, v + n, n))
+        return -dv if du else "-inf"
 
     def derivative(self, x) -> Fraction:
         """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2, exact."""
@@ -436,13 +486,6 @@ def _distance_exponent_exact(x: Fraction, center: Fraction, p: int):
     return "-inf" if v is INFINITY else -v
 
 
-def _distance_exponent_truncated(t: TruncatedPadic, center: Fraction):
-    diff = t - center
-    if diff.is_zero:
-        return "-inf"
-    return -diff.valuation
-
-
 def orbit(
     m: CanonicalMap,
     x0,
@@ -459,15 +502,17 @@ def orbit(
     results raise PrecisionError rather than guessing).
 
     An iterate landing on a pole stops the orbit with a PoleHitRecord; the
-    partial orbit is returned.
+    partial orbit is returned. In truncated mode only the exact start x0 can
+    be recognized as a pole; a later truncated iterate near a pole makes the
+    division indeterminate and raises PrecisionError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if mode == "auto":
         mode = "exact" if steps <= 24 else "truncated"
     x0 = _coerce_fraction(x0)
-    centers = (m.x1, m.x2)
     if mode == "exact":
+        centers = (m.x1, m.x2)
         points = [x0]
         d1 = [_distance_exponent_exact(x0, centers[0], m.p)]
         d2 = [_distance_exponent_exact(x0, centers[1], m.p)]
@@ -485,23 +530,29 @@ def orbit(
         return OrbitResult("exact", tuple(points), tuple(d1), tuple(d2), pole)
     if precision < 4:
         raise ValueError("truncated orbit needs precision >= 4")
-    t = TruncatedPadic.from_rational(x0, m.p, precision)
+    p = m.p
+    t = TruncatedPadic.from_rational(x0, p, precision)
+    v, u, n = t.valuation, t.unit, t.precision
     points = [t]
-    d1 = [_distance_exponent_truncated(t, centers[0])]
-    d2 = [_distance_exponent_truncated(t, centers[1])]
-    pole = None
+    d1 = ["-inf" if not u else -v]
+    d2 = [m._distance_x2_triple(v, u, n)]
+    try:
+        m.eval(x0)  # x0 is exact: a pole at the start is decided as in exact mode
+    except PoleHitError:
+        return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2),
+                           PoleHitRecord(0, x0))
     for k in range(steps):
         try:
-            t = m.eval_truncated(t)
+            v, u, n = m._step_triple(v, u, n)
         except PrecisionError as exc:
             raise PrecisionError(
                 f"orbit step {k + 1} became indeterminate at precision {precision}; "
                 f"rerun with a higher precision ({exc})"
             ) from exc
-        points.append(t)
-        d1.append(_distance_exponent_truncated(t, centers[0]))
-        d2.append(_distance_exponent_truncated(t, centers[1]))
-    return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2), pole)
+        points.append(TruncatedPadic(p, v, u, n))
+        d1.append("-inf" if not u else -v)
+        d2.append(m._distance_x2_triple(v, u, n))
+    return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2), None)
 
 
 # -- image norm profile --------------------------------------------------------

@@ -153,8 +153,12 @@ def _int_valuation(n: int, p: int) -> int:
     v = 0
     n = abs(n)
     while n % p == 0:
-        n //= p
-        v += 1
+        # strip p, p**2, p**4, ... while they divide: O(log v) divisions
+        q, k = p, 1
+        while n % q == 0:
+            n //= q
+            v += k
+            q, k = q * q, 2 * k
     return v
 
 
@@ -430,6 +434,88 @@ def _lift_sqrt_two(u_mod: int, k: int) -> int:
     return r
 
 
+# -- digit-level rules of truncated arithmetic -----------------------------------
+#
+# A truncated value is the triple (v, u, n): p**v * (u + O(p**n)) with u a
+# p-coprime residue mod p**n, or the tagged zero (M, 0, 0), known to be
+# O(p**M) (M may be INFINITY). Its absolute precision is v + n in both forms.
+# TruncatedPadic's operators and CanonicalMap's orbit kernel both go through
+# these helpers, so the precision rule exists once.
+
+
+def _coerce_digits(v: int, min_absprec, precision: int):
+    """Digits an exact nonzero operand of valuation v is truncated to.
+
+    The operand is combined with a value of absolute precision
+    ``min_absprec`` (INFINITY: a product or quotient, which keeps the
+    ``precision`` digits of the truncated side). None means the operand is
+    O(p**min_absprec), i.e. the tagged zero (v, 0, 0).
+    """
+    if min_absprec is INFINITY:
+        return max(1, precision)
+    if v >= min_absprec:
+        return None
+    return min_absprec - v
+
+
+def _add_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
+    """Sum of two triples; digits cancelled by the sum are lost."""
+    absprec = min(v1 + n1, v2 + n2)
+    if not (u1 and u2):
+        # a tagged zero contributes only its bound to the joint precision
+        if u2:
+            v1, u1 = v2, u2
+        if not u1 or absprec <= v1:
+            return absprec, 0, 0
+        window = absprec - v1
+        return v1, u1 % p ** window, window
+    vmin = min(v1, v2)
+    window = absprec - vmin
+    s = (u1 * p ** (v1 - vmin) + u2 * p ** (v2 - vmin)) % p ** window
+    if not s:
+        return absprec, 0, 0
+    vs = _int_valuation(s, p)
+    return vmin + vs, s // p ** vs, window - vs
+
+
+def _mul_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
+    """Product of two triples: valuations add, the shorter unit wins."""
+    if not (u1 and u2):
+        # valuation lower bounds add: v(xy) >= M1 + M2
+        return v1 + v2, 0, 0
+    n = min(n1, n2)
+    return v1 + v2, u1 * u2 % p ** n, n
+
+
+def _unit_inverse(u: int, p: int, n: int) -> int:
+    """Inverse of the p-coprime u modulo p**n.
+
+    Large moduli lift the inverse mod p by Newton's iteration
+    w <- w*(2 - u*w), doubling the digits each round; that is several times
+    faster than pow(u, -1, p**n) from a few hundred bits on.
+    """
+    mod = p ** n
+    if mod.bit_length() <= 96:
+        return pow(u, -1, mod)
+    w, k = pow(u, -1, p), 1
+    while k < n:
+        k = min(2 * k, n)
+        w = w * (2 - u * w) % p ** k
+    return w
+
+
+def _div_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
+    """Quotient of two triples; a divisor indistinguishable from zero raises."""
+    if not u2:
+        raise PrecisionError(
+            f"division by a value indistinguishable from zero (O({p}^{v2}))"
+        )
+    if not u1:
+        return v1 - v2, 0, 0
+    n = min(n1, n2)
+    return v1 - v2, u1 * _unit_inverse(u2, p, n) % p ** n, n
+
+
 class TruncatedPadic:
     """A p-adic number to finite precision: p**valuation * (unit + O(p**precision)).
 
@@ -532,44 +618,19 @@ class TruncatedPadic:
         if frac == 0:
             return TruncatedPadic.zero(self.prime)
         v = _fraction_valuation(frac, self.prime)
-        if min_absprec is not INFINITY and v >= min_absprec:
+        digits = _coerce_digits(v, min_absprec, self.precision)
+        if digits is None:
             return TruncatedPadic.zero(self.prime, v)
-        digits = max(1, (min_absprec - v) if min_absprec is not INFINITY else self.precision)
         return TruncatedPadic.from_rational(frac, self.prime, digits)
 
-    def __add__(self, other):
-        other = self._coerce(other, self.abs_precision)
-        absprec = min(self.abs_precision, other.abs_precision)
-        if self.is_zero or other.is_zero or absprec is INFINITY:
-            s = self.to_rational_representative() + other.to_rational_representative()
-            if s == 0:
-                return TruncatedPadic.zero(self.prime, absprec)
-            v = _fraction_valuation(s, self.prime)
-            if absprec is not INFINITY and v >= absprec:
-                return TruncatedPadic.zero(self.prime, absprec)
-            if absprec is INFINITY:
-                # both operands exact powers-of-p multiples (sums of coerced exacts)
-                prec = max(self.precision, other.precision, 1)
-            else:
-                prec = absprec - v
-            unit = _unit_residue(s, self.prime, self.prime ** prec)
-            return TruncatedPadic(self.prime, v, unit, prec)
-        # hot integer path: representatives are p**v * unit with integer units
+    def _combine(self, rule, other: "TruncatedPadic") -> "TruncatedPadic":
+        """Apply a digit rule (_add_triples, ...) to the triples of self, other."""
         p = self.prime
-        vmin = min(self.valuation, other.valuation)
-        window = absprec - vmin
-        mod = p ** window
-        s = (
-            self.unit * p ** (self.valuation - vmin)
-            + other.unit * p ** (other.valuation - vmin)
-        ) % mod
-        if s == 0:
-            return TruncatedPadic.zero(p, absprec)
-        vs = _int_valuation(s, p)
-        if vs >= window:
-            return TruncatedPadic.zero(p, absprec)
-        prec = window - vs
-        return TruncatedPadic(p, vmin + vs, (s // p ** vs) % p ** prec, prec)
+        return TruncatedPadic(p, *rule(p, self.valuation, self.unit, self.precision,
+                                       other.valuation, other.unit, other.precision))
+
+    def __add__(self, other):
+        return self._combine(_add_triples, self._coerce(other, self.abs_precision))
 
     __radd__ = __add__
 
@@ -586,29 +647,12 @@ class TruncatedPadic:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other, INFINITY)
-        if self.is_zero or other.is_zero:
-            # valuation lower bounds add: v(xy) >= M1 + M2
-            return TruncatedPadic.zero(self.prime, self.valuation + other.valuation)
-        prec = min(self.precision, other.precision)
-        unit = self.unit * other.unit % self.prime ** prec
-        return TruncatedPadic(self.prime, self.valuation + other.valuation, unit, prec)
+        return self._combine(_mul_triples, self._coerce(other, INFINITY))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, INFINITY)
-        if other.is_zero:
-            raise PrecisionError(
-                f"division by a value indistinguishable from zero "
-                f"(O({self.prime}^{other.valuation}))"
-            )
-        if self.is_zero:
-            return TruncatedPadic.zero(self.prime, self.valuation - other.valuation)
-        prec = min(self.precision, other.precision)
-        mod = self.prime ** prec
-        unit = self.unit * pow(other.unit, -1, mod) % mod
-        return TruncatedPadic(self.prime, self.valuation - other.valuation, unit, prec)
+        return self._combine(_div_triples, self._coerce(other, INFINITY))
 
     def __rtruediv__(self, other):
         return self._coerce(other, INFINITY).__truediv__(self)
@@ -655,7 +699,8 @@ class TruncatedPadic:
 
 @lru_cache(maxsize=4096)
 def _truncate_fraction(frac: Fraction, prime: int, precision: int) -> TruncatedPadic:
-    # map coefficients get re-coerced once per arithmetic op; caching pays
+    # exact operands of TruncatedPadic operators (and orbit starts) recur
+    # with the same digit counts; orbits read the map's own residue cache
     v = _fraction_valuation(frac, prime)
     unit = _unit_residue(frac, prime, prime ** precision)
     return TruncatedPadic(prime, v, unit, precision)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,13 @@ GOLDEN_COMMANDS = {
     "periodic_two_cycle.json": ["periodic", "--p", "7", "--a", "4", "--c", "3"],
     "conjugate_double_root.json": ["conjugate", "--p", "3", "--a", "1", "--b", "0", "--c", "-1", "--d", "1"],
 }
+# appended after the sorted six, so their test ids stay stable
+LATER_GOLDEN_COMMANDS = {
+    # the README's case-4 basin orbit; |x - x2| reads "-inf" from step 23 on
+    "orbit_truncated_case4.json": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5",
+                                   "--steps", "40", "--mode", "truncated", "--precision", "24"],
+}
+GOLDEN_CASES = sorted(GOLDEN_COMMANDS.items()) + list(LATER_GOLDEN_COMMANDS.items())
 
 
 def run_cli(capsys, argv):
@@ -23,14 +31,14 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("name,argv", sorted(GOLDEN_COMMANDS.items()))
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_golden_json_byte_identical(capsys, name, argv):
     code, out, _ = run_cli(capsys, argv + ["--json"])
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name,argv", sorted(GOLDEN_COMMANDS.items()))
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_json_deterministic_across_runs(capsys, name, argv):
     code1, out1, _ = run_cli(capsys, argv + ["--json"])
     code2, out2, _ = run_cli(capsys, argv + ["--json"])
@@ -48,7 +56,7 @@ def _assert_no_floats(node):
             _assert_no_floats(v)
 
 
-@pytest.mark.parametrize("name,argv", sorted(GOLDEN_COMMANDS.items()))
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_json_round_trips_without_floats(capsys, name, argv):
     _, out, _ = run_cli(capsys, argv + ["--json"])
     doc = json.loads(out)
@@ -128,6 +136,53 @@ def test_orbit_command_profiles(capsys):
     assert doc["mode"] == "exact"
     d2 = doc["distance_exponents"]["x2"]
     assert d2[0] == -1 and all(b <= a - 1 for a, b in zip(d2, d2[1:]))
+
+
+def test_orbit_truncated_pole_at_start(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["orbit", "--p", "5", "--a=-6", "--c", "1", "--x0", "2", "--steps", "4",
+         "--mode", "truncated", "--json"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "truncated"
+    assert doc["pole_hit"] == {"step": 0, "point": "2"}
+
+
+def test_exit_verification_failure(capsys, monkeypatch):
+    import padicdyn.cli as cli
+    from padicdyn import PoleHitError, VerificationError
+
+    def fail(*args, **kwargs):
+        raise VerificationError("sampled check failed\non two lines", counterexample=3)
+
+    monkeypatch.setattr(cli, "decide_ergodicity", fail)
+    code, out, err = run_cli(
+        capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2", "--json"]
+    )
+    assert code == cli.EXIT_VERIFICATION == 3 and out == ""
+    assert err == "internal verification failed: sampled check failed on two lines\n"
+
+    def pole(*args, **kwargs):
+        raise PoleHitError(Fraction(1))
+
+    monkeypatch.setattr(cli, "orbit", pole)
+    code, _, err = run_cli(
+        capsys, ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--steps", "3"]
+    )
+    assert code == 3 and err.count("\n") == 1 and "pole hit" in err
+
+
+def test_decider_disagreement_exits_3(capsys):
+    # case-3 sphere around x2 where theorem and oracle disagree (open defect)
+    code, out, err = run_cli(
+        capsys,
+        ["ergodic", "--p=3", "--a=1/18", "--c=-4/3", "--radius-exp=-1", "--center=x2",
+         "--oracle-depth=3"],
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("internal verification failed: ") and err.count("\n") == 1
 
 
 def test_orbit_pole_hit(capsys):

@@ -11,6 +11,7 @@ from padicdyn import (
     SphereSpec,
 )
 from padicdyn.dynamics import (
+    PoleHitRecord,
     norm_image_profile,
     orbit,
     sphere_points,
@@ -251,6 +252,17 @@ def test_orbit_pole_hit_recorded():
     o = orbit(CASE4, 1, 5, mode="exact")
     assert o.pole_hit is not None and o.pole_hit.step == 0
     assert o.steps_completed == 0
+
+
+def test_truncated_orbit_reports_pole_at_start():
+    # x0 = 2 is a root of x^2 + x - 6: an exact pole, as exact mode reports
+    m = CanonicalMap(5, -6, 1)
+    exact = orbit(m, 2, 5, mode="exact")
+    trunc = orbit(m, 2, 5, mode="truncated", precision=24)
+    assert trunc.pole_hit == exact.pole_hit == PoleHitRecord(0, Fraction(2))
+    assert trunc.steps_completed == 0 and trunc.mode == "truncated"
+    assert trunc.dist_x1_exponents == exact.dist_x1_exponents
+    assert trunc.dist_x2_exponents == exact.dist_x2_exponents
 
 
 def test_orbit_validates_arguments():

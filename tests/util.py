@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from padicdyn.padic import _fraction_valuation, _unit_residue
+from padicdyn.errors import PrecisionError
+from padicdyn.padic import TruncatedPadic, _fraction_valuation, _unit_residue
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -38,3 +39,43 @@ def brute_force_is_square(x: Fraction, p: int, residues: set[int]) -> bool:
     if v % 2:
         return False
     return _unit_residue(x, p, p**6) in residues
+
+
+def agrees_on_reported_digits(x: Fraction, t: TruncatedPadic, p: int) -> bool:
+    """Whether the exact x reduces to t: x = t + O(p**abs_precision)."""
+    diff = x - t.to_rational_representative()
+    return diff == 0 or _fraction_valuation(diff, p) >= t.abs_precision
+
+
+# -- operator-path reference for the truncated orbit kernel ----------------------
+
+
+def reference_eval_truncated(m, t: TruncatedPadic) -> TruncatedPadic:
+    """f(t) composed from TruncatedPadic operators, step by step."""
+    den = t * t + t * m.c + m.a
+    num = t * m.a
+    return num / den
+
+
+def _reference_distance(t: TruncatedPadic, center: Fraction):
+    diff = t - center
+    return "-inf" if diff.is_zero else -diff.valuation
+
+
+def reference_orbit_truncated(m, x0: Fraction, steps: int, precision: int):
+    """(points, dist_x1, dist_x2, failure) of a truncated orbit by operators.
+
+    ``failure`` is None or (step, PrecisionError) for the first step whose
+    division became indeterminate; the lists stop before that step.
+    """
+    t = TruncatedPadic.from_rational(x0, m.p, precision)
+    points, d1, d2 = [t], [_reference_distance(t, m.x1)], [_reference_distance(t, m.x2)]
+    for k in range(1, steps + 1):
+        try:
+            t = reference_eval_truncated(m, t)
+        except PrecisionError as exc:
+            return points, d1, d2, (k, exc)
+        points.append(t)
+        d1.append(_reference_distance(t, m.x1))
+        d2.append(_reference_distance(t, m.x2))
+    return points, d1, d2, None
