@@ -153,12 +153,8 @@ def _int_valuation(n: int, p: int) -> int:
     v = 0
     n = abs(n)
     while n % p == 0:
-        # strip p, p**2, p**4, ... while they divide: O(log v) divisions
-        q, k = p, 1
-        while n % q == 0:
-            n //= q
-            v += k
-            q, k = q * q, 2 * k
+        n //= p
+        v += 1
     return v
 
 
@@ -487,23 +483,6 @@ def _mul_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
     return v1 + v2, u1 * u2 % p ** n, n
 
 
-def _unit_inverse(u: int, p: int, n: int) -> int:
-    """Inverse of the p-coprime u modulo p**n.
-
-    Large moduli lift the inverse mod p by Newton's iteration
-    w <- w*(2 - u*w), doubling the digits each round; that is several times
-    faster than pow(u, -1, p**n) from a few hundred bits on.
-    """
-    mod = p ** n
-    if mod.bit_length() <= 96:
-        return pow(u, -1, mod)
-    w, k = pow(u, -1, p), 1
-    while k < n:
-        k = min(2 * k, n)
-        w = w * (2 - u * w) % p ** k
-    return w
-
-
 def _div_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
     """Quotient of two triples; a divisor indistinguishable from zero raises."""
     if not u2:
@@ -513,7 +492,7 @@ def _div_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
     if not u1:
         return v1 - v2, 0, 0
     n = min(n1, n2)
-    return v1 - v2, u1 * _unit_inverse(u2, p, n) % p ** n, n
+    return v1 - v2, u1 * pow(u2, -1, p ** n) % p ** n, n
 
 
 class TruncatedPadic:

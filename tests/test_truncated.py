@@ -77,7 +77,7 @@ def test_operators_agree_with_exact_reduction():
 
 
 def test_large_precision_quotients_agree_with_exact_reduction():
-    # moduli of several hundred bits take the lifted inverse path
+    # moduli of several hundred bits
     rng = random.Random(2303)
     for _ in range(100):
         p = rng.choice(PRIMES)
