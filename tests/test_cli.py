@@ -21,6 +21,22 @@ LATER_GOLDEN_COMMANDS = {
     # the README's case-4 basin orbit; |x - x2| reads "-inf" from step 23 on
     "orbit_truncated_case4.json": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5",
                                    "--steps", "40", "--mode", "truncated", "--precision", "24"],
+    # one golden per remaining report shape
+    "analyze_conjugated_superattracting.json": ["analyze", "--p", "3", "--a", "1", "--b", "0",
+                                                "--c", "-1", "--d", "1"],
+    "analyze_poles_absent.json": ["analyze", "--p", "3", "--a", "1", "--c", "1"],
+    "periodic_three_cycle.json": ["periodic", "--p", "5", "--q", "1"],
+    "periodic_none.json": ["periodic", "--p", "5", "--a", "3", "--c", "1"],
+    "periodic_two_cycle_truncated.json": ["periodic", "--p", "2", "--a", "1", "--c=1/2"],
+    "periodic_two_cycle_structure.json": ["periodic", "--p", "3", "--a=-1", "--c=1/2"],
+    "ergodic_displacement_point_dependent.json": ["ergodic", "--p", "2", "--a", "1", "--c", "4",
+                                                  "--radius-exp", "-2"],
+    "ergodic_x2_center.json": ["ergodic", "--p", "5", "--a", "3", "--c", "1", "--radius-exp", "-1",
+                               "--center", "x2"],
+    "orbit_exact_case4.json": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5",
+                               "--steps", "8"],
+    "orbit_pole_at_start.json": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "1",
+                                 "--steps", "4"],
 }
 GOLDEN_CASES = sorted(GOLDEN_COMMANDS.items()) + list(LATER_GOLDEN_COMMANDS.items())
 
