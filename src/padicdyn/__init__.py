@@ -12,10 +12,6 @@ from .dynamics import (
     FixedPointReport,
     OrbitResult,
     SphereSpec,
-    alpha_beta,
-    classify,
-    eval_f,
-    invariant_spheres,
     norm_image_profile,
     orbit,
     sphere_points,
@@ -26,7 +22,6 @@ from .ergodicity import (
     Mod4Sums,
     decide_ergodicity,
     ergodicity_theorem,
-    haar_measure,
     isometry_check,
     minimal_invariant_ball,
     mod4_criterion,
@@ -53,10 +48,8 @@ from .padic import (
     hensel_sqrt,
     is_prime,
     is_square,
-    norm_exponent,
     parse_rational,
     ultrametric_add_check,
-    valuation,
 )
 from .periodic import (
     PeriodicOrbit,

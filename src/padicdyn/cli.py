@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -41,72 +43,50 @@ EXIT_UNSUPPORTED = 2
 EXIT_VERIFICATION = 3
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _json(value, *names):
+    """The JSON form of a report value.
 
-
-def _exp(v):
-    """Serialize a p-exponent / valuation: int, or "inf" / "-inf" markers."""
-    if v is INFINITY:
+    Exact rationals and truncated p-adics become strings, INFINITY becomes
+    "inf", tuples and lists become lists and dicts are mapped value by
+    value. A dataclass becomes the dict of the attributes ``names`` (all of
+    its fields when none are given); a CanonicalMap of ``p``, ``a``, ``c``
+    by default.
+    """
+    if isinstance(value, (Fraction, TruncatedPadic)):
+        return str(value)
+    if value is INFINITY:
         return "inf"
-    return v
-
-
-def _point(x) -> str:
-    if isinstance(x, TruncatedPadic):
-        return str(x)
-    return _frac(x)
-
-
-def _region_dict(region):
-    return {
-        "kind": region.kind,
-        "center": _frac(region.center),
-        "radius_exponent": region.radius_exponent,
-        "open": True,
-    }
-
-
-def _fixed_point_dict(report):
-    return {
-        "point": _frac(report.point),
-        "kind": report.kind,
-        "case": report.case,
-        "multiplier": _frac(report.multiplier),
-        "multiplier_norm_exponent": _exp(report.multiplier_norm_exponent),
-        "superattracting": report.superattracting,
-        "region": _region_dict(report.region),
-    }
-
-
-def _map_dict(m: CanonicalMap):
-    v_alpha, v_beta = m.alpha_beta()
-    poles = m.poles()
-    return {
-        "p": m.p,
-        "a": _frac(m.a),
-        "c": _frac(m.c),
-        "fixed_points": {"x1": "0", "x2": _frac(m.x2)},
-        "alpha_norm_exponent": -v_alpha,
-        "beta_norm_exponent": -v_beta,
-        "discriminant": _frac(m.discriminant),
-        "discriminant_is_square_in_qp": m.discriminant_is_square(),
-        "poles": {"kind": poles.kind, "values": [_point(x) for x in poles.values]},
-    }
+    if isinstance(value, (tuple, list)):
+        return [_json(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _json(x) for key, x in value.items()}
+    if isinstance(value, CanonicalMap):
+        names = names or ("p", "a", "c")
+    elif is_dataclass(value):
+        names = names or [f.name for f in fields(value)]
+    else:
+        return value
+    return {name: _json(getattr(value, name)) for name in names}
 
 
 def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
-    cls = m.classify()
+    v_alpha, v_beta = m.alpha_beta()
+    classification = _json(m.classify())
+    for point in ("x1", "x2"):
+        classification[point]["region"]["open"] = True
     inv = m.invariant_spheres()
     report = {
         "command": "analyze",
         "input": input_echo,
-        "map": _map_dict(m),
-        "classification": {
-            "case": cls.case,
-            "x1": _fixed_point_dict(cls.x1),
-            "x2": _fixed_point_dict(cls.x2),
+        "map": {
+            **_json(m, "p", "a", "c", "discriminant"),
+            "fixed_points": _json(m, "x1", "x2"),
+            "poles": m.poles(),
+            "alpha_norm_exponent": -v_alpha,
+            "beta_norm_exponent": -v_beta,
+            "discriminant_is_square_in_qp": m.discriminant_is_square(),
         },
+        "classification": classification,
         "invariant_spheres": {
             "x1": {"radius_exponent_bound_exclusive": inv.x1_exponent_bound},
             "x2": (
@@ -123,23 +103,7 @@ def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
 
 
 def _conjugation_dict(m: GeneralMap, result):
-    return {
-        "fixed_point_cubic": [_frac(c) for c in m.fixed_point_cubic()],
-        "x1": _frac(result.x1),
-        "x2": _frac(result.x2),
-        "B": _frac(result.B),
-        "D": _frac(result.D),
-        "family": result.family,
-        "canonical": (
-            None
-            if result.canonical is None
-            else {
-                "p": result.canonical.p,
-                "a": _frac(result.canonical.a),
-                "c": _frac(result.canonical.c),
-            }
-        ),
-    }
+    return {**_json(result), "fixed_point_cubic": m.fixed_point_cubic()}
 
 
 def _emit(args, report, human_lines) -> None:
@@ -147,7 +111,7 @@ def _emit(args, report, human_lines) -> None:
         report = dict(report)
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(_json(report), sort_keys=True, indent=2) + "\n")
     else:
         for line in human_lines:
             print(line)
@@ -170,19 +134,10 @@ def _cmd_analyze(args) -> int:
                 label="three-parameter",
             )
         m = result.canonical
-        input_echo = {
-            "p": args.p,
-            "a": _frac(gm.a),
-            "b": _frac(gm.b),
-            "c": _frac(gm.c),
-            "d": _frac(gm.d),
-        }
-        conj_block = _conjugation_dict(gm, result)
+        report = _analyze_report(m, gm, _conjugation_dict(gm, result))
     else:
         m = CanonicalMap(args.p, args.a, args.c)
-        input_echo = {"p": args.p, "a": _frac(m.a), "c": _frac(m.c)}
-        conj_block = None
-    report = _analyze_report(m, input_echo, conj_block)
+        report = _analyze_report(m, m)
     cls = m.classify()
     lines = [
         f"f(x) = {m.a}*x / (x^2 + {m.c}*x + {m.a}) over Q_{m.p}",
@@ -190,7 +145,7 @@ def _cmd_analyze(args) -> int:
         f"beta = {m.p}^{report['map']['beta_norm_exponent']}",
         f"case {cls.case}: x1 = 0 is {cls.x1.kind}; x2 = {m.x2} is {cls.x2.kind}",
         f"x2 multiplier = {cls.x2.multiplier}, "
-        f"|f'(x2)|_{m.p} = {m.p}^-({_exp(cls.x2.multiplier_norm_exponent)})",
+        f"|f'(x2)|_{m.p} = {m.p}^-({cls.x2.multiplier_norm_exponent})",
         f"x1 region: {cls.x1.region.kind} U_({m.p}^{cls.x1.region.radius_exponent})({cls.x1.region.center})",
         f"x2 region: {cls.x2.region.kind} U_({m.p}^{cls.x2.region.radius_exponent})({cls.x2.region.center})",
     ]
@@ -203,24 +158,9 @@ def _cmd_orbit(args) -> int:
     result = orbit(m, args.x0, args.steps, mode=args.mode, precision=args.precision)
     report = {
         "command": "orbit",
-        "input": {
-            "p": args.p,
-            "a": _frac(m.a),
-            "c": _frac(m.c),
-            "x0": _frac(parse_rational(args.x0) if isinstance(args.x0, str) else args.x0),
-            "steps": args.steps,
-        },
-        "mode": result.mode,
-        "points": [_point(x) for x in result.points],
-        "distance_exponents": {
-            "x1": list(result.dist_x1_exponents),
-            "x2": list(result.dist_x2_exponents),
-        },
-        "pole_hit": (
-            None
-            if result.pole_hit is None
-            else {"step": result.pole_hit.step, "point": _frac(result.pole_hit.point)}
-        ),
+        "input": {**_json(m), "x0": args.x0, "steps": args.steps},
+        **_json(result, "mode", "points", "pole_hit"),
+        "distance_exponents": {"x1": result.dist_x1_exponents, "x2": result.dist_x2_exponents},
         "version": __version__,
     }
     lines = [f"orbit mode: {result.mode}, steps completed: {result.steps_completed}"]
@@ -252,56 +192,27 @@ def _cmd_ergodic(args) -> int:
         }
         ball_exp = None
     iso = isometry_check(m, sphere, count=args.samples, seed=args.seed)
+    mod4 = _json(decision.mod4)
+    if mod4 is not None:
+        mod4["sums"]["residues_mod4"] = list(decision.mod4.sums.residues())
     report = {
         "command": "ergodic",
         "input": {
-            "p": args.p,
-            "a": _frac(m.a),
-            "c": _frac(m.c),
+            **_json(m),
             "center": args.center,
             "radius_exponent": args.radius_exp,
             "oracle_depth": decision.oracle.depth,
             "samples": args.samples,
             "seed": args.seed,
         },
-        "sphere": {
-            "center": sphere.center,
-            "center_point": _frac(m.center_point(sphere.center)),
-            "radius_exponent": sphere.radius_exponent,
-        },
-        "theorem": {"verdict": decision.theorem.verdict, "reason": decision.theorem.reason},
-        "mod4": (
-            None
-            if decision.mod4 is None
-            else {
-                "ergodic": decision.mod4.ergodic,
-                "case": decision.mod4.case,
-                "sums": {
-                    "A1": _frac(decision.mod4.sums.A1),
-                    "A2": _frac(decision.mod4.sums.A2),
-                    "B1": _frac(decision.mod4.sums.B1),
-                    "B2": _frac(decision.mod4.sums.B2),
-                    "residues_mod4": list(decision.mod4.sums.residues()),
-                },
-            }
-        ),
-        "oracle": {
-            "depth": decision.oracle.depth,
-            "ergodic": decision.oracle.ergodic,
-            "levels": [
-                {
-                    "level": lv.level,
-                    "ball_count": lv.ball_count,
-                    "cycle_count": lv.cycle_count,
-                    "cycle_lengths": list(lv.cycle_lengths),
-                }
-                for lv in decision.oracle.levels
-            ],
-        },
+        "sphere": {**_json(sphere), "center_point": m.center_point(sphere.center)},
+        "theorem": _json(decision.theorem, "verdict", "reason"),
+        "mod4": mod4,
+        "oracle": _json(decision.oracle, "depth", "ergodic", "levels"),
         "agreement": True,
         "displacement": displacement,
         "minimal_invariant_ball_exponent": ball_exp,
-        "isometry": {"pairs_checked": iso.pairs_checked, "ok": True},
+        "isometry": {**_json(iso, "pairs_checked"), "ok": True},
         "verdict": decision.verdict,
         "version": __version__,
     }
@@ -334,11 +245,10 @@ def _cmd_periodic(args) -> int:
         report = {
             "command": "periodic",
             "kind": "three_periodic",
-            "input": {"p": args.p, "q": _frac(res.q)},
-            "h_q": _frac(res.h),
-            "map": {"p": m.p, "a": _frac(m.a), "c": _frac(m.c)},
-            "points": [_point(x) for x in res.orbit.points],
-            "multiplier_norm_exponent": _exp(res.orbit.multiplier_norm_exponent),
+            "input": {"p": args.p, "q": res.q},
+            "h_q": res.h,
+            "map": m,
+            **_json(res.orbit, "points", "multiplier_norm_exponent"),
             "p6_at_a": "0",
             "sphere_conditions": {
                 "x1_radius_exponent": x1_exp,
@@ -354,8 +264,8 @@ def _cmd_periodic(args) -> int:
         }
         lines = [
             f"3-periodic family: q = {res.q}, a = h(q) = {res.h}, c = {m.c}",
-            f"orbit: {' -> '.join(_point(x) for x in res.orbit.points)} -> {res.orbit.points[0]}",
-            f"multiplier norm exponent: {_exp(res.orbit.multiplier_norm_exponent)}",
+            f"orbit: {' -> '.join(map(str, res.orbit.points))} -> {res.orbit.points[0]}",
+            f"multiplier norm exponent: {res.orbit.multiplier_norm_exponent}",
         ]
         _emit(args, report, lines)
         return EXIT_OK
@@ -367,7 +277,7 @@ def _cmd_periodic(args) -> int:
         report = {
             "command": "periodic",
             "kind": "two_periodic",
-            "input": {"p": args.p, "a": _frac(m.a), "c": _frac(m.c)},
+            "input": m,
             "exists": False,
             "reason": "c^2 - 2a is not a nonzero square in Q_p",
             "version": __version__,
@@ -381,29 +291,23 @@ def _cmd_periodic(args) -> int:
         sphere = SphereSpec("x2", -dist_val)
         if m.sphere_is_invariant(sphere):
             sr = verify_orbit_structure(m, orb, sphere, samples=args.samples, seed=args.seed)
-            sphere_block = {"center": "x2", "radius_exponent": sphere.radius_exponent}
-            structure = {
-                "rho_exponent": sr.rho_exponent,
-                "containment_ok": sr.containment_ok,
-                "multiplier_norm_exponent": _exp(sr.multiplier_norm_exponent),
-                "ball_mapping_checked": sr.ball_mapping_checked,
-            }
+            sphere_block = sphere
+            structure = _json(sr, "rho_exponent", "containment_ok",
+                              "multiplier_norm_exponent", "ball_mapping_checked")
     report = {
         "command": "periodic",
         "kind": "two_periodic",
-        "input": {"p": args.p, "a": _frac(m.a), "c": _frac(m.c)},
+        "input": m,
         "exists": True,
-        "exact": orb.exact,
-        "points": [_point(x) for x in orb.points],
-        "multiplier_norm_exponent": _exp(orb.multiplier_norm_exponent),
+        **_json(orb, "exact", "points", "multiplier_norm_exponent"),
         "on_invariant_sphere": sphere_block,
         "structure": structure,
         "version": __version__,
     }
     lines = [
-        f"2-periodic orbit: {{{', '.join(_point(x) for x in orb.points)}}}"
+        f"2-periodic orbit: {{{', '.join(map(str, orb.points))}}}"
         + ("" if orb.exact else " (truncated)"),
-        f"multiplier norm exponent: {_exp(orb.multiplier_norm_exponent)}",
+        f"multiplier norm exponent: {orb.multiplier_norm_exponent}",
     ]
     _emit(args, report, lines)
     return EXIT_OK
@@ -428,13 +332,7 @@ def _cmd_conjugate(args) -> int:
     checked = verify_conjugacy(gm, result, ts)
     report = {
         "command": "conjugate",
-        "input": {
-            "p": args.p,
-            "a": _frac(gm.a),
-            "b": _frac(gm.b),
-            "c": _frac(gm.c),
-            "d": _frac(gm.d),
-        },
+        "input": gm,
         **_conjugation_dict(gm, result),
         "conjugacy_samples_checked": checked,
         "version": __version__,
@@ -460,19 +358,22 @@ class _CliArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative fraction ("--a -2/3") is a value, as a negative integer is
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _CliArgumentError(message)
-
-
-def _rational(text: str) -> Fraction:
-    return parse_rational(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    common.add_argument("--samples", type=int, default=32, help="sample count for checks")
+    common.add_argument(
+        "--samples", type=int, default=32, help="sample count for checks (at least 1)"
+    )
     common.add_argument(
         "--timestamp", action="store_true", help="include a generation timestamp"
     )
@@ -483,17 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", parents=[common], help="classify fixed points")
     pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--a", type=_rational, required=True)
-    pa.add_argument("--b", type=_rational, default=None)
-    pa.add_argument("--c", type=_rational, required=True)
-    pa.add_argument("--d", type=_rational, default=None)
+    pa.add_argument("--a", type=parse_rational, required=True)
+    pa.add_argument("--b", type=parse_rational, default=None)
+    pa.add_argument("--c", type=parse_rational, required=True)
+    pa.add_argument("--d", type=parse_rational, default=None)
     pa.set_defaults(func=_cmd_analyze)
 
     po = sub.add_parser("orbit", parents=[common], help="iterate f and profile norms")
     po.add_argument("--p", type=int, required=True)
-    po.add_argument("--a", type=_rational, required=True)
-    po.add_argument("--c", type=_rational, required=True)
-    po.add_argument("--x0", type=_rational, required=True)
+    po.add_argument("--a", type=parse_rational, required=True)
+    po.add_argument("--c", type=parse_rational, required=True)
+    po.add_argument("--x0", type=parse_rational, required=True)
     po.add_argument("--steps", type=int, required=True)
     po.add_argument("--mode", choices=("auto", "exact", "truncated"), default="auto")
     po.add_argument("--precision", type=int, default=64)
@@ -501,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("ergodic", parents=[common], help="decide ergodicity on a sphere")
     pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--a", type=_rational, required=True)
-    pe.add_argument("--c", type=_rational, required=True)
+    pe.add_argument("--a", type=parse_rational, required=True)
+    pe.add_argument("--c", type=parse_rational, required=True)
     pe.add_argument("--radius-exp", type=int, required=True, dest="radius_exp")
     pe.add_argument("--center", choices=("x1", "x2"), default="x1")
     pe.add_argument("--oracle-depth", type=int, default=None, dest="oracle_depth")
@@ -511,18 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("periodic", parents=[common], help="construct periodic orbits")
     pp.add_argument("--p", type=int, required=True)
-    pp.add_argument("--a", type=_rational, default=None)
-    pp.add_argument("--c", type=_rational, default=None)
-    pp.add_argument("--q", type=_rational, default=None)
+    pp.add_argument("--a", type=parse_rational, default=None)
+    pp.add_argument("--c", type=parse_rational, default=None)
+    pp.add_argument("--q", type=parse_rational, default=None)
     pp.add_argument("--precision", type=int, default=32)
     pp.set_defaults(func=_cmd_periodic)
 
     pc = sub.add_parser("conjugate", parents=[common], help="reduce a four-parameter map")
     pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--a", type=_rational, required=True)
-    pc.add_argument("--b", type=_rational, required=True)
-    pc.add_argument("--c", type=_rational, required=True)
-    pc.add_argument("--d", type=_rational, required=True)
+    pc.add_argument("--a", type=parse_rational, required=True)
+    pc.add_argument("--b", type=parse_rational, required=True)
+    pc.add_argument("--c", type=parse_rational, required=True)
+    pc.add_argument("--d", type=parse_rational, required=True)
     pc.set_defaults(func=_cmd_conjugate)
 
     return parser
@@ -532,6 +433,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import CanonicalMap
-from .errors import PoleHitError, UnsupportedCaseError
-from .padic import _coerce_fraction, is_prime
+from .errors import PoleHitError, UnsupportedCaseError, _verify
+from .padic import _coerce_fraction, _horner, is_prime
 
 __all__ = ["GeneralMap", "ConjugationResult", "find_double_root", "conjugate", "verify_conjugacy"]
 
@@ -31,13 +31,6 @@ def _poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_deriv(coeffs):
@@ -107,7 +100,8 @@ def _cubic_root_profile(m: GeneralMap):
         return ("triple", -g[1] / 2, None)
     x2 = -g[0]
     x1 = -m.c - 2 * x2
-    assert _poly_eval(cubic, x1) == 0 and _poly_eval(cubic, x2) == 0
+    _verify(_horner(cubic, x1) == 0 and _horner(cubic, x2) == 0,
+            f"gcd roots {x1}, {x2} are not roots of the fixed-point cubic")
     if x1 == x2:
         return ("triple", x2, None)
     return ("double", x1, x2)
@@ -151,7 +145,7 @@ def conjugate(m: GeneralMap) -> ConjugationResult:
 
     Raises UnsupportedCaseError when there is no double fixed point. When
     x2 = 0 the result carries the canonical two-parameter map (then B = d = a
-    and D = c, which is asserted); when x2 != 0 only B, D and the family
+    and D = c, which is verified); when x2 != 0 only B, D and the family
     label are returned.
     """
     kind, x1, x2 = _cubic_root_profile(m)
@@ -165,14 +159,13 @@ def conjugate(m: GeneralMap) -> ConjugationResult:
             "fixed-point cubic has a triple root: single fixed point of multiplicity three",
             label="triple-fixed-point",
         )
-    # Vieta identities for (x - x1)(x - x2)^2
-    assert x1 + 2 * x2 == -m.c
-    assert x2 * x2 + 2 * x1 * x2 == m.d - m.a
-    assert x1 * x2 * x2 == m.b
+    _verify(x1 + 2 * x2 == -m.c and x2 * x2 + 2 * x1 * x2 == m.d - m.a
+            and x1 * x2 * x2 == m.b,
+            f"Vieta identities fail for (x - {x1})(x - {x2})^2")
     B = x2 * x2 + m.c * x2 + m.d
     D = 2 * x2 + m.c
     if x2 == 0:
-        assert B == m.d == m.a and D == m.c
+        _verify(B == m.d == m.a and D == m.c, "x2 = 0 but (B, D) != (a, c)")
         canonical = CanonicalMap(m.p, B, D)
         return ConjugationResult(x1, x2, B, D, "two-parameter", canonical)
     return ConjugationResult(x1, x2, B, D, "three-parameter", None)
@@ -182,21 +175,21 @@ def verify_conjugacy(m: GeneralMap, result: ConjugationResult, ts) -> int:
     """Check h^-1(f(h(t))) == (-x2*t^2 + B*t)/(t^2 + D*t + B) at sample points.
 
     Returns the number of points actually compared (poles are skipped).
-    Raises AssertionError on any mismatch.
+    Raises VerificationError on any mismatch.
     """
     checked = 0
     num = result.conjugated_numerator()
     den = result.conjugated_denominator()
     for t in ts:
         t = _coerce_fraction(t)
-        d = _poly_eval(den, t)
+        d = _horner(den, t)
         if d == 0:
             continue
         try:
             lhs = m.eval(t + result.x2) - result.x2
         except PoleHitError:
             continue
-        rhs = _poly_eval(num, t) / d
-        assert lhs == rhs, f"conjugacy identity fails at t={t}: {lhs} != {rhs}"
+        rhs = _horner(num, t) / d
+        _verify(lhs == rhs, f"conjugacy identity fails at t={t}", counterexample=t)
         checked += 1
     return checked

@@ -23,6 +23,7 @@ from .errors import (
     PoleHitError,
     PrecisionError,
     PrimeMismatchError,
+    _verify,
 )
 from .padic import (
     INFINITY,
@@ -51,10 +52,6 @@ __all__ = [
     "PolePair",
     "Region",
     "SphereSpec",
-    "alpha_beta",
-    "classify",
-    "eval_f",
-    "invariant_spheres",
     "norm_image_profile",
     "orbit",
     "sphere_points",
@@ -288,8 +285,9 @@ class CanonicalMap:
                 )
             v_alpha = v_beta = va // 2
         # alpha <= beta, |a| = alpha*beta, and the |c| constraints
-        assert v_alpha >= v_beta and v_alpha + v_beta == va
-        assert (vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta)
+        _verify(v_alpha >= v_beta and v_alpha + v_beta == va
+                and ((vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta)),
+                f"pole valuations ({v_alpha}, {v_beta}) contradict v(a) = {va}, v(c) = {vc}")
         object.__setattr__(self, "_ab", (v_alpha, v_beta))
         return v_alpha, v_beta
 
@@ -325,7 +323,8 @@ class CanonicalMap:
         vc = _fraction_valuation(self.c, p)
         if v_alpha > v_beta:
             case = 5
-            assert mv == v_beta - v_alpha < 0
+            _verify(mv == v_beta - v_alpha < 0,
+                    f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
             x2_report = FixedPointReport(
                 point=self.x2,
                 multiplier=mult,
@@ -336,7 +335,7 @@ class CanonicalMap:
             )
         elif vc > v_alpha:
             case = 2
-            assert mv == 0
+            _verify(mv == 0, f"case 2 needs |f'(x2)| = 1, got v = {mv}")
             x2_report = FixedPointReport(
                 point=self.x2,
                 multiplier=mult,
@@ -349,10 +348,10 @@ class CanonicalMap:
             # |c| = alpha = beta; split on |a - c^2| vs alpha^2
             gap = self.a - self.c * self.c
             gv = _fraction_valuation(gap, p)
-            assert gv >= 2 * v_alpha
+            _verify(gv >= 2 * v_alpha, f"|a - c^2| exceeds alpha^2 (v = {gv})")
             if gv == 2 * v_alpha:
                 case = 3
-                assert mv == 0
+                _verify(mv == 0, f"case 3 needs |f'(x2)| = 1, got v = {mv}")
                 x2_report = FixedPointReport(
                     point=self.x2,
                     multiplier=mult,
@@ -363,7 +362,8 @@ class CanonicalMap:
                 )
             else:
                 case = 4
-                assert mv > 0  # INFINITY when a = c^2 (superattracting)
+                # mv is INFINITY when a = c^2 (superattracting)
+                _verify(mv > 0, f"case 4 needs |f'(x2)| < 1, got v = {mv}")
                 x2_report = FixedPointReport(
                     point=self.x2,
                     multiplier=mult,
@@ -394,24 +394,6 @@ class CanonicalMap:
         if inv.x2_exponent_bound is None:
             return False
         return sphere.radius_exponent < inv.x2_exponent_bound
-
-
-# Module-level wrappers mirroring the class methods.
-
-def eval_f(m: CanonicalMap, x) -> Fraction:
-    return m.eval(x)
-
-
-def alpha_beta(m: CanonicalMap) -> tuple[int, int]:
-    return m.alpha_beta()
-
-
-def classify(m: CanonicalMap) -> Classification:
-    return m.classify()
-
-
-def invariant_spheres(m: CanonicalMap) -> InvariantSpheres:
-    return m.invariant_spheres()
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -581,33 +563,3 @@ def norm_image_profile(m: CanonicalMap, radius_exponent: int) -> NormImagePredic
         va = _fraction_valuation(m.a, m.p)
         return NormImagePrediction("exact", -va - e)
     return NormImagePrediction("lower_bound", -v_alpha)
-
-
-def validate_norm_image(
-    m: CanonicalMap,
-    radius_exponent: int,
-    count: int = 32,
-    seed: Optional[int] = None,
-) -> int:
-    """Check the profile prediction on sampled points of S_r(0).
-
-    Returns the number of points checked (pole hits are skipped).
-    """
-    pred = norm_image_profile(m, radius_exponent)
-    pts = sphere_points(m, SphereSpec("x1", radius_exponent), count, seed)
-    checked = 0
-    for x in pts:
-        try:
-            y = m.eval(x)
-        except PoleHitError:
-            continue
-        v = _fraction_valuation(y, m.p)
-        exp = None if v is INFINITY else -v
-        if pred.kind == "exact":
-            assert exp == pred.exponent, f"|f({x})| = p^{exp}, predicted p^{pred.exponent}"
-        else:
-            assert exp is not None and exp >= pred.exponent, (
-                f"|f({x})| = p^{exp} below bound p^{pred.exponent}"
-            )
-        checked += 1
-    return checked

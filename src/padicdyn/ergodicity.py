@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_points
-from .errors import NotApplicableError, PoleHitError, VerificationError
-from .padic import _fraction_valuation, _unit_residue
+from .errors import NotApplicableError, PoleHitError, VerificationError, _verify
+from .padic import _fraction_valuation, _horner, _unit_residue
 
 __all__ = [
     "ErgodicityVerdict",
@@ -33,7 +33,6 @@ __all__ = [
     "decide_ergodicity",
     "displacement_table",
     "ergodicity_theorem",
-    "haar_measure",
     "isometry_check",
     "minimal_invariant_ball",
     "mod4_criterion",
@@ -325,10 +324,6 @@ class HaarMeasureContext:
         return (self.p - 1) * self.p ** (e - d - 1)
 
 
-def haar_measure(ctx: HaarMeasureContext, ball_radius_exponent: int) -> Fraction:
-    return ctx.measure(ball_radius_exponent)
-
-
 # -- theorem-based decision --------------------------------------------------------
 
 
@@ -337,7 +332,6 @@ class ErgodicityVerdict:
     sphere: SphereSpec
     verdict: str  # "ergodic" | "notErgodic"
     reason: str   # "pGe3Rule" | "radiusRule" | "mod4Case k" | "oracle"
-    oracle_agreement: Optional[bool] = None
 
 
 def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict:
@@ -375,8 +369,7 @@ class RescaledMap:
     denominator: tuple[Fraction, ...]  # (1, t1, t2)
 
     def eval(self, t: Fraction) -> Fraction:
-        c0, c1, c2 = self.denominator
-        den = c0 + c1 * t + c2 * t * t
+        den = _horner(self.denominator, t)
         if den == 0:
             raise PoleHitError(t)
         return t / den
@@ -396,22 +389,6 @@ def rescale_to_unit(m: CanonicalMap, radius_exponent: int) -> RescaledMap:
             f"radius 2^{l} is not an invariant radius"
         )
     return RescaledMap(l, (Fraction(0), Fraction(1)), (Fraction(1), t1, t2))
-
-
-def verify_rescaled(m: CanonicalMap, radius_exponent: int, ts) -> int:
-    """Check g^-1(f(g(t))) == rescaled(t) at sample unit points; returns count.
-
-    g(t) = 2**(-l) * t maps the unit sphere onto S_(2^l)(0).
-    """
-    rm = rescale_to_unit(m, radius_exponent)
-    g_factor = Fraction(2) ** (-radius_exponent)
-    checked = 0
-    for t in ts:
-        t = Fraction(t)
-        lhs = m.eval(t * g_factor) / g_factor
-        assert lhs == rm.eval(t), f"rescaled identity fails at t={t}"
-        checked += 1
-    return checked
 
 
 # -- mod-4 coefficient-sum criterion -------------------------------------------------
@@ -474,14 +451,8 @@ def mod4_criterion(num_coeffs, den_coeffs) -> Mod4Verdict:
         if _fraction_valuation(c, 2) < 0:
             raise ValueError(f"coefficient {c} is not a 2-adic integer")
 
-    def poly(coeffs, t):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
     for t in _SELF_MAP_SAMPLES:
-        nt, dt = poly(num, Fraction(t)), poly(den, Fraction(t))
+        nt, dt = _horner(num, t), _horner(den, t)
         if _fraction_valuation(nt, 2) != 0 or _fraction_valuation(dt, 2) != 0:
             raise ValueError(
                 f"map does not preserve the odd units: value at t={t} is not a unit"
@@ -489,7 +460,8 @@ def mod4_criterion(num_coeffs, den_coeffs) -> Mod4Verdict:
 
     A1, A2 = _coefficient_sums(num)
     B1, B2 = _coefficient_sums(den)
-    assert A1 + A2 == poly(num, Fraction(1)) and B1 + B2 == poly(den, Fraction(1))
+    _verify(A1 + A2 == _horner(num, 1) and B1 + B2 == _horner(den, 1),
+            "coefficient sums differ from the polynomial values at t = 1")
     sums = Mod4Sums(A1, A2, B1, B2)
     residues = sums.residues()
     for k, pattern in _MOD4_CASES.items():
@@ -510,11 +482,7 @@ class ErgodicityDecision:
     theorem: ErgodicityVerdict
     mod4: Optional[Mod4Verdict]  # only for p = 2, center x1
     oracle: OracleResult
-    verdict: str
-
-    @property
-    def agreement(self) -> bool:
-        return True  # constructed only after all deciders agreed
+    verdict: str  # set only after every decider agreed on it
 
 
 def decide_ergodicity(
@@ -535,5 +503,4 @@ def decide_ergodicity(
             f"oracle={'ergodic' if oracle.ergodic else 'notErgodic'}, "
             f"mod4={None if mod4 is None else mod4.ergodic}"
         )
-    final = ErgodicityVerdict(sphere, thm.verdict, thm.reason, oracle_agreement=True)
-    return ErgodicityDecision(final, mod4, oracle, thm.verdict)
+    return ErgodicityDecision(thm, mod4, oracle, thm.verdict)

@@ -61,3 +61,10 @@ class VerificationError(PadicDynError, AssertionError):
     def __init__(self, message, counterexample=None):
         self.counterexample = counterexample
         super().__init__(message)
+
+
+def _verify(condition: bool, message: str, counterexample=None) -> None:
+    """Raise VerificationError unless ``condition`` holds (unlike ``assert``,
+    this check also runs under ``python -O``)."""
+    if not condition:
+        raise VerificationError(message, counterexample=counterexample)

@@ -31,11 +31,9 @@ __all__ = [
     "hensel_sqrt",
     "is_prime",
     "is_square",
-    "norm_exponent",
     "parse_rational",
     "rational_sqrt",
     "ultrametric_add_check",
-    "valuation",
 ]
 
 
@@ -191,6 +189,14 @@ def _coerce_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _horner(coeffs, x) -> Fraction:
+    """Value at x of the polynomial with coefficients ``coeffs`` (low to high)."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None when x is not a perfect square."""
     if x < 0:
@@ -302,14 +308,6 @@ class PadicRational:
 
     def __str__(self):
         return str(self._value)
-
-
-def valuation(x: PadicRational) -> Valuation:
-    return x.valuation()
-
-
-def norm_exponent(x: PadicRational) -> Valuation:
-    return x.norm_exponent()
 
 
 @dataclass(frozen=True)

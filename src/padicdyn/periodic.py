@@ -15,13 +15,14 @@ from typing import Optional, Union
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_units
 from .ergodicity import rho
-from .errors import InconsistentParametersError, PoleHitError, VerificationError
+from .errors import InconsistentParametersError, PoleHitError, VerificationError, _verify
 from .padic import (
     INFINITY,
     TruncatedPadic,
     Valuation,
     _coerce_fraction,
     _fraction_valuation,
+    _horner,
     hensel_sqrt,
     is_square,
     rational_sqrt,
@@ -78,7 +79,7 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     if s is not None:
         t1, t2 = -m.c + s, -m.c - s
         try:
-            assert m.eval(t1) == t2 and m.eval(t2) == t1
+            _verify(m.eval(t1) == t2 and m.eval(t2) == t1, "f does not swap -c +- s")
         except PoleHitError as exc:
             raise VerificationError(
                 f"2-periodic candidate {exc.point} is a pole; orbit invalid"
@@ -146,9 +147,9 @@ def three_periodic_from_q(p: int, q) -> ThreePeriodicResult:
         raise VerificationError(
             f"3-periodic candidate hits a pole at {exc.point}"
         ) from exc
-    assert back == a, f"f^3(a) != a for q = {q}"
-    assert y1 != a, f"a is a fixed point for q = {q}"
-    assert p6_eval(m, a) == 0
+    _verify(back == a, f"f^3(a) != a for q = {q}")
+    _verify(y1 != a, f"a is a fixed point for q = {q}")
+    _verify(p6_eval(m, a) == 0, f"P6(a) != 0 for q = {q}")
     orbit = PeriodicOrbit(3, (a, y1, y2), _cycle_multiplier_valuation(m, (a, y1, y2)), True)
     return ThreePeriodicResult(q, a, m, orbit)
 
@@ -173,11 +174,7 @@ def p6_coefficients(m: CanonicalMap) -> tuple[Fraction, ...]:
 
 def p6_eval(m: CanonicalMap, x) -> Fraction:
     """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate."""
-    x = _coerce_fraction(x)
-    acc = Fraction(0)
-    for coeff in reversed(p6_coefficients(m)):
-        acc = acc * x + coeff
-    return acc
+    return _horner(p6_coefficients(m), _coerce_fraction(x))
 
 
 def three_periodic_sphere_condition(

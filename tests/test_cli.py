@@ -251,3 +251,33 @@ def test_ergodic_at_excluded_displacement_radius(capsys):
     assert doc["verdict"] == "notErgodic"
     assert doc["displacement"]["rho_exponent"] is None
     assert doc["minimal_invariant_ball_exponent"] is None
+
+
+def test_samples_must_be_at_least_one(capsys):
+    for samples in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys,
+            ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2",
+             "--samples", samples, "--json"],
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: argument --samples: must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["analyze", "--p", "3", "--a", "-2/3", "--c", "1"],
+         ["analyze", "--p", "3", "--a=-2/3", "--c", "1"]),
+        (["analyze", "--p", "5", "--a", "-2/3", "--c", "-1/2"],
+         ["analyze", "--p", "5", "--a=-2/3", "--c=-1/2"]),
+        (["periodic", "--p", "5", "--q", "-1/3"], ["periodic", "--p", "5", "--q=-1/3"]),
+        (["periodic", "--p", "5", "--q", "-3/2"], ["periodic", "--p", "5", "--q=-3/2"]),
+        (["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "-1/2", "--steps", "3"],
+         ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0=-1/2", "--steps", "3"]),
+    ],
+)
+def test_space_separated_negative_fractions(capsys, spaced, joined):
+    result = run_cli(capsys, spaced + ["--json"])
+    assert "expected one argument" not in result[2]
+    assert result == run_cli(capsys, joined + ["--json"])

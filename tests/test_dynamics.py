@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,10 @@ from padicdyn.dynamics import (
     norm_image_profile,
     orbit,
     sphere_points,
-    validate_norm_image,
 )
 from padicdyn.padic import INFINITY, _fraction_valuation
+
+from util import validate_norm_image
 
 # the four worked parameter sets and their expected regimes
 CASE2 = CanonicalMap(5, -1, 5)
@@ -177,6 +182,27 @@ def test_multiplier_kind_consistency_property():
         assert m.derivative(-m.c) == m.multiplier_x2()
         seen.add(cls.case)
     assert seen >= {2, 3, 4, 5}
+
+
+def test_classification_check_survives_python_O():
+    # python -O strips assert statements; the case invariants must still run
+    script = (
+        "from fractions import Fraction\n"
+        "from padicdyn import CanonicalMap, VerificationError\n"
+        "assert False, 'assert statements are not stripped'\n"
+        "CanonicalMap.multiplier_x2 = lambda self: Fraction(5)  # breaks case 3\n"
+        "try:\n"
+        "    CanonicalMap(5, 3, 1).classify()\n"
+        "except VerificationError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "VerificationError case 3 needs |f'(x2)| = 1, got v = 1\n"
 
 
 def test_invariant_spheres():

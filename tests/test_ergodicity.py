@@ -8,16 +8,16 @@ from padicdyn.ergodicity import (
     decide_ergodicity,
     displacement_table,
     ergodicity_theorem,
-    haar_measure,
     isometry_check,
     minimal_invariant_ball,
     mod4_criterion,
     rescale_to_unit,
     residue_cycle_oracle,
     rho,
-    verify_rescaled,
     verify_rho,
 )
+
+from util import verify_rescaled
 
 M2 = CanonicalMap(2, 2, 1)     # alpha = 1/2, beta = 1, the ergodic workhorse
 CASE2 = CanonicalMap(5, -1, 5)
@@ -224,10 +224,10 @@ def test_oracle_validates_arguments():
 def test_haar_measure_examples():
     # in Q_2 the sphere S_r(0) is a single ball of radius r/2
     ctx = HaarMeasureContext(2, SphereSpec("x1", -2))
-    assert haar_measure(ctx, -3) == 1
+    assert ctx.measure(-3) == 1
     # p=3, r=1, ball radius 1/3: half the sphere
     ctx = HaarMeasureContext(3, SphereSpec("x1", 0))
-    assert haar_measure(ctx, -1) == Fraction(1, 2)
+    assert ctx.measure(-1) == Fraction(1, 2)
 
 
 def test_haar_measure_agrees_with_residue_counting():
@@ -235,7 +235,7 @@ def test_haar_measure_agrees_with_residue_counting():
     units = [u for u in range(1, 9) if u % 3]
     hit = [u for u in units if (u - 1) % 3 == 0]
     ctx = HaarMeasureContext(3, SphereSpec("x1", 0))
-    assert haar_measure(ctx, -1) == Fraction(len(hit), len(units))
+    assert ctx.measure(-1) == Fraction(len(hit), len(units))
 
 
 def test_haar_measure_normalization():

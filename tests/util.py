@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
-from padicdyn.errors import PrecisionError
-from padicdyn.padic import TruncatedPadic, _fraction_valuation, _unit_residue
+from padicdyn.dynamics import SphereSpec, norm_image_profile, sphere_points
+from padicdyn.ergodicity import rescale_to_unit
+from padicdyn.errors import PoleHitError, PrecisionError
+from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _unit_residue
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -79,3 +81,47 @@ def reference_orbit_truncated(m, x0: Fraction, steps: int, precision: int):
         d1.append(_reference_distance(t, m.x1))
         d2.append(_reference_distance(t, m.x2))
     return points, d1, d2, None
+
+
+# -- sampled checks of the norm-image profile and the p = 2 rescaling -------------
+
+
+def validate_norm_image(m, radius_exponent: int, count: int = 32, seed=None) -> int:
+    """Check the profile prediction on sampled points of S_r(0).
+
+    Returns the number of points checked (pole hits are skipped).
+    """
+    pred = norm_image_profile(m, radius_exponent)
+    pts = sphere_points(m, SphereSpec("x1", radius_exponent), count, seed)
+    checked = 0
+    for x in pts:
+        try:
+            y = m.eval(x)
+        except PoleHitError:
+            continue
+        v = _fraction_valuation(y, m.p)
+        exp = None if v is INFINITY else -v
+        if pred.kind == "exact":
+            assert exp == pred.exponent, f"|f({x})| = p^{exp}, predicted p^{pred.exponent}"
+        else:
+            assert exp is not None and exp >= pred.exponent, (
+                f"|f({x})| = p^{exp} below bound p^{pred.exponent}"
+            )
+        checked += 1
+    return checked
+
+
+def verify_rescaled(m, radius_exponent: int, ts) -> int:
+    """Check g^-1(f(g(t))) == rescaled(t) at sample unit points; returns count.
+
+    g(t) = 2**(-l) * t maps the unit sphere onto S_(2^l)(0).
+    """
+    rm = rescale_to_unit(m, radius_exponent)
+    g_factor = Fraction(2) ** (-radius_exponent)
+    checked = 0
+    for t in ts:
+        t = Fraction(t)
+        lhs = m.eval(t * g_factor) / g_factor
+        assert lhs == rm.eval(t), f"rescaled identity fails at t={t}"
+        checked += 1
+    return checked
