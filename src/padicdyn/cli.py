@@ -284,14 +284,13 @@ def _cmd_periodic(args) -> int:
         }
         _emit(args, report, ["no 2-periodic orbit: c^2 - 2a is not a nonzero square"])
         return EXIT_OK
-    structure = None
-    sphere_block = None
+    on_sphere = structure = None
     if orb.exact:
         dist_val = _val(m, orb.points[0] - m.x2)
         sphere = SphereSpec("x2", -dist_val)
         if m.sphere_is_invariant(sphere):
             sr = verify_orbit_structure(m, orb, sphere, samples=args.samples, seed=args.seed)
-            sphere_block = sphere
+            on_sphere = sphere
             structure = _json(sr, "rho_exponent", "containment_ok",
                               "multiplier_norm_exponent", "ball_mapping_checked")
     report = {
@@ -300,7 +299,7 @@ def _cmd_periodic(args) -> int:
         "input": m,
         "exists": True,
         **_json(orb, "exact", "points", "multiplier_norm_exponent"),
-        "on_invariant_sphere": sphere_block,
+        "on_invariant_sphere": on_sphere,
         "structure": structure,
         "version": __version__,
     }
@@ -371,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    common.add_argument(
-        "--samples", type=int, default=32, help="sample count for checks (at least 1)"
-    )
+    common.add_argument("--samples", type=int, default=32, help="sample count for checks")
     common.add_argument(
         "--timestamp", action="store_true", help="include a generation timestamp"
     )
