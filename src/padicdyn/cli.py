@@ -27,15 +27,14 @@ from .errors import (
     UnsupportedCaseError,
     VerificationError,
 )
-from .ergodicity import (
-    decide_ergodicity,
-    isometry_check,
-    minimal_invariant_ball,
-    rho,
-    verify_rho,
-)
+from .ergodicity import decide_ergodicity, isometry_check, rho, verify_rho
 from .padic import INFINITY, TruncatedPadic, parse_rational
-from .periodic import three_periodic_from_q, two_periodic, verify_orbit_structure
+from .periodic import (
+    sphere_conditions,
+    three_periodic_from_q,
+    two_periodic,
+    verify_orbit_structure,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -184,13 +183,11 @@ def _cmd_ergodic(args) -> int:
             "samples_checked": args.samples,
             "matches_samples": True,
         }
-        ball_exp = minimal_invariant_ball(m, sphere)
     except NotApplicableError:
         displacement = {
             "rho_exponent": None,
             "note": "radius equals |c|_p; displacement is point-dependent",
         }
-        ball_exp = None
     iso = isometry_check(m, sphere, count=args.samples, seed=args.seed)
     mod4 = _json(decision.mod4)
     if mod4 is not None:
@@ -211,7 +208,8 @@ def _cmd_ergodic(args) -> int:
         "oracle": _json(decision.oracle, "depth", "ergodic", "levels"),
         "agreement": True,
         "displacement": displacement,
-        "minimal_invariant_ball_exponent": ball_exp,
+        # every ball of radius rho maps into itself and no smaller ball does
+        "minimal_invariant_ball_exponent": displacement["rho_exponent"],
         "isometry": {**_json(iso, "pairs_checked"), "ok": True},
         "verdict": decision.verdict,
         "version": __version__,
@@ -239,9 +237,6 @@ def _cmd_periodic(args) -> int:
     if args.q is not None:
         res = three_periodic_from_q(args.p, args.q)
         m = res.map
-        inv = m.invariant_spheres()
-        x1_exp = -_val(m, m.a)          # a lies on S_(p^x1_exp)(0)
-        x2_exp = _neg_val_or_none(m, m.a + m.c)
         report = {
             "command": "periodic",
             "kind": "three_periodic",
@@ -250,16 +245,7 @@ def _cmd_periodic(args) -> int:
             "map": m,
             **_json(res.orbit, "points", "multiplier_norm_exponent"),
             "p6_at_a": "0",
-            "sphere_conditions": {
-                "x1_radius_exponent": x1_exp,
-                "x1_sphere_invariant": x1_exp < inv.x1_exponent_bound,
-                "x2_radius_exponent": x2_exp,
-                "x2_sphere_invariant": (
-                    inv.x2_exponent_bound is not None
-                    and x2_exp is not None
-                    and x2_exp < inv.x2_exponent_bound
-                ),
-            },
+            "sphere_conditions": sphere_conditions(m),
             "version": __version__,
         }
         lines = [
@@ -286,8 +272,7 @@ def _cmd_periodic(args) -> int:
         return EXIT_OK
     on_sphere = structure = None
     if orb.exact:
-        dist_val = _val(m, orb.points[0] - m.x2)
-        sphere = SphereSpec("x2", -dist_val)
+        sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))  # s != 0: finite
         if m.sphere_is_invariant(sphere):
             sr = verify_orbit_structure(m, orb, sphere, samples=args.samples, seed=args.seed)
             on_sphere = sphere
@@ -310,18 +295,6 @@ def _cmd_periodic(args) -> int:
     ]
     _emit(args, report, lines)
     return EXIT_OK
-
-
-def _val(m: CanonicalMap, x):
-    v = m.val(x)
-    if v is INFINITY:
-        raise ValueError("unexpected zero value")
-    return v
-
-
-def _neg_val_or_none(m: CanonicalMap, x):
-    v = m.val(x)
-    return None if v is INFINITY else -v
 
 
 def _cmd_conjugate(args) -> int:
@@ -356,6 +329,15 @@ class _CliArgumentError(Exception):
     pass
 
 
+def _rational(text: str) -> Fraction:
+    """parse_rational for argparse, which would replace the message of a
+    plain ValueError with the function's name."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -381,17 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", parents=[common], help="classify fixed points")
     pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--a", type=parse_rational, required=True)
-    pa.add_argument("--b", type=parse_rational, default=None)
-    pa.add_argument("--c", type=parse_rational, required=True)
-    pa.add_argument("--d", type=parse_rational, default=None)
+    pa.add_argument("--a", type=_rational, required=True)
+    pa.add_argument("--b", type=_rational, default=None)
+    pa.add_argument("--c", type=_rational, required=True)
+    pa.add_argument("--d", type=_rational, default=None)
     pa.set_defaults(func=_cmd_analyze)
 
     po = sub.add_parser("orbit", parents=[common], help="iterate f and profile norms")
     po.add_argument("--p", type=int, required=True)
-    po.add_argument("--a", type=parse_rational, required=True)
-    po.add_argument("--c", type=parse_rational, required=True)
-    po.add_argument("--x0", type=parse_rational, required=True)
+    po.add_argument("--a", type=_rational, required=True)
+    po.add_argument("--c", type=_rational, required=True)
+    po.add_argument("--x0", type=_rational, required=True)
     po.add_argument("--steps", type=int, required=True)
     po.add_argument("--mode", choices=("auto", "exact", "truncated"), default="auto")
     po.add_argument("--precision", type=int, default=64)
@@ -399,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("ergodic", parents=[common], help="decide ergodicity on a sphere")
     pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--a", type=parse_rational, required=True)
-    pe.add_argument("--c", type=parse_rational, required=True)
+    pe.add_argument("--a", type=_rational, required=True)
+    pe.add_argument("--c", type=_rational, required=True)
     pe.add_argument("--radius-exp", type=int, required=True, dest="radius_exp")
     pe.add_argument("--center", choices=("x1", "x2"), default="x1")
     pe.add_argument("--oracle-depth", type=int, default=None, dest="oracle_depth")
@@ -409,18 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("periodic", parents=[common], help="construct periodic orbits")
     pp.add_argument("--p", type=int, required=True)
-    pp.add_argument("--a", type=parse_rational, default=None)
-    pp.add_argument("--c", type=parse_rational, default=None)
-    pp.add_argument("--q", type=parse_rational, default=None)
+    pp.add_argument("--a", type=_rational, default=None)
+    pp.add_argument("--c", type=_rational, default=None)
+    pp.add_argument("--q", type=_rational, default=None)
     pp.add_argument("--precision", type=int, default=32)
     pp.set_defaults(func=_cmd_periodic)
 
     pc = sub.add_parser("conjugate", parents=[common], help="reduce a four-parameter map")
     pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--a", type=parse_rational, required=True)
-    pc.add_argument("--b", type=parse_rational, required=True)
-    pc.add_argument("--c", type=parse_rational, required=True)
-    pc.add_argument("--d", type=parse_rational, required=True)
+    pc.add_argument("--a", type=_rational, required=True)
+    pc.add_argument("--b", type=_rational, required=True)
+    pc.add_argument("--c", type=_rational, required=True)
+    pc.add_argument("--d", type=_rational, required=True)
     pc.set_defaults(func=_cmd_conjugate)
 
     return parser

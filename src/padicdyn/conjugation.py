@@ -21,43 +21,7 @@ from .dynamics import CanonicalMap
 from .errors import PoleHitError, UnsupportedCaseError, _verify
 from .padic import _coerce_fraction, _horner, is_prime
 
-__all__ = ["GeneralMap", "ConjugationResult", "find_double_root", "conjugate", "verify_conjugacy"]
-
-
-# -- tiny exact polynomial helpers (coefficients low to high) ---------------
-
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_deriv(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _poly_mod(num, den):
-    num = _poly_trim(num)
-    den = _poly_trim(den)
-    while len(num) >= len(den) > 0:
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        for i, c in enumerate(den):
-            num[i + shift] -= factor * c
-        num = _poly_trim(num)
-    return num
-
-
-def _poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+__all__ = ["GeneralMap", "ConjugationResult", "conjugate", "verify_conjugacy"]
 
 
 @dataclass(frozen=True)
@@ -91,33 +55,20 @@ class GeneralMap:
 
 
 def _cubic_root_profile(m: GeneralMap):
-    """("double", x1, x2) | ("triple", x) | ("distinct", None)."""
-    cubic = m.fixed_point_cubic()
-    g = _poly_gcd(cubic, _poly_deriv(cubic))
-    if len(g) == 1:
-        return ("distinct", None, None)
-    if len(g) == 3:
-        return ("triple", -g[1] / 2, None)
-    x2 = -g[0]
-    x1 = -m.c - 2 * x2
-    _verify(_horner(cubic, x1) == 0 and _horner(cubic, x2) == 0,
-            f"gcd roots {x1}, {x2} are not roots of the fixed-point cubic")
-    if x1 == x2:
-        return ("triple", x2, None)
-    return ("double", x1, x2)
+    """("double", x1, x2) | ("triple", x, None) | ("distinct", None, None).
 
-
-def find_double_root(m: GeneralMap) -> Optional[tuple[Fraction, Fraction]]:
-    """The (simple, double) roots of the fixed-point cubic, or None.
-
-    Found by an exact gcd of the cubic with its derivative over Q; a double
-    root of a rational cubic is automatically rational. None signals either
-    three distinct fixed points or a triple fixed point.
+    The discriminant of x^3 + A*x^2 + B*x + C vanishes iff a root repeats. With roots (r, r, s), A^2 - 3B = (r - s)^2, so A^2 = 3B
+    means a triple root -A/3; otherwise the double root is
+    (9C - AB) / (2(A^2 - 3B)) and the simple one -A - 2r. A repeated root
+    of a rational cubic is rational, so everything stays exact.
     """
-    kind, x1, x2 = _cubic_root_profile(m)
-    if kind != "double":
-        return None
-    return x1, x2
+    C, B, A, _ = m.fixed_point_cubic()
+    if 18 * A * B * C - 4 * A**3 * C + A * A * B * B - 4 * B**3 - 27 * C * C != 0:
+        return ("distinct", None, None)
+    if A * A == 3 * B:
+        return ("triple", -A / 3, None)
+    x2 = (9 * C - A * B) / (2 * (A * A - 3 * B))
+    return ("double", -A - 2 * x2, x2)
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,10 @@ __all__ = [
     "Classification",
     "FixedPointReport",
     "InvariantSpheres",
-    "NormImagePrediction",
     "OrbitResult",
     "PolePair",
     "Region",
     "SphereSpec",
-    "norm_image_profile",
     "orbit",
     "sphere_points",
     "sphere_units",
@@ -244,9 +242,15 @@ class CanonicalMap:
         dv, du, _ = _add_triples(self.p, v, u, n, *self._operand(1, v + n, n))
         return -dv if du else "-inf"
 
-    def derivative(self, x) -> Fraction:
-        """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2, exact."""
-        x = _coerce_fraction(x)
+    def derivative(self, x):
+        """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2: exact for a rational x, by
+        TruncatedPadic's operators for a truncated one (which raise
+        PrecisionError when the denominator is indistinguishable from 0)."""
+        if isinstance(x, TruncatedPadic):
+            if x.prime != self.p:
+                raise PrimeMismatchError(f"mixed primes {self.p} and {x.prime}")
+        else:
+            x = _coerce_fraction(x)
         den = x * x + self.c * x + self.a
         if den == 0:
             raise PoleHitError(x)
@@ -535,31 +539,3 @@ def orbit(
         d1.append("-inf" if not u else -v)
         d2.append(m._distance_x2_triple(v, u, n))
     return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2), None)
-
-
-# -- image norm profile --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormImagePrediction:
-    """|f(x)|_p for x on S_r(0): exact value or a lower bound, as p-exponents."""
-
-    kind: Literal["exact", "lower_bound"]
-    exponent: int
-
-
-def norm_image_profile(m: CanonicalMap, radius_exponent: int) -> NormImagePrediction:
-    """Predicted |f(x)|_p on the sphere |x|_p = p**radius_exponent.
-
-    Three regimes: below alpha the norm is preserved; between alpha and
-    beta only the lower bound alpha holds (the exact value depends on the
-    point); above beta the norm is |a|_p / r.
-    """
-    v_alpha, v_beta = m.alpha_beta()
-    e = radius_exponent
-    if e < -v_alpha:
-        return NormImagePrediction("exact", e)
-    if e > -v_beta:
-        va = _fraction_valuation(m.a, m.p)
-        return NormImagePrediction("exact", -va - e)
-    return NormImagePrediction("lower_bound", -v_alpha)

@@ -22,8 +22,8 @@ from .errors import NotApplicableError, PoleHitError, VerificationError, _verify
 from .padic import _fraction_valuation, _horner, _unit_residue
 
 __all__ = [
+    "ORACLE_BALL_BUDGET",
     "ErgodicityVerdict",
-    "HaarMeasureContext",
     "IsometryReport",
     "Mod4Sums",
     "Mod4Verdict",
@@ -34,7 +34,6 @@ __all__ = [
     "displacement_table",
     "ergodicity_theorem",
     "isometry_check",
-    "minimal_invariant_ball",
     "mod4_criterion",
     "residue_cycle_oracle",
     "rescale_to_unit",
@@ -243,6 +242,10 @@ class OracleResult:
         return "\n".join(rows) + "\n"
 
 
+#: Most residue balls the oracle visits over all its levels together.
+ORACLE_BALL_BUDGET = 1 << 20
+
+
 def residue_cycle_oracle(
     m: CanonicalMap, sphere: SphereSpec, depth: Optional[int] = None
 ) -> OracleResult:
@@ -250,13 +253,25 @@ def residue_cycle_oracle(
 
     For each level k = 1..depth the sphere splits into (p-1)*p^(k-1) balls
     of radius r*p^-k; f permutes them (checked). The system is ergodic iff
-    the permutation is a single cycle at every level.
+    the permutation is a single cycle at every level. The levels hold
+    p^depth - 1 balls in all, which must not exceed ORACLE_BALL_BUDGET.
     """
     _require_invariant(m, sphere)
+    p = m.p
     if depth is None:
-        depth = 8 if m.p == 2 else 5
+        depth = 8 if p == 2 else 5
     if depth < 2:
         raise ValueError("oracle depth must be >= 2")
+    fits = 1
+    while p ** (fits + 1) - 1 <= ORACLE_BALL_BUDGET:
+        fits += 1
+    if depth > fits:
+        hint = (f"the largest depth that fits is {fits}" if fits >= 2
+                else f"no depth >= 2 fits for p = {p}")
+        raise ValueError(
+            f"oracle depth {depth} needs {p}^{depth} - 1 balls, over the budget of "
+            f"{ORACLE_BALL_BUDGET}; {hint}"
+        )
     levels = []
     for k in range(1, depth + 1):
         perm = _ball_permutation(m, sphere, k)
@@ -265,63 +280,6 @@ def residue_cycle_oracle(
     return OracleResult(
         sphere, depth, tuple(levels), all(lv.cycle_count == 1 for lv in levels)
     )
-
-
-def minimal_invariant_ball(
-    m: CanonicalMap, sphere: SphereSpec, verify_with_oracle: bool = False
-) -> int:
-    """Radius exponent of the minimal invariant ball of f on the sphere.
-
-    Every ball of radius rho(r) maps into itself (isometry with constant
-    displacement); no smaller ball does. Oracle mode verifies both facts on
-    the induced residue permutations: identity at the rho(r) level, no fixed
-    ball one level finer.
-    """
-    rho_exp = rho(m, sphere)
-    if verify_with_oracle:
-        e = sphere.radius_exponent
-        level_at_rho = e - rho_exp
-        if level_at_rho >= 1:
-            perm = _ball_permutation(m, sphere, level_at_rho)
-            if any(u != w for u, w in perm.items()):
-                raise VerificationError(
-                    f"a ball of radius p^{rho_exp} is not invariant"
-                )
-        finer = _ball_permutation(m, sphere, level_at_rho + 1)
-        if any(u == w for u, w in finer.items()):
-            raise VerificationError(
-                f"a ball of radius p^{rho_exp - 1} is fixed; rho is not minimal"
-            )
-    return rho_exp
-
-
-# -- Haar measure ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HaarMeasureContext:
-    """Normalized Haar measure on a sphere S_r(x_i).
-
-    A ball V_rho(s) inside the sphere has measure p*rho/((p-1)*r), an exact
-    rational; the whole sphere has measure 1.
-    """
-
-    p: int
-    sphere: SphereSpec
-
-    def measure(self, ball_radius_exponent: int) -> Fraction:
-        d, e = ball_radius_exponent, self.sphere.radius_exponent
-        if d >= e:
-            raise ValueError(
-                f"ball radius p^{d} is not strictly inside the sphere radius p^{e}"
-            )
-        return Fraction(self.p) ** (d - e + 1) / (self.p - 1)
-
-    def ball_count(self, ball_radius_exponent: int) -> int:
-        d, e = ball_radius_exponent, self.sphere.radius_exponent
-        if d >= e:
-            raise ValueError("ball radius must be strictly below the sphere radius")
-        return (self.p - 1) * self.p ** (e - d - 1)
 
 
 # -- theorem-based decision --------------------------------------------------------

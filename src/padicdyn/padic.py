@@ -10,7 +10,6 @@ precision-tracking rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -24,16 +23,14 @@ from .errors import (
 
 __all__ = [
     "INFINITY",
-    "PadicRational",
+    "PRIME_BOUND",
     "TruncatedPadic",
-    "UltrametricCheck",
     "Valuation",
     "hensel_sqrt",
     "is_prime",
     "is_square",
     "parse_rational",
     "rational_sqrt",
-    "ultrametric_add_check",
 ]
 
 
@@ -92,13 +89,21 @@ INFINITY = _PlusInfinity()
 Valuation = Union[int, _PlusInfinity]
 
 
-_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _PRIME_WITNESSES
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, the practical range)."""
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < PRIME_BOUND (about 3.3e24). n >= PRIME_BOUND raises
+    ValueError: PRIME_BOUND itself is a strong pseudoprime to every base.
+    """
     if n < 2:
         return False
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is not decided: p must be below {PRIME_BOUND}")
     for q in _PRIME_WITNESSES:
         if n % q == 0:
             return n == q
@@ -184,8 +189,6 @@ def _coerce_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, PadicRational):
-        return value.value
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -207,159 +210,13 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-class PadicRational:
-    """An exact rational number paired with a prime.
-
-    Arithmetic is exact (stdlib Fraction underneath); the prime rides along
-    so valuations and norm exponents are always available. Values are
-    immutable and hashable.
-    """
-
-    __slots__ = ("_value", "prime")
-
-    def __init__(self, value, prime: int):
-        frac = _coerce_fraction(value)
-        if isinstance(value, PadicRational) and value.prime != prime:
-            raise PrimeMismatchError(f"value carries prime {value.prime}, requested {prime}")
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        object.__setattr__(self, "_value", frac)
-        object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicRational is immutable")
-
-    @property
-    def value(self) -> Fraction:
-        return self._value
-
-    @property
-    def numerator(self) -> int:
-        return self._value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self._value.denominator
-
-    def valuation(self) -> Valuation:
-        """r such that x = p**r * (n/m) with n, m coprime to p; INFINITY for 0."""
-        return _fraction_valuation(self._value, self.prime)
-
-    def norm_exponent(self) -> Valuation:
-        """e such that |x|_p = p**(-e); INFINITY for zero (|0|_p = 0)."""
-        return self.valuation()
-
-    def unit_part(self) -> Fraction:
-        """x / p**v(x) as an exact rational (x != 0)."""
-        if self._value == 0:
-            raise ZeroDivisionError("zero has no unit part")
-        v = self.valuation()
-        return self._value / Fraction(self.prime) ** v
-
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, PadicRational):
-            if other.prime != self.prime:
-                raise PrimeMismatchError(
-                    f"mixed primes {self.prime} and {other.prime}"
-                )
-            return other._value
-        return _coerce_fraction(other)
-
-    def __add__(self, other):
-        return PadicRational(self._value + self._coerce(other), self.prime)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return PadicRational(self._value - self._coerce(other), self.prime)
-
-    def __rsub__(self, other):
-        return PadicRational(self._coerce(other) - self._value, self.prime)
-
-    def __mul__(self, other):
-        return PadicRational(self._value * self._coerce(other), self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return PadicRational(self._value / self._coerce(other), self.prime)
-
-    def __rtruediv__(self, other):
-        return PadicRational(self._coerce(other) / self._value, self.prime)
-
-    def __neg__(self):
-        return PadicRational(-self._value, self.prime)
-
-    def __eq__(self, other):
-        if isinstance(other, PadicRational):
-            return self.prime == other.prime and self._value == other._value
-        if isinstance(other, (int, Fraction)):
-            return self._value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._value, self.prime))
-
-    def __bool__(self):
-        return self._value != 0
-
-    def __repr__(self):
-        return f"PadicRational({self._value}, p={self.prime})"
-
-    def __str__(self):
-        return str(self._value)
-
-
-@dataclass(frozen=True)
-class UltrametricCheck:
-    """Record of one strong-triangle-inequality verification.
-
-    Norms are carried as valuations: |x|_p = p**(-x_val) and so on.
-    """
-
-    x_val: Valuation
-    y_val: Valuation
-    sum_val: Valuation
-    holds: bool
-    refinement_equality: bool  # when |x| != |y|: |x+y| = max attained
-    refinement_bound: bool     # when |x| == |y|: |x+y| <= |x|
-
-
-def ultrametric_add_check(x: PadicRational, y: PadicRational) -> UltrametricCheck:
-    """Verify |x+y|_p <= max(|x|_p, |y|_p), with equality when the norms differ."""
-    if x.prime != y.prime:
-        raise PrimeMismatchError(f"mixed primes {x.prime} and {y.prime}")
-    vx, vy, vs = x.valuation(), y.valuation(), (x + y).valuation()
-    # |x+y| <= max(|x|,|y|)  <=>  v(x+y) >= min(v(x), v(y))
-    holds = vs >= min(vx, vy)
-    if vx != vy:
-        eq = vs == min(vx, vy)
-        bound = True
-    else:
-        eq = True
-        bound = vs >= vx
-    if not (holds and eq and bound):
-        raise AssertionError(
-            f"ultrametric violation for x={x}, y={y}: v(x)={vx}, v(y)={vy}, v(x+y)={vs}"
-        )
-    return UltrametricCheck(vx, vy, vs, holds, eq, bound)
-
-
-def is_square(x, prime: int | None = None) -> bool:
+def is_square(x, prime: int) -> bool:
     """Whether x != 0 is a square in Q_p.
 
     True iff the valuation is even and the unit part is a quadratic residue
     mod p (odd p), respectively is 1 mod 8 (p = 2).
     """
-    if isinstance(x, PadicRational):
-        if prime is not None and prime != x.prime:
-            raise PrimeMismatchError(f"value carries prime {x.prime}, requested {prime}")
-        prime = x.prime
-        frac = x.value
-    else:
-        if prime is None:
-            raise TypeError("prime required when x is not a PadicRational")
-        frac = _coerce_fraction(x)
+    frac = _coerce_fraction(x)
     if frac == 0:
         raise ValueError("is_square is undefined at zero (zero is trivially a square)")
     v = _fraction_valuation(frac, prime)
@@ -683,7 +540,7 @@ def _truncate_fraction(frac: Fraction, prime: int, precision: int) -> TruncatedP
     return TruncatedPadic(prime, v, unit, precision)
 
 
-def hensel_sqrt(x, precision: int, prime: int | None = None) -> TruncatedPadic:
+def hensel_sqrt(x, precision: int, prime: int) -> TruncatedPadic:
     """Canonical square root of x in Q_p to ``precision`` significant digits.
 
     Requires is_square(x). Of the two roots +-s, returns the one whose first
@@ -691,13 +548,7 @@ def hensel_sqrt(x, precision: int, prime: int | None = None) -> TruncatedPadic:
     p = 2. The square of the result agrees with x modulo
     p**(v(x) + precision).
     """
-    if isinstance(x, PadicRational):
-        prime = x.prime
-        frac = x.value
-    else:
-        if prime is None:
-            raise TypeError("prime required when x is not a PadicRational")
-        frac = _coerce_fraction(x)
+    frac = _coerce_fraction(x)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if frac == 0:

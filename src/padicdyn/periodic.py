@@ -9,6 +9,7 @@ a = h(q), c = q*h(q) - 1 with h(q) = (3q^2+2q)/(6q^3+11q^2+6q+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -30,14 +31,15 @@ from .padic import (
 
 __all__ = [
     "PeriodicOrbit",
+    "SphereConditions",
     "StructureReport",
     "ThreePeriodicResult",
     "h_of_q",
     "p6_coefficients",
     "p6_eval",
     "q_sweep",
+    "sphere_conditions",
     "three_periodic_from_q",
-    "three_periodic_sphere_condition",
     "two_periodic",
     "verify_orbit_structure",
 ]
@@ -53,14 +55,14 @@ class PeriodicOrbit:
     # chain-rule product vanishes (a superattracting cycle)
     multiplier_norm_exponent: Valuation
     exact: bool
-    containment_ball_exponent: Optional[int] = None
 
 
 def _cycle_multiplier_valuation(m: CanonicalMap, points) -> Valuation:
-    """Valuation of the chain-rule product of f' along the cycle."""
-    prod = Fraction(1)
-    for y in points:
-        prod *= m.derivative(y)
+    """Valuation of the chain-rule product of f' along the cycle (in
+    truncated arithmetic when the points are truncated)."""
+    prod = math.prod(m.derivative(y) for y in points)
+    if isinstance(prod, TruncatedPadic):
+        return INFINITY if prod.is_zero else prod.valuation
     return _fraction_valuation(prod, m.p)
 
 
@@ -96,15 +98,7 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
         raise VerificationError(
             f"truncated 2-cycle verification failed at precision {precision}"
         )
-    # chain-rule multiplier: f'(t1)*f'(t2) in truncated arithmetic
-    prod = _derivative_truncated(m, t1) * _derivative_truncated(m, t2)
-    mult_val = INFINITY if prod.is_zero else prod.valuation
-    return PeriodicOrbit(2, (t1, t2), mult_val, False)
-
-
-def _derivative_truncated(m: CanonicalMap, t: TruncatedPadic) -> TruncatedPadic:
-    den = t * t + t * m.c + m.a
-    return (m.a - t * t) * m.a / (den * den)
+    return PeriodicOrbit(2, (t1, t2), _cycle_multiplier_valuation(m, (t1, t2)), False)
 
 
 def h_of_q(q: Fraction) -> Fraction:
@@ -177,19 +171,32 @@ def p6_eval(m: CanonicalMap, x) -> Fraction:
     return _horner(p6_coefficients(m), _coerce_fraction(x))
 
 
-def three_periodic_sphere_condition(
-    m: CanonicalMap, center: str, radius_exponent: int
-) -> bool:
-    """Whether the family parameter a lands on S_r(x_i).
+@dataclass(frozen=True)
+class SphereConditions:
+    """The spheres S_r(x_i) through the family parameter a, as radius
+    exponents, and whether each is invariant. x2_radius_exponent is None
+    when a = x2."""
 
-    center "x1": |a|_p = r, i.e. |h(q)|_p = r.
-    center "x2": |a - x2|_p = |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r.
+    x1_radius_exponent: int
+    x1_sphere_invariant: bool
+    x2_radius_exponent: Optional[int]
+    x2_sphere_invariant: bool
+
+
+def sphere_conditions(m: CanonicalMap) -> SphereConditions:
+    """Which invariant spheres the parameter a lies on.
+
+    Around x1: |a|_p = r, i.e. |h(q)|_p = r. Around x2: |a - x2|_p =
+    |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r. Raises
+    InconsistentParametersError when the map's pole norms are not in p**Z.
     """
-    if center == "x1":
-        return _fraction_valuation(m.a, m.p) == -radius_exponent
-    if center == "x2":
-        return _fraction_valuation(m.a + m.c, m.p) == -radius_exponent
-    raise ValueError("center must be 'x1' or 'x2'")
+    inv = m.invariant_spheres()
+    e1 = -_fraction_valuation(m.a, m.p)
+    v2 = _fraction_valuation(m.a + m.c, m.p)
+    e2 = None if v2 is INFINITY else -v2
+    x2_invariant = (e2 is not None and inv.x2_exponent_bound is not None
+                    and e2 < inv.x2_exponent_bound)
+    return SphereConditions(e1, e1 < inv.x1_exponent_bound, e2, x2_invariant)
 
 
 @dataclass(frozen=True)
@@ -296,19 +303,13 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
                 res = three_periodic_from_q(p, q)
             except (VerificationError, ValueError):
                 continue
-            m = res.map
             try:
-                inv = m.invariant_spheres()
+                sc = sphere_conditions(res.map)
             except InconsistentParametersError:
                 continue
-            x1_exp = None
-            e1 = -_fraction_valuation(m.a, p)
-            if isinstance(e1, int) and e1 < inv.x1_exponent_bound:
-                x1_exp = e1
-            x2_exp = None
-            e2_val = _fraction_valuation(m.a + m.c, p)
-            if e2_val is not INFINITY and inv.x2_exponent_bound is not None:
-                if -e2_val < inv.x2_exponent_bound:
-                    x2_exp = -e2_val
-            out.append(QSweepRecord(q, res.h, m.c, x1_exp, x2_exp))
+            out.append(QSweepRecord(
+                q, res.h, res.map.c,
+                sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
+                sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
+            ))
     return out

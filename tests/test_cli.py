@@ -281,3 +281,34 @@ def test_space_separated_negative_fractions(capsys, spaced, joined):
     result = run_cli(capsys, spaced + ["--json"])
     assert "expected one argument" not in result[2]
     assert result == run_cli(capsys, joined + ["--json"])
+
+
+def test_bad_literal_keeps_its_message(capsys):
+    code, out, err = run_cli(capsys, ["analyze", "--p", "3", "--a", "1.5", "--c", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: argument --a: invalid rational literal '1.5' (column 1)\n"
+    code, _, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1/0"])
+    assert code == 1 and "argument --q: invalid rational literal '1/0': zero denominator" in err
+
+
+def test_prime_beyond_the_decided_range_exits_1(capsys):
+    # a strong pseudoprime to every base 2..37, caught by base 41
+    code, _, err = run_cli(capsys, ["analyze", "--p", "318665857834031151167461",
+                                    "--a", "1", "--c", "1"])
+    assert code == 1 and "is not prime" in err
+    # a strong pseudoprime to every base 2..41: primality is not decided there
+    code, out, err = run_cli(capsys, ["analyze", "--p", "3317044064679887385961981",
+                                      "--a", "1", "--c", "1"])
+    assert code == 1 and out == ""
+    assert "not decided: p must be below 3317044064679887385961981" in err
+
+
+def test_oracle_over_budget_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["ergodic", "--p", "101", "--a", "-2", "--c", "1",
+                                      "--radius-exp", "-1"])
+    assert code == 1 and out == ""
+    assert err == ("error: oracle depth 5 needs 101^5 - 1 balls, over the budget of "
+                   "1048576; the largest depth that fits is 3\n")
+    code, _, err = run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
+                                    "--radius-exp", "-2", "--oracle-depth", "40"])
+    assert code == 1 and "the largest depth that fits is 20" in err

@@ -4,33 +4,44 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import UnsupportedCaseError
-from padicdyn.conjugation import GeneralMap, conjugate, find_double_root, verify_conjugacy
+from padicdyn.conjugation import GeneralMap, _cubic_root_profile, conjugate, verify_conjugacy
 
 
 def test_double_root_at_origin():
     # cubic x^3 - x^2 = x^2 (x - 1): double root 0, simple root 1
     m = GeneralMap(3, 1, 0, -1, 1)
-    assert find_double_root(m) == (Fraction(1), Fraction(0))
+    assert _cubic_root_profile(m) == ("double", Fraction(1), Fraction(0))
+    assert (conjugate(m).x1, conjugate(m).x2) == (1, 0)
 
 
 def test_double_root_shifted():
     # (x-1)(x-2)^2 = x^3 - 5x^2 + 8x - 4: c=-5, d-a=8, b=4 (take a=1, d=9)
     m = GeneralMap(5, 1, 4, -5, 9)
-    assert find_double_root(m) == (Fraction(1), Fraction(2))
+    assert _cubic_root_profile(m) == ("double", Fraction(1), Fraction(2))
+    # a double root that is not an integer: (x - 1/2)(x + 2/3)^2
+    x1, x2 = Fraction(1, 2), Fraction(-2, 3)
+    m = GeneralMap(7, 1, x1 * x2 * x2, -(x1 + 2 * x2), 1 + x2 * x2 + 2 * x1 * x2)
+    assert _cubic_root_profile(m) == ("double", x1, x2)
 
 
 def test_three_distinct_roots_give_none():
     # cubic x^3 - x = x(x-1)(x+1)
     m = GeneralMap(5, 1, 0, 0, 0)
-    assert find_double_root(m) is None
+    assert _cubic_root_profile(m) == ("distinct", None, None)
     # squarefree cubic with irrational roots: x^3 - 2
     m = GeneralMap(5, 1, 2, 0, 1)
-    assert find_double_root(m) is None
+    assert _cubic_root_profile(m) == ("distinct", None, None)
+    # one rational and two complex roots: x^3 + x = x(x^2 + 1)
+    m = GeneralMap(5, 1, 0, 0, 2)
+    assert _cubic_root_profile(m) == ("distinct", None, None)
 
 
 def test_triple_root_gives_none():
     m = GeneralMap(5, 1, 0, 0, 1)  # cubic x^3
-    assert find_double_root(m) is None
+    assert _cubic_root_profile(m) == ("triple", 0, None)
+    # (x - 2/3)^3 = x^3 - 2x^2 + 4/3 x - 8/27
+    m = GeneralMap(5, 1, Fraction(8, 27), -2, Fraction(7, 3))
+    assert _cubic_root_profile(m) == ("triple", Fraction(2, 3), None)
 
 
 def test_conjugate_canonical_branch():
@@ -86,8 +97,9 @@ def test_vieta_roundtrip_and_conjugacy_property():
         if a == 0 or x1 == x2:
             continue
         m = _map_from_roots(7, x1, x2, a)
-        assert find_double_root(m) == (x1, x2)
+        assert _cubic_root_profile(m) == ("double", x1, x2)
         r = conjugate(m)
+        assert (r.x1, r.x2) == (x1, x2)
         # B and D exactly as defined
         assert r.B == x2 * x2 + m.c * x2 + m.d
         assert r.D == 2 * x2 + m.c

@@ -16,13 +16,12 @@ from padicdyn import (
 )
 from padicdyn.dynamics import (
     PoleHitRecord,
-    norm_image_profile,
     orbit,
     sphere_points,
 )
 from padicdyn.padic import INFINITY, _fraction_valuation
 
-from util import validate_norm_image
+from util import norm_image_profile, validate_norm_image
 
 # the four worked parameter sets and their expected regimes
 CASE2 = CanonicalMap(5, -1, 5)

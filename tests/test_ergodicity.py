@@ -4,12 +4,12 @@ import pytest
 
 from padicdyn import CanonicalMap, NotApplicableError, SphereSpec
 from padicdyn.ergodicity import (
-    HaarMeasureContext,
+    ORACLE_BALL_BUDGET,
+    _ball_permutation,
     decide_ergodicity,
     displacement_table,
     ergodicity_theorem,
     isometry_check,
-    minimal_invariant_ball,
     mod4_criterion,
     rescale_to_unit,
     residue_cycle_oracle,
@@ -17,7 +17,7 @@ from padicdyn.ergodicity import (
     verify_rho,
 )
 
-from util import verify_rescaled
+from util import HaarMeasureContext, verify_rescaled
 
 M2 = CanonicalMap(2, 2, 1)     # alpha = 1/2, beta = 1, the ergodic workhorse
 CASE2 = CanonicalMap(5, -1, 5)
@@ -93,12 +93,23 @@ def test_isometry_includes_seeded_mode():
 # -- minimal invariant ball -----------------------------------------------------------
 
 
+def _minimal_invariant_ball(m, sphere):
+    """rho(r), checked on the induced residue permutations: every ball of
+    radius p^rho is fixed, and no ball one level finer is."""
+    rho_exp = rho(m, sphere)
+    level = sphere.radius_exponent - rho_exp
+    if level >= 1:
+        assert all(u == w for u, w in _ball_permutation(m, sphere, level).items())
+    assert all(u != w for u, w in _ball_permutation(m, sphere, level + 1).items())
+    return rho_exp
+
+
 def test_minimal_invariant_ball_with_oracle():
-    assert minimal_invariant_ball(M2, SphereSpec("x1", -2), verify_with_oracle=True) == -3
+    assert _minimal_invariant_ball(M2, SphereSpec("x1", -2)) == -3
     # case-3 sphere: the minimal ball is the whole-radius level
-    assert minimal_invariant_ball(CASE3, SphereSpec("x2", -1), verify_with_oracle=True) == -1
+    assert _minimal_invariant_ball(CASE3, SphereSpec("x2", -1)) == -1
     # p = 3 sphere with rho two levels inside the radius
-    assert minimal_invariant_ball(CASE4, SphereSpec("x1", -1), verify_with_oracle=True) == -2
+    assert _minimal_invariant_ball(CASE4, SphereSpec("x1", -1)) == -2
 
 
 # -- theorem ---------------------------------------------------------------------------
@@ -216,6 +227,23 @@ def test_oracle_validates_arguments():
         residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=1)
     with pytest.raises(NotApplicableError):
         residue_cycle_oracle(M2, SphereSpec("x1", 3))
+
+
+def test_oracle_ball_budget(monkeypatch):
+    # p^depth - 1 balls in all: 2^20 - 1 fits at p = 2, 2^21 - 1 does not
+    assert ORACLE_BALL_BUDGET == 2**20
+    calls = []
+    monkeypatch.setattr("padicdyn.ergodicity._ball_permutation",
+                        lambda *args: calls.append(args))
+    for depth in (21, 40, 10**9):
+        with pytest.raises(ValueError, match="largest depth that fits is 20"):
+            residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=depth)
+    # the default depth 5 at p = 101 (about 10^10 balls) is refused up front
+    with pytest.raises(ValueError, match="101\\^5 - 1 balls.*largest depth that fits is 3"):
+        residue_cycle_oracle(CanonicalMap(101, -2, 1), SphereSpec("x1", -1))
+    with pytest.raises(ValueError, match="no depth >= 2 fits for p = 1031"):
+        residue_cycle_oracle(CanonicalMap(1031, -2, 1), SphereSpec("x1", -1), depth=2)
+    assert calls == []
 
 
 # -- Haar measure -----------------------------------------------------------------------

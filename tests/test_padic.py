@@ -5,8 +5,8 @@ import pytest
 
 from padicdyn import (
     INFINITY,
+    CanonicalMap,
     NotASquareError,
-    PadicRational,
     PrecisionError,
     PrimeMismatchError,
     TruncatedPadic,
@@ -14,70 +14,86 @@ from padicdyn import (
     is_prime,
     is_square,
     parse_rational,
-    ultrametric_add_check,
 )
-from util import brute_force_is_square, random_rational, random_unit, square_residue_set
+from padicdyn.conjugation import GeneralMap
+from padicdyn.padic import PRIME_BOUND, _fraction_valuation
+from util import (
+    brute_force_is_square,
+    random_rational,
+    random_unit,
+    square_residue_set,
+    ultrametric_valuations,
+)
 
 
 # -- valuation / norm exponent ------------------------------------------------
 
 
 def test_valuation_examples():
-    assert PadicRational(0, 3).valuation() is INFINITY
-    assert PadicRational(12, 3).valuation() == 1
-    assert PadicRational(Fraction(50, 7), 5).valuation() == 2
+    assert _fraction_valuation(Fraction(0), 3) is INFINITY
+    assert _fraction_valuation(Fraction(12), 3) == 1
+    assert _fraction_valuation(Fraction(50, 7), 5) == 2
 
 
 def test_norm_exponent_examples():
-    # |x|_p = p**(-exponent)
-    assert PadicRational(1, 2).norm_exponent() == 0
-    assert PadicRational(Fraction(2, 3), 3).norm_exponent() == -1
-    assert PadicRational(-11, 3).norm_exponent() == 0
+    # |x|_p = p**(-v): the norm exponent of an exact rational is its valuation
+    assert _fraction_valuation(Fraction(1), 2) == 0
+    assert _fraction_valuation(Fraction(2, 3), 3) == -1
+    assert CanonicalMap(3, 1, 1).val(-11) == 0
 
 
 def test_prime_validated_at_construction():
-    with pytest.raises(ValueError):
-        PadicRational(1, 4)
-    with pytest.raises(ValueError):
-        PadicRational(1, 1)
+    for p in (4, 1):
+        with pytest.raises(ValueError):
+            CanonicalMap(p, 1, 1)
+        with pytest.raises(ValueError):
+            GeneralMap(p, 1, 0, -1, 1)
     assert is_prime(2) and is_prime(97) and not is_prime(91)
 
 
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprime to the bases 2..37 is caught by base 41
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    # the least one to the bases 2..41 is the bound: undecided, so refused
+    assert PRIME_BOUND == 3317044064679887385961981
+    for n in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(n)
+
+
 def test_arithmetic_and_prime_mismatch():
-    x = PadicRational(Fraction(1, 3), 3)
-    y = PadicRational(Fraction(2, 3), 3)
-    assert (x + y).value == 1
-    assert (x * y).value == Fraction(2, 9)
-    assert (x - y).value == Fraction(-1, 3)
-    assert (x / y).value == Fraction(1, 2)
-    z5 = PadicRational(1, 5)
+    x = TruncatedPadic.from_rational(Fraction(1, 3), 3, 8)
+    y = TruncatedPadic.from_rational(Fraction(2, 3), 3, 8)
+    assert (x + y).approx_equal(TruncatedPadic.from_rational(1, 3, 8))
+    assert (x * y).approx_equal(TruncatedPadic.from_rational(Fraction(2, 9), 3, 8))
+    assert (x / y).approx_equal(TruncatedPadic.from_rational(Fraction(1, 2), 3, 8))
+    z5 = TruncatedPadic.from_rational(1, 5, 8)
     with pytest.raises(PrimeMismatchError):
-        x + z5
+        x * z5
+    with pytest.raises(PrimeMismatchError):
+        CanonicalMap(3, 1, 1).eval_truncated(z5)
+    with pytest.raises(PrimeMismatchError):
+        CanonicalMap(3, 1, 1).derivative(z5)
 
 
 def test_ultrametric_examples():
     # unequal norms: equality case of the strong triangle inequality
-    rec = ultrametric_add_check(PadicRational(9, 3), PadicRational(1, 3))
-    assert rec.sum_val == 0 and rec.refinement_equality
+    assert ultrametric_valuations(Fraction(9), Fraction(1), 3) == (2, 0, 0)
     # total cancellation
-    rec = ultrametric_add_check(PadicRational(1, 5), PadicRational(-1, 5))
-    assert rec.sum_val is INFINITY and rec.holds
+    assert ultrametric_valuations(Fraction(1), Fraction(-1), 5)[2] is INFINITY
     # equal norms: bound only
-    rec = ultrametric_add_check(
-        PadicRational(Fraction(1, 3), 3), PadicRational(Fraction(2, 3), 3)
-    )
-    assert rec.x_val == rec.y_val == -1 and rec.sum_val == 0 and rec.refinement_bound
+    assert ultrametric_valuations(Fraction(1, 3), Fraction(2, 3), 3) == (-1, -1, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_ultrametric_and_multiplicativity_property(p):
     rng = random.Random(1000 + p)
     for _ in range(1000):
-        x = PadicRational(random_rational(rng), p)
-        y = PadicRational(random_rational(rng), p)
-        ultrametric_add_check(x, y)  # raises on violation
+        x, y = random_rational(rng), random_rational(rng)
+        vx, vy, _ = ultrametric_valuations(x, y, p)
         # |xy| = |x||y| as exact integer exponents
-        assert (x * y).valuation() == x.valuation() + y.valuation()
+        assert _fraction_valuation(x * y, p) == vx + vy
 
 
 # -- squareness ----------------------------------------------------------------

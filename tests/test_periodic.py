@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from padicdyn import CanonicalMap, SphereSpec, VerificationError
+from padicdyn import CanonicalMap, InconsistentParametersError, SphereSpec, VerificationError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
     h_of_q,
     p6_coefficients,
     p6_eval,
     q_sweep,
+    sphere_conditions,
     three_periodic_from_q,
-    three_periodic_sphere_condition,
     two_periodic,
     verify_orbit_structure,
 )
@@ -167,14 +167,30 @@ def test_sphere_condition_examples():
     # q = 1 at p = 2: |5/24|_2 = 8, on S_8(0); that sphere is never invariant
     res = three_periodic_from_q(2, 1)
     m = res.map
-    assert three_periodic_sphere_condition(m, "x1", 3)
+    sc = sphere_conditions(m)
+    assert sc.x1_radius_exponent == 3 and not sc.x1_sphere_invariant
     assert not m.sphere_is_invariant(SphereSpec("x1", 3))
     # q = 1 at p = 5: |5/24|_5 = 1/5, but invariance needs exponent < -1
     res = three_periodic_from_q(5, 1)
     m = res.map
-    assert three_periodic_sphere_condition(m, "x1", -1)
+    sc = sphere_conditions(m)
+    assert sc.x1_radius_exponent == -1 and not sc.x1_sphere_invariant
     assert not m.sphere_is_invariant(SphereSpec("x1", -1))
-    assert not three_periodic_sphere_condition(m, "x1", -2)
+    # |a + c|_5 = |-7/12|_5 = 1, and case 3 at p = 5 has no invariant unit sphere
+    assert sc.x2_radius_exponent == 0 and not sc.x2_sphere_invariant
+
+
+def test_sphere_conditions_when_a_is_x2():
+    # a = -c puts the parameter on x2 itself: no sphere around x2 through it
+    sc = sphere_conditions(CanonicalMap(5, Fraction(1, 25), Fraction(-1, 25)))
+    assert sc.x2_radius_exponent is None and not sc.x2_sphere_invariant
+    assert sc.x1_radius_exponent == 2 and not sc.x1_sphere_invariant
+
+
+def test_sphere_conditions_need_pole_norms_in_p_z():
+    # v(a) = 1 is odd with 2 v(c) >= v(a): the pole norms are not powers of 3
+    with pytest.raises(InconsistentParametersError):
+        sphere_conditions(CanonicalMap(3, 3, 3))
 
 
 def test_three_periodic_on_invariant_sphere_p7():
@@ -183,7 +199,8 @@ def test_three_periodic_on_invariant_sphere_p7():
     res = three_periodic_from_q(7, 1)
     m = res.map
     assert m.classify().case == 3
-    assert three_periodic_sphere_condition(m, "x2", -1)
+    sc = sphere_conditions(m)
+    assert sc.x2_radius_exponent == -1 and sc.x2_sphere_invariant
     sphere = SphereSpec("x2", -1)
     assert m.sphere_is_invariant(sphere)
     report = verify_orbit_structure(m, res.orbit, sphere)

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: seeded generators and brute-force oracles."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal
 
-from padicdyn.dynamics import SphereSpec, norm_image_profile, sphere_points
+from padicdyn.dynamics import SphereSpec, sphere_points
 from padicdyn.ergodicity import rescale_to_unit
 from padicdyn.errors import PoleHitError, PrecisionError
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _unit_residue
@@ -41,6 +43,17 @@ def brute_force_is_square(x: Fraction, p: int, residues: set[int]) -> bool:
     if v % 2:
         return False
     return _unit_residue(x, p, p**6) in residues
+
+
+def ultrametric_valuations(x: Fraction, y: Fraction, p: int):
+    """(v(x), v(y), v(x+y)) after checking the strong triangle inequality
+    |x+y|_p <= max(|x|_p, |y|_p), with equality when the norms differ."""
+    vx, vy = _fraction_valuation(x, p), _fraction_valuation(y, p)
+    vs = _fraction_valuation(x + y, p)
+    assert vs >= min(vx, vy), f"|x+y| > max(|x|, |y|) for x={x}, y={y} at p={p}"
+    if vx != vy:
+        assert vs == min(vx, vy), f"|x+y| != max(|x|, |y|) for x={x}, y={y} at p={p}"
+    return vx, vy, vs
 
 
 def agrees_on_reported_digits(x: Fraction, t: TruncatedPadic, p: int) -> bool:
@@ -81,6 +94,60 @@ def reference_orbit_truncated(m, x0: Fraction, steps: int, precision: int):
         d1.append(_reference_distance(t, m.x1))
         d2.append(_reference_distance(t, m.x2))
     return points, d1, d2, None
+
+
+# -- paper results that only the tests state: image norms and Haar measure --------
+
+
+@dataclass(frozen=True)
+class NormImagePrediction:
+    """|f(x)|_p for x on S_r(0): exact value or a lower bound, as p-exponents."""
+
+    kind: Literal["exact", "lower_bound"]
+    exponent: int
+
+
+def norm_image_profile(m, radius_exponent: int) -> NormImagePrediction:
+    """Predicted |f(x)|_p on the sphere |x|_p = p**radius_exponent.
+
+    Three regimes: below alpha the norm is preserved; between alpha and
+    beta only the lower bound alpha holds (the exact value depends on the
+    point); above beta the norm is |a|_p / r.
+    """
+    v_alpha, v_beta = m.alpha_beta()
+    e = radius_exponent
+    if e < -v_alpha:
+        return NormImagePrediction("exact", e)
+    if e > -v_beta:
+        va = _fraction_valuation(m.a, m.p)
+        return NormImagePrediction("exact", -va - e)
+    return NormImagePrediction("lower_bound", -v_alpha)
+
+
+@dataclass(frozen=True)
+class HaarMeasureContext:
+    """Normalized Haar measure on a sphere S_r(x_i).
+
+    A ball V_rho(s) inside the sphere has measure p*rho/((p-1)*r), an exact
+    rational; the whole sphere has measure 1.
+    """
+
+    p: int
+    sphere: SphereSpec
+
+    def measure(self, ball_radius_exponent: int) -> Fraction:
+        d, e = ball_radius_exponent, self.sphere.radius_exponent
+        if d >= e:
+            raise ValueError(
+                f"ball radius p^{d} is not strictly inside the sphere radius p^{e}"
+            )
+        return Fraction(self.p) ** (d - e + 1) / (self.p - 1)
+
+    def ball_count(self, ball_radius_exponent: int) -> int:
+        d, e = ball_radius_exponent, self.sphere.radius_exponent
+        if d >= e:
+            raise ValueError("ball radius must be strictly below the sphere radius")
+        return (self.p - 1) * self.p ** (e - d - 1)
 
 
 # -- sampled checks of the norm-image profile and the p = 2 rescaling -------------
