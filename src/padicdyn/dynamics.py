@@ -121,7 +121,7 @@ class InvariantSpheres:
 class CanonicalMap:
     """f(x) = a*x/(x^2 + c*x + a) with a*c != 0 over Q_p."""
 
-    __slots__ = ("p", "a", "c", "_ab", "_coef")
+    __slots__ = ("p", "a", "c", "_ab", "_cls", "_coef")
 
     def __init__(self, p: int, a, c):
         if not is_prime(p):
@@ -136,6 +136,7 @@ class CanonicalMap:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_ab", None)
+        object.__setattr__(self, "_cls", None)
         object.__setattr__(self, "_coef", None)
 
     def __setattr__(self, name, value):
@@ -312,6 +313,9 @@ class CanonicalMap:
           5: alpha < beta                   -> repelling on U_beta(x2),
                                                |f'(x2)| = beta/alpha
         """
+        cached = self._cls
+        if cached is not None:
+            return cached
         v_alpha, v_beta = self.alpha_beta()
         p = self.p
         mult = self.multiplier_x2()
@@ -377,7 +381,9 @@ class CanonicalMap:
                     case=4,
                     superattracting=(mult == 0),
                 )
-        return Classification(case, x1_report, x2_report)
+        result = Classification(case, x1_report, x2_report)
+        object.__setattr__(self, "_cls", result)
+        return result
 
     def invariant_spheres(self) -> InvariantSpheres:
         """Exponent bounds below which S_r(x_i) is invariant.

@@ -8,13 +8,16 @@ distance rho(r). Three independent deciders are provided and cross-checked:
   * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to the
     map rescaled to the unit sphere of Q_2;
   * residue_cycle_oracle: brute-force cycle structure of the induced
-    permutations of residue balls, level by level.
+    permutations of residue balls, level by level. One integer pass at the
+    deepest level gives every level (each coarser one is its reduction),
+    and exact evaluation of f anchors the first balls of that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_points
@@ -159,46 +162,83 @@ def isometry_check(
 
 
 # -- residue-ball permutations ---------------------------------------------------
+#
+# On S_r(x_i), r = p^e, write x = x_i + s*u with s = p^-e, so that u runs over
+# the units of Z_p. Dividing f(x) - x_i by s gives the map on u:
+#
+#   around x1:  w = u / (1 + t1*u + t2*u^2)
+#   around x2:  w = u*(lam + t1*u) / (1 - t1*u + t2*u^2)
+#
+# with t1 = c*s/a, t2 = s^2/a and lam = f'(x2) = 1 - c^2/a. When p divides t1
+# and t2 and lam is a unit, the denominator is 1 mod p and w is a unit, so
+# w mod p^k depends on u mod p^k alone: f maps the ball of index u mod p^k
+# onto the ball of index w mod p^k, and the level-k permutation is the
+# reduction mod p^k of every deeper one.
+
+
+def _unit_sphere_coefficients(m: CanonicalMap, radius_exponent: int):
+    """(t1, t2) = (c*s/a, s^2/a) with s = p^-radius_exponent: the map moved
+    from S_r(0) onto the unit sphere has denominator 1 + t1*t + t2*t^2."""
+    s = Fraction(m.p) ** -radius_exponent
+    return m.c * s / m.a, s * s / m.a
+
+
+def _residue(x: Fraction, mod: int) -> int:
+    """x mod ``mod`` (a power of p) for an x whose denominator is prime to p."""
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def _verify_permutation(perm: dict[int, int], p: int, level: int) -> None:
+    left = next((u for u, w in perm.items() if w % p == 0), None)
+    _verify(left is None, f"image left the sphere at ball u={left}", left)
+    _verify(perm.keys() == set(perm.values()),
+            f"induced ball map at level {level} is not a permutation")
+
+
+#: Balls whose kernel image is checked against exact evaluation of f.
+_ANCHOR_BALLS = 8
 
 
 def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[int, int]:
     """The permutation f induces on radius-r*p^-level balls of the sphere.
 
     Balls are indexed by unit residues u mod p**level; the ball of index u
-    is V_(r*p^-level)(center + u*p^e). Well-definedness is checked with a
-    second representative per ball; the image map is verified to be a
-    bijection. Any failure raises VerificationError.
+    is V_(r*p^-level)(center + u*p^-e). The images come from the integer
+    form of f above, with its coefficients reduced mod p**level once. The
+    coefficients are checked to be p-integral as required (so balls map
+    to balls on the sphere), every image to be a unit and the map to be a
+    bijection; the first _ANCHOR_BALLS images are checked against exact
+    evaluation of f at two representatives each. Any failure raises
+    VerificationError.
     """
     p, e = m.p, sphere.radius_exponent
-    center = m.center_point(sphere.center)
-    scale = Fraction(p) ** -e  # v(scale) = -e, so |u*scale| = p**e
+    t1, t2 = _unit_sphere_coefficients(m, e)
+    if sphere.center == "x2":
+        lam = m.multiplier_x2()
+        coeffs = (lam, t1, -t1, t2)
+    else:
+        lam = Fraction(1)
+        coeffs = (lam, Fraction(0), t1, t2)
+    _verify(_fraction_valuation(t1, p) >= 1 and _fraction_valuation(t2, p) >= 1
+            and _fraction_valuation(lam, p) == 0,
+            f"balls of {sphere} do not map to balls: need v(t1) >= 1, v(t2) >= 1 "
+            f"and v(f'(center)) = 0")
     mod = p ** level
-    perm: dict[int, int] = {}
-    for u in range(1, mod):
-        if u % p == 0:
-            continue
-        image = None
+    n0, n1, d1, d2 = (_residue(x, mod) for x in coeffs)
+    perm = {u: u * (n0 + n1 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
+            for u in range(1, mod) if u % p}
+    _verify_permutation(perm, p, level)
+    center = m.center_point(sphere.center)
+    scale = Fraction(p) ** -e
+    for u in islice(perm, _ANCHOR_BALLS):
         for rep in (u, u + mod):
-            try:
-                y = m.eval(center + rep * scale)
-            except PoleHitError as exc:  # impossible on an invariant sphere
-                raise AssertionError(f"pole on invariant sphere at u={rep}") from exc
-            w = (y - center) / scale
-            if _fraction_valuation(w, p) != 0:
-                raise VerificationError(
-                    f"image left the sphere at ball u={u}", counterexample=rep
-                )
-            idx = _unit_residue(w, p, mod)
-            if image is None:
-                image = idx
-            elif image != idx:
-                raise VerificationError(
-                    f"induced ball map not well defined at u={u}: {image} != {idx}",
-                    counterexample=u,
-                )
-        perm[u] = image
-    if sorted(perm.values()) != sorted(perm.keys()):
-        raise VerificationError("induced ball map is not a permutation")
+            w = (m.eval(center + rep * scale) - center) / scale
+            _verify(_fraction_valuation(w, p) == 0,
+                    f"image left the sphere at ball u={u}", rep)
+            exact = _unit_residue(w, p, mod)
+            _verify(exact == perm[u],
+                    f"kernel image {perm[u]} of ball u={u} differs from the exact "
+                    f"image {exact}", rep)
     return perm
 
 
@@ -254,17 +294,23 @@ def residue_cycle_oracle(
     For each level k = 1..depth the sphere splits into (p-1)*p^(k-1) balls
     of radius r*p^-k; f permutes them (checked). The system is ergodic iff
     the permutation is a single cycle at every level. The levels hold
-    p^depth - 1 balls in all, which must not exceed ORACLE_BALL_BUDGET.
+    p^depth - 1 balls in all, which must not exceed ORACLE_BALL_BUDGET;
+    the default depth is 8 for p = 2 and 5 otherwise, lowered to the
+    largest depth that fits.
+
+    The kernel runs once, at ``depth``. Level k is read off level k + 1:
+    ball u < p^k maps to the reduction of its image, and every finer ball
+    must map into the image of its parent ball (checked).
     """
     _require_invariant(m, sphere)
     p = m.p
-    if depth is None:
-        depth = 8 if p == 2 else 5
-    if depth < 2:
-        raise ValueError("oracle depth must be >= 2")
     fits = 1
     while p ** (fits + 1) - 1 <= ORACLE_BALL_BUDGET:
         fits += 1
+    if depth is None:
+        depth = min(8 if p == 2 else 5, max(fits, 2))
+    if depth < 2:
+        raise ValueError("oracle depth must be >= 2")
     if depth > fits:
         hint = (f"the largest depth that fits is {fits}" if fits >= 2
                 else f"no depth >= 2 fits for p = {p}")
@@ -272,11 +318,20 @@ def residue_cycle_oracle(
             f"oracle depth {depth} needs {p}^{depth} - 1 balls, over the budget of "
             f"{ORACLE_BALL_BUDGET}; {hint}"
         )
+    perm = _ball_permutation(m, sphere, depth)
     levels = []
-    for k in range(1, depth + 1):
-        perm = _ball_permutation(m, sphere, k)
+    for k in range(depth, 0, -1):
+        if k < depth:
+            mod = p ** k
+            finer, perm = perm, {u: w % mod for u, w in perm.items() if u < mod}
+            stray = next((u for u, w in finer.items() if w % mod != perm[u % mod]), None)
+            _verify(stray is None,
+                    f"induced ball map not well defined at level {k}: ball u={stray}",
+                    stray)
+            _verify_permutation(perm, p, k)
         lengths = _cycle_lengths(perm)
         levels.append(OracleLevel(k, len(perm), len(lengths), tuple(lengths)))
+    levels.reverse()
     return OracleResult(
         sphere, depth, tuple(levels), all(lv.cycle_count == 1 for lv in levels)
     )
@@ -338,9 +393,7 @@ def rescale_to_unit(m: CanonicalMap, radius_exponent: int) -> RescaledMap:
     if m.p != 2:
         raise NotApplicableError("rescaling to the unit sphere is a p = 2 construction")
     l = radius_exponent
-    two = Fraction(2)
-    t1 = two ** (-l) * m.c / m.a
-    t2 = two ** (-2 * l) / m.a
+    t1, t2 = _unit_sphere_coefficients(m, l)
     if not (_fraction_valuation(t2, 2) >= 2 and _fraction_valuation(t1, 2) >= 1):
         raise NotApplicableError(
             f"coefficient bounds fail (|t^2 coeff| <= 1/4, |t coeff| <= 1/2): "

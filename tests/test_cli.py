@@ -303,9 +303,18 @@ def test_prime_beyond_the_decided_range_exits_1(capsys):
     assert "not decided: p must be below 3317044064679887385961981" in err
 
 
+def test_default_oracle_depth_fits_the_budget(capsys):
+    # 17^5 - 1 balls are over the budget, so the default depth drops to 4
+    code, out, _ = run_cli(capsys, ["ergodic", "--p", "17", "--a", "-2", "--c", "1",
+                                    "--radius-exp", "-1", "--json"])
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["depth"] == 4 and len(oracle["levels"]) == 4
+
+
 def test_oracle_over_budget_exits_1(capsys):
     code, out, err = run_cli(capsys, ["ergodic", "--p", "101", "--a", "-2", "--c", "1",
-                                      "--radius-exp", "-1"])
+                                      "--radius-exp", "-1", "--oracle-depth", "5"])
     assert code == 1 and out == ""
     assert err == ("error: oracle depth 5 needs 101^5 - 1 balls, over the budget of "
                    "1048576; the largest depth that fits is 3\n")

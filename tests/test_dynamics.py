@@ -204,6 +204,17 @@ def test_classification_check_survives_python_O():
     assert proc.stdout == "VerificationError case 3 needs |f'(x2)| = 1, got v = 1\n"
 
 
+def test_classification_is_computed_once_per_map(monkeypatch):
+    calls = []
+    real = CanonicalMap.multiplier_x2
+    monkeypatch.setattr(CanonicalMap, "multiplier_x2",
+                        lambda self: calls.append(self) or real(self))
+    m = CanonicalMap(5, 3, 1)
+    first = m.classify()
+    assert m.sphere_is_invariant(SphereSpec("x2", -1))
+    assert m.classify() is first and calls == [m]
+
+
 def test_invariant_spheres():
     # around x1: invariant iff radius exponent < -v_alpha
     m = CanonicalMap(2, 2, 1)

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from padicdyn import CanonicalMap, NotApplicableError, SphereSpec
+from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, ergodicity
+from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
     _ball_permutation,
+    _unit_sphere_coefficients,
+    _verify_permutation,
     decide_ergodicity,
     displacement_table,
     ergodicity_theorem,
@@ -17,7 +21,7 @@ from padicdyn.ergodicity import (
     verify_rho,
 )
 
-from util import HaarMeasureContext, verify_rescaled
+from util import HaarMeasureContext, random_unit, reference_oracle_levels, verify_rescaled
 
 M2 = CanonicalMap(2, 2, 1)     # alpha = 1/2, beta = 1, the ergodic workhorse
 CASE2 = CanonicalMap(5, -1, 5)
@@ -238,12 +242,92 @@ def test_oracle_ball_budget(monkeypatch):
     for depth in (21, 40, 10**9):
         with pytest.raises(ValueError, match="largest depth that fits is 20"):
             residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=depth)
-    # the default depth 5 at p = 101 (about 10^10 balls) is refused up front
+    # depth 5 at p = 101 (about 10^10 balls) is refused up front
     with pytest.raises(ValueError, match="101\\^5 - 1 balls.*largest depth that fits is 3"):
-        residue_cycle_oracle(CanonicalMap(101, -2, 1), SphereSpec("x1", -1))
-    with pytest.raises(ValueError, match="no depth >= 2 fits for p = 1031"):
-        residue_cycle_oracle(CanonicalMap(1031, -2, 1), SphereSpec("x1", -1), depth=2)
+        residue_cycle_oracle(CanonicalMap(101, -2, 1), SphereSpec("x1", -1), depth=5)
+    for depth in (2, None):
+        with pytest.raises(ValueError, match="no depth >= 2 fits for p = 1031"):
+            residue_cycle_oracle(CanonicalMap(1031, -2, 1), SphereSpec("x1", -1), depth)
     assert calls == []
+
+
+def test_kernel_refuses_a_sphere_whose_balls_do_not_map_to_balls():
+    # r = alpha: t1 = c*s/a = 1 is a unit, so the ball map is not defined
+    with pytest.raises(VerificationError, match="do not map to balls"):
+        _ball_permutation(M2, SphereSpec("x1", -1), 3)
+
+
+def test_ball_map_checks_catch_broken_tables(monkeypatch):
+    with pytest.raises(VerificationError, match="image left the sphere at ball u=2"):
+        _verify_permutation({1: 1, 2: 3}, 3, 1)
+    with pytest.raises(VerificationError, match="level 1 is not a permutation"):
+        _verify_permutation({1: 2, 2: 2}, 3, 1)
+    # swap the images of balls 1 and 3 mod 8: still a bijection at level 3,
+    # but ball 5 no longer maps into the image of its parent ball 1 mod 4
+    real = ergodicity._ball_permutation
+
+    def swapped(m, sphere, level):
+        perm = real(m, sphere, level)
+        perm[1], perm[3] = perm[3], perm[1]
+        return perm
+
+    monkeypatch.setattr(ergodicity, "_ball_permutation", swapped)
+    with pytest.raises(VerificationError, match="not well defined at level 2: ball u=5"):
+        residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=3)
+
+
+def _differential_spheres(p: int, rng: random.Random, maps: int):
+    """Invariant spheres of seeded maps: two radii around each centre that has
+    any, from maps with v(a) = 2 v(c) (cases 2 to 4) and with a free v(a)."""
+    out = []
+    while len(out) < 2 * maps:
+        k = rng.randint(-1, 1)
+        c = random_unit(rng, p, 40) * Fraction(p) ** k
+        if len(out) % 4 == 0:
+            a = random_unit(rng, p, 40) * Fraction(p) ** rng.randint(-2, 3)
+        else:
+            a = c * c * (1 + random_unit(rng, p, 40) * Fraction(p) ** rng.randint(0, 1))
+        try:
+            m = CanonicalMap(p, a, c)
+            inv = m.invariant_spheres()
+        except InconsistentParametersError:
+            continue
+        for center, bound in (("x1", inv.x1_exponent_bound), ("x2", inv.x2_exponent_bound)):
+            if bound is not None:
+                out += [(m, SphereSpec(center, bound - 1 - rng.randint(0, 1)))]
+    return out
+
+
+@pytest.mark.parametrize("p,depth", [(2, 6), (3, 5), (5, 4), (7, 3), (11, 3)])
+def test_kernel_levels_equal_the_fraction_reference(p, depth):
+    rng = random.Random(f"oracle-kernel:{p}")
+    spheres = _differential_spheres(p, rng, 6 if p < 7 else 3)
+    for m, sphere in spheres:
+        levels = residue_cycle_oracle(m, sphere, depth).levels
+        assert levels == reference_oracle_levels(m, sphere, depth), (m, sphere)
+    centers = {(sphere.center, m.classify().case) for m, sphere in spheres}
+    assert ("x1", 3) in centers or p == 2
+    assert ("x2", 3) in centers or p == 2
+
+
+@pytest.mark.parametrize("m,sphere,depth,coefficient", [
+    (M2, SphereSpec("x1", -2), 8, "t1"),
+    (CASE3, SphereSpec("x2", -1), 4, "lambda"),
+])
+def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, depth,
+                                                        coefficient):
+    # off by p^(depth-1): the corrupted map is still a bijection of units that
+    # reduces level by level, so only the comparison with exact f catches it
+    target = (_unit_sphere_coefficients(m, sphere.radius_exponent)[0]
+              if coefficient == "t1" else m.multiplier_x2())
+    real = ergodicity._residue
+
+    def corrupted(x, mod):
+        return (real(x, mod) + (mod // m.p if x == target else 0)) % mod
+
+    monkeypatch.setattr(ergodicity, "_residue", corrupted)
+    with pytest.raises(VerificationError, match="differs from the exact image"):
+        residue_cycle_oracle(m, sphere, depth)
 
 
 # -- Haar measure -----------------------------------------------------------------------

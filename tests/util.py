@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Literal
 
 from padicdyn.dynamics import SphereSpec, sphere_points
-from padicdyn.ergodicity import rescale_to_unit
+from padicdyn.ergodicity import OracleLevel, _cycle_lengths, rescale_to_unit
 from padicdyn.errors import PoleHitError, PrecisionError
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _unit_residue
 
@@ -94,6 +94,40 @@ def reference_orbit_truncated(m, x0: Fraction, steps: int, precision: int):
         d1.append(_reference_distance(t, m.x1))
         d2.append(_reference_distance(t, m.x2))
     return points, d1, d2, None
+
+
+# -- Fraction reference for the residue oracle's integer kernel --------------------
+
+
+def reference_ball_permutation(m, sphere: SphereSpec, level: int) -> dict[int, int]:
+    """f on the radius-r*p^-level balls of the sphere, read off exact values
+    of f at two representatives, u and u + p^level, of every ball."""
+    p = m.p
+    center = m.center_point(sphere.center)
+    scale = Fraction(p) ** -sphere.radius_exponent
+    mod = p**level
+    perm = {}
+    for u in range(1, mod):
+        if u % p == 0:
+            continue
+        images = set()
+        for rep in (u, u + mod):
+            w = (m.eval(center + rep * scale) - center) / scale
+            assert _fraction_valuation(w, p) == 0, f"image left the sphere at ball u={u}"
+            images.add(_unit_residue(w, p, mod))
+        assert len(images) == 1, f"induced ball map not well defined at u={u}"
+        perm[u] = images.pop()
+    assert sorted(perm.values()) == sorted(perm), "induced ball map is not a permutation"
+    return perm
+
+
+def reference_oracle_levels(m, sphere: SphereSpec, depth: int) -> tuple:
+    """The residue oracle's level table, every level evaluated on its own."""
+    levels = []
+    for k in range(1, depth + 1):
+        lengths = _cycle_lengths(reference_ball_permutation(m, sphere, k))
+        levels.append(OracleLevel(k, sum(lengths), len(lengths), tuple(lengths)))
+    return tuple(levels)
 
 
 # -- paper results that only the tests state: image norms and Haar measure --------
