@@ -276,11 +276,12 @@ def test_ball_map_checks_catch_broken_tables(monkeypatch):
         residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=3)
 
 
-def _differential_spheres(p: int, rng: random.Random, maps: int):
-    """Invariant spheres of seeded maps: two radii around each centre that has
-    any, from maps with v(a) = 2 v(c) (cases 2 to 4) and with a free v(a)."""
+def _differential_spheres(p: int, rng: random.Random, count: int):
+    """``count`` invariant spheres of seeded maps, around each centre that has
+    any and at one of the two outermost radii. Three maps in four have
+    v(a) = 2 v(c) (cases 3 and 4 for odd p), the others a free v(a)."""
     out = []
-    while len(out) < 2 * maps:
+    while len(out) < count:
         k = rng.randint(-1, 1)
         c = random_unit(rng, p, 40) * Fraction(p) ** k
         if len(out) % 4 == 0:
@@ -294,14 +295,14 @@ def _differential_spheres(p: int, rng: random.Random, maps: int):
             continue
         for center, bound in (("x1", inv.x1_exponent_bound), ("x2", inv.x2_exponent_bound)):
             if bound is not None:
-                out += [(m, SphereSpec(center, bound - 1 - rng.randint(0, 1)))]
+                out.append((m, SphereSpec(center, bound - 1 - rng.randint(0, 1))))
     return out
 
 
 @pytest.mark.parametrize("p,depth", [(2, 6), (3, 5), (5, 4), (7, 3), (11, 3)])
 def test_kernel_levels_equal_the_fraction_reference(p, depth):
     rng = random.Random(f"oracle-kernel:{p}")
-    spheres = _differential_spheres(p, rng, 6 if p < 7 else 3)
+    spheres = _differential_spheres(p, rng, 12 if p < 7 else 6)
     for m, sphere in spheres:
         levels = residue_cycle_oracle(m, sphere, depth).levels
         assert levels == reference_oracle_levels(m, sphere, depth), (m, sphere)
@@ -310,16 +311,16 @@ def test_kernel_levels_equal_the_fraction_reference(p, depth):
     assert ("x2", 3) in centers or p == 2
 
 
-@pytest.mark.parametrize("m,sphere,depth,coefficient", [
-    (M2, SphereSpec("x1", -2), 8, "t1"),
-    (CASE3, SphereSpec("x2", -1), 4, "lambda"),
+@pytest.mark.parametrize("m,sphere,depth,target", [
+    (M2, SphereSpec("x1", -2), 8, Fraction(2)),         # t1 = c*s/a, s = 4
+    (CASE3, SphereSpec("x2", -1), 4, Fraction(2, 3)),   # lam = 1 - c^2/a
 ])
 def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, depth,
-                                                        coefficient):
+                                                        target):
     # off by p^(depth-1): the corrupted map is still a bijection of units that
     # reduces level by level, so only the comparison with exact f catches it
-    target = (_unit_sphere_coefficients(m, sphere.radius_exponent)[0]
-              if coefficient == "t1" else m.multiplier_x2())
+    assert target in (_unit_sphere_coefficients(m, sphere.radius_exponent)[0],
+                      m.multiplier_x2())
     real = ergodicity._residue
 
     def corrupted(x, mod):
