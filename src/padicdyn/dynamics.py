@@ -188,12 +188,19 @@ class CanonicalMap:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        """Exact value of f(x); raises PoleHitError on the denominator's roots."""
+        """Exact value of f(x); raises PoleHitError on the denominator's roots.
+
+        With x = xn/xd, a = an/ad and c = cn/cd, f(x) is
+        an*cd*xn*xd / (ad*cd*xn^2 + ad*cn*xn*xd + an*cd*xd^2), reduced once.
+        """
         x = _coerce_fraction(x)
-        den = x * x + self.c * x + self.a
+        xn, xd = x.numerator, x.denominator
+        an, ad = self.a.numerator, self.a.denominator
+        cn, cd = self.c.numerator, self.c.denominator
+        den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
         if den == 0:
             raise PoleHitError(x)
-        return self.a * x / den
+        return Fraction(an * cd * xn * xd, den)
 
     def eval_truncated(self, t: TruncatedPadic) -> TruncatedPadic:
         """f(t) in truncated arithmetic, digit for digit equal to the
@@ -252,6 +259,15 @@ class CanonicalMap:
                 raise PrimeMismatchError(f"mixed primes {self.p} and {x.prime}")
         else:
             x = _coerce_fraction(x)
+            # the exact case in integers, as in eval:
+            # an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / (ad*xn*(cd*xn + cn*xd) + an*cd*xd^2)^2
+            xn, xd = x.numerator, x.denominator
+            an, ad = self.a.numerator, self.a.denominator
+            cn, cd = self.c.numerator, self.c.denominator
+            den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
+            if den == 0:
+                raise PoleHitError(x)
+            return Fraction(an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den)
         den = x * x + self.c * x + self.a
         if den == 0:
             raise PoleHitError(x)

@@ -23,7 +23,6 @@ from .padic import (
     Valuation,
     _coerce_fraction,
     _fraction_valuation,
-    _horner,
     hensel_sqrt,
     is_square,
     rational_sqrt,
@@ -59,11 +58,12 @@ class PeriodicOrbit:
 
 def _cycle_multiplier_valuation(m: CanonicalMap, points) -> Valuation:
     """Valuation of the chain-rule product of f' along the cycle (in
-    truncated arithmetic when the points are truncated)."""
+    truncated arithmetic when the points are truncated; for exact points
+    the sum of the factors' valuations, INFINITY when one of them is 0)."""
+    if not isinstance(points[0], TruncatedPadic):
+        return sum(_fraction_valuation(m.derivative(y), m.p) for y in points)
     prod = math.prod(m.derivative(y) for y in points)
-    if isinstance(prod, TruncatedPadic):
-        return INFINITY if prod.is_zero else prod.valuation
-    return _fraction_valuation(prod, m.p)
+    return INFINITY if prod.is_zero else prod.valuation
 
 
 def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit]:
@@ -102,11 +102,16 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
 
 
 def h_of_q(q: Fraction) -> Fraction:
-    """h(q) = (3q^2 + 2q) / (6q^3 + 11q^2 + 6q + 1)."""
-    den = 6 * q**3 + 11 * q**2 + 6 * q + 1
+    """h(q) = (3q^2 + 2q) / (6q^3 + 11q^2 + 6q + 1).
+
+    In integers, with q = n/d: n*d*(3n + 2d) / (6n^3 + 11n^2 d + 6n d^2 + d^3).
+    """
+    q = _coerce_fraction(q)
+    n, d = q.numerator, q.denominator
+    den = ((6 * n + 11 * d) * n + 6 * d * d) * n + d**3
     if den == 0:
         raise ValueError(f"h(q) is undefined at q = {q} (denominator vanishes)")
-    return (3 * q**2 + 2 * q) / den
+    return Fraction(n * d * (3 * n + 2 * d), den)
 
 
 _EXCLUDED_Q = (Fraction(0), Fraction(-1), Fraction(-2, 3))
@@ -166,9 +171,27 @@ def p6_coefficients(m: CanonicalMap) -> tuple[Fraction, ...]:
     )
 
 
+# The terms of P as (coefficient, power of a, power of c, power of x); the
+# weights 2, 1, 1 of a, c, x make every term of weight 6.
+_P6_TERMS = ((1, 0, 0, 6), (6, 0, 1, 5), (11, 0, 2, 4), (6, 1, 0, 4), (6, 0, 3, 3),
+             (20, 1, 1, 3), (15, 1, 2, 2), (9, 2, 0, 2), (12, 2, 1, 1), (3, 3, 0, 0))
+
+
 def p6_eval(m: CanonicalMap, x) -> Fraction:
-    """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate."""
-    return _horner(p6_coefficients(m), _coerce_fraction(x))
+    """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate.
+
+    Evaluated in integers: with a = an/ad, c = cn/cd and x = xn/xd, each term
+    k * a^i c^j x^l times ad^3 cd^3 xd^6 is k * an^i ad^(3-i) cn^j cd^(3-j)
+    xn^l xd^(6-l), and the sum is divided by ad^3 cd^3 xd^6 once.
+    """
+    x = _coerce_fraction(x)
+    an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
+    xn, xd = x.numerator, x.denominator
+    pa = [an**i * ad ** (3 - i) for i in range(4)]
+    pc = [cn**j * cd ** (3 - j) for j in range(4)]
+    px = [xn**l * xd ** (6 - l) for l in range(7)]
+    total = sum(k * pa[i] * pc[j] * px[l] for k, i, j, l in _P6_TERMS)
+    return Fraction(total, ad**3 * cd**3 * xd**6)
 
 
 @dataclass(frozen=True)

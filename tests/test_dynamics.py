@@ -21,7 +21,12 @@ from padicdyn.dynamics import (
 )
 from padicdyn.padic import INFINITY, _fraction_valuation
 
-from util import norm_image_profile, validate_norm_image
+from util import (
+    norm_image_profile,
+    random_nonzero_rational,
+    random_rational,
+    validate_norm_image,
+)
 
 # the four worked parameter sets and their expected regimes
 CASE2 = CanonicalMap(5, -1, 5)
@@ -39,6 +44,29 @@ def test_eval_fixed_points():
 def test_eval_example():
     m = CanonicalMap(7, 4, 3)
     assert m.eval(-2) == Fraction(-4)
+
+
+def test_eval_and_derivative_match_the_fraction_formulas():
+    # the integer forms against a*x/(x^2 + c*x + a) and a*(a - x^2)/(x^2 + c*x + a)^2
+    # in Fraction arithmetic, on signed parameters and points of mixed sizes
+    rng = random.Random(3141)
+    checked = 0
+    while checked < 300:
+        height = rng.choice((9, 10**3, 10**12))
+        m = CanonicalMap(rng.choice((2, 3, 5, 7)), random_nonzero_rational(rng, height),
+                         random_nonzero_rational(rng, height))
+        x = random_rational(rng, height)
+        den = x * x + m.c * x + m.a
+        if den == 0:
+            continue
+        value, slope = m.eval(x), m.derivative(x)
+        assert value == m.a * x / den and type(value) is Fraction
+        assert slope == m.a * (m.a - x * x) / (den * den) and type(slope) is Fraction
+        checked += 1
+    # an integer point and a pole (x^2 + x - 2 = (x + 2)(x - 1))
+    assert CASE4.derivative(0) == 1 and CASE4.eval(2) == Fraction(-1)
+    with pytest.raises(PoleHitError):
+        CASE4.derivative(-2)
 
 
 def test_eval_pole_raises():

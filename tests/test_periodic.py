@@ -134,6 +134,29 @@ def test_h_identity_and_family_equation():
         built += 1
 
 
+def test_h_and_p6_match_the_fraction_formulas():
+    # the integer forms of h(q) and P(x) against the formula for h and
+    # Horner's rule on p6_coefficients in Fraction arithmetic
+    rng = random.Random(1618)
+    checked = 0
+    while checked < 200:
+        q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        den = 6 * q**3 + 11 * q**2 + 6 * q + 1
+        if den == 0:
+            continue
+        assert h_of_q(q) == (3 * q**2 + 2 * q) / den
+        m = CanonicalMap(rng.choice((2, 3, 5)), Fraction(rng.randint(1, 99), rng.randint(1, 99)),
+                         Fraction(-rng.randint(1, 99), rng.randint(1, 99)))
+        expected = Fraction(0)
+        for coefficient in reversed(p6_coefficients(m)):
+            expected = expected * q + coefficient
+        assert p6_eval(m, q) == expected
+        checked += 1
+    assert h_of_q(2) == Fraction(16, 105)
+    with pytest.raises(ValueError):
+        h_of_q(Fraction(-1, 2))  # 6q^3 + 11q^2 + 6q + 1 = (q + 1)(2q + 1)(3q + 1)
+
+
 def test_p6_constant_term():
     m = CanonicalMap(7, 4, 3)
     assert p6_eval(m, 0) == 3 * Fraction(4) ** 3
