@@ -429,7 +429,7 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal verification failed: {message}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

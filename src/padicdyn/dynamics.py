@@ -250,28 +250,21 @@ class CanonicalMap:
         dv, du, _ = _add_triples(self.p, v, u, n, *self._operand(1, v + n, n))
         return -dv if du else "-inf"
 
-    def derivative(self, x):
-        """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2: exact for a rational x, by
-        TruncatedPadic's operators for a truncated one (which raise
-        PrecisionError when the denominator is indistinguishable from 0)."""
-        if isinstance(x, TruncatedPadic):
-            if x.prime != self.p:
-                raise PrimeMismatchError(f"mixed primes {self.p} and {x.prime}")
-        else:
-            x = _coerce_fraction(x)
-            # the exact case in integers, as in eval:
-            # an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / (ad*xn*(cd*xn + cn*xd) + an*cd*xd^2)^2
-            xn, xd = x.numerator, x.denominator
-            an, ad = self.a.numerator, self.a.denominator
-            cn, cd = self.c.numerator, self.c.denominator
-            den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
-            if den == 0:
-                raise PoleHitError(x)
-            return Fraction(an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den)
-        den = x * x + self.c * x + self.a
+    def derivative(self, x) -> Fraction:
+        """Exact f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2; raises PoleHitError on
+        the denominator's roots.
+
+        In integers, as in eval:
+        an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / (ad*xn*(cd*xn + cn*xd) + an*cd*xd^2)^2.
+        """
+        x = _coerce_fraction(x)
+        xn, xd = x.numerator, x.denominator
+        an, ad = self.a.numerator, self.a.denominator
+        cn, cd = self.c.numerator, self.c.denominator
+        den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
         if den == 0:
             raise PoleHitError(x)
-        return self.a * (self.a - x * x) / (den * den)
+        return Fraction(an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den)
 
     def multiplier_x2(self) -> Fraction:
         """f'(-c) = 1 - c^2/a."""
@@ -346,57 +339,27 @@ class CanonicalMap:
         )
         vc = _fraction_valuation(self.c, p)
         if v_alpha > v_beta:
-            case = 5
             _verify(mv == v_beta - v_alpha < 0,
                     f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
-            x2_report = FixedPointReport(
-                point=self.x2,
-                multiplier=mult,
-                multiplier_norm_exponent=mv,
-                kind="repelling",
-                region=Region("repelling_ball", self.x2, -v_beta),
-                case=5,
-            )
+            case, kind, region = 5, "repelling", Region("repelling_ball", self.x2, -v_beta)
         elif vc > v_alpha:
-            case = 2
             _verify(mv == 0, f"case 2 needs |f'(x2)| = 1, got v = {mv}")
-            x2_report = FixedPointReport(
-                point=self.x2,
-                multiplier=mult,
-                multiplier_norm_exponent=mv,
-                kind="indifferent",
-                region=Region("siegel_disk", self.x1, -v_alpha),
-                case=2,
-            )
+            case, kind, region = 2, "indifferent", Region("siegel_disk", self.x1, -v_alpha)
         else:
             # |c| = alpha = beta; split on |a - c^2| vs alpha^2
             gap = self.a - self.c * self.c
             gv = _fraction_valuation(gap, p)
             _verify(gv >= 2 * v_alpha, f"|a - c^2| exceeds alpha^2 (v = {gv})")
             if gv == 2 * v_alpha:
-                case = 3
                 _verify(mv == 0, f"case 3 needs |f'(x2)| = 1, got v = {mv}")
-                x2_report = FixedPointReport(
-                    point=self.x2,
-                    multiplier=mult,
-                    multiplier_norm_exponent=mv,
-                    kind="indifferent",
-                    region=Region("siegel_disk", self.x2, -v_alpha),
-                    case=3,
-                )
+                case, kind, region = 3, "indifferent", Region("siegel_disk", self.x2, -v_alpha)
             else:
-                case = 4
                 # mv is INFINITY when a = c^2 (superattracting)
                 _verify(mv > 0, f"case 4 needs |f'(x2)| < 1, got v = {mv}")
-                x2_report = FixedPointReport(
-                    point=self.x2,
-                    multiplier=mult,
-                    multiplier_norm_exponent=mv,
-                    kind="attracting",
-                    region=Region("basin", self.x2, -v_alpha),
-                    case=4,
-                    superattracting=(mult == 0),
-                )
+                case, kind, region = 4, "attracting", Region("basin", self.x2, -v_alpha)
+        # cases 2, 3 and 5 have a finite mv, so only case 4 can be superattracting
+        x2_report = FixedPointReport(self.x2, mult, mv, kind, region, case,
+                                     superattracting=(mult == 0))
         result = Classification(case, x1_report, x2_report)
         object.__setattr__(self, "_cls", result)
         return result

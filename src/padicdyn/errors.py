@@ -24,11 +24,9 @@ class PrecisionError(PadicDynError, ArithmeticError):
 class PoleHitError(PadicDynError, ArithmeticError):
     """A map was evaluated at a pole of its denominator."""
 
-    def __init__(self, point, step=None):
+    def __init__(self, point):
         self.point = point
-        self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"pole hit{at}: denominator vanishes at {point}")
+        super().__init__(f"pole hit: denominator vanishes at {point}")
 
 
 class DegenerateMapError(PadicDynError, ValueError):

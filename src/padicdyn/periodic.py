@@ -9,14 +9,20 @@ a = h(q), c = q*h(q) - 1 with h(q) = (3q^2+2q)/(6q^3+11q^2+6q+1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_units
 from .ergodicity import rho
-from .errors import InconsistentParametersError, PoleHitError, VerificationError, _verify
+from .errors import (
+    InconsistentParametersError,
+    NotApplicableError,
+    PoleHitError,
+    PrecisionError,
+    VerificationError,
+    _verify,
+)
 from .padic import (
     INFINITY,
     TruncatedPadic,
@@ -51,19 +57,9 @@ class PeriodicOrbit:
     period: int
     points: tuple[Point, ...]
     # |(f^n)'(y0)|_p = p**(-multiplier_norm_exponent); INFINITY when the
-    # chain-rule product vanishes (a superattracting cycle)
+    # multiplier vanishes (a superattracting cycle)
     multiplier_norm_exponent: Valuation
     exact: bool
-
-
-def _cycle_multiplier_valuation(m: CanonicalMap, points) -> Valuation:
-    """Valuation of the chain-rule product of f' along the cycle (in
-    truncated arithmetic when the points are truncated; for exact points
-    the sum of the factors' valuations, INFINITY when one of them is 0)."""
-    if not isinstance(points[0], TruncatedPadic):
-        return sum(_fraction_valuation(m.derivative(y), m.p) for y in points)
-    prod = math.prod(m.derivative(y) for y in points)
-    return INFINITY if prod.is_zero else prod.valuation
 
 
 def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit]:
@@ -73,10 +69,17 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     truncated Hensel root at the requested precision. Returns None when
     c^2 - 2a is not a square in Q_p or is zero (then -c +- s collapses onto
     the fixed point x2, not a 2-cycle).
+
+    The multiplier is exact in both cases: the points are the roots of
+    x^2 + 2c*x + 2a, where x^2 + c*x + a = -(c*x + a) and a - x^2 = 3a + 2c*x,
+    so f'(x) = a*(3a + 2c*x)/(c*x + a)^2. Over the two roots (sum -2c,
+    product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
+    factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
     """
     disc = m.c * m.c - 2 * m.a
     if disc == 0:
         return None
+    mult = _fraction_valuation(9 - 4 * m.c * m.c / m.a, m.p)
     s = rational_sqrt(disc) if disc > 0 else None
     if s is not None:
         t1, t2 = -m.c + s, -m.c - s
@@ -86,19 +89,25 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
             raise VerificationError(
                 f"2-periodic candidate {exc.point} is a pole; orbit invalid"
             ) from exc
-        return PeriodicOrbit(2, (t1, t2), _cycle_multiplier_valuation(m, (t1, t2)), True)
+        return PeriodicOrbit(2, (t1, t2), mult, True)
     if not is_square(disc, m.p):
         return None
     s = hensel_sqrt(disc, precision, m.p)
     t1 = s - m.c
     t2 = -s - m.c
-    f_t1 = m.eval_truncated(t1)
-    f_t2 = m.eval_truncated(t2)
+    try:
+        f_t1 = m.eval_truncated(t1)
+        f_t2 = m.eval_truncated(t2)
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"2-cycle check became indeterminate at precision {precision}; "
+            f"rerun with a higher precision ({exc})"
+        ) from exc
     if not (f_t1.approx_equal(t2) and f_t2.approx_equal(t1)):
         raise VerificationError(
             f"truncated 2-cycle verification failed at precision {precision}"
         )
-    return PeriodicOrbit(2, (t1, t2), _cycle_multiplier_valuation(m, (t1, t2)), False)
+    return PeriodicOrbit(2, (t1, t2), mult, False)
 
 
 def h_of_q(q: Fraction) -> Fraction:
@@ -149,7 +158,8 @@ def three_periodic_from_q(p: int, q) -> ThreePeriodicResult:
     _verify(back == a, f"f^3(a) != a for q = {q}")
     _verify(y1 != a, f"a is a fixed point for q = {q}")
     _verify(p6_eval(m, a) == 0, f"P6(a) != 0 for q = {q}")
-    orbit = PeriodicOrbit(3, (a, y1, y2), _cycle_multiplier_valuation(m, (a, y1, y2)), True)
+    mult = sum(_fraction_valuation(m.derivative(y), p) for y in (a, y1, y2))
+    orbit = PeriodicOrbit(3, (a, y1, y2), mult, True)
     return ThreePeriodicResult(q, a, m, orbit)
 
 
@@ -246,19 +256,20 @@ def verify_orbit_structure(
         f(S_rho'(y_k)) inside S_rho'(y_(k+1)) for rho' = rho(r)/p, sampled.
 
     Raises VerificationError (with the counterexample) if any check fails;
-    the orbit must genuinely lie on the given invariant sphere.
+    the orbit must genuinely lie on the given invariant sphere. A truncated
+    orbit raises NotApplicableError: the checks compare exact points.
     """
+    if not orbit.exact:
+        raise NotApplicableError("structure checks need an exact orbit; this one is truncated")
     center = m.center_point(sphere.center)
     for y in orbit.points:
-        y = _as_fraction_point(y)
         if _fraction_valuation(y - center, m.p) != -sphere.radius_exponent:
             raise VerificationError(
                 f"orbit point {y} is not on the sphere", counterexample=y
             )
     rho_exp = rho(m, sphere)
-    y0 = _as_fraction_point(orbit.points[0])
+    y0 = orbit.points[0]
     for y in orbit.points[1:]:
-        y = _as_fraction_point(y)
         if -_fraction_valuation(y - y0, m.p) > rho_exp:
             raise VerificationError(
                 f"orbit point {y} escapes V_(p^{rho_exp})(y0)", counterexample=y
@@ -275,8 +286,7 @@ def verify_orbit_structure(
     pts = orbit.points + (orbit.points[0],)
     units = sphere_units(m.p, samples, seed)
     for k in range(len(orbit.points)):
-        yk = _as_fraction_point(pts[k])
-        yk1 = _as_fraction_point(pts[k + 1])
+        yk, yk1 = pts[k], pts[k + 1]
         for u in units:
             x = yk + u * Fraction(m.p) ** -rho_inner
             diff = m.eval(x) - yk1
@@ -288,12 +298,6 @@ def verify_orbit_structure(
                 )
             checked += 1
     return StructureReport(sphere, rho_exp, True, mult, checked)
-
-
-def _as_fraction_point(y: Point) -> Fraction:
-    if isinstance(y, TruncatedPadic):
-        return y.to_rational_representative()
-    return y
 
 
 @dataclass(frozen=True)
@@ -319,8 +323,6 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
                 continue
             q = Fraction(num, den)
             if q.denominator != den:  # not in lowest terms; already visited
-                continue
-            if q in _EXCLUDED_Q or 6 * q**3 + 11 * q**2 + 6 * q + 1 == 0:
                 continue
             try:
                 res = three_periodic_from_q(p, q)

@@ -111,6 +111,12 @@ def test_exit_unsupported_regimes(capsys):
     # pole norms outside p**Z (odd v(a) with 2v(c) >= v(a))
     code, _, err = run_cli(capsys, ["analyze", "--p", "3", "--a", "3", "--c", "3"])
     assert code == 2
+    # truncated 2-cycle check out of digits: names the precision used
+    code, _, err = run_cli(
+        capsys, ["periodic", "--p", "2", "--a", "32/7", "--c", "23/12", "--precision", "16"]
+    )
+    assert code == 2
+    assert "precision 16" in err and "rerun with a higher precision" in err
 
 
 def test_analyze_four_parameter_routing(capsys):
@@ -220,6 +226,16 @@ def test_ergodic_csv_emission(capsys, tmp_path):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "level,ball_count,cycle_count,cycle_lengths"
     assert len(lines) == 9  # header + depth 8
+
+
+def test_ergodic_csv_unwritable_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "cycles.csv"
+    code, _, err = run_cli(
+        capsys,
+        ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2", "--csv", str(target)],
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "No such file" in err and err.count("\n") == 1
 
 
 def test_human_output_mentions_case(capsys):

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from padicdyn import CanonicalMap, InconsistentParametersError, SphereSpec, VerificationError
+from padicdyn import (
+    CanonicalMap,
+    InconsistentParametersError,
+    NotApplicableError,
+    SphereSpec,
+    VerificationError,
+)
+from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
     h_of_q,
@@ -15,6 +22,7 @@ from padicdyn.periodic import (
     two_periodic,
     verify_orbit_structure,
 )
+from util import agrees_on_reported_digits, random_nonzero_rational, reference_derivative_truncated
 
 
 # -- 2-periodic orbits -----------------------------------------------------------
@@ -63,6 +71,48 @@ def test_two_periodic_swap_verified_for_random_exact_cases():
         t1, t2 = orb.points
         assert t1 != t2 and m.eval(t1) == t2 and m.eval(t2) == t1
         built += 1
+
+
+def test_two_cycle_multiplier_is_exact_at_low_precision():
+    # 9 - 4c^2/a = 128/15: exponent 7, though the points carry only 4 digits
+    orb = two_periodic(CanonicalMap(2, Fraction(60, 7), -1), precision=4)
+    assert not orb.exact and orb.multiplier_norm_exponent == 7
+
+
+def test_two_cycle_multiplier_closed_form_matches_the_chain_rule():
+    # (f^2)'(y0) = f'(t1) * f'(t2) = 9 - 4c^2/a: exactly on rational cycles,
+    # on every reported digit of the operator product on truncated ones
+    rng = random.Random(2718)
+    exact = truncated = 0
+    while exact < 200:
+        s = random_nonzero_rational(rng, 30)
+        c = random_nonzero_rational(rng, 30)
+        a = (c * c - s * s) / 2
+        if a == 0:
+            continue
+        m = CanonicalMap(rng.choice((2, 3, 5, 7)), a, c)
+        orb = two_periodic(m)
+        closed = 9 - 4 * c * c / a
+        product = m.derivative(orb.points[0]) * m.derivative(orb.points[1])
+        assert orb.exact and product == closed
+        assert orb.multiplier_norm_exponent == _fraction_valuation(closed, m.p)
+        exact += 1
+    while truncated < 200:
+        m = CanonicalMap(rng.choice((2, 3, 5, 7)), random_nonzero_rational(rng, 50),
+                         random_nonzero_rational(rng, 50))
+        try:
+            orb = two_periodic(m, precision=64)
+            if orb is None or orb.exact:
+                continue
+            t1, t2 = orb.points
+            product = reference_derivative_truncated(m, t1) * reference_derivative_truncated(m, t2)
+        except PrecisionError:
+            continue
+        closed = 9 - 4 * m.c * m.c / m.a
+        assert agrees_on_reported_digits(closed, product, m.p)
+        if not product.is_zero:
+            assert orb.multiplier_norm_exponent == product.valuation
+        truncated += 1
 
 
 def test_two_cycle_factor_is_unique():
@@ -250,6 +300,18 @@ def test_structure_rejects_orbit_off_sphere():
     orb = two_periodic(m)
     with pytest.raises(VerificationError):
         verify_orbit_structure(m, orb, SphereSpec("x2", -1))
+    m = CanonicalMap(2, 1, Fraction(1, 2))
+    orb = two_periodic(m)
+    assert not orb.exact
+    with pytest.raises(NotApplicableError, match="truncated"):
+        verify_orbit_structure(m, orb, SphereSpec("x2", -1))
+
+
+def test_two_cycle_check_names_the_precision():
+    m = CanonicalMap(2, Fraction(32, 7), Fraction(23, 12))
+    with pytest.raises(PrecisionError, match="at precision 16; rerun with a higher precision"):
+        two_periodic(m, precision=16)
+    assert not two_periodic(m).exact
 
 
 def test_q_sweep_deterministic_and_verified():

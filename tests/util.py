@@ -72,6 +72,14 @@ def reference_eval_truncated(m, t: TruncatedPadic) -> TruncatedPadic:
     return num / den
 
 
+def reference_derivative_truncated(m, t: TruncatedPadic) -> TruncatedPadic:
+    """f'(t) = a*(a - t^2)/(t^2 + c*t + a)^2 composed from TruncatedPadic
+    operators (the division raises PrecisionError when the denominator is
+    indistinguishable from zero)."""
+    den = t * t + m.c * t + m.a
+    return m.a * (m.a - t * t) / (den * den)
+
+
 def _reference_distance(t: TruncatedPadic, center: Fraction):
     diff = t - center
     return "-inf" if diff.is_zero else -diff.valuation
