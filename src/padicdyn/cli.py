@@ -41,6 +41,10 @@ EXIT_INVALID = 1
 EXIT_UNSUPPORTED = 2
 EXIT_VERIFICATION = 3
 
+#: Largest |--radius-exp| that ``ergodic`` accepts: the sampled checks on
+#: the sphere take time quadratic in it.
+RADIUS_EXPONENT_BUDGET = 256
+
 
 def _json(value, *names):
     """The JSON form of a report value.
@@ -172,6 +176,9 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ergodic(args) -> int:
+    if abs(args.radius_exp) > RADIUS_EXPONENT_BUDGET:
+        raise ValueError(f"radius exponent {args.radius_exp} is over the budget: "
+                         f"|--radius-exp| must be at most {RADIUS_EXPONENT_BUDGET}")
     m = CanonicalMap(args.p, args.a, args.c)
     sphere = SphereSpec(args.center, args.radius_exp)
     decision = decide_ergodicity(m, sphere, depth=args.oracle_depth)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .dynamics import CanonicalMap
 from .errors import PoleHitError, UnsupportedCaseError, _verify
-from .padic import _coerce_fraction, _horner, is_prime
+from .padic import _coerce_fraction, is_prime
 
 __all__ = ["GeneralMap", "ConjugationResult", "conjugate", "verify_conjugacy"]
 
@@ -82,14 +82,6 @@ class ConjugationResult:
     family: str  # "two-parameter" when x2 == 0, else "three-parameter"
     canonical: Optional[CanonicalMap]
 
-    def conjugated_numerator(self):
-        """Coefficients (low to high) of -x2*t^2 + B*t."""
-        return [Fraction(0), self.B, -self.x2]
-
-    def conjugated_denominator(self):
-        """Coefficients (low to high) of t^2 + D*t + B."""
-        return [self.B, self.D, Fraction(1)]
-
 
 def conjugate(m: GeneralMap) -> ConjugationResult:
     """Shift the double fixed point x2 to 0 and report the conjugated map.
@@ -129,18 +121,17 @@ def verify_conjugacy(m: GeneralMap, result: ConjugationResult, ts) -> int:
     Raises VerificationError on any mismatch.
     """
     checked = 0
-    num = result.conjugated_numerator()
-    den = result.conjugated_denominator()
+    x2, B, D = result.x2, result.B, result.D
     for t in ts:
         t = _coerce_fraction(t)
-        d = _horner(den, t)
+        d = t * t + D * t + B
         if d == 0:
             continue
         try:
-            lhs = m.eval(t + result.x2) - result.x2
+            lhs = m.eval(t + x2) - x2
         except PoleHitError:
             continue
-        rhs = _horner(num, t) / d
+        rhs = (-x2 * t * t + B * t) / d
         _verify(lhs == rhs, f"conjugacy identity fails at t={t}", counterexample=t)
         checked += 1
     return checked

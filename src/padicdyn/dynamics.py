@@ -13,7 +13,7 @@ throughout; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
@@ -43,6 +43,7 @@ from .padic import (
 )
 
 __all__ = [
+    "PRECISION_BIT_BUDGET",
     "CanonicalMap",
     "Classification",
     "FixedPointReport",
@@ -118,40 +119,29 @@ class InvariantSpheres:
     x2_exponent_bound: Optional[int]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CanonicalMap:
     """f(x) = a*x/(x^2 + c*x + a) with a*c != 0 over Q_p."""
 
-    __slots__ = ("p", "a", "c", "_ab", "_cls", "_coef")
+    p: int
+    a: Fraction
+    c: Fraction
+    _ab: Optional[tuple[int, int]] = field(default=None, init=False, compare=False)
+    _cls: Optional[Classification] = field(default=None, init=False, compare=False)
+    _coef: Optional[tuple] = field(default=None, init=False, compare=False)
 
-    def __init__(self, p: int, a, c):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        a = _coerce_fraction(a)
-        c = _coerce_fraction(c)
-        if a == 0:
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        for name in "ac":
+            object.__setattr__(self, name, _coerce_fraction(getattr(self, name)))
+        if self.a == 0:
             raise DegenerateMapError("a must be nonzero")
-        if c == 0:
+        if self.c == 0:
             raise DegenerateMapError("c must be nonzero")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_ab", None)
-        object.__setattr__(self, "_cls", None)
-        object.__setattr__(self, "_coef", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalMap is immutable")
 
     def __repr__(self):
         return f"CanonicalMap(p={self.p}, a={self.a}, c={self.c})"
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalMap):
-            return NotImplemented
-        return (self.p, self.a, self.c) == (other.p, other.a, other.c)
-
-    def __hash__(self):
-        return hash((self.p, self.a, self.c))
 
     # -- basic data ----------------------------------------------------------
 
@@ -452,6 +442,22 @@ class OrbitResult:
         return len(self.points) - 1
 
 
+#: Most bits that p**precision, counted as precision * p.bit_length(), may
+#: have in a truncated orbit or 2-cycle; a step's modular inverse takes time
+#: quadratic in them.
+PRECISION_BIT_BUDGET = 1 << 13
+
+
+def _require_precision_budget(p: int, precision: int) -> None:
+    """Refuse a truncated precision whose modulus p**precision is over budget."""
+    if precision * p.bit_length() > PRECISION_BIT_BUDGET:
+        raise ValueError(
+            f"truncated precision {precision} needs {precision} digits of "
+            f"{p.bit_length()} bits, over the budget of {PRECISION_BIT_BUDGET} bits; "
+            f"the largest precision that fits is {PRECISION_BIT_BUDGET // p.bit_length()}"
+        )
+
+
 def _distance_exponent_exact(x: Fraction, center: Fraction, p: int):
     v = _fraction_valuation(x - center, p)
     return "-inf" if v is INFINITY else -v
@@ -470,7 +476,8 @@ def orbit(
     (degree-2 map), so it is restricted to short orbits. Truncated mode
     iterates in fixed-precision p-adic arithmetic: every recorded distance
     exponent is still exact (precision tracking is sound and indeterminate
-    results raise PrecisionError rather than guessing).
+    results raise PrecisionError rather than guessing). Its precision must
+    fit PRECISION_BIT_BUDGET (ValueError otherwise).
 
     An iterate landing on a pole stops the orbit with a PoleHitRecord; the
     partial orbit is returned. In truncated mode only the exact start x0 can
@@ -502,6 +509,7 @@ def orbit(
     if precision < 4:
         raise ValueError("truncated orbit needs precision >= 4")
     p = m.p
+    _require_precision_budget(p, precision)
     t = TruncatedPadic.from_rational(x0, p, precision)
     v, u, n = t.valuation, t.unit, t.precision
     points = [t]

@@ -5,12 +5,16 @@ distance rho(r). Three independent deciders are provided and cross-checked:
 
   * ergodicity_theorem: exponent comparisons (never ergodic for p >= 3;
     for p = 2 the sphere S_r(0) is ergodic iff |c|_2 = beta and r = alpha/2);
-  * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to the
-    map rescaled to the unit sphere of Q_2;
+  * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to f
+    on the sphere's unit coordinate (p = 2, spheres around x1);
   * residue_cycle_oracle: brute-force cycle structure of the induced
-    permutations of residue balls, level by level. One integer pass at the
-    deepest level gives every level (each coarser one is its reduction),
-    and exact evaluation of f anchors the first balls of that pass.
+    permutations of residue balls, level by level. One integer pass of f on
+    the unit coordinate at the deepest level gives every level (each
+    coarser one is its reduction), and exact evaluation of f anchors the
+    first balls of that pass.
+
+rescale_to_unit is the one place that writes f on the unit coordinate; both
+the mod-4 test and the ball kernel read their coefficients from it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import islice
 from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_points
-from .errors import NotApplicableError, PoleHitError, VerificationError, _verify
+from .errors import NotApplicableError, VerificationError, _verify
 from .padic import _fraction_valuation, _horner, _unit_residue
 
 __all__ = [
@@ -161,7 +165,7 @@ def isometry_check(
     return IsometryReport(sphere, pairs, va)
 
 
-# -- residue-ball permutations ---------------------------------------------------
+# -- the map on a sphere's unit coordinate -------------------------------------------
 #
 # On S_r(x_i), r = p^e, write x = x_i + s*u with s = p^-e, so that u runs over
 # the units of Z_p. Dividing f(x) - x_i by s gives the map on u:
@@ -176,11 +180,46 @@ def isometry_check(
 # reduction mod p^k of every deeper one.
 
 
-def _unit_sphere_coefficients(m: CanonicalMap, radius_exponent: int):
-    """(t1, t2) = (c*s/a, s^2/a) with s = p^-radius_exponent: the map moved
-    from S_r(0) onto the unit sphere has denominator 1 + t1*t + t2*t^2."""
-    s = Fraction(m.p) ** -radius_exponent
-    return m.c * s / m.a, s * s / m.a
+@dataclass(frozen=True)
+class RescaledMap:
+    """f on a sphere S_(p^e)(x_i) in the unit coordinate u of x = x_i + u*p^-e.
+
+    The coefficients (low to high) are p-integral: numerator (0, 1) and
+    denominator (1, t1, t2) around x1, numerator (0, lam, t1) and
+    denominator (1, -t1, t2) around x2.
+    """
+
+    sphere: SphereSpec
+    numerator: tuple[Fraction, ...]
+    denominator: tuple[Fraction, ...]
+
+
+def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> RescaledMap:
+    """Conjugate f on ``sphere`` onto the units of Z_p (see above).
+
+    Raises NotApplicableError unless p divides t1 and t2 and lam is a unit,
+    so that the map sends residue balls to residue balls; that holds on
+    every invariant sphere.
+    """
+    p = m.p
+    s = Fraction(p) ** -sphere.radius_exponent
+    t1, t2 = m.c * s / m.a, s * s / m.a
+    if sphere.center == "x2":
+        lam = m.multiplier_x2()
+        numerator, denominator = (Fraction(0), lam, t1), (Fraction(1), -t1, t2)
+    else:
+        lam = Fraction(1)
+        numerator, denominator = (Fraction(0), lam), (Fraction(1), t1, t2)
+    if not (_fraction_valuation(t1, p) >= 1 and _fraction_valuation(t2, p) >= 1
+            and _fraction_valuation(lam, p) == 0):
+        raise NotApplicableError(
+            f"balls of {sphere} do not map to balls: need v(t1) >= 1, v(t2) >= 1 "
+            f"and v(f'(center)) = 0"
+        )
+    return RescaledMap(sphere, numerator, denominator)
+
+
+# -- residue-ball permutations ---------------------------------------------------
 
 
 def _residue(x: Fraction, mod: int) -> int:
@@ -204,28 +243,20 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
 
     Balls are indexed by unit residues u mod p**level; the ball of index u
     is V_(r*p^-level)(center + u*p^-e). The images come from the integer
-    form of f above, with its coefficients reduced mod p**level once. The
-    coefficients are checked to be p-integral as required (so balls map
-    to balls on the sphere), every image to be a unit and the map to be a
+    form of rescale_to_unit, with its coefficients reduced mod p**level
+    once. Every image is checked to be a unit and the map to be a
     bijection; the first _ANCHOR_BALLS images are checked against exact
     evaluation of f at two representatives each. Any failure raises
-    VerificationError.
+    VerificationError; a sphere whose balls do not map to balls is refused
+    by rescale_to_unit.
     """
     p, e = m.p, sphere.radius_exponent
-    t1, t2 = _unit_sphere_coefficients(m, e)
-    if sphere.center == "x2":
-        lam = m.multiplier_x2()
-        coeffs = (lam, t1, -t1, t2)
-    else:
-        lam = Fraction(1)
-        coeffs = (lam, Fraction(0), t1, t2)
-    _verify(_fraction_valuation(t1, p) >= 1 and _fraction_valuation(t2, p) >= 1
-            and _fraction_valuation(lam, p) == 0,
-            f"balls of {sphere} do not map to balls: need v(t1) >= 1, v(t2) >= 1 "
-            f"and v(f'(center)) = 0")
+    rm = rescale_to_unit(m, sphere)
     mod = p ** level
-    n0, n1, d1, d2 = (_residue(x, mod) for x in coeffs)
-    perm = {u: u * (n0 + n1 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
+    # w = u*(n1 + n2*u) / (1 + d1*u + d2*u^2); around x1 the numerator is u
+    n1, n2 = ([_residue(x, mod) for x in rm.numerator[1:]] + [0])[:2]
+    _, d1, d2 = (_residue(x, mod) for x in rm.denominator)
+    perm = {u: u * (n1 + n2 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
             for u in range(1, mod) if u % p}
     _verify_permutation(perm, p, level)
     center = m.center_point(sphere.center)
@@ -365,43 +396,6 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     return ErgodicityVerdict(sphere, "ergodic" if ergodic else "notErgodic", "radiusRule")
 
 
-# -- rescaling to the unit sphere (p = 2) -------------------------------------------
-
-
-@dataclass(frozen=True)
-class RescaledMap:
-    """t / (t2*t^2 + t1*t + 1): the map conjugated onto the unit sphere of Q_2.
-
-    With r = 2**l the conjugacy is x = g(t) = 2^-l * t, so
-    t1 = 2^-l * c/a and t2 = 2^-2l / a. On an invariant radius both
-    coefficients are 2-adic integers with |t2|_2 <= 1/4 and |t1|_2 <= 1/2.
-    """
-
-    radius_exponent: int
-    numerator: tuple[Fraction, ...]    # (0, 1)
-    denominator: tuple[Fraction, ...]  # (1, t1, t2)
-
-    def eval(self, t: Fraction) -> Fraction:
-        den = _horner(self.denominator, t)
-        if den == 0:
-            raise PoleHitError(t)
-        return t / den
-
-
-def rescale_to_unit(m: CanonicalMap, radius_exponent: int) -> RescaledMap:
-    """Conjugate f on S_(2^l)(0) onto the unit sphere S_1(0) of Q_2."""
-    if m.p != 2:
-        raise NotApplicableError("rescaling to the unit sphere is a p = 2 construction")
-    l = radius_exponent
-    t1, t2 = _unit_sphere_coefficients(m, l)
-    if not (_fraction_valuation(t2, 2) >= 2 and _fraction_valuation(t1, 2) >= 1):
-        raise NotApplicableError(
-            f"coefficient bounds fail (|t^2 coeff| <= 1/4, |t coeff| <= 1/2): "
-            f"radius 2^{l} is not an invariant radius"
-        )
-    return RescaledMap(l, (Fraction(0), Fraction(1)), (Fraction(1), t1, t2))
-
-
 # -- mod-4 coefficient-sum criterion -------------------------------------------------
 
 
@@ -428,7 +422,7 @@ class Mod4Verdict:
 def _mod4(x: Fraction) -> int:
     if _fraction_valuation(x, 2) < 0:
         raise ValueError(f"{x} is not a 2-adic integer")
-    return x.numerator * pow(x.denominator % 4, -1, 4) % 4
+    return _residue(x, 4)
 
 
 _MOD4_CASES = {
@@ -505,7 +499,7 @@ def decide_ergodicity(
     verdicts = {thm.verdict, "ergodic" if oracle.ergodic else "notErgodic"}
     mod4 = None
     if m.p == 2 and sphere.center == "x1":
-        rm = rescale_to_unit(m, sphere.radius_exponent)
+        rm = rescale_to_unit(m, sphere)
         mod4 = mod4_criterion(rm.numerator, rm.denominator)
         verdicts.add("ergodic" if mod4.ergodic else "notErgodic")
     if len(verdicts) != 1:

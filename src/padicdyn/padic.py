@@ -10,6 +10,7 @@ precision-tracking rule.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -187,8 +188,6 @@ def _coerce_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -350,6 +349,7 @@ def _div_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
     return v1 - v2, u1 * pow(u2, -1, p ** n) % p ** n, n
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class TruncatedPadic:
     """A p-adic number to finite precision: p**valuation * (unit + O(p**precision)).
 
@@ -365,9 +365,13 @@ class TruncatedPadic:
     by a value indistinguishable from zero raises PrecisionError.
     """
 
-    __slots__ = ("prime", "valuation", "unit", "precision")
+    prime: int
+    valuation: Valuation
+    unit: int
+    precision: int
 
-    def __init__(self, prime: int, valuation, unit: int, precision: int):
+    def __post_init__(self):
+        prime, unit, precision = self.prime, self.unit, self.precision
         if unit == 0:
             if precision != 0:
                 raise ValueError("tagged zero must carry precision 0")
@@ -376,15 +380,8 @@ class TruncatedPadic:
                 raise ValueError("precision must be >= 1")
             if not 0 < unit < prime ** precision or unit % prime == 0:
                 raise ValueError("unit must be a reduced p-coprime residue")
-            if valuation is INFINITY:
+            if self.valuation is INFINITY:
                 raise ValueError("INFINITY valuation is reserved for zero")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedPadic is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -425,20 +422,6 @@ class TruncatedPadic:
             n, d = divmod(n, self.prime)
             out.append(d)
         return out
-
-    def norm_exponent(self):
-        """e with |x|_p = p**e, i.e. -valuation; for zero only a bound exists."""
-        if self.is_zero:
-            raise PrecisionError(
-                f"norm of a value indistinguishable from zero (O({self.prime}^{self.valuation}))"
-            )
-        return -self.valuation
-
-    def to_rational_representative(self) -> Fraction:
-        """The canonical exact representative p**v * unit."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.prime) ** self.valuation * self.unit
 
     # -- arithmetic --------------------------------------------------------
 
@@ -490,19 +473,6 @@ class TruncatedPadic:
 
     def __rtruediv__(self, other):
         return self._coerce(other, INFINITY).__truediv__(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPadic):
-            return NotImplemented
-        return (
-            self.prime == other.prime
-            and self.valuation == other.valuation
-            and self.unit == other.unit
-            and self.precision == other.precision
-        )
-
-    def __hash__(self):
-        return hash((self.prime, self.valuation, self.unit, self.precision))
 
     def approx_equal(self, other) -> bool:
         """True when self - other is indistinguishable from zero."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .dynamics import CanonicalMap, SphereSpec, sphere_units
+from .dynamics import CanonicalMap, SphereSpec, _require_precision_budget, sphere_units
 from .ergodicity import rho
 from .errors import (
     InconsistentParametersError,
@@ -40,7 +40,6 @@ __all__ = [
     "StructureReport",
     "ThreePeriodicResult",
     "h_of_q",
-    "p6_coefficients",
     "p6_eval",
     "q_sweep",
     "sphere_conditions",
@@ -66,7 +65,8 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     """The unique 2-periodic orbit {-c + s, -c - s} with s^2 = c^2 - 2a.
 
     Exact rationals when c^2 - 2a is a perfect rational square; otherwise a
-    truncated Hensel root at the requested precision. Returns None when
+    truncated Hensel root at the requested precision, which must fit
+    PRECISION_BIT_BUDGET (ValueError otherwise). Returns None when
     c^2 - 2a is not a square in Q_p or is zero (then -c +- s collapses onto
     the fixed point x2, not a 2-cycle).
 
@@ -92,6 +92,7 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
         return PeriodicOrbit(2, (t1, t2), mult, True)
     if not is_square(disc, m.p):
         return None
+    _require_precision_budget(m.p, precision)
     s = hensel_sqrt(disc, precision, m.p)
     t1 = s - m.c
     t2 = -s - m.c
@@ -163,24 +164,6 @@ def three_periodic_from_q(p: int, q) -> ThreePeriodicResult:
     return ThreePeriodicResult(q, a, m, orbit)
 
 
-def p6_coefficients(m: CanonicalMap) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the 3-periodic-point polynomial
-
-    P(x) = x^6 + 6c x^5 + (11c^2+6a) x^4 + (6c^3+20ac) x^3
-           + (15ac^2+9a^2) x^2 + 12a^2 c x + 3a^3.
-    """
-    a, c = m.a, m.c
-    return (
-        3 * a**3,
-        12 * a**2 * c,
-        15 * a * c**2 + 9 * a**2,
-        6 * c**3 + 20 * a * c,
-        11 * c**2 + 6 * a,
-        6 * c,
-        Fraction(1),
-    )
-
-
 # The terms of P as (coefficient, power of a, power of c, power of x); the
 # weights 2, 1, 1 of a, c, x make every term of weight 6.
 _P6_TERMS = ((1, 0, 0, 6), (6, 0, 1, 5), (11, 0, 2, 4), (6, 1, 0, 4), (6, 0, 3, 3),
@@ -223,13 +206,13 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
     |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r. Raises
     InconsistentParametersError when the map's pole norms are not in p**Z.
     """
-    inv = m.invariant_spheres()
     e1 = -_fraction_valuation(m.a, m.p)
     v2 = _fraction_valuation(m.a + m.c, m.p)
     e2 = None if v2 is INFINITY else -v2
-    x2_invariant = (e2 is not None and inv.x2_exponent_bound is not None
-                    and e2 < inv.x2_exponent_bound)
-    return SphereConditions(e1, e1 < inv.x1_exponent_bound, e2, x2_invariant)
+    return SphereConditions(
+        e1, m.sphere_is_invariant(SphereSpec("x1", e1)),
+        e2, e2 is not None and m.sphere_is_invariant(SphereSpec("x2", e2)),
+    )
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_criterion_5_ergodicity_triple_agreement():
     for e in range(-2, -7, -1):
         sphere = SphereSpec("x1", e)
         decision = decide_ergodicity(m, sphere, depth=8)  # raises on any disagreement
-        rm = rescale_to_unit(m, e)
+        rm = rescale_to_unit(m, sphere)
         assert mod4_criterion(rm.numerator, rm.denominator).ergodic == (
             decision.verdict == "ergodic"
         )

@@ -337,3 +337,34 @@ def test_oracle_over_budget_exits_1(capsys):
     code, _, err = run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
                                     "--radius-exp", "-2", "--oracle-depth", "40"])
     assert code == 1 and "the largest depth that fits is 20" in err
+
+
+def test_radius_exponent_over_budget_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
+                                      "--radius-exp", "-1000000"])
+    assert code == 1 and out == ""
+    assert err == ("error: radius exponent -1000000 is over the budget: "
+                   "|--radius-exp| must be at most 256\n")
+    # 256 is within the budget (and not invariant: exit 2), 257 is not
+    assert run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
+                            "--radius-exp", "256"])[0] == 2
+    assert run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
+                            "--radius-exp", "257"])[0] == 1
+
+
+def test_truncated_precision_over_budget_exits_1(capsys):
+    orbit = ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--steps", "2",
+             "--mode", "truncated", "--precision"]
+    code, out, err = run_cli(capsys, orbit + ["100000000"])
+    assert code == 1 and out == ""
+    assert err == ("error: truncated precision 100000000 needs 100000000 digits of 2 bits, "
+                   "over the budget of 8192 bits; the largest precision that fits is 4096\n")
+    assert run_cli(capsys, orbit + ["4096"])[0] == 0
+    assert run_cli(capsys, orbit + ["4097"])[0] == 1
+    # the truncated 2-cycle at p = 2 (2 bits per digit)
+    code, out, err = run_cli(capsys, ["periodic", "--p", "2", "--a", "-8", "--c", "1",
+                                      "--precision", "100000000"])
+    assert code == 1 and "over the budget of 8192 bits" in err
+    # an exact 2-cycle does not use the precision
+    assert run_cli(capsys, ["periodic", "--p", "7", "--a", "4", "--c", "3",
+                            "--precision", "100000000"])[0] == 0

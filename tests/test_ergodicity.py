@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, ergodicity
+from padicdyn.dynamics import sphere_units
 from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
     _ball_permutation,
-    _unit_sphere_coefficients,
     _verify_permutation,
     decide_ergodicity,
     displacement_table,
@@ -144,7 +144,7 @@ def test_theorem_requires_invariance():
 
 
 def test_rescale_coefficients_and_bounds():
-    rm = rescale_to_unit(M2, -2)
+    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
     assert rm.numerator == (0, 1)
     assert rm.denominator == (1, 2, 8)
     # numerator sums are fixed: A1 = 1, A2 = 0
@@ -152,15 +152,27 @@ def test_rescale_coefficients_and_bounds():
 
 
 def test_rescale_rejects_non_invariant_radius():
-    with pytest.raises(NotApplicableError):
-        rescale_to_unit(M2, -1)
-    with pytest.raises(NotApplicableError):
-        rescale_to_unit(CASE3, -1)  # p != 2
+    with pytest.raises(NotApplicableError, match="do not map to balls"):
+        rescale_to_unit(M2, SphereSpec("x1", -1))  # r = alpha: t1 = 1 is a unit
+    with pytest.raises(NotApplicableError, match="do not map to balls"):
+        rescale_to_unit(CASE4, SphereSpec("x2", -1))  # case 4: f'(x2) = 3/2, not a unit
 
 
 def test_rescaled_identity_on_unit_samples():
-    for e in (-2, -3, -4):
-        assert verify_rescaled(M2, e, [Fraction(k) for k in (1, 3, 5, 7, -1, -3)]) == 6
+    # both unit forms against exact f: around x1 and x2, for p = 2, 3, 5, 7
+    spheres = [(M2, SphereSpec("x1", e)) for e in (-2, -3, -4)] + [
+        (CanonicalMap(2, 1, 4), SphereSpec("x2", -1)),
+        (CanonicalMap(3, 2, 1), SphereSpec("x1", -1)),
+        (CanonicalMap(3, 2, 1), SphereSpec("x2", -2)),
+        (CASE3, SphereSpec("x1", -1)),
+        (CASE3, SphereSpec("x2", -1)),
+        (CASE2, SphereSpec("x2", -2)),
+        (CanonicalMap(7, 3, 1), SphereSpec("x1", -2)),
+        (CanonicalMap(7, 3, 1), SphereSpec("x2", -1)),
+    ]
+    for m, sphere in spheres:
+        units = sphere_units(m.p, 6) + sphere_units(m.p, 6, seed=11)
+        assert verify_rescaled(m, sphere, units) == 12
 
 
 def test_mod4_identity_map_is_not_ergodic():
@@ -170,18 +182,18 @@ def test_mod4_identity_map_is_not_ergodic():
 
 
 def test_mod4_on_rescaled_maps():
-    rm = rescale_to_unit(M2, -2)
+    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
     v = mod4_criterion(rm.numerator, rm.denominator)
     assert v.ergodic and v.case == 3
     assert v.sums.B1 == 2 and v.sums.B2 == 9
-    rm = rescale_to_unit(M2, -3)
+    rm = rescale_to_unit(M2, SphereSpec("x1", -3))
     v = mod4_criterion(rm.numerator, rm.denominator)
     assert not v.ergodic
 
 
 def test_mod4_swapped_case_detected():
     # swap numerator and denominator of an ergodic case-3 instance
-    rm = rescale_to_unit(M2, -2)
+    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
     v = mod4_criterion(rm.denominator, rm.numerator)
     assert v.ergodic and v.case == 5
 
@@ -253,7 +265,7 @@ def test_oracle_ball_budget(monkeypatch):
 
 def test_kernel_refuses_a_sphere_whose_balls_do_not_map_to_balls():
     # r = alpha: t1 = c*s/a = 1 is a unit, so the ball map is not defined
-    with pytest.raises(VerificationError, match="do not map to balls"):
+    with pytest.raises(NotApplicableError, match="do not map to balls"):
         _ball_permutation(M2, SphereSpec("x1", -1), 3)
 
 
@@ -319,8 +331,8 @@ def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, 
                                                         target):
     # off by p^(depth-1): the corrupted map is still a bijection of units that
     # reduces level by level, so only the comparison with exact f catches it
-    assert target in (_unit_sphere_coefficients(m, sphere.radius_exponent)[0],
-                      m.multiplier_x2())
+    rm = rescale_to_unit(m, sphere)
+    assert target in rm.numerator + rm.denominator
     real = ergodicity._residue
 
     def corrupted(x, mod):

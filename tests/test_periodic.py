@@ -14,7 +14,6 @@ from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
     h_of_q,
-    p6_coefficients,
     p6_eval,
     q_sweep,
     sphere_conditions,
@@ -22,7 +21,12 @@ from padicdyn.periodic import (
     two_periodic,
     verify_orbit_structure,
 )
-from util import agrees_on_reported_digits, random_nonzero_rational, reference_derivative_truncated
+from util import (
+    agrees_on_reported_digits,
+    p6_coefficients,
+    random_nonzero_rational,
+    reference_derivative_truncated,
+)
 
 
 # -- 2-periodic orbits -----------------------------------------------------------
@@ -251,6 +255,11 @@ def test_sphere_condition_examples():
     assert not m.sphere_is_invariant(SphereSpec("x1", -1))
     # |a + c|_5 = |-7/12|_5 = 1, and case 3 at p = 5 has no invariant unit sphere
     assert sc.x2_radius_exponent == 0 and not sc.x2_sphere_invariant
+    # case 4 has no invariant sphere around x2, although |a + c|_3 = 1/3 < alpha
+    m = CanonicalMap(3, 4, -1)
+    sc = sphere_conditions(m)
+    assert sc.x2_radius_exponent == -1 and not sc.x2_sphere_invariant
+    assert m.sphere_is_invariant(SphereSpec("x1", -1))
 
 
 def test_sphere_conditions_when_a_is_x2():

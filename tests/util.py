@@ -8,7 +8,7 @@ from typing import Literal
 from padicdyn.dynamics import SphereSpec, sphere_points
 from padicdyn.ergodicity import OracleLevel, _cycle_lengths, rescale_to_unit
 from padicdyn.errors import PoleHitError, PrecisionError
-from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _unit_residue
+from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -56,10 +56,38 @@ def ultrametric_valuations(x: Fraction, y: Fraction, p: int):
     return vx, vy, vs
 
 
+def representative(t: TruncatedPadic) -> Fraction:
+    """The canonical exact representative p**valuation * unit of t (0 for a
+    tagged zero)."""
+    if t.is_zero:
+        return Fraction(0)
+    return Fraction(t.prime) ** t.valuation * t.unit
+
+
 def agrees_on_reported_digits(x: Fraction, t: TruncatedPadic, p: int) -> bool:
     """Whether the exact x reduces to t: x = t + O(p**abs_precision)."""
-    diff = x - t.to_rational_representative()
+    diff = x - representative(t)
     return diff == 0 or _fraction_valuation(diff, p) >= t.abs_precision
+
+
+def p6_coefficients(m) -> tuple[Fraction, ...]:
+    """Coefficients (low to high) of the 3-periodic-point polynomial
+
+    P(x) = x^6 + 6c x^5 + (11c^2+6a) x^4 + (6c^3+20ac) x^3
+           + (15ac^2+9a^2) x^2 + 12a^2 c x + 3a^3,
+
+    the Fraction reference of periodic.p6_eval.
+    """
+    a, c = m.a, m.c
+    return (
+        3 * a**3,
+        12 * a**2 * c,
+        15 * a * c**2 + 9 * a**2,
+        6 * c**3 + 20 * a * c,
+        11 * c**2 + 6 * a,
+        6 * c,
+        Fraction(1),
+    )
 
 
 # -- operator-path reference for the truncated orbit kernel ----------------------
@@ -192,7 +220,7 @@ class HaarMeasureContext:
         return (self.p - 1) * self.p ** (e - d - 1)
 
 
-# -- sampled checks of the norm-image profile and the p = 2 rescaling -------------
+# -- sampled checks of the norm-image profile and the unit-coordinate form -------
 
 
 def validate_norm_image(m, radius_exponent: int, count: int = 32, seed=None) -> int:
@@ -220,17 +248,18 @@ def validate_norm_image(m, radius_exponent: int, count: int = 32, seed=None) -> 
     return checked
 
 
-def verify_rescaled(m, radius_exponent: int, ts) -> int:
-    """Check g^-1(f(g(t))) == rescaled(t) at sample unit points; returns count.
-
-    g(t) = 2**(-l) * t maps the unit sphere onto S_(2^l)(0).
-    """
-    rm = rescale_to_unit(m, radius_exponent)
-    g_factor = Fraction(2) ** (-radius_exponent)
+def verify_rescaled(m, sphere: SphereSpec, units) -> int:
+    """Check (f(x_i + u*s) - x_i)/s == N(u)/D(u), s = p^-e, at sample units u,
+    with N and D the coefficients of rescale_to_unit; returns the count."""
+    rm = rescale_to_unit(m, sphere)
+    center = m.center_point(sphere.center)
+    scale = Fraction(m.p) ** -sphere.radius_exponent
     checked = 0
-    for t in ts:
-        t = Fraction(t)
-        lhs = m.eval(t * g_factor) / g_factor
-        assert lhs == rm.eval(t), f"rescaled identity fails at t={t}"
+    for u in units:
+        u = Fraction(u)
+        lhs = (m.eval(center + u * scale) - center) / scale
+        assert lhs == _horner(rm.numerator, u) / _horner(rm.denominator, u), (
+            f"unit form of f on {sphere} fails at u={u}"
+        )
         checked += 1
     return checked
