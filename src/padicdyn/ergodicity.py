@@ -266,7 +266,7 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
             w = (m.eval(center + rep * scale) - center) / scale
             _verify(_fraction_valuation(w, p) == 0,
                     f"image left the sphere at ball u={u}", rep)
-            exact = _unit_residue(w, p, mod)
+            exact = _unit_residue(w, p, level)
             _verify(exact == perm[u],
                     f"kernel image {perm[u]} of ball u={u} differs from the exact "
                     f"image {exact}", rep)

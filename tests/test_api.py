@@ -26,6 +26,30 @@ def test_no_bare_assert_in_the_library():
     assert found == []
 
 
+def _is_modular_inverse(node) -> bool:
+    """Whether node is a call pow(x, -1, m)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3):
+        return False
+    exponent = node.args[1]
+    return (isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, ast.USub)
+            and isinstance(exponent.operand, ast.Constant) and exponent.operand.value == 1)
+
+
+def test_modular_inverses_go_through_inverse_unit():
+    # pow(x, -1, m) is quadratic in the bits of m; p-adic inverses are lifted
+    found = []
+    for name in ("padic", "dynamics", "periodic"):
+        path = Path(padicdyn.__file__).parent / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_inverse_unit"
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_modular_inverse(node) and id(node) not in allowed]
+    assert found == []
+
+
 def _loaded_names(paths) -> set[str]:
     """Every name the files read: loaded identifiers and attribute names.
 

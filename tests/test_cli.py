@@ -368,3 +368,37 @@ def test_truncated_precision_over_budget_exits_1(capsys):
     # an exact 2-cycle does not use the precision
     assert run_cli(capsys, ["periodic", "--p", "7", "--a", "4", "--c", "3",
                             "--precision", "100000000"])[0] == 0
+
+
+def test_exact_orbit_height_budget(capsys):
+    orbit = ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--json", "--steps"]
+    # iterate 12 of this orbit fits the 12000-bit height budget, iterate 13 does not
+    for steps, mode in (("12", "exact"), ("13", "truncated"), ("22", "truncated")):
+        code, out, _ = run_cli(capsys, orbit + [steps])
+        assert code == 0 and json.loads(out)["mode"] == mode
+    # auto mode past the budget is the truncated orbit from the start
+    assert run_cli(capsys, orbit + ["22"]) == run_cli(capsys, orbit + ["22", "--mode",
+                                                                       "truncated"])
+    code, out, err = run_cli(capsys, orbit + ["16", "--mode", "exact"])
+    assert code == 2 and out == ""
+    assert err == ("unsupported: an exact iterate has more than 12000 bits in its numerator "
+                   "or denominator, over the exact-orbit height budget; use truncated "
+                   "or auto mode\n")
+
+
+def test_orbit_step_budget_exits_1(capsys):
+    orbit = ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--steps"]
+    code, out, err = run_cli(capsys, orbit + ["65537"])
+    assert code == 1 and out == ""
+    assert err == ("error: 65537 orbit steps of 128 bits each are over the budget of "
+                   "8388608 step bits (steps times precision bits); at most 65536 steps fit\n")
+    # 4096 digits at p = 2 are 8192 bits a step
+    code, _, err = run_cli(capsys, ["orbit", "--p", "2", "--a", "-2", "--c", "1", "--x0", "3",
+                                    "--steps", "1025", "--precision", "4096"])
+    assert code == 1 and "at most 1024 steps fit" in err
+    # precision 4 (8 bits) is counted as 128 bits a step
+    assert "at most 65536 steps fit" in run_cli(capsys, orbit + ["65537", "--precision", "4"])[2]
+    # an exact orbit that stays low, at a fixed point, counts 128 bits a step too
+    code, _, err = run_cli(capsys, ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "0",
+                                    "--steps", "100000", "--mode", "exact"])
+    assert code == 1 and "at most 65536 steps fit" in err

@@ -335,6 +335,11 @@ def test_orbit_validates_arguments():
         orbit(CASE4, 5, 0)
     with pytest.raises(ValueError):
         orbit(CASE4, 5, 30, mode="truncated", precision=2)
+    # auto mode may run truncated, so its precision is checked before any step
+    with pytest.raises(ValueError):
+        orbit(CASE4, 5, 3, precision=2)
+    with pytest.raises(ValueError):
+        orbit(CASE4, 5, 3, mode="fast")
 
 
 # -- image norm profile ------------------------------------------------------------

@@ -16,9 +16,11 @@ from padicdyn import (
     parse_rational,
 )
 from padicdyn.conjugation import GeneralMap
-from padicdyn.padic import PRIME_BOUND, _fraction_valuation
+from padicdyn.dynamics import PRECISION_BIT_BUDGET
+from padicdyn.padic import PRIME_BOUND, _fraction_valuation, _int_valuation, _inverse_unit
 from util import (
     brute_force_is_square,
+    int_valuation_loop,
     random_rational,
     random_unit,
     representative,
@@ -34,6 +36,36 @@ def test_valuation_examples():
     assert _fraction_valuation(Fraction(0), 3) is INFINITY
     assert _fraction_valuation(Fraction(12), 3) == 1
     assert _fraction_valuation(Fraction(50, 7), 5) == 2
+
+
+DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 1021)
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_int_valuation_matches_the_plain_loop(p):
+    rng = random.Random(p)
+    power = 1
+    for v in range(601):
+        for cofactor in (1, rng.randrange(p, p**40)):
+            if cofactor % p == 0:
+                cofactor += 1
+            n = power * cofactor
+            assert _int_valuation(n, p) == int_valuation_loop(n, p) == v, (v, cofactor)
+            assert _int_valuation(-n, p) == v
+        power *= p
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_inverse_unit_matches_pow(p):
+    rng = random.Random(p)
+    largest = PRECISION_BIT_BUDGET // p.bit_length()
+    for n in [*range(1, 41), 64, 255, 256, 257, largest]:
+        mod = p**n
+        units = [1, mod - 1, rng.randrange(1, mod), rng.randrange(mod, mod**2)]
+        for u in units:
+            if u % p == 0:
+                u += 1
+            assert _inverse_unit(u, p, n) == pow(u, -1, mod), (n, u)
 
 
 def test_norm_exponent_examples():

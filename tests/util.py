@@ -42,7 +42,18 @@ def brute_force_is_square(x: Fraction, p: int, residues: set[int]) -> bool:
     v = _fraction_valuation(x, p)
     if v % 2:
         return False
-    return _unit_residue(x, p, p**6) in residues
+    return _unit_residue(x, p, 6) in residues
+
+
+def int_valuation_loop(n: int, p: int) -> int:
+    """Largest e with p**e dividing n != 0, one factor of p at a time: the
+    reference of padic._int_valuation."""
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def ultrametric_valuations(x: Fraction, y: Fraction, p: int):
@@ -150,7 +161,7 @@ def reference_ball_permutation(m, sphere: SphereSpec, level: int) -> dict[int, i
         for rep in (u, u + mod):
             w = (m.eval(center + rep * scale) - center) / scale
             assert _fraction_valuation(w, p) == 0, f"image left the sphere at ball u={u}"
-            images.add(_unit_residue(w, p, mod))
+            images.add(_unit_residue(w, p, level))
         assert len(images) == 1, f"induced ball map not well defined at u={u}"
         perm[u] = images.pop()
     assert sorted(perm.values()) == sorted(perm), "induced ball map is not a permutation"
