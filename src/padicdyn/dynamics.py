@@ -505,20 +505,55 @@ def _height(x: Fraction) -> int:
     return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
+def _height_loss(m: CanonicalMap) -> int:
+    """L with _height(f(x)) >= 2 _height(x) - L for every rational x that
+    is not a pole.
+
+    With x = n/d, f(x) = A*n*d / (B*n^2 + C*n*d + A*d^2) (A = |an*cd|,
+    B = ad*cd, C = |ad*cn|). The larger of the two forms is at least
+    s*max(|n|, |d|)**2, s = min(A*B/(2A + C), A^2/(A + B + C)), and their
+    common factor divides A^2*B. Bit lengths stand in for log2 at a cost
+    of at most one bit each. At a pole n divides A and d divides B, so no
+    x with _height(x) > L is a pole.
+    """
+    an, ad = m.a.numerator, m.a.denominator
+    cn, cd = m.c.numerator, m.c.denominator
+    A, B, C = abs(an * cd), ad * cd, abs(ad * cn)
+    log_inv_s = max((2 * A + C).bit_length() - (A * B).bit_length(),
+                    (A + B + C).bit_length() - (A * A).bit_length()) + 1
+    return (A * A * B).bit_length() + log_inv_s + 1
+
+
+def _certain_over_height_budget(x: Fraction, loss: int, steps: int) -> bool:
+    """Whether an iterate within ``steps`` steps of x is sure to be over
+    EXACT_HEIGHT_BUDGET, by _height(f(x)) - L >= 2 (_height(x) - L)."""
+    bound = _height(x)
+    for _ in range(steps):
+        if bound <= loss:
+            return False
+        bound = 2 * bound - loss
+        if bound > EXACT_HEIGHT_BUDGET:
+            return True
+    return False
+
+
 def _exact_orbit(m: CanonicalMap, x0: Fraction, steps: int) -> Optional[OrbitResult]:
-    """The exact orbit, or None once an iterate is over EXACT_HEIGHT_BUDGET."""
-    if _height(x0) > EXACT_HEIGHT_BUDGET:
-        return None
+    """The exact orbit, or None once an iterate is, or is sure to be, over
+    EXACT_HEIGHT_BUDGET."""
+    loss = _height_loss(m)
     points, pole = [x0], None
     for k in range(steps):
-        try:
-            x = m.eval(points[-1])
-        except PoleHitError:
-            pole = PoleHitRecord(k, points[-1])
-            break
-        if _height(x) > EXACT_HEIGHT_BUDGET:
+        x = points[-1]
+        if _height(x) > EXACT_HEIGHT_BUDGET or _certain_over_height_budget(x, loss, steps - k):
             return None
+        try:
+            x = m.eval(x)
+        except PoleHitError:
+            pole = PoleHitRecord(k, x)
+            break
         points.append(x)
+    if _height(points[-1]) > EXACT_HEIGHT_BUDGET:
+        return None
     d1 = tuple(_distance_exponent_exact(x, m.x1, m.p) for x in points)
     d2 = tuple(_distance_exponent_exact(x, m.x2, m.p) for x in points)
     return OrbitResult("exact", tuple(points), d1, d2, pole)
@@ -537,7 +572,9 @@ def orbit(
     (degree-2 map), so no iterate may have a numerator or denominator of
     more than EXACT_HEIGHT_BUDGET bits (UnsupportedCaseError otherwise).
     Auto mode iterates exactly while every iterate fits that budget, and
-    otherwise runs the whole orbit in truncated mode. Truncated mode
+    otherwise runs the whole orbit in truncated mode. Heights grow at least
+    as 2h - L once over L (_height_loss), so an orbit sure to go over the
+    budget leaves exact iteration as soon as that is certain. Truncated mode
     iterates in fixed-precision p-adic arithmetic: every recorded distance
     exponent is still exact (precision tracking is sound and indeterminate
     results raise PrecisionError rather than guessing). Its precision must

@@ -153,43 +153,27 @@ def parse_rational(text: str) -> Fraction:
 
 
 #: Bits up to which _inverse_unit calls pow(u, -1, m). CPython's pow
-#: inverts by extended Euclid, quadratic in the bits of m unless the
-#: remainders shrink fast, as they do when u or m - u is small; a Newton
-#: lift costs a few multiplications per doubling. On random units
-#: (tools/time_layers.py, Intel Xeon, Python 3.11) pow is faster up to 33
-#: bits (1.0 against 1.2 us), the two tie near 40 bits, and the lift is
-#: faster from 41 bits on (1.3 against 1.4 us; 3.1 against 14 us at 257
-#: bits).
-_POW_INVERSE_BITS = 32
+#: inverts by extended Euclid, quadratic in the bits of m; a Newton lift
+#: costs a few multiplications per doubling. On random units (timeit,
+#: Intel Xeon, Python 3.11) pow and a lift from a smaller modulus are
+#: within about 5% of each other up to 24 bits; from 25 bits on the lift
+#: is faster (0.74 against 0.97 us at 32 bits of p = 3; 2.8 against 13.8
+#: us at 257 bits, as tools/time_layers.py prints).
+_POW_INVERSE_BITS = 24
 
 
 def _inverse_unit(u: int, p: int, n: int) -> int:
     """u**-1 mod p**n for an integer u prime to p.
 
-    pow inverts when u mod p**n or its negative has at most
-    _POW_INVERSE_BITS bits (so also at every modulus of at most that
-    size). Otherwise pow inverts u at the largest modulus p**k,
-    k = ceil(n / 2**j), of at most _POW_INVERSE_BITS bits, and Newton
-    doubling x <- x*(2 - u*x) mod p**(2k) lifts the inverse to p**n.
+    pow inverts at p**n when n is 1 or p**n has at most _POW_INVERSE_BITS
+    bits; otherwise one Newton step x <- x*(2 - u*x) mod p**n lifts the
+    inverse mod p**ceil(n/2).
     """
     mod = p ** n
-    if mod.bit_length() <= _POW_INVERSE_BITS:
+    if n == 1 or mod.bit_length() <= _POW_INVERSE_BITS:
         return pow(u, -1, mod)
-    u %= mod
-    if min(u.bit_length(), (mod - u).bit_length()) <= _POW_INVERSE_BITS:
-        return pow(u, -1, mod)
-    lifts = [mod]
-    k = n
-    while True:
-        k = (k + 1) // 2
-        base = p ** k
-        if base.bit_length() <= _POW_INVERSE_BITS:
-            break
-        lifts.append(base)
-    x = pow(u, -1, base)
-    for mod in reversed(lifts):
-        x = x * (2 - u % mod * x) % mod
-    return x
+    x = _inverse_unit(u, p, (n + 1) // 2)
+    return x * (2 - u % mod * x) % mod
 
 
 def _int_valuation(n: int, p: int) -> int:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from padicdyn import CanonicalMap, TruncatedPadic
 from padicdyn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -368,6 +369,20 @@ def test_truncated_precision_over_budget_exits_1(capsys):
     # an exact 2-cycle does not use the precision
     assert run_cli(capsys, ["periodic", "--p", "7", "--a", "4", "--c", "3",
                             "--precision", "100000000"])[0] == 0
+
+
+def test_truncated_orbit_at_a_prime_wider_than_32_bits(capsys):
+    # past the first step the divisor's unit is a full residue mod p**4, so
+    # the inverse is a Newton lift from p itself
+    p = 4294967311
+    code, out, _ = run_cli(capsys, ["orbit", "--p", str(p), "--a", "-2", "--c", "1", "--x0",
+                                    "5", "--steps", "3", "--mode", "truncated",
+                                    "--precision", "4", "--json"])
+    assert code == 0
+    xs = [Fraction(5)]
+    for _ in range(3):
+        xs.append(CanonicalMap(p, -2, 1).eval(xs[-1]))
+    assert json.loads(out)["points"] == [str(TruncatedPadic.from_rational(x, p, 4)) for x in xs]
 
 
 def test_exact_orbit_height_budget(capsys):

@@ -13,9 +13,13 @@ from padicdyn import (
     InconsistentParametersError,
     PoleHitError,
     SphereSpec,
+    UnsupportedCaseError,
 )
 from padicdyn.dynamics import (
+    EXACT_HEIGHT_BUDGET,
     PoleHitRecord,
+    _height,
+    _height_loss,
     orbit,
     sphere_points,
 )
@@ -340,6 +344,45 @@ def test_orbit_validates_arguments():
         orbit(CASE4, 5, 3, precision=2)
     with pytest.raises(ValueError):
         orbit(CASE4, 5, 3, mode="fast")
+
+
+
+def test_height_loss_bounds_every_step():
+    # _height(f(x)) >= 2 _height(x) - L; the bound is nearly tight next to
+    # a real root of the denominator: at x = 268/33 for (a, c) = (-1, -7) in
+    # log2 terms, and at x = -259/10 for (-7, 16) within one bit
+    maps = [CanonicalMap(3, a, c) for a, c in ((-1, -7), (-7, 16), (-2, 1), (9, 6), (-12, 5),
+                                                (Fraction(-2, 9), Fraction(1, 3)),
+                                                (Fraction(4, 27), Fraction(-2, 3)),
+                                                (Fraction(1, 1024), 3), (4096, Fraction(1, 5)))]
+    xs = [Fraction(n, d) for d in range(1, 40) for n in range(-120, 121)]
+    xs += [Fraction(268, 33), Fraction(-259, 10), Fraction(1, 2048), Fraction(4097, 3)]
+    for m in maps:
+        loss = _height_loss(m)
+        for x in xs:
+            try:
+                y = m.eval(x)
+            except PoleHitError:
+                assert _height(x) <= loss
+                continue
+            assert _height(y) >= 2 * _height(x) - loss, (m, x)
+
+
+def test_auto_orbit_sure_to_go_over_the_height_budget_starts_truncated(monkeypatch):
+    evals = []
+    exact_eval = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda m, x: evals.append(x) or exact_eval(m, x))
+    assert orbit(CASE4, 5, 12).mode == "exact"
+    evals.clear()
+    result = orbit(CASE4, 5, 150)
+    # two exact steps, then the pole check at x0: without the height bound
+    # the exact prefix would run to step 13
+    assert evals == [Fraction(5), Fraction(-5, 14), Fraction(5)]
+    assert result == orbit(CASE4, 5, 150, mode="truncated")
+    evals.clear()
+    with pytest.raises(UnsupportedCaseError, match=f"more than {EXACT_HEIGHT_BUDGET} bits"):
+        orbit(CASE4, 5, 150, mode="exact")
+    assert len(evals) == 2
 
 
 # -- image norm profile ------------------------------------------------------------

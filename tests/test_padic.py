@@ -55,17 +55,30 @@ def test_int_valuation_matches_the_plain_loop(p):
         power *= p
 
 
-@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+# for these no power of p fits the modulus at which pow inverts directly
+# (_POW_INVERSE_BITS), so the Newton lift starts at p itself; the first is
+# the least prime past 2**32, the last the largest below PRIME_BOUND
+WIDE_PRIMES = (4294967311, 3317044064679887385961813)
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES + WIDE_PRIMES)
 def test_inverse_unit_matches_pow(p):
     rng = random.Random(p)
     largest = PRECISION_BIT_BUDGET // p.bit_length()
     for n in [*range(1, 41), 64, 255, 256, 257, largest]:
         mod = p**n
-        units = [1, mod - 1, rng.randrange(1, mod), rng.randrange(mod, mod**2)]
+        units = [1, mod - 1, rng.randrange(1, mod), rng.randrange(mod, mod**2),
+                 -rng.randrange(1, mod)]
         for u in units:
             if u % p == 0:
                 u += 1
             assert _inverse_unit(u, p, n) == pow(u, -1, mod), (n, u)
+
+
+def test_wide_primes_are_the_primes_next_to_their_bounds():
+    assert all(is_prime(p) for p in WIDE_PRIMES)
+    assert WIDE_PRIMES[0] > 2**32 and not any(is_prime(q) for q in range(2**32 + 1, WIDE_PRIMES[0]))
+    assert not any(is_prime(q) for q in range(WIDE_PRIMES[1] + 2, PRIME_BOUND, 2))
 
 
 def test_norm_exponent_examples():

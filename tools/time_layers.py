@@ -1,10 +1,12 @@
 """Per-call times of the truncated-arithmetic layers of padicdyn.
 
 Times ``padic._div_triples``, ``padic._int_valuation`` and
-``CanonicalMap._step_triple`` on fixed seeded inputs, and the inverse of a
+``CanonicalMap._step_triple`` on fixed seeded inputs, the inverse of a
 random unit modulo p**n by ``pow(u, -1, p**n)`` and, where the checkout has
-it, by ``padic._inverse_unit``. Prints one JSON object of microseconds per
-call (best of REPEAT timeit runs). Run it on two checkouts on the
+it, by ``padic._inverse_unit``, and ``orbit`` of (p, a, c, x0) =
+(3, -2, 1, 5) at precision 64 in auto and truncated mode, whose exact
+iterates outgrow 12,000 bits at step 13. Prints one JSON object of
+microseconds per call (best of REPEAT timeit runs). Run it on two checkouts on the
 same machine to compare them:
 
     python3 tools/time_layers.py --src src
@@ -27,6 +29,7 @@ VALUATIONS = (0, 1, 2, 8, 64, 256)
 VALUATION_PRIMES = (2, 3, 7, 1021)
 INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
+ORBIT_STEPS = (12, 13, 25, 150)
 INPUTS = 64
 REPEAT = 7
 
@@ -54,7 +57,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from padicdyn import padic
-    from padicdyn.dynamics import CanonicalMap
+    from padicdyn.dynamics import CanonicalMap, orbit
 
     out = {"div_triples": {}, "step_triple": {}, "int_valuation": {}}
     for p in PRIMES:
@@ -90,6 +93,13 @@ def main() -> None:
             out["inverse_pow"][case] = _per_call(lambda u, p, n: pow(u, -1, p ** n), units)
             if inverse_unit:
                 out["inverse_unit"][case] = _per_call(inverse_unit, units)
+    out["orbit"] = {}
+    m = CanonicalMap(3, Fraction(-2), Fraction(1))
+    for steps in ORBIT_STEPS:
+        for mode in ("auto", "truncated"):
+            best = min(timeit.repeat(lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64),
+                                     number=20, repeat=REPEAT))
+            out["orbit"][f"steps={steps} {mode}"] = round(best / 20 * 1e6, 3)
     print(json.dumps(out, indent=1))
 
 
