@@ -26,7 +26,7 @@ from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_points
 from .errors import NotApplicableError, VerificationError, _verify
-from .padic import _fraction_valuation, _horner, _unit_residue
+from .padic import INFINITY, _fraction_valuation, _horner, _int_valuation, _unit_residue
 
 __all__ = [
     "ORACLE_BALL_BUDGET",
@@ -139,30 +139,45 @@ def isometry_check(
     Also checks the numerator factor of the distance-ratio identity:
     v(a - x*y) = v(a) for every sampled pair (so the ratio of norms is 1).
     Raises VerificationError with a counterexample on any violation.
+
+    The check is exact over all count*(count-1)/2 pairs and is computed on
+    integer cross-products. With x = xn/xd (and so on for y, f(x), f(y), a)
+    in any representation, v(n/d) = v(n) - v(d), so
+
+        v(f(x) - f(y)) = v(fn*gd - gn*fd) - v(fd) - v(gd)
+        v(x - y)       = v(xn*yd - yn*xd) - v(xd) - v(yd)
+        v(a - x*y)     = v(an*xd*yd - ad*xn*yn) - v(ad) - v(xd) - v(yd)
+
+    with every denominator valuation taken once per point.
     """
     _require_invariant(m, sphere)
+    p = m.p
     pts = sphere_points(m, sphere, count, seed)
     images = [m.eval(x) for x in pts]
-    va = _fraction_valuation(m.a, m.p)
-    pairs = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            lhs = _fraction_valuation(images[i] - images[j], m.p)
-            rhs = _fraction_valuation(x - y, m.p)
+    va = _fraction_valuation(m.a, p)
+    an, ad = m.a.numerator, m.a.denominator
+    vad = _int_valuation(ad, p)
+    parts = [(x, x.numerator, x.denominator, _int_valuation(x.denominator, p),
+              fx.numerator, fx.denominator, _int_valuation(fx.denominator, p))
+             for x, fx in zip(pts, images)]
+    for i, (x, xn, xd, vxd, fn, fd, vfd) in enumerate(parts):
+        for y, yn, yd, vyd, gn, gd, vgd in parts[i + 1:]:
+            diff = fn * gd - gn * fd
+            lhs = (_int_valuation(diff, p) if diff else INFINITY) - vfd - vgd
+            diff = xn * yd - yn * xd
+            rhs = (_int_valuation(diff, p) if diff else INFINITY) - vxd - vyd
             if lhs != rhs:
                 raise VerificationError(
                     f"isometry violated for x={x}, y={y}: v={lhs} != {rhs}",
                     counterexample=(x, y),
                 )
-            vf = _fraction_valuation(m.a - x * y, m.p)
-            if vf != va:
+            diff = an * xd * yd - ad * xn * yn
+            if not diff or _int_valuation(diff, p) - vad - vxd - vyd != va:
                 raise VerificationError(
                     f"numerator factor |a - xy| != |a| for x={x}, y={y}",
                     counterexample=(x, y),
                 )
-            pairs += 1
-    return IsometryReport(sphere, pairs, va)
+    return IsometryReport(sphere, len(parts) * (len(parts) - 1) // 2, va)
 
 
 # -- the map on a sphere's unit coordinate -------------------------------------------

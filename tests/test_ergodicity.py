@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, ergodicity
-from padicdyn.dynamics import sphere_units
+from padicdyn.dynamics import sphere_points, sphere_units
 from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
@@ -21,7 +21,13 @@ from padicdyn.ergodicity import (
     verify_rho,
 )
 
-from util import HaarMeasureContext, random_unit, reference_oracle_levels, verify_rescaled
+from util import (
+    HaarMeasureContext,
+    random_unit,
+    reference_isometry_check,
+    reference_oracle_levels,
+    verify_rescaled,
+)
 
 M2 = CanonicalMap(2, 2, 1)     # alpha = 1/2, beta = 1, the ergodic workhorse
 CASE2 = CanonicalMap(5, -1, 5)
@@ -92,6 +98,66 @@ def test_isometry_on_worked_spheres():
 def test_isometry_includes_seeded_mode():
     rep = isometry_check(M2, SphereSpec("x1", -2), count=12, seed=99)
     assert rep.pairs_checked == 66
+
+
+def _isometry_outcome(check, m, sphere, count, seed):
+    """The report, or the message and counterexample of the VerificationError."""
+    try:
+        return check(m, sphere, count, seed)
+    except VerificationError as exc:
+        return str(exc), exc.counterexample
+
+
+def _scaled(m, sphere, k):
+    """The map (a*p^-2k, c*p^-k), conjugate to m by x -> x*p^-k, and the image
+    of ``sphere`` under that scaling: its points carry p^k in the denominator."""
+    s = Fraction(m.p) ** -k
+    return CanonicalMap(m.p, m.a * s * s, m.c * s), SphereSpec(sphere.center,
+                                                               sphere.radius_exponent + k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_isometry_kernel_equals_the_fraction_reference(p):
+    rng = random.Random(f"isometry-kernel:{p}")
+    spheres = _differential_spheres(p, rng, 6)
+    spheres += [_scaled(m, sphere, 2) for m, sphere in spheres[:3]]
+    for m, sphere in spheres:
+        for count in (8, 16, 32):
+            for seed in (None, rng.randrange(1 << 30)):
+                got = _isometry_outcome(isometry_check, m, sphere, count, seed)
+                assert got == _isometry_outcome(reference_isometry_check, m, sphere,
+                                                count, seed), (m, sphere, count, seed)
+    assert {sphere.center for _, sphere in spheres} == {"x1", "x2"}
+    # the corpus has sample points and values of a with p in the denominator
+    assert any(m.val(m.a) < 0 for m, _ in spheres)
+    assert any(m.val(x) < 0 for m, sphere in spheres for x in sphere_points(m, sphere, 8))
+
+
+@pytest.mark.parametrize("m,sphere,seed", [
+    (M2, SphereSpec("x1", -2), None),
+    (M2, SphereSpec("x1", -3), 5),
+    (CASE3, SphereSpec("x2", -1), None),
+    (CASE2, SphereSpec("x2", -2), 11),
+    (CASE4, SphereSpec("x1", -1), 3),
+    (*_scaled(CASE3, SphereSpec("x2", -1), 2), None),
+])
+@pytest.mark.parametrize("reach", ["far", "near"])
+def test_isometry_kernel_and_reference_catch_a_moved_image(monkeypatch, m, sphere, seed,
+                                                            reach):
+    # move the image of the 6th sample point by p^k: "far" breaks every pair
+    # with it, "near" only the pairs with its nearest neighbours
+    pts = sphere_points(m, sphere, 16, seed)
+    moved = pts[5]
+    if reach == "far":
+        k = -sphere.radius_exponent - 1
+    else:
+        k = max(m.val(moved - y) for y in pts if y != moved) - 1
+    real = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
+        real(self, x) + (Fraction(self.p) ** k if x == moved else 0)))
+    got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
+    assert isinstance(got, tuple) and moved in got[1], got
+    assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
 
 
 # -- minimal invariant ball -----------------------------------------------------------

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from padicdyn.dynamics import PRECISION_BIT_BUDGET
 from padicdyn.padic import PRIME_BOUND, _fraction_valuation, _int_valuation, _inverse_unit
 from util import (
     brute_force_is_square,
+    digits_loop,
     int_valuation_loop,
     random_rational,
     random_unit,
@@ -53,6 +58,27 @@ def test_int_valuation_matches_the_plain_loop(p):
             assert _int_valuation(n, p) == int_valuation_loop(n, p) == v, (v, cofactor)
             assert _int_valuation(-n, p) == v
         power *= p
+
+
+def test_int_valuation_of_zero_raises():
+    # the squaring loop never ended on 0 for odd p, so the calls run in a
+    # child process that the test can time out
+    script = (
+        "from padicdyn.padic import _int_valuation\n"
+        "for p in (2, 3, 5, 1021):\n"
+        "    try:\n"
+        "        _int_valuation(0, p)\n"
+        "    except ValueError as exc:\n"
+        "        print(p, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{p} the valuation of 0 is not an integer\n"
+                                  for p in (2, 3, 5, 1021))
 
 
 # for these no power of p fits the modulus at which pow inverts directly
@@ -274,6 +300,19 @@ def test_truncated_digits_leading_nonzero():
         t = TruncatedPadic.from_rational(x, 7, 6)
         d = t.digits()
         assert len(d) == 6 and d[0] != 0 and all(0 <= di < 7 for di in d)
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_digits_match_the_plain_loop(p):
+    rng = random.Random(f"digits:{p}")
+    for n in list(range(1, 301)) + [4096]:
+        mod = p ** n
+        # a random unit, every digit p - 1, and zero digits between d0 and d(n-1)
+        for unit in (rng.randrange(1, mod) // p * p + 1, mod - 1, 1 + mod // p):
+            if unit % p == 0:
+                continue
+            t = TruncatedPadic(p, -3, unit, n)
+            assert t.digits() == digits_loop(unit, p, n), (n, unit)
 
 
 def test_truncated_agrees_with_exact_reduction():

@@ -6,8 +6,8 @@ from fractions import Fraction
 from typing import Literal
 
 from padicdyn.dynamics import SphereSpec, sphere_points
-from padicdyn.ergodicity import OracleLevel, _cycle_lengths, rescale_to_unit
-from padicdyn.errors import PoleHitError, PrecisionError
+from padicdyn.ergodicity import IsometryReport, OracleLevel, _cycle_lengths, rescale_to_unit
+from padicdyn.errors import PoleHitError, PrecisionError, VerificationError
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
 
 
@@ -54,6 +54,16 @@ def int_valuation_loop(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def digits_loop(n: int, p: int, count: int) -> list[int]:
+    """The ``count`` lowest base-p digits of n >= 0, one divmod per digit:
+    the reference of padic._base_p_digits."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
 
 
 def ultrametric_valuations(x: Fraction, y: Fraction, p: int):
@@ -175,6 +185,38 @@ def reference_oracle_levels(m, sphere: SphereSpec, depth: int) -> tuple:
         lengths = _cycle_lengths(reference_ball_permutation(m, sphere, k))
         levels.append(OracleLevel(k, sum(lengths), len(lengths), tuple(lengths)))
     return tuple(levels)
+
+
+# -- Fraction reference for the isometry check's integer pair kernel -------------
+
+
+def reference_isometry_check(m, sphere: SphereSpec, count: int = 32,
+                             seed=None) -> IsometryReport:
+    """ergodicity.isometry_check with every valuation taken of a Fraction
+    difference: v(f(x) - f(y)) = v(x - y) and v(a - x*y) = v(a) on all
+    sampled pairs, or VerificationError with the first failing pair."""
+    pts = sphere_points(m, sphere, count, seed)
+    images = [m.eval(x) for x in pts]
+    va = _fraction_valuation(m.a, m.p)
+    pairs = 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            x, y = pts[i], pts[j]
+            lhs = _fraction_valuation(images[i] - images[j], m.p)
+            rhs = _fraction_valuation(x - y, m.p)
+            if lhs != rhs:
+                raise VerificationError(
+                    f"isometry violated for x={x}, y={y}: v={lhs} != {rhs}",
+                    counterexample=(x, y),
+                )
+            vf = _fraction_valuation(m.a - x * y, m.p)
+            if vf != va:
+                raise VerificationError(
+                    f"numerator factor |a - xy| != |a| for x={x}, y={y}",
+                    counterexample=(x, y),
+                )
+            pairs += 1
+    return IsometryReport(sphere, pairs, va)
 
 
 # -- paper results that only the tests state: image norms and Haar measure --------

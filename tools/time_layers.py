@@ -5,9 +5,12 @@ Times ``padic._div_triples``, ``padic._int_valuation`` and
 random unit modulo p**n by ``pow(u, -1, p**n)`` and, where the checkout has
 it, by ``padic._inverse_unit``, and ``orbit`` of (p, a, c, x0) =
 (3, -2, 1, 5) at precision 64 in auto and truncated mode, whose exact
-iterates outgrow 12,000 bits at step 13. Prints one JSON object of
-microseconds per call (best of REPEAT timeit runs). Run it on two checkouts on the
-same machine to compare them:
+iterates outgrow 12,000 bits at step 13. On the request path it times
+``isometry_check`` with 32 samples, ``TruncatedPadic.digits`` at 64, 256
+and 4096 digits, ``cli.build_parser`` and an in-process ``cli.main`` of
+each of the six golden commands with ``--json`` (stdout captured). Prints
+one JSON object of microseconds per call (best of REPEAT timeit runs). Run
+it on two checkouts on the same machine to compare them:
 
     python3 tools/time_layers.py --src src
     python3 tools/time_layers.py --src /path/to/other/checkout/src
@@ -16,6 +19,8 @@ same machine to compare them:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
@@ -30,6 +35,18 @@ VALUATION_PRIMES = (2, 3, 7, 1021)
 INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
+ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
+DIGIT_COUNTS = (64, 256, 4096)
+GOLDEN_COMMANDS = {
+    "analyze_case4": ["analyze", "--p", "3", "--a", "-2", "--c", "1"],
+    "analyze_case2": ["analyze", "--p", "5", "--a", "-1", "--c", "5"],
+    "ergodic_p2_ergodic": ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2"],
+    "ergodic_p3_notergodic": ["ergodic", "--p", "3", "--a", "-2", "--c", "1",
+                              "--radius-exp", "-1"],
+    "periodic_two_cycle": ["periodic", "--p", "7", "--a", "4", "--c", "3"],
+    "conjugate_double_root": ["conjugate", "--p", "3", "--a", "1", "--b", "0", "--c", "-1",
+                              "--d", "1"],
+}
 INPUTS = 64
 REPEAT = 7
 
@@ -49,6 +66,38 @@ def _per_call(fn, args: list) -> float:
     loops = max(1, 2000 // len(args))
     best = min(timeit.repeat(lambda: [fn(*a) for a in args], number=loops, repeat=REPEAT))
     return round(best / loops / len(args) * 1e6, 3)
+
+
+def _best_us(fn, number: int) -> float:
+    """Microseconds per call of fn(), best of REPEAT runs of ``number`` calls."""
+    return round(min(timeit.repeat(fn, number=number, repeat=REPEAT)) / number * 1e6, 3)
+
+
+def _request_path(out: dict) -> None:
+    from padicdyn import cli
+    from padicdyn.dynamics import CanonicalMap, SphereSpec
+    from padicdyn.ergodicity import isometry_check
+    from padicdyn.padic import TruncatedPadic
+
+    out["isometry_check"] = {}
+    for p, a, c, center, e in ISOMETRY_SPHERES:
+        m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
+        for seed in (None, 1):
+            out["isometry_check"][f"p={p} {center} e={e} seed={seed}"] = _best_us(
+                lambda: isometry_check(m, sphere, 32, seed), 10)
+    out["digits"] = {}
+    for p in PRIMES:
+        for n in DIGIT_COUNTS:
+            rng = random.Random(f"layers:digits:{p}:{n}")
+            t = TruncatedPadic(p, 0, _units(rng, p, n)[0], n)
+            out["digits"][f"p={p} P={n}"] = _best_us(t.digits, 20)
+    out["build_parser"] = _best_us(cli.build_parser, 20)
+    out["cli_main"] = {}
+    for name, argv in GOLDEN_COMMANDS.items():
+        def request(argv=argv + ["--json"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+        out["cli_main"][name] = _best_us(request, 10)
 
 
 def main() -> None:
@@ -97,9 +146,9 @@ def main() -> None:
     m = CanonicalMap(3, Fraction(-2), Fraction(1))
     for steps in ORBIT_STEPS:
         for mode in ("auto", "truncated"):
-            best = min(timeit.repeat(lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64),
-                                     number=20, repeat=REPEAT))
-            out["orbit"][f"steps={steps} {mode}"] = round(best / 20 * 1e6, 3)
+            out["orbit"][f"steps={steps} {mode}"] = _best_us(
+                lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
+    _request_path(out)
     print(json.dumps(out, indent=1))
 
 
