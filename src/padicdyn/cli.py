@@ -9,7 +9,6 @@ exponents, no floats, no timestamp unless --timestamp is passed).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -418,13 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The parser main() uses: built on its first call, reused by every later
-#: call in the process (parsing leaves no state in it).
-_main_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _main_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.samples < 1:

@@ -403,32 +403,6 @@ def _div_triples(p: int, v1, u1: int, n1: int, v2, u2: int, n2: int) -> tuple:
     return v1 - v2, u1 * _inverse_unit(u2, p, n) % p ** n, n
 
 
-#: Digit counts up to which _base_p_digits divides by p once per digit. In
-#: a sweep of this bound (timeit, Intel Xeon, Python 3.11, p in {2, 3, 7,
-#: 1021}), leaves of 16 to 48 digits cost up to 45% more than the plain loop
-#: at 64-128 digits, 64-digit leaves were within noise of it there, and at
-#: 4096 digits the split took 0.11-0.20 of the loop's time.
-_DIGIT_LEAF = 64
-
-
-def _base_p_digits(n: int, p: int, count: int) -> list[int]:
-    """The ``count`` lowest base-p digits of n >= 0, low to high.
-
-    Above _DIGIT_LEAF digits, n is split at p**(2**k), the largest such
-    power below p**count, and each part is expanded on its own; one divmod
-    per digit would make every digit cost a division of the whole of n.
-    """
-    if count <= _DIGIT_LEAF:
-        out = []
-        for _ in range(count):
-            n, d = divmod(n, p)
-            out.append(d)
-        return out
-    k = (count - 1).bit_length() - 1
-    high, low = divmod(n, p ** (1 << k))
-    return _base_p_digits(low, p, 1 << k) + _base_p_digits(high, p, count - (1 << k))
-
-
 @dataclass(frozen=True, slots=True, repr=False)
 class TruncatedPadic:
     """A p-adic number to finite precision: p**valuation * (unit + O(p**precision)).
@@ -497,7 +471,11 @@ class TruncatedPadic:
         """Base-p digits d0..d(N-1) of the unit part (d0 != 0)."""
         if self.is_zero:
             return []
-        return _base_p_digits(self.unit, self.prime, self.precision)
+        out, n = [], self.unit
+        for _ in range(self.precision):
+            n, d = divmod(n, self.prime)
+            out.append(d)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from padicdyn import CanonicalMap, TruncatedPadic, __version__, cli
+from padicdyn import CanonicalMap, TruncatedPadic
 from padicdyn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -417,31 +417,3 @@ def test_orbit_step_budget_exits_1(capsys):
     code, _, err = run_cli(capsys, ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "0",
                                     "--steps", "100000", "--mode", "exact"])
     assert code == 1 and "at most 65536 steps fit" in err
-
-
-def _requests_in_one_process(capsys):
-    """(exit code, stdout, stderr) of a sequence of main() calls: errors, every
-    golden command twice, an unsupported request and --version."""
-    argvs = [
-        ["analyze", "--p", "3", "--a", "1.5", "--c", "1"],
-        ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2", "--samples", "0"],
-    ]
-    for _, argv in GOLDEN_CASES:
-        argvs += [argv + ["--json"]] * 2
-    argvs.append(["conjugate", "--p", "5", "--a", "1", "--b", "0", "--c", "0", "--d", "0"])
-    results = [run_cli(capsys, argv) for argv in argvs]
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    out = capsys.readouterr()
-    return results + [(exc.value.code, out.out, out.err)]
-
-
-def test_main_reuses_one_parser_with_the_answers_of_fresh_ones(capsys, monkeypatch):
-    assert cli.build_parser() is not cli.build_parser()
-    shared = _requests_in_one_process(capsys)
-    assert cli._main_parser() is cli._main_parser()
-    assert [code for code, _, _ in shared[:2]] == [1, 1]
-    assert [code for code, _, _ in shared[-2:]] == [2, 0]
-    assert shared[-1][1] == f"{__version__}\n"
-    monkeypatch.setattr(cli, "_main_parser", cli.build_parser)
-    assert _requests_in_one_process(capsys) == shared

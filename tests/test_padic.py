@@ -24,7 +24,6 @@ from padicdyn.dynamics import PRECISION_BIT_BUDGET
 from padicdyn.padic import PRIME_BOUND, _fraction_valuation, _int_valuation, _inverse_unit
 from util import (
     brute_force_is_square,
-    digits_loop,
     int_valuation_loop,
     random_rational,
     random_unit,
@@ -300,19 +299,6 @@ def test_truncated_digits_leading_nonzero():
         t = TruncatedPadic.from_rational(x, 7, 6)
         d = t.digits()
         assert len(d) == 6 and d[0] != 0 and all(0 <= di < 7 for di in d)
-
-
-@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
-def test_digits_match_the_plain_loop(p):
-    rng = random.Random(f"digits:{p}")
-    for n in list(range(1, 301)) + [4096]:
-        mod = p ** n
-        # a random unit, every digit p - 1, and zero digits between d0 and d(n-1)
-        for unit in (rng.randrange(1, mod) // p * p + 1, mod - 1, 1 + mod // p):
-            if unit % p == 0:
-                continue
-            t = TruncatedPadic(p, -3, unit, n)
-            assert t.digits() == digits_loop(unit, p, n), (n, unit)
 
 
 def test_truncated_agrees_with_exact_reduction():

@@ -56,16 +56,6 @@ def int_valuation_loop(n: int, p: int) -> int:
     return v
 
 
-def digits_loop(n: int, p: int, count: int) -> list[int]:
-    """The ``count`` lowest base-p digits of n >= 0, one divmod per digit:
-    the reference of padic._base_p_digits."""
-    out = []
-    for _ in range(count):
-        n, d = divmod(n, p)
-        out.append(d)
-    return out
-
-
 def ultrametric_valuations(x: Fraction, y: Fraction, p: int):
     """(v(x), v(y), v(x+y)) after checking the strong triangle inequality
     |x+y|_p <= max(|x|_p, |y|_p), with equality when the norms differ."""
