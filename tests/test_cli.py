@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +43,39 @@ LATER_GOLDEN_COMMANDS = {
                                  "--steps", "4"],
 }
 GOLDEN_CASES = sorted(GOLDEN_COMMANDS.items()) + list(LATER_GOLDEN_COMMANDS.items())
+
+
+# The parser's own text: help, version and usage errors, pinned byte for byte.
+HELP_COMMANDS = {
+    "help_padicdyn.txt": ["--help"],
+    "help_analyze.txt": ["analyze", "--help"],
+    "help_orbit.txt": ["orbit", "--help"],
+    "help_ergodic.txt": ["ergodic", "--help"],
+    "help_periodic.txt": ["periodic", "--help"],
+    "help_conjugate.txt": ["conjugate", "--help"],
+    "version.txt": ["--version"],
+}
+# name -> argv; usage_errors.json holds each one's exit code and stderr
+USAGE_ERRORS = {
+    "empty_argv": [],
+    "unknown_command": ["frobnicate", "--p", "3"],
+    "option_before_command": ["--json", "analyze", "--p", "3", "--a", "-2", "--c", "1"],
+    "command_without_options": ["analyze"],
+    "missing_required_option": ["ergodic", "--p", "3", "--a", "-2", "--c", "1"],
+    "bad_mode_choice": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5",
+                        "--steps", "4", "--mode", "fast"],
+    "bad_center_choice": ["ergodic", "--p", "3", "--a", "-2", "--c", "1", "--radius-exp", "-1",
+                          "--center", "x3"],
+    "unrecognized_argument": ["analyze", "--p", "3", "--a", "-2", "--c", "1", "--frob"],
+    "version_after_command": ["analyze", "--p", "3", "--a", "-2", "--c", "1", "--version"],
+    "bad_integer": ["analyze", "--p", "three", "--a", "-2", "--c", "1"],
+    "bad_integer_steps": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5",
+                          "--steps", "4.5"],
+    "bad_rational": ["conjugate", "--p", "3", "--a", "1", "--b", "0", "--c", "-1", "--d", "1//2"],
+    "samples_zero": ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2",
+                     "--samples", "0"],
+    "option_missing_its_value": ["periodic", "--p", "5", "--q"],
+}
 
 
 def run_cli(capsys, argv):
@@ -417,3 +453,33 @@ def test_orbit_step_budget_exits_1(capsys):
     code, _, err = run_cli(capsys, ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "0",
                                     "--steps", "100000", "--mode", "exact"])
     assert code == 1 and "at most 65536 steps fit" in err
+
+
+@pytest.mark.parametrize("name,argv", sorted(HELP_COMMANDS.items()))
+def test_help_and_version_text(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_text(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, USAGE_ERRORS[name])
+    golden = json.loads((GOLDEN / "usage_errors.json").read_text(encoding="utf-8"))
+    assert out == ""
+    assert {"exit": code, "stderr": err} == golden[name]
+
+
+def test_module_entry_point_reads_sys_argv():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicdyn.cli", "analyze", "--p", "3", "--a", "-2", "--c", "1",
+         "--json"], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "analyze_case4.json").read_bytes()
