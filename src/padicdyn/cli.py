@@ -4,6 +4,11 @@ All analysis lives in the library modules; this module only parses
 arguments, composes module operations and serializes reports. JSON output
 is deterministic (sorted keys, exact rational strings and integer
 exponents, no floats, no timestamp unless --timestamp is passed).
+
+Every command is described once, in ``_COMMANDS``. When the first argument
+names a command, ``main`` builds only that command's parser; the full parser,
+with every command as a subparser, is built only for help, ``--version`` and
+errors before a command is named. No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -243,6 +248,8 @@ def _cmd_ergodic(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
+    if args.q is not None and (args.a is not None or args.c is not None):
+        raise ValueError("periodic takes either --q or both --a and --c, not both")
     if args.q is not None:
         res = three_periodic_from_q(args.p, args.q)
         m = res.map
@@ -357,70 +364,77 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    common.add_argument("--samples", type=int, default=32, help="sample count for checks")
-    common.add_argument(
-        "--timestamp", action="store_true", help="include a generation timestamp"
-    )
+_REQUIRED = {"type": _rational, "required": True}
+_OPTIONAL = {"type": _rational, "default": None}
+_PRIME = ("--p", {"type": int, "required": True})
 
-    parser = _Parser(prog="padicdyn", description=__doc__)
+#: The options every command takes, added before the command's own.
+_SHARED_OPTIONS = (
+    ("--json", {"action": "store_true", "help": "emit a JSON report"}),
+    ("--seed", {"type": int, "default": None, "help": "seed for sampled checks"}),
+    ("--samples", {"type": int, "default": 32, "help": "sample count for checks"}),
+    ("--timestamp", {"action": "store_true", "help": "include a generation timestamp"}),
+)
+
+#: name -> (help text, handler, (option, add_argument keywords) of its own options)
+_COMMANDS = {
+    "analyze": ("classify fixed points", _cmd_analyze, (
+        _PRIME, ("--a", _REQUIRED), ("--b", _OPTIONAL), ("--c", _REQUIRED), ("--d", _OPTIONAL),
+    )),
+    "orbit": ("iterate f and profile norms", _cmd_orbit, (
+        _PRIME, ("--a", _REQUIRED), ("--c", _REQUIRED), ("--x0", _REQUIRED),
+        ("--steps", {"type": int, "required": True}),
+        ("--mode", {"choices": ("auto", "exact", "truncated"), "default": "auto"}),
+        ("--precision", {"type": int, "default": 64}),
+    )),
+    "ergodic": ("decide ergodicity on a sphere", _cmd_ergodic, (
+        _PRIME, ("--a", _REQUIRED), ("--c", _REQUIRED),
+        ("--radius-exp", {"type": int, "required": True}),
+        ("--center", {"choices": ("x1", "x2"), "default": "x1"}),
+        ("--oracle-depth", {"type": int, "default": None}),
+        ("--csv", {"default": None, "help": "write the oracle cycle table to a file"}),
+    )),
+    "periodic": ("construct periodic orbits", _cmd_periodic, (
+        _PRIME, ("--a", _OPTIONAL), ("--c", _OPTIONAL), ("--q", _OPTIONAL),
+        ("--precision", {"type": int, "default": 32}),
+    )),
+    "conjugate": ("reduce a four-parameter map", _cmd_conjugate, (
+        _PRIME, ("--a", _REQUIRED), ("--b", _REQUIRED), ("--c", _REQUIRED), ("--d", _REQUIRED),
+    )),
+}
+
+
+def _add_command_options(parser: argparse.ArgumentParser, cmd: str) -> argparse.ArgumentParser:
+    _, handler, options = _COMMANDS[cmd]
+    for option, kwargs in _SHARED_OPTIONS + options:
+        parser.add_argument(option, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command (``padicdyn cmd``), or with no ``cmd`` the
+    full parser with every command as a subparser."""
+    if cmd is not None:
+        return _add_command_options(_Parser(prog=f"padicdyn {cmd}"), cmd)
+    # the help text shows the module docstring's first two paragraphs (none under -OO)
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="padicdyn", description=description)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    pa = sub.add_parser("analyze", parents=[common], help="classify fixed points")
-    pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--a", type=_rational, required=True)
-    pa.add_argument("--b", type=_rational, default=None)
-    pa.add_argument("--c", type=_rational, required=True)
-    pa.add_argument("--d", type=_rational, default=None)
-    pa.set_defaults(func=_cmd_analyze)
-
-    po = sub.add_parser("orbit", parents=[common], help="iterate f and profile norms")
-    po.add_argument("--p", type=int, required=True)
-    po.add_argument("--a", type=_rational, required=True)
-    po.add_argument("--c", type=_rational, required=True)
-    po.add_argument("--x0", type=_rational, required=True)
-    po.add_argument("--steps", type=int, required=True)
-    po.add_argument("--mode", choices=("auto", "exact", "truncated"), default="auto")
-    po.add_argument("--precision", type=int, default=64)
-    po.set_defaults(func=_cmd_orbit)
-
-    pe = sub.add_parser("ergodic", parents=[common], help="decide ergodicity on a sphere")
-    pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--a", type=_rational, required=True)
-    pe.add_argument("--c", type=_rational, required=True)
-    pe.add_argument("--radius-exp", type=int, required=True, dest="radius_exp")
-    pe.add_argument("--center", choices=("x1", "x2"), default="x1")
-    pe.add_argument("--oracle-depth", type=int, default=None, dest="oracle_depth")
-    pe.add_argument("--csv", default=None, help="write the oracle cycle table to a file")
-    pe.set_defaults(func=_cmd_ergodic)
-
-    pp = sub.add_parser("periodic", parents=[common], help="construct periodic orbits")
-    pp.add_argument("--p", type=int, required=True)
-    pp.add_argument("--a", type=_rational, default=None)
-    pp.add_argument("--c", type=_rational, default=None)
-    pp.add_argument("--q", type=_rational, default=None)
-    pp.add_argument("--precision", type=int, default=32)
-    pp.set_defaults(func=_cmd_periodic)
-
-    pc = sub.add_parser("conjugate", parents=[common], help="reduce a four-parameter map")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--a", type=_rational, required=True)
-    pc.add_argument("--b", type=_rational, required=True)
-    pc.add_argument("--c", type=_rational, required=True)
-    pc.add_argument("--d", type=_rational, required=True)
-    pc.set_defaults(func=_cmd_conjugate)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own parser; anything else (no
+    # arguments, an unknown command, --help, --version) gets the full one
+    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(cmd)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv if cmd is None else argv[1:])
         if args.samples < 1:
             parser.error(f"argument --samples: must be at least 1, got {args.samples}")
     except _CliArgumentError as exc:

@@ -115,8 +115,9 @@ class PolePair:
 
 @dataclass(frozen=True)
 class InvariantSpheres:
-    """S_r(x_i) is invariant iff radius_exponent < the recorded bound
-    (None: no invariant sphere around that point)."""
+    """S_r(x_i) is invariant, in the sense of
+    ``CanonicalMap.invariant_spheres``, iff radius_exponent < the recorded
+    bound (None: no invariant sphere around that point)."""
 
     x1_exponent_bound: int
     x2_exponent_bound: Optional[int]
@@ -360,9 +361,20 @@ class CanonicalMap:
     def invariant_spheres(self) -> InvariantSpheres:
         """Exponent bounds below which S_r(x_i) is invariant.
 
-        S_r(x1) is invariant iff r < alpha. S_r(x2) is invariant iff the
-        map is in case 2 or 3 and r < alpha; in cases 4 and 5 no sphere
-        around x2 is invariant.
+        Invariant here means what the ball kernel of the oracle needs: f
+        maps every ball inside the sphere onto a ball of the same radius
+        inside the sphere, so f is an isometry of the sphere onto itself.
+        In that sense S_r(x1) is invariant iff r < alpha. S_r(x2) is
+        invariant iff the map is in case 2 or 3 and r < alpha; in cases 4
+        and 5 no sphere around x2 is invariant.
+
+        The weaker definition f(S) ⊆ S (Albeverio, Khrennikov, Tirozzi and
+        De Smedt, "p-adic dynamical systems", Theor. Math. Phys. 114, 1998)
+        can also admit the boundary sphere r = alpha. At p = 3, a = -9,
+        c = -6 (alpha = 3^-1), f maps every point 3u of S_(3^-1)(0) into
+        that sphere, but f is not an isometry there (v(f(3) - f(6)) = 2,
+        v(3 - 6) = 1), so that sphere is not invariant here and ``ergodic``
+        refuses it.
         """
         v_alpha, _ = self.alpha_beta()
         case = self.classify().case

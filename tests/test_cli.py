@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from padicdyn import CanonicalMap, TruncatedPadic
+from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
+from padicdyn import cli
 from padicdyn.cli import main
+from padicdyn.dynamics import sphere_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -483,3 +485,60 @@ def test_module_entry_point_reads_sys_argv():
          "--json"], capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "analyze_case4.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", sorted(HELP_COMMANDS.items()))
+def test_full_parser_prints_the_same_help(capsys, monkeypatch, name, argv):
+    # the full parser's subparsers come from the same table as the per-command ones
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
+def test_command_parser_matches_the_full_parser(name, argv):
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("cmd") == argv[0]
+    assert vars(cli.build_parser(argv[0]).parse_args(argv[1:])) == full
+
+
+def test_main_builds_one_parser_per_call(capsys, monkeypatch):
+    built = []
+
+    def spy(cmd=None):
+        parser = build_parser(cmd)
+        built.append((cmd, parser))
+        return parser
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1"]
+    assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 0
+    assert run_cli(capsys, [])[0] == 1
+    assert [cmd for cmd, _ in built] == ["analyze", "analyze", None]
+    assert built[0][1] is not built[1][1]
+
+
+def test_periodic_refuses_q_with_a_or_c(capsys):
+    for extra in (["--a", "3", "--c", "1"], ["--a", "3"], ["--c", "1"]):
+        code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1"] + extra)
+        assert code == 1 and out == ""
+        assert err == "error: periodic takes either --q or both --a and --c, not both\n"
+
+
+def test_boundary_sphere_mapped_into_itself_is_not_invariant(capsys):
+    # "invariant" means f maps every ball of the sphere onto a ball of the
+    # same radius in it; f(S) in S alone does not make S_alpha(x1) invariant
+    code, out, err = run_cli(capsys, ["ergodic", "--p", "3", "--a", "-9", "--c", "-6",
+                                      "--radius-exp", "-1"])
+    assert code == 2 and out == ""
+    assert err == "unsupported: S_(p^-1)(x1) is not invariant: requires radius exponent < -1\n"
+    m = CanonicalMap(3, -9, -6)
+    points = sphere_points(m, SphereSpec("x1", -1), 16)
+    assert points[:2] == [3, 6]
+    assert all(m.val(m.eval(x)) == 1 for x in points)
+    assert m.val(m.eval(3) - m.eval(6)) == 2 != m.val(3 - 6)
+    broken = [(x, y) for i, x in enumerate(points) for y in points[:i]
+              if m.val(m.eval(x) - m.eval(y)) != m.val(x - y)]
+    assert len(broken) == 64

@@ -7,10 +7,11 @@ it, by ``padic._inverse_unit``, and ``orbit`` of (p, a, c, x0) =
 (3, -2, 1, 5) at precision 64 in auto and truncated mode, whose exact
 iterates outgrow 12,000 bits at step 13. On the request path it times
 ``isometry_check`` with 32 samples, ``TruncatedPadic.digits`` at 64, 256
-and 4096 digits, ``cli.build_parser`` and an in-process ``cli.main`` of
-each of the six golden commands with ``--json`` (stdout captured). Prints
-one JSON object of microseconds per call (best of REPEAT timeit runs). Run
-it on two checkouts on the same machine to compare them:
+and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
+has it, ``cli.build_parser(cmd)`` of each command, and an in-process
+``cli.main`` of each of the six golden commands with ``--json`` (stdout
+captured). Prints one JSON object of microseconds per call (best of REPEAT
+timeit runs). Run it on two checkouts on the same machine to compare them:
 
     python3 tools/time_layers.py --src src
     python3 tools/time_layers.py --src /path/to/other/checkout/src
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -37,6 +39,7 @@ INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
 DIGIT_COUNTS = (64, 256, 4096)
+COMMANDS = ("analyze", "orbit", "ergodic", "periodic", "conjugate")
 GOLDEN_COMMANDS = {
     "analyze_case4": ["analyze", "--p", "3", "--a", "-2", "--c", "1"],
     "analyze_case2": ["analyze", "--p", "5", "--a", "-1", "--c", "5"],
@@ -91,7 +94,10 @@ def _request_path(out: dict) -> None:
             rng = random.Random(f"layers:digits:{p}:{n}")
             t = TruncatedPadic(p, 0, _units(rng, p, n)[0], n)
             out["digits"][f"p={p} P={n}"] = _best_us(t.digits, 20)
-    out["build_parser"] = _best_us(cli.build_parser, 20)
+    out["build_parser"] = {"full": _best_us(cli.build_parser, 20)}
+    if "cmd" in inspect.signature(cli.build_parser).parameters:  # one command's parser
+        for cmd in COMMANDS:
+            out["build_parser"][cmd] = _best_us(lambda: cli.build_parser(cmd), 20)
     out["cli_main"] = {}
     for name, argv in GOLDEN_COMMANDS.items():
         def request(argv=argv + ["--json"]):
