@@ -487,7 +487,8 @@ def test_module_entry_point_reads_sys_argv():
     assert proc.stdout == (GOLDEN / "analyze_case4.json").read_bytes()
 
 
-@pytest.mark.parametrize("name,argv", sorted(HELP_COMMANDS.items()))
+@pytest.mark.parametrize("name,argv", [(name, argv) for name, argv in sorted(HELP_COMMANDS.items())
+                                       if len(argv) == 2])
 def test_full_parser_prints_the_same_help(capsys, monkeypatch, name, argv):
     # the full parser's subparsers come from the same table as the per-command ones
     monkeypatch.setenv("COLUMNS", "80")
@@ -504,14 +505,13 @@ def test_command_parser_matches_the_full_parser(name, argv):
 
 
 def test_main_builds_one_parser_per_call(capsys, monkeypatch):
-    built = []
+    build_parser, built = cli.build_parser, []
 
     def spy(cmd=None):
         parser = build_parser(cmd)
         built.append((cmd, parser))
         return parser
 
-    build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", spy)
     argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1"]
     assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import math
@@ -39,7 +38,6 @@ INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
 DIGIT_COUNTS = (64, 256, 4096)
-COMMANDS = ("analyze", "orbit", "ergodic", "periodic", "conjugate")
 GOLDEN_COMMANDS = {
     "analyze_case4": ["analyze", "--p", "3", "--a", "-2", "--c", "1"],
     "analyze_case2": ["analyze", "--p", "5", "--a", "-1", "--c", "5"],
@@ -95,9 +93,8 @@ def _request_path(out: dict) -> None:
             t = TruncatedPadic(p, 0, _units(rng, p, n)[0], n)
             out["digits"][f"p={p} P={n}"] = _best_us(t.digits, 20)
     out["build_parser"] = {"full": _best_us(cli.build_parser, 20)}
-    if "cmd" in inspect.signature(cli.build_parser).parameters:  # one command's parser
-        for cmd in COMMANDS:
-            out["build_parser"][cmd] = _best_us(lambda: cli.build_parser(cmd), 20)
+    for cmd in getattr(cli, "_COMMANDS", ()):  # one command's parser
+        out["build_parser"][cmd] = _best_us(lambda: cli.build_parser(cmd), 20)
     out["cli_main"] = {}
     for name, argv in GOLDEN_COMMANDS.items():
         def request(argv=argv + ["--json"]):
