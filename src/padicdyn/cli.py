@@ -52,6 +52,12 @@ EXIT_VERIFICATION = 3
 #: Xeon, Python 3.11).
 RADIUS_EXPONENT_BUDGET = 256
 
+#: Largest --samples. ``ergodic``'s isometry check compares every pair of
+#: samples, so its time grows with the square of the count: ergodic --p 2
+#: --a 2 --c 1 --radius-exp -2 took 0.15 s at 512 samples, 0.65 s at 1024
+#: and 2.7 s at 2048 (Intel Xeon, Python 3.11).
+SAMPLE_BUDGET = 1024
+
 
 def _json(value, *names):
     """The JSON form of a report value.
@@ -437,6 +443,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv if cmd is None else argv[1:])
         if args.samples < 1:
             parser.error(f"argument --samples: must be at least 1, got {args.samples}")
+        if args.samples > SAMPLE_BUDGET:
+            parser.error(f"argument --samples: {args.samples} is over the budget of "
+                         f"{SAMPLE_BUDGET} samples; the largest count that fits is "
+                         f"{SAMPLE_BUDGET}")
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

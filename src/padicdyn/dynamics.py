@@ -35,7 +35,8 @@ from .padic import (
     _coerce_fraction,
     _div_triples,
     _fraction_valuation,
-    _mul_triples,
+    _int_valuation,
+    _inverse_unit,
     _unit_residue,
     hensel_sqrt,
     is_prime,
@@ -132,7 +133,7 @@ class CanonicalMap:
     c: Fraction
     _ab: Optional[tuple[int, int]] = field(default=None, init=False, compare=False)
     _cls: Optional[Classification] = field(default=None, init=False, compare=False)
-    _coef: Optional[tuple] = field(default=None, init=False, compare=False)
+    _digits: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -201,48 +202,125 @@ class CanonicalMap:
         operator composition t*a / (t*t + t*c + a)."""
         if t.prime != self.p:
             raise PrimeMismatchError(f"mixed primes {self.p} and {t.prime}")
-        return TruncatedPadic(self.p, *self._step_triple(t.valuation, t.unit, t.precision))
+        return TruncatedPadic(self.p, *self._step_triple(t.valuation, t.unit, t.precision)[:3])
 
     # -- integer orbit kernel --------------------------------------------------
     #
     # Truncated iterates travel as (valuation, unit, precision) triples (see
-    # padic._add_triples). The exact coefficients a and c enter each step
-    # truncated to the digit count TruncatedPadic's operators would give them;
-    # their valuations are computed once per map, their unit residues once
-    # per digit count.
+    # padic._add_triples). One step of f, t*a / ((t*t + t*c) + a), runs as
+    # one fused integer computation on the units that follows the precision
+    # rule of TruncatedPadic's operators digit for digit: the valuations and
+    # windows of the two sums, the digits they cancel, and the digit counts
+    # that a and c are cut to (a to nothing, a tagged zero, when the
+    # denominator's sum is known to fewer digits than v(a)).
+    #
+    # ``_digits`` is the map's per-precision context: digit count k ->
+    # (p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k), built on
+    # first use. An orbit keeps its digit count, so after its first step a
+    # step reads its modulus and coefficient residues from one entry; the
+    # few other counts a step asks for (a at the digits the denominator's
+    # sum keeps, the digits left after a cancellation) are entries of the
+    # same table, reduced from a wider entry.
+    #
+    # The step also returns the distance exponent of t to x2 = -c, the
+    # negated valuation of t + c. When v(t) != v(c) it is -min(v(t), v(c)),
+    # with no arithmetic on units; when they are equal, t*t + t*c =
+    # p**(2v) * u (u + u_c) has the valuation of t + c plus v(t), so the
+    # step reads it off the sum it computes anyway. A tagged-zero t and a
+    # divisor indistinguishable from zero go to padic's shared rules
+    # (_add_triples, _div_triples), so PrecisionError's message is made in
+    # one place.
 
-    def _operand(self, index: int, min_absprec, precision: int) -> tuple:
-        """Triple of a (index 0) or c (index 1) as an operand next to a value
-        of the given absolute precision and digit count (INFINITY: in a
-        product)."""
-        coef = self._coef
-        if coef is None:
-            p = self.p
-            coef = tuple((_fraction_valuation(x, p), x, {}) for x in (self.a, self.c))
-            object.__setattr__(self, "_coef", coef)
-        v, frac, residues = coef[index]
-        digits = _coerce_digits(v, min_absprec, precision)
-        if digits is None:
-            return v, 0, 0
-        unit = residues.get(digits)
-        if unit is None:
-            unit = residues[digits] = _unit_residue(frac, self.p, digits)
-        return v, unit, digits
+    def _digit_context(self, k: int) -> tuple:
+        """(p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k).
+
+        Built on first use; the units are reduced from an entry with more
+        digits when there is one.
+        """
+        digits = self._digits
+        entry = digits.get(k)
+        if entry is None:
+            p, mod = self.p, self.p ** k
+            wider = min((j for j in digits if j > k), default=None)
+            if wider is None:
+                a, c = self.a, self.c
+                entry = (mod, _fraction_valuation(a, p), _fraction_valuation(c, p),
+                         _unit_residue(a, p, k), _unit_residue(c, p, k))
+            else:
+                _, va, vc, ua, uc = digits[wider]
+                entry = (mod, va, vc, ua % mod, uc % mod)
+            digits[k] = entry
+        return entry
 
     def _step_triple(self, v, u: int, n: int) -> tuple:
-        """One step of f on a triple: (t*t + t*c) + a, t*a, one division."""
+        """(v', u', n', d): f of the triple t = (v, u, n), and the distance
+        exponent d of t to x2 (as _distance_x2_triple)."""
         p = self.p
-        tt = _mul_triples(p, v, u, n, v, u, n)
-        tc = _mul_triples(p, v, u, n, *self._operand(1, INFINITY, n))
-        sv, su, sn = _add_triples(p, *tt, *tc)
-        den = _add_triples(p, sv, su, sn, *self._operand(0, sv + sn, sn))
-        num = _mul_triples(p, v, u, n, *self._operand(0, INFINITY, n))
-        return _div_triples(p, *num, *den)
+        if not u:
+            return self._step_tagged_zero(v)
+        digits = self._digits
+        mod, va, vc, ua, uc = digits.get(n) or self._digit_context(n)
+        # the sum s = t*t + t*c = p**sv * (su + O(p**sn))
+        k = v - vc
+        if k < 0:
+            su = u * (u + uc * p ** -k) % mod if -k < n else u * u % mod
+            sv, sn, dist = v + v, n, -v
+        elif k > 0:
+            su = u * (u * p ** k + uc) % mod if k < n else u * uc % mod
+            sv, sn, dist = v + vc, n, -vc
+        else:
+            su = u * (u + uc) % mod
+            if su:
+                vs = _int_valuation(su, p) if not su % p else 0
+                sv, sn, dist = v + v + vs, n - vs, -(v + vs)
+                su //= p ** vs
+            else:  # every digit cancels: s = O(p**(2v + n))
+                sv, sn, dist = v + v + n, 0, "-inf"
+        # the denominator s + a = p**dv * (du + O(p**dn)), a cut to the
+        # d digits that s's absolute precision keeps
+        d = sv + sn - va
+        if d <= 0:
+            dv, du, dn = sv, su, sn
+        else:
+            amod, _, _, ua_d, _ = digits.get(d) or self._digit_context(d)
+            j = va - sv
+            if j < 0:
+                dv, du, dn = va, (su * p ** -j + ua_d) % amod, d
+            else:
+                smod = mod if sn == n else (digits.get(sn) or self._digit_context(sn))[0]
+                if j:
+                    dv, du, dn = sv, (su + ua_d * p ** j) % smod, sn
+                else:
+                    du = (su + ua_d) % smod
+                    vd = _int_valuation(du, p) if du and not du % p else 0
+                    dv, dn = sv + vd, sn - vd
+                    du //= p ** vd
+        if not du:  # s + a = O(p**(sv + sn)): the division raises
+            return _div_triples(p, v + va, u * ua % mod, n, sv + sn, 0, 0)
+        # the quotient t*a / (s + a) keeps the shorter unit
+        if dn < n:
+            n, mod = dn, (digits.get(dn) or self._digit_context(dn))[0]
+        return v + va - dv, u * ua * _inverse_unit(du, p, n) % mod, n, dist
+
+    def _step_tagged_zero(self, m) -> tuple:
+        """_step_triple of the tagged zero O(p**m), m possibly INFINITY."""
+        p = self.p
+        _, va, vc, _, _ = self._digit_context(1)
+        sv = m + min(m, vc)  # t*t + t*c = O(p**sv)
+        count = _coerce_digits(va, sv, 0)  # digits of a in the denominator
+        a = (va, 0, 0) if count is None else (va, self._digit_context(count)[3], count)
+        den = _add_triples(p, sv, 0, 0, *a)
+        return (*_div_triples(p, m + va, 0, 0, *den), "-inf" if vc >= m else -vc)
 
     def _distance_x2_triple(self, v, u: int, n: int):
         """Distance exponent of a triple t to x2 = -c: the valuation of t + c."""
-        dv, du, _ = _add_triples(self.p, v, u, n, *self._operand(1, v + n, n))
-        return -dv if du else "-inf"
+        mod, _, vc, _, uc = self._digit_context(max(1, n))
+        if not u:
+            return "-inf" if vc >= v else -vc
+        if v != vc:
+            return -min(v, vc)
+        s = (u + uc) % mod
+        return -(v + _int_valuation(s, self.p)) if s else "-inf"
 
     def derivative(self, x) -> Fraction:
         """Exact f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2; raises PoleHitError on
@@ -459,9 +537,10 @@ class OrbitResult:
 
 #: Most bits that p**precision, counted as precision * p.bit_length(), may
 #: have in a truncated orbit or 2-cycle. At the budget one orbit step took
-#: 0.4-0.8 ms, most of it reducing products mod p**precision (the inverse
-#: is a Newton lift), and printing one iterate's digits 5-8 ms (p = 2 and 3
-#: at 4096 digits; Intel Xeon, Python 3.11).
+#: 0.33-0.36 ms at p = 2 and 0.86-0.94 ms at p = 3, nearly all of it
+#: big-integer products, their reductions mod p**precision and the
+#: Newton-lifted inverse, and printing one iterate's digits 4-6 ms (4096
+#: digits; Intel Xeon, Python 3.11).
 PRECISION_BIT_BUDGET = 1 << 13
 
 
@@ -485,9 +564,11 @@ EXACT_HEIGHT_BUDGET = 12_000
 #: Most steps times precision bits (precision * p.bit_length(), counted as
 #: at least ORBIT_STEP_MIN_BITS; an exact step counts as ORBIT_STEP_MIN_BITS)
 #: that an orbit may ask for. Every step is kept and reported, so time and
-#: memory grow with the product. At the budget, `orbit --json` took 5.6 s and
-#: 162 MB for 65536 steps at 64 digits of p = 3, and 8.0 s and 147 MB for
-#: 1024 steps at 4096 digits (Intel Xeon, Python 3.11).
+#: memory grow with the product. At the budget, `orbit --p 3 --a -2 --c 1
+#: --x0 5 --json` took 3.2-4.7 s and 162 MB for 65536 steps at 64 digits,
+#: about 1 s of it the orbit and most of the rest printing the iterates'
+#: digits, and 7.9-8.3 s and 147 MB for 1024 steps at 4096 digits (whole
+#: process; Intel Xeon, Python 3.11).
 ORBIT_STEP_BIT_BUDGET = 1 << 23
 
 #: Below this many precision bits a step costs interpreter overhead, not
@@ -626,15 +707,17 @@ def orbit(
     v, u, n = t.valuation, t.unit, t.precision
     points = [t]
     d1 = ["-inf" if not u else -v]
-    d2 = [m._distance_x2_triple(v, u, n)]
+    d2 = []  # each step gives the distance to x2 of the point it starts from
     try:
         m.eval(x0)  # x0 is exact: a pole at the start is decided as in exact mode
     except PoleHitError:
+        d2.append(m._distance_x2_triple(v, u, n))
         return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2),
                            PoleHitRecord(0, x0))
+    step = m._step_triple
     for k in range(steps):
         try:
-            v, u, n = m._step_triple(v, u, n)
+            v, u, n, dist = step(v, u, n)
         except PrecisionError as exc:
             raise PrecisionError(
                 f"orbit step {k + 1} became indeterminate at precision {precision}; "
@@ -642,5 +725,6 @@ def orbit(
             ) from exc
         points.append(TruncatedPadic(p, v, u, n))
         d1.append("-inf" if not u else -v)
-        d2.append(m._distance_x2_triple(v, u, n))
+        d2.append(dist)
+    d2.append(m._distance_x2_triple(v, u, n))
     return OrbitResult("truncated", tuple(points), tuple(d1), tuple(d2), None)

@@ -162,18 +162,39 @@ def parse_rational(text: str) -> Fraction:
 _POW_INVERSE_BITS = 24
 
 
+@lru_cache(maxsize=1024)
+def _newton_moduli(p: int, n: int) -> tuple:
+    """The moduli an inverse mod p**n is lifted through, smallest first.
+
+    Digit counts halve (rounding up) from n until one is 1 or its modulus
+    has at most _POW_INVERSE_BITS bits; pow inverts at that first modulus,
+    and each later one takes one Newton step.
+    """
+    moduli = [p ** n]
+    while n > 1 and moduli[-1].bit_length() > _POW_INVERSE_BITS:
+        n = (n + 1) // 2
+        moduli.append(p ** n)
+    return tuple(reversed(moduli))
+
+
 def _inverse_unit(u: int, p: int, n: int) -> int:
     """u**-1 mod p**n for an integer u prime to p.
 
     pow inverts at p**n when n is 1 or p**n has at most _POW_INVERSE_BITS
-    bits; otherwise one Newton step x <- x*(2 - u*x) mod p**n lifts the
-    inverse mod p**ceil(n/2).
+    bits (p**n has more than n bits, so only n < _POW_INVERSE_BITS is
+    tried, without a cache lookup). Otherwise the inverse from pow at the
+    first of _newton_moduli(p, n) is lifted through the others by Newton
+    steps x <- x*(2 - u*x) mod m, each doubling the digits.
     """
-    mod = p ** n
-    if n == 1 or mod.bit_length() <= _POW_INVERSE_BITS:
-        return pow(u, -1, mod)
-    x = _inverse_unit(u, p, (n + 1) // 2)
-    return x * (2 - u % mod * x) % mod
+    if n < _POW_INVERSE_BITS:
+        mod = p ** n
+        if n == 1 or mod.bit_length() <= _POW_INVERSE_BITS:
+            return pow(u, -1, mod)
+    moduli = _newton_moduli(p, n)
+    x = pow(u, -1, moduli[0])
+    for mod in moduli[1:]:
+        x = x * (2 - u % mod * x) % mod
+    return x
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -343,8 +364,10 @@ def _lift_sqrt_two(u_mod: int, k: int) -> int:
 # A truncated value is the triple (v, u, n): p**v * (u + O(p**n)) with u a
 # p-coprime residue mod p**n, or the tagged zero (M, 0, 0), known to be
 # O(p**M) (M may be INFINITY). Its absolute precision is v + n in both forms.
-# TruncatedPadic's operators and CanonicalMap's orbit kernel both go through
-# these helpers, so the precision rule exists once.
+# TruncatedPadic's operators go through these helpers. CanonicalMap's orbit
+# kernel fuses the same rule into one step of f and calls them for tagged
+# zeros and for a divisor indistinguishable from zero; tests/test_truncated.py
+# checks it against the operator composition digit for digit.
 
 
 def _coerce_digits(v: int, min_absprec, precision: int):

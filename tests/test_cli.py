@@ -319,6 +319,37 @@ def test_samples_must_be_at_least_one(capsys):
         assert err == f"error: argument --samples: must be at least 1, got {samples}\n"
 
 
+def test_samples_over_budget_exits_1_before_any_work(capsys, monkeypatch):
+    # the isometry check is quadratic in the count: 100000 samples ran for
+    # over 30 s before the budget; now no command runs at all
+    def refuse(args):
+        raise AssertionError("the command ran")
+
+    for cmd, (help_text, _, options) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, cmd, (help_text, refuse, options))
+    code, out, err = run_cli(
+        capsys,
+        ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2",
+         "--samples", "100000", "--json"],
+    )
+    assert code == 1 and out == ""
+    assert err == ("error: argument --samples: 100000 is over the budget of 1024 samples; "
+                   "the largest count that fits is 1024\n")
+    assert cli.SAMPLE_BUDGET == 1024
+    code, out, _ = run_cli(capsys, ["analyze", "--p", "3", "--a", "-2", "--c", "1",
+                                    "--samples", "1025"])
+    assert code == 1 and out == ""
+
+
+def test_samples_at_budget_run(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["conjugate", "--p", "3", "--a", "1", "--b", "0", "--c", "-1", "--d", "1",
+         "--samples", "1024", "--json"],
+    )
+    assert code == 0 and json.loads(out)["command"] == "conjugate"
+
+
 @pytest.mark.parametrize(
     "spaced,joined",
     [
