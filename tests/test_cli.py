@@ -320,8 +320,8 @@ def test_samples_must_be_at_least_one(capsys):
 
 
 def test_samples_over_budget_exits_1_before_any_work(capsys, monkeypatch):
-    # the isometry check is quadratic in the count: 100000 samples ran for
-    # over 30 s before the budget; now no command runs at all
+    # the isometry check is quadratic in the count, so 100000 samples would
+    # run for minutes: the budget refuses them before any command runs
     def refuse(args):
         raise AssertionError("the command ran")
 

@@ -100,6 +100,36 @@ def test_inverse_unit_matches_pow(p):
             assert _inverse_unit(u, p, n) == pow(u, -1, mod), (n, u)
 
 
+def test_inverse_unit_matches_pow_on_random_units():
+    # every digit count from 1 to 300, which holds those on each side of
+    # the 24-bit pow limit for every prime below (none for the two widest,
+    # whose p alone is wider); a Newton lift that never reached its modulus
+    # hung at primes wider than 32 bits, so the calls run in a child process
+    # that the test can time out
+    script = (
+        "import random\n"
+        "from padicdyn.padic import _POW_INVERSE_BITS, _inverse_unit\n"
+        "for p in (2, 3, 7, 1021, 2**31 - 1, 2**61 - 1):\n"
+        "    rng, sides = random.Random(p), set()\n"
+        "    for n in range(1, 301):\n"
+        "        mod = p**n\n"
+        "        sides.add(mod.bit_length() <= _POW_INVERSE_BITS)\n"
+        "        u = rng.randrange(1, mod)\n"
+        "        u += u % p == 0\n"
+        "        assert _inverse_unit(u, p, n) == pow(u, -1, mod), (p, n, u)\n"
+        "    print(p, sorted(sides))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("2 [False, True]\n3 [False, True]\n7 [False, True]\n"
+                           "1021 [False, True]\n2147483647 [False]\n"
+                           "2305843009213693951 [False]\n")
+
+
 def test_wide_primes_are_the_primes_next_to_their_bounds():
     assert all(is_prime(p) for p in WIDE_PRIMES)
     assert WIDE_PRIMES[0] > 2**32 and not any(is_prime(q) for q in range(2**32 + 1, WIDE_PRIMES[0]))

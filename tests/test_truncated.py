@@ -20,8 +20,9 @@ from padicdyn import (
     is_square,
 )
 from padicdyn.dynamics import orbit
-from padicdyn.padic import _fraction_valuation
+from padicdyn.padic import _POW_INVERSE_BITS, INFINITY, _fraction_valuation
 from util import (
+    _reference_distance,
     agrees_on_reported_digits,
     random_nonzero_rational,
     random_unit,
@@ -189,6 +190,118 @@ def test_eval_truncated_equals_operator_composition():
             continue
         assert m.eval_truncated(t) == expected, (m, t)
     assert raised > 0
+
+
+# -- branch-targeted cases for the fused step ----------------------------------------
+
+
+def _pow_limit_counts(p: int) -> tuple:
+    """The digit counts on each side of _POW_INVERSE_BITS: the largest whose
+    modulus pow inverts directly and the next, which takes a Newton lift."""
+    n = 1
+    while (p ** (n + 1)).bit_length() <= _POW_INVERSE_BITS:
+        n += 1
+    return n, n + 1
+
+
+def _step_branches(m: CanonicalMap, t: TruncatedPadic) -> set:
+    """The branches of the fused step that t takes, read off the operator
+    composition t*a / ((t*t + t*c) + a) and t + c."""
+    p = m.p
+    labels = {"p = 2" if p == 2 else "odd p"}
+    if t.is_zero:
+        labels.add("t = 0" if t.valuation is INFINITY else "t = O(p^M)")
+        return labels
+    v, n, va, vc = t.valuation, t.precision, m.val(m.a), m.val(m.c)
+    labels.add("v(t) < v(c)" if v < vc else "v(t) > v(c)" if v > vc else "v(t) = v(c)")
+    if abs(v - vc) >= n:
+        labels.add("|v(t) - v(c)| >= n")
+    if vc >= t.abs_precision:
+        labels.add("c cut to a tagged zero")
+    s = t * t + t * m.c
+    if v == vc:
+        lost = n if s.is_zero else n - s.precision
+        labels.add("sum cancels all digits" if lost == n else
+                   "sum cancels no digit" if lost == 0 else "sum cancels some digits")
+    if va >= s.abs_precision:
+        labels.add("a cut to a tagged zero")
+    elif not s.is_zero:
+        labels.add("v(a) < v(sum)" if va < s.valuation else
+                   "v(a) > v(sum)" if va > s.valuation else "v(a) = v(sum)")
+    den = s + m.a
+    if den.is_zero:
+        labels.add("denominator indistinguishable from zero")
+    elif not s.is_zero and va < s.abs_precision and den.valuation > min(va, s.valuation):
+        labels.add("denominator cancels digits")
+    elif den.precision < n:
+        labels.add("quotient keeps fewer digits")
+    return labels
+
+
+STEP_BRANCHES = {
+    "p = 2", "odd p", "t = 0", "t = O(p^M)", "v(t) < v(c)", "v(t) = v(c)", "v(t) > v(c)",
+    "|v(t) - v(c)| >= n", "c cut to a tagged zero", "sum cancels no digit",
+    "sum cancels some digits", "sum cancels all digits", "a cut to a tagged zero",
+    "v(a) < v(sum)", "v(a) = v(sum)", "v(a) > v(sum)", "denominator cancels digits",
+    "denominator indistinguishable from zero", "quotient keeps fewer digits",
+}
+
+
+def _step_cases(rng: random.Random, p: int, n: int):
+    """(map, t) pairs aimed at every branch of the fused step at n digits."""
+    def unit():
+        return random_unit(rng, p, 30)
+
+    for vc in (-1, 0, 2):
+        c = unit() * Fraction(p) ** vc
+        starts = [unit() * Fraction(p) ** (vc + dv) for dv in (-n - 1, -2, -1, 1, 2, n + 1)]
+        # v(t) = v(c) with 0, 1, about half, n - 1 and all n digits of t + c cancelled
+        starts += [-c + unit() * Fraction(p) ** (vc + lost)
+                   for lost in sorted({0, 1, n // 2, n - 1, n})]
+        starts.append(c * unit())
+        for x in starts:
+            t = TruncatedPadic.from_rational(x, p, n)
+            s = t * t + t * c
+            # a against the sum's valuation and absolute precision, and a
+            # that cancels the denominator down to p**e, e up to past it
+            top = s.abs_precision
+            low = s.valuation if not s.is_zero else top - 1
+            exponents = {low - 1, low, low + 1, top - 1, top, top + 3}
+            choices = [unit() * Fraction(p) ** e for e in exponents]
+            choices += [-(x * x + c * x) + unit() * Fraction(p) ** e
+                        for e in (low + 1, top - 1, top, top + 2)]
+            for a in choices:
+                if a != 0:
+                    yield CanonicalMap(p, a, c), t
+        for m_exp in (None, vc - 1, vc, vc + 1, 2 * vc + 3):
+            t = TruncatedPadic.zero(p) if m_exp is None else TruncatedPadic.zero(p, m_exp)
+            for va in (-1, 2 * vc + 2, 2 * vc + 6):
+                yield CanonicalMap(p, unit() * Fraction(p) ** va, c), t
+
+
+def test_fused_step_takes_every_branch_as_the_operators_do():
+    rng = random.Random(2310)
+    hit, checked = set(), 0
+    for p in PRIMES:
+        for n in sorted({1, 4, 24, 256, *_pow_limit_counts(p)}):
+            for m, t in _step_cases(rng, p, n):
+                hit |= _step_branches(m, t)
+                distance = _reference_distance(t, m.x2)
+                assert m._distance_x2_triple(t.valuation, t.unit, t.precision) == distance
+                try:
+                    expected = reference_eval_truncated(m, t)
+                except PrecisionError as exc:
+                    with pytest.raises(PrecisionError) as info:
+                        m.eval_truncated(t)
+                    assert str(info.value) == str(exc), (m, t)
+                    continue
+                *step, step_distance = m._step_triple(t.valuation, t.unit, t.precision)
+                assert TruncatedPadic(p, *step) == expected, (m, t)
+                assert m.eval_truncated(t) == expected, (m, t)
+                assert step_distance == distance, (m, t)
+                checked += 1
+    assert hit == STEP_BRANCHES, STEP_BRANCHES - hit
+    assert checked > 1000
 
 
 def _assert_orbit_matches_reference(m, x0, steps, precision):

@@ -1,11 +1,14 @@
 """Per-call times of the truncated-arithmetic layers of padicdyn.
 
 Times ``padic._div_triples``, ``padic._int_valuation`` and
-``CanonicalMap._step_triple`` on fixed seeded inputs, the inverse of a
+``CanonicalMap._step_triple`` on fixed seeded inputs, the step together
+with the distance of its input to x2 (one call where the step returns the
+distance, otherwise the step and ``_distance_x2_triple``), the inverse of a
 random unit modulo p**n by ``pow(u, -1, p**n)`` and, where the checkout has
-it, by ``padic._inverse_unit``, and ``orbit`` of (p, a, c, x0) =
-(3, -2, 1, 5) at precision 64 in auto and truncated mode, whose exact
-iterates outgrow 12,000 bits at step 13. On the request path it times
+it, by ``padic._inverse_unit``, also at the orbit precisions 24, 64 and
+256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5) at precision 64 in auto
+and truncated mode, whose exact iterates outgrow 12,000 bits at step 13.
+On the request path it times
 ``isometry_check`` with 32 samples, ``TruncatedPadic.digits`` at 64, 256
 and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
 has it, ``cli.build_parser(cmd)`` of each command, and an in-process
@@ -111,22 +114,33 @@ def main() -> None:
     from padicdyn import padic
     from padicdyn.dynamics import CanonicalMap, orbit
 
-    out = {"div_triples": {}, "step_triple": {}, "int_valuation": {}}
+    out = {"div_triples": {}, "step_triple": {}, "step_with_distance": {},
+           "inverse_unit_orbit": {}, "int_valuation": {}}
     for p in PRIMES:
         m = CanonicalMap(p, Fraction(-2), Fraction(1))
         for n in PRECISIONS:
             rng = random.Random(f"layers:{p}:{n}")
             pairs = list(zip(_units(rng, p, n), _units(rng, p, n)))
             div = [(p, 0, u1, n, 0, u2, n) for u1, u2 in pairs]
-            out["div_triples"][f"p={p} P={n}"] = _per_call(padic._div_triples, div)
+            case = f"p={p} P={n}"
+            out["div_triples"][case] = _per_call(padic._div_triples, div)
             steps = []
             for u, _ in pairs:
                 try:
-                    m._step_triple(0, u, n)
+                    step = m._step_triple(0, u, n)
                 except ArithmeticError:  # a start at a pole of f
                     continue
                 steps.append((0, u, n))
-            out["step_triple"][f"p={p} P={n}"] = _per_call(m._step_triple, steps)
+            out["step_triple"][case] = _per_call(m._step_triple, steps)
+            if len(step) == 4:  # the step returns its input's distance to x2
+                with_distance = m._step_triple
+            else:
+                def with_distance(v, u, n):
+                    return m._step_triple(v, u, n), m._distance_x2_triple(v, u, n)
+            out["step_with_distance"][case] = _per_call(with_distance, steps)
+            if hasattr(padic, "_inverse_unit"):
+                out["inverse_unit_orbit"][case] = _per_call(
+                    padic._inverse_unit, [(u, p, n) for u, _ in pairs])
     for p in VALUATION_PRIMES:
         rng = random.Random(f"layers:valuation:{p}")
         for v in VALUATIONS:
