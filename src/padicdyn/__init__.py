@@ -48,7 +48,6 @@ from .padic import (
 )
 from .periodic import (
     PeriodicOrbit,
-    ThreePeriodicResult,
     h_of_q,
     p6_eval,
     q_sweep,

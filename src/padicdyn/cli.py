@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -58,6 +59,33 @@ RADIUS_EXPONENT_BUDGET = 256
 #: and 2.7 s at 2048 (Intel Xeon, Python 3.11).
 SAMPLE_BUDGET = 1024
 
+#: Most weighted pairs that ``ergodic``'s isometry check compares. A pair's
+#: integers grow with the b = |e| * bitlen(p) bits of the sample points, and
+#: its cost faster than linearly: at p = 101 a pair took 1.5 us at b = 14,
+#: 8.4 us at 112, 31 us at 448, 69 us at 896 and 170 us at 1792 (Intel Xeon,
+#: Python 3.11). A pair weighs 1 + b/16 + (b/256)^2, which is about 1 us
+#: there (up to 2.3 us for p = 3 at small b, 0.2 us for p = 2 at large b,
+#: whose valuations are bit operations), so a check takes about a second:
+#: 1024 samples fit up to b = 15 and 32 samples up to b = 9896.
+ISOMETRY_PAIR_BUDGET = 1 << 20
+
+
+def _ergodic_budget_error(args) -> str | None:
+    """Why an ``ergodic`` request is over a budget, or None; no work is done."""
+    if abs(args.radius_exp) > RADIUS_EXPONENT_BUDGET:
+        return (f"radius exponent {args.radius_exp} is over the budget: "
+                f"|--radius-exp| must be at most {RADIUS_EXPONENT_BUDGET}")
+    bits = abs(args.radius_exp) * args.p.bit_length()
+    weight = bits * bits + 4096 * bits + 65536  # 65536 * (1 + b/16 + (b/256)^2)
+    pairs = (ISOMETRY_PAIR_BUDGET << 16) // weight
+    fits = (1 + math.isqrt(1 + 8 * pairs)) // 2  # most n with n(n-1)/2 <= pairs
+    if args.samples > fits:
+        return (f"argument --samples: {args.samples} samples at radius exponent "
+                f"{args.radius_exp} are over the isometry budget of "
+                f"{ISOMETRY_PAIR_BUDGET} weighted pairs; the largest count that "
+                f"fits at this radius is {fits}")
+    return None
+
 
 def _json(value, *names):
     """The JSON form of a report value.
@@ -92,7 +120,6 @@ def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
         classification[point]["region"]["open"] = True
     inv = m.invariant_spheres()
     report = {
-        "command": "analyze",
         "input": input_echo,
         "map": {
             **_json(m, "p", "a", "c", "discriminant"),
@@ -111,7 +138,6 @@ def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
                 else {"radius_exponent_bound_exclusive": inv.x2_exponent_bound}
             ),
         },
-        "version": __version__,
     }
     if conjugation_block is not None:
         report["conjugation"] = conjugation_block
@@ -123,8 +149,8 @@ def _conjugation_dict(m: GeneralMap, result):
 
 
 def _emit(args, report, human_lines) -> None:
+    report = {**report, "command": args.cmd, "version": __version__}
     if args.timestamp:
-        report = dict(report)
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.json:
         sys.stdout.write(json.dumps(_json(report), sort_keys=True, indent=2) + "\n")
@@ -173,11 +199,9 @@ def _cmd_orbit(args) -> int:
     m = CanonicalMap(args.p, args.a, args.c)
     result = orbit(m, args.x0, args.steps, mode=args.mode, precision=args.precision)
     report = {
-        "command": "orbit",
         "input": {**_json(m), "x0": args.x0, "steps": args.steps},
         **_json(result, "mode", "points", "pole_hit"),
         "distance_exponents": {"x1": result.dist_x1_exponents, "x2": result.dist_x2_exponents},
-        "version": __version__,
     }
     lines = [f"orbit mode: {result.mode}, steps completed: {result.steps_completed}"]
     for k, (e1, e2) in enumerate(zip(result.dist_x1_exponents, result.dist_x2_exponents)):
@@ -189,9 +213,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ergodic(args) -> int:
-    if abs(args.radius_exp) > RADIUS_EXPONENT_BUDGET:
-        raise ValueError(f"radius exponent {args.radius_exp} is over the budget: "
-                         f"|--radius-exp| must be at most {RADIUS_EXPONENT_BUDGET}")
     m = CanonicalMap(args.p, args.a, args.c)
     sphere = SphereSpec(args.center, args.radius_exp)
     decision = decide_ergodicity(m, sphere, depth=args.oracle_depth)
@@ -213,7 +234,6 @@ def _cmd_ergodic(args) -> int:
     if mod4 is not None:
         mod4["sums"]["residues_mod4"] = list(decision.mod4.sums.residues())
     report = {
-        "command": "ergodic",
         "input": {
             **_json(m),
             "center": args.center,
@@ -223,16 +243,15 @@ def _cmd_ergodic(args) -> int:
             "seed": args.seed,
         },
         "sphere": {**_json(sphere), "center_point": m.center_point(sphere.center)},
-        "theorem": _json(decision.theorem, "verdict", "reason"),
+        "theorem": decision.theorem,
         "mod4": mod4,
-        "oracle": _json(decision.oracle, "depth", "ergodic", "levels"),
+        "oracle": decision.oracle,
         "agreement": True,
         "displacement": displacement,
         # every ball of radius rho maps into itself and no smaller ball does
         "minimal_invariant_ball_exponent": displacement["rho_exponent"],
-        "isometry": {**_json(iso, "pairs_checked"), "ok": True},
+        "isometry": {**_json(iso), "ok": True},
         "verdict": decision.verdict,
-        "version": __version__,
     }
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -257,23 +276,20 @@ def _cmd_periodic(args) -> int:
     if args.q is not None and (args.a is not None or args.c is not None):
         raise ValueError("periodic takes either --q or both --a and --c, not both")
     if args.q is not None:
-        res = three_periodic_from_q(args.p, args.q)
-        m = res.map
+        m, orb = three_periodic_from_q(args.p, args.q)
         report = {
-            "command": "periodic",
             "kind": "three_periodic",
-            "input": {"p": args.p, "q": res.q},
-            "h_q": res.h,
+            "input": {"p": args.p, "q": args.q},
+            "h_q": m.a,
             "map": m,
-            **_json(res.orbit, "points", "multiplier_norm_exponent"),
+            **_json(orb, "points", "multiplier_norm_exponent"),
             "p6_at_a": "0",
             "sphere_conditions": sphere_conditions(m),
-            "version": __version__,
         }
         lines = [
-            f"3-periodic family: q = {res.q}, a = h(q) = {res.h}, c = {m.c}",
-            f"orbit: {' -> '.join(map(str, res.orbit.points))} -> {res.orbit.points[0]}",
-            f"multiplier norm exponent: {res.orbit.multiplier_norm_exponent}",
+            f"3-periodic family: q = {args.q}, a = h(q) = {m.a}, c = {m.c}",
+            f"orbit: {' -> '.join(map(str, orb.points))} -> {orb.points[0]}",
+            f"multiplier norm exponent: {orb.multiplier_norm_exponent}",
         ]
         _emit(args, report, lines)
         return EXIT_OK
@@ -283,12 +299,10 @@ def _cmd_periodic(args) -> int:
     orb = two_periodic(m, precision=args.precision)
     if orb is None:
         report = {
-            "command": "periodic",
             "kind": "two_periodic",
             "input": m,
             "exists": False,
             "reason": "c^2 - 2a is not a nonzero square in Q_p",
-            "version": __version__,
         }
         _emit(args, report, ["no 2-periodic orbit: c^2 - 2a is not a nonzero square"])
         return EXIT_OK
@@ -296,19 +310,22 @@ def _cmd_periodic(args) -> int:
     if orb.exact:
         sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))  # s != 0: finite
         if m.sphere_is_invariant(sphere):
-            sr = verify_orbit_structure(m, orb, sphere, samples=args.samples, seed=args.seed)
+            checked = verify_orbit_structure(m, orb, sphere, samples=args.samples,
+                                             seed=args.seed)
             on_sphere = sphere
-            structure = _json(sr, "rho_exponent", "containment_ok",
-                              "multiplier_norm_exponent", "ball_mapping_checked")
+            structure = {
+                "rho_exponent": rho(m, sphere),
+                "containment_ok": True,
+                "multiplier_norm_exponent": orb.multiplier_norm_exponent,
+                "ball_mapping_checked": checked,
+            }
     report = {
-        "command": "periodic",
         "kind": "two_periodic",
         "input": m,
         "exists": True,
-        **_json(orb, "exact", "points", "multiplier_norm_exponent"),
+        **_json(orb),
         "on_invariant_sphere": on_sphere,
         "structure": structure,
-        "version": __version__,
     }
     lines = [
         f"2-periodic orbit: {{{', '.join(map(str, orb.points))}}}"
@@ -325,11 +342,9 @@ def _cmd_conjugate(args) -> int:
     ts = [Fraction(k, 7) for k in range(1, 21)]
     checked = verify_conjugacy(gm, result, ts)
     report = {
-        "command": "conjugate",
         "input": gm,
         **_conjugation_dict(gm, result),
         "conjugacy_samples_checked": checked,
-        "version": __version__,
     }
     lines = [
         f"fixed-point cubic roots: x1 = {result.x1} (simple), x2 = {result.x2} (double)",
@@ -440,13 +455,17 @@ def main(argv=None) -> int:
     cmd = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = build_parser(cmd)
     try:
-        args = parser.parse_args(argv if cmd is None else argv[1:])
+        # the full parser sets args.cmd itself, from its subparsers
+        args = parser.parse_args(argv if cmd is None else argv[1:],
+                                 argparse.Namespace(cmd=cmd))
         if args.samples < 1:
             parser.error(f"argument --samples: must be at least 1, got {args.samples}")
         if args.samples > SAMPLE_BUDGET:
             parser.error(f"argument --samples: {args.samples} is over the budget of "
                          f"{SAMPLE_BUDGET} samples; the largest count that fits is "
                          f"{SAMPLE_BUDGET}")
+        if args.cmd == "ergodic" and (problem := _ergodic_budget_error(args)):
+            parser.error(problem)
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -4,7 +4,10 @@ On every invariant sphere f is an isometry moving each point by the same
 distance rho(r). Three independent deciders are provided and cross-checked:
 
   * ergodicity_theorem: exponent comparisons (never ergodic for p >= 3;
-    for p = 2 the sphere S_r(0) is ergodic iff |c|_2 = beta and r = alpha/2);
+    for p = 2 the sphere S_r(0) is ergodic iff |c|_2 = beta and r = alpha/2).
+    The p >= 3 rule is wrong on some spheres around x2, where the oracle
+    finds a single cycle: ergodic --p 3 --a 1/18 --c -4/3 --radius-exp -1
+    --center x2 --oracle-depth 6 exits 3 with "deciders disagree";
   * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to f
     on the sphere's unit coordinate (p = 2, spheres around x1);
   * residue_cycle_oracle: brute-force cycle structure of the induced
@@ -36,7 +39,6 @@ __all__ = [
     "Mod4Verdict",
     "OracleLevel",
     "OracleResult",
-    "RescaledMap",
     "decide_ergodicity",
     "displacement_table",
     "ergodicity_theorem",
@@ -126,9 +128,7 @@ def verify_rho(
 
 @dataclass(frozen=True)
 class IsometryReport:
-    sphere: SphereSpec
     pairs_checked: int
-    factor_valuation: int  # common v(a - x*y) observed on all sampled pairs
 
 
 def isometry_check(
@@ -177,7 +177,7 @@ def isometry_check(
                     f"numerator factor |a - xy| != |a| for x={x}, y={y}",
                     counterexample=(x, y),
                 )
-    return IsometryReport(sphere, len(parts) * (len(parts) - 1) // 2, va)
+    return IsometryReport(len(parts) * (len(parts) - 1) // 2)
 
 
 # -- the map on a sphere's unit coordinate -------------------------------------------
@@ -195,22 +195,15 @@ def isometry_check(
 # reduction mod p^k of every deeper one.
 
 
-@dataclass(frozen=True)
-class RescaledMap:
-    """f on a sphere S_(p^e)(x_i) in the unit coordinate u of x = x_i + u*p^-e.
-
-    The coefficients (low to high) are p-integral: numerator (0, 1) and
-    denominator (1, t1, t2) around x1, numerator (0, lam, t1) and
-    denominator (1, -t1, t2) around x2.
-    """
-
-    sphere: SphereSpec
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
-
-
-def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> RescaledMap:
+def rescale_to_unit(
+    m: CanonicalMap, sphere: SphereSpec
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Conjugate f on ``sphere`` onto the units of Z_p (see above).
+
+    Returns the coefficients (low to high) of the numerator and the
+    denominator of f in the unit coordinate u of x = x_i + u*p^-e, all
+    p-integral: (0, 1) and (1, t1, t2) around x1, (0, lam, t1) and
+    (1, -t1, t2) around x2.
 
     Raises NotApplicableError unless p divides t1 and t2 and lam is a unit,
     so that the map sends residue balls to residue balls; that holds on
@@ -231,7 +224,7 @@ def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> RescaledMap:
             f"balls of {sphere} do not map to balls: need v(t1) >= 1, v(t2) >= 1 "
             f"and v(f'(center)) = 0"
         )
-    return RescaledMap(sphere, numerator, denominator)
+    return numerator, denominator
 
 
 # -- residue-ball permutations ---------------------------------------------------
@@ -266,11 +259,11 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
     by rescale_to_unit.
     """
     p, e = m.p, sphere.radius_exponent
-    rm = rescale_to_unit(m, sphere)
+    numerator, denominator = rescale_to_unit(m, sphere)
     mod = p ** level
     # w = u*(n1 + n2*u) / (1 + d1*u + d2*u^2); around x1 the numerator is u
-    n1, n2 = ([_residue(x, mod) for x in rm.numerator[1:]] + [0])[:2]
-    _, d1, d2 = (_residue(x, mod) for x in rm.denominator)
+    n1, n2 = ([_residue(x, mod) for x in numerator[1:]] + [0])[:2]
+    _, d1, d2 = (_residue(x, mod) for x in denominator)
     perm = {u: u * (n1 + n2 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
             for u in range(1, mod) if u % p}
     _verify_permutation(perm, p, level)
@@ -313,7 +306,6 @@ class OracleLevel:
 
 @dataclass(frozen=True)
 class OracleResult:
-    sphere: SphereSpec
     depth: int
     levels: tuple[OracleLevel, ...]
     ergodic: bool  # single cycle at every inspected level
@@ -378,9 +370,7 @@ def residue_cycle_oracle(
         lengths = _cycle_lengths(perm)
         levels.append(OracleLevel(k, len(perm), len(lengths), tuple(lengths)))
     levels.reverse()
-    return OracleResult(
-        sphere, depth, tuple(levels), all(lv.cycle_count == 1 for lv in levels)
-    )
+    return OracleResult(depth, tuple(levels), all(lv.cycle_count == 1 for lv in levels))
 
 
 # -- theorem-based decision --------------------------------------------------------
@@ -388,7 +378,6 @@ def residue_cycle_oracle(
 
 @dataclass(frozen=True)
 class ErgodicityVerdict:
-    sphere: SphereSpec
     verdict: str  # "ergodic" | "notErgodic"
     reason: str   # "pGe3Rule" | "radiusRule" | "mod4Case k" | "oracle"
 
@@ -399,16 +388,21 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     p >= 3: never ergodic. p = 2 around x2: never ergodic (the displacement
     equals the radius there). p = 2 around x1: ergodic iff |c|_2 = beta and
     r = alpha/2.
+
+    Known defect: the p >= 3 rule is wrong on some spheres around x2, where
+    f acts on the level-1 balls as multiplication by f'(x2) and the oracle
+    finds a single cycle. ergodic --p 3 --a 1/18 --c -4/3 --radius-exp -1
+    --center x2 --oracle-depth 6 exits 3 (theorem=notErgodic, oracle=ergodic).
     """
     _require_invariant(m, sphere)
     if m.p >= 3:
-        return ErgodicityVerdict(sphere, "notErgodic", "pGe3Rule")
+        return ErgodicityVerdict("notErgodic", "pGe3Rule")
     if sphere.center == "x2":
-        return ErgodicityVerdict(sphere, "notErgodic", "radiusRule")
+        return ErgodicityVerdict("notErgodic", "radiusRule")
     v_alpha, v_beta = m.alpha_beta()
     vc = _fraction_valuation(m.c, 2)
     ergodic = (vc == v_beta) and (sphere.radius_exponent == -v_alpha - 1)
-    return ErgodicityVerdict(sphere, "ergodic" if ergodic else "notErgodic", "radiusRule")
+    return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "radiusRule")
 
 
 # -- mod-4 coefficient-sum criterion -------------------------------------------------
@@ -514,8 +508,7 @@ def decide_ergodicity(
     verdicts = {thm.verdict, "ergodic" if oracle.ergodic else "notErgodic"}
     mod4 = None
     if m.p == 2 and sphere.center == "x1":
-        rm = rescale_to_unit(m, sphere)
-        mod4 = mod4_criterion(rm.numerator, rm.denominator)
+        mod4 = mod4_criterion(*rescale_to_unit(m, sphere))
         verdicts.add("ergodic" if mod4.ergodic else "notErgodic")
     if len(verdicts) != 1:
         raise VerificationError(

@@ -37,8 +37,6 @@ from .padic import (
 __all__ = [
     "PeriodicOrbit",
     "SphereConditions",
-    "StructureReport",
-    "ThreePeriodicResult",
     "h_of_q",
     "p6_eval",
     "q_sweep",
@@ -53,8 +51,7 @@ Point = Union[Fraction, TruncatedPadic]
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    period: int
-    points: tuple[Point, ...]
+    points: tuple[Point, ...]  # one cycle; the period is its length
     # |(f^n)'(y0)|_p = p**(-multiplier_norm_exponent); INFINITY when the
     # multiplier vanishes (a superattracting cycle)
     multiplier_norm_exponent: Valuation
@@ -89,7 +86,7 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
             raise VerificationError(
                 f"2-periodic candidate {exc.point} is a pole; orbit invalid"
             ) from exc
-        return PeriodicOrbit(2, (t1, t2), mult, True)
+        return PeriodicOrbit((t1, t2), mult, True)
     if not is_square(disc, m.p):
         return None
     _require_precision_budget(m.p, precision)
@@ -108,7 +105,7 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
         raise VerificationError(
             f"truncated 2-cycle verification failed at precision {precision}"
         )
-    return PeriodicOrbit(2, (t1, t2), mult, False)
+    return PeriodicOrbit((t1, t2), mult, False)
 
 
 def h_of_q(q: Fraction) -> Fraction:
@@ -127,16 +124,8 @@ def h_of_q(q: Fraction) -> Fraction:
 _EXCLUDED_Q = (Fraction(0), Fraction(-1), Fraction(-2, 3))
 
 
-@dataclass(frozen=True)
-class ThreePeriodicResult:
-    q: Fraction
-    h: Fraction
-    map: CanonicalMap
-    orbit: PeriodicOrbit
-
-
-def three_periodic_from_q(p: int, q) -> ThreePeriodicResult:
-    """Build the map with a = h(q), c = q*h(q) - 1 and its 3-cycle {a, f(a), f^2(a)}.
+def three_periodic_from_q(p: int, q) -> tuple[CanonicalMap, PeriodicOrbit]:
+    """The map with a = h(q), c = q*h(q) - 1 and its 3-cycle {a, f(a), f^2(a)}.
 
     q must avoid {0, -1, -2/3} (where the construction degenerates) and the
     poles of h. The orbit is verified exactly: f^3(a) = a, f(a) != a, and
@@ -160,8 +149,7 @@ def three_periodic_from_q(p: int, q) -> ThreePeriodicResult:
     _verify(y1 != a, f"a is a fixed point for q = {q}")
     _verify(p6_eval(m, a) == 0, f"P6(a) != 0 for q = {q}")
     mult = sum(_fraction_valuation(m.derivative(y), p) for y in (a, y1, y2))
-    orbit = PeriodicOrbit(3, (a, y1, y2), mult, True)
-    return ThreePeriodicResult(q, a, m, orbit)
+    return m, PeriodicOrbit((a, y1, y2), mult, True)
 
 
 # The terms of P as (coefficient, power of a, power of c, power of x); the
@@ -215,22 +203,13 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
     )
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    sphere: SphereSpec
-    rho_exponent: int
-    containment_ok: bool
-    multiplier_norm_exponent: Valuation
-    ball_mapping_checked: int
-
-
 def verify_orbit_structure(
     m: CanonicalMap,
     orbit: PeriodicOrbit,
     sphere: SphereSpec,
     samples: int = 8,
     seed: Optional[int] = None,
-) -> StructureReport:
+) -> int:
     """Structural checks for a periodic orbit lying on an invariant sphere.
 
     (1) every orbit point lies in the ball V_rho(r)(y0);
@@ -238,7 +217,8 @@ def verify_orbit_structure(
     (3) spheres around consecutive orbit points map into each other:
         f(S_rho'(y_k)) inside S_rho'(y_(k+1)) for rho' = rho(r)/p, sampled.
 
-    Raises VerificationError (with the counterexample) if any check fails;
+    Returns the number of sampled points checked in (3), samples times the
+    period. Raises VerificationError (with the counterexample) if any check fails;
     the orbit must genuinely lie on the given invariant sphere. A truncated
     orbit raises NotApplicableError: the checks compare exact points.
     """
@@ -280,7 +260,7 @@ def verify_orbit_structure(
                     counterexample=x,
                 )
             checked += 1
-    return StructureReport(sphere, rho_exp, True, mult, checked)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -308,15 +288,15 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
             if q.denominator != den:  # not in lowest terms; already visited
                 continue
             try:
-                res = three_periodic_from_q(p, q)
+                m, _ = three_periodic_from_q(p, q)
             except (VerificationError, ValueError):
                 continue
             try:
-                sc = sphere_conditions(res.map)
+                sc = sphere_conditions(m)
             except InconsistentParametersError:
                 continue
             out.append(QSweepRecord(
-                q, res.h, res.map.c,
+                q, m.a, m.c,
                 sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
                 sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
             ))

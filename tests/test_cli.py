@@ -341,6 +341,43 @@ def test_samples_over_budget_exits_1_before_any_work(capsys, monkeypatch):
     assert code == 1 and out == ""
 
 
+def test_samples_over_the_isometry_budget_at_a_radius_exit_1_before_any_work(
+        capsys, monkeypatch):
+    # the isometry check's pairs grow with the square of the count and each
+    # pair's cost faster than linearly with |e| * bitlen(p): 1024 samples at
+    # p = 101, e = -256 ran for about 90 s, so the joint budget refuses them
+    ran = []
+    for cmd, (help_text, _, options) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, cmd, (help_text, ran.append, options))
+    request = ["ergodic", "--p", "101", "--a", "1", "--c", "1", "--oracle-depth", "2"]
+    code, out, err = run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "1024"])
+    assert code == 1 and out == "" and ran == []
+    assert err == ("error: argument --samples: 1024 samples at radius exponent -256 are "
+                   "over the isometry budget of 1048576 weighted pairs; the largest count "
+                   "that fits at this radius is 114\n")
+    assert cli.ISOMETRY_PAIR_BUDGET == 1 << 20
+    # the largest count that fits runs, one more does not
+    assert run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "114"])[0] is None
+    assert run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "115"])[0] == 1
+    assert len(ran) == 1
+    # the default 32 samples fit at every radius for p <= 101, and 1024 fit
+    # at the small radii that ran in under a second
+    for p in (2, 3, 5, 7, 11, 101):
+        for e in ("-256", "256", "-1"):
+            assert run_cli(capsys, ["ergodic", "--p", str(p), "--a", "1", "--c", "1",
+                                    "--radius-exp", e])[0] is None
+    for p, e in ((2, "-2"), (101, "-2"), (2, "-7")):
+        assert run_cli(capsys, ["ergodic", "--p", str(p), "--a", "1", "--c", "1",
+                                "--radius-exp", e, "--samples", "1024"])[0] is None
+    assert len(ran) == 1 + 18 + 3
+    # the radius budget is checked first, with its own message
+    code, _, err = run_cli(capsys, request + ["--radius-exp", "-257", "--samples", "1024"])
+    assert code == 1 and "|--radius-exp| must be at most 256" in err
+    # other commands take any --samples within SAMPLE_BUDGET at any size
+    assert run_cli(capsys, ["analyze", "--p", "101", "--a", "1", "--c", "1",
+                            "--samples", "1024"])[0] is None
+
+
 def test_samples_at_budget_run(capsys):
     code, out, _ = run_cli(
         capsys,

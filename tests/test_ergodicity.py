@@ -210,11 +210,11 @@ def test_theorem_requires_invariance():
 
 
 def test_rescale_coefficients_and_bounds():
-    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
-    assert rm.numerator == (0, 1)
-    assert rm.denominator == (1, 2, 8)
+    numerator, denominator = rescale_to_unit(M2, SphereSpec("x1", -2))
+    assert numerator == (0, 1)
+    assert denominator == (1, 2, 8)
     # numerator sums are fixed: A1 = 1, A2 = 0
-    assert sum(rm.numerator[1::2]) == 1 and sum(rm.numerator[0::2]) == 0
+    assert sum(numerator[1::2]) == 1 and sum(numerator[0::2]) == 0
 
 
 def test_rescale_rejects_non_invariant_radius():
@@ -248,19 +248,17 @@ def test_mod4_identity_map_is_not_ergodic():
 
 
 def test_mod4_on_rescaled_maps():
-    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
-    v = mod4_criterion(rm.numerator, rm.denominator)
+    v = mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -2)))
     assert v.ergodic and v.case == 3
     assert v.sums.B1 == 2 and v.sums.B2 == 9
-    rm = rescale_to_unit(M2, SphereSpec("x1", -3))
-    v = mod4_criterion(rm.numerator, rm.denominator)
+    v = mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -3)))
     assert not v.ergodic
 
 
 def test_mod4_swapped_case_detected():
     # swap numerator and denominator of an ergodic case-3 instance
-    rm = rescale_to_unit(M2, SphereSpec("x1", -2))
-    v = mod4_criterion(rm.denominator, rm.numerator)
+    numerator, denominator = rescale_to_unit(M2, SphereSpec("x1", -2))
+    v = mod4_criterion(denominator, numerator)
     assert v.ergodic and v.case == 5
 
 
@@ -397,8 +395,8 @@ def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, 
                                                         target):
     # off by p^(depth-1): the corrupted map is still a bijection of units that
     # reduces level by level, so only the comparison with exact f catches it
-    rm = rescale_to_unit(m, sphere)
-    assert target in rm.numerator + rm.denominator
+    numerator, denominator = rescale_to_unit(m, sphere)
+    assert target in numerator + denominator
     real = ergodicity._residue
 
     def corrupted(x, mod):

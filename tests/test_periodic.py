@@ -10,6 +10,7 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
+from padicdyn.ergodicity import rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
@@ -44,7 +45,7 @@ def test_two_periodic_exact_example():
 def test_two_periodic_truncated():
     m = CanonicalMap(3, 3, 1)  # c^2 - 2a = -5, a 3-adic square
     orb = two_periodic(m, precision=24)
-    assert not orb.exact and orb.period == 2
+    assert not orb.exact and len(orb.points) == 2
     t1, t2 = orb.points
     assert m.eval_truncated(t1).approx_equal(t2)
     assert m.eval_truncated(t2).approx_equal(t1)
@@ -139,21 +140,22 @@ def test_two_cycle_factor_is_unique():
 
 
 def test_three_periodic_q1():
-    res = three_periodic_from_q(5, 1)
-    assert res.h == Fraction(5, 24)
-    assert res.map.a == Fraction(5, 24) and res.map.c == Fraction(-19, 24)
-    a = res.orbit.points[0]
+    m, orb = three_periodic_from_q(5, 1)
+    assert m.a == h_of_q(1) == Fraction(5, 24)
+    assert m.c == Fraction(-19, 24)
+    assert len(orb.points) == 3
+    a = orb.points[0]
     assert a == Fraction(5, 24)
-    assert res.map.eval(res.map.eval(res.map.eval(a))) == a
-    assert res.map.eval(a) != a
-    assert p6_eval(res.map, a) == 0
+    assert m.eval(m.eval(m.eval(a))) == a
+    assert m.eval(a) != a
+    assert p6_eval(m, a) == 0
 
 
 def test_three_periodic_q2():
-    res = three_periodic_from_q(5, 2)
-    assert res.h == Fraction(16, 105)
-    assert res.map.c == Fraction(32, 105) - 1 == Fraction(-73, 105)
-    assert p6_eval(res.map, res.h) == 0
+    m, _ = three_periodic_from_q(5, 2)
+    assert m.a == h_of_q(2) == Fraction(16, 105)
+    assert m.c == Fraction(32, 105) - 1 == Fraction(-73, 105)
+    assert p6_eval(m, m.a) == 0
 
 
 def test_three_periodic_exclusions():
@@ -242,14 +244,12 @@ def test_p6_divides_cleared_third_iterate():
 
 def test_sphere_condition_examples():
     # q = 1 at p = 2: |5/24|_2 = 8, on S_8(0); that sphere is never invariant
-    res = three_periodic_from_q(2, 1)
-    m = res.map
+    m, _ = three_periodic_from_q(2, 1)
     sc = sphere_conditions(m)
     assert sc.x1_radius_exponent == 3 and not sc.x1_sphere_invariant
     assert not m.sphere_is_invariant(SphereSpec("x1", 3))
     # q = 1 at p = 5: |5/24|_5 = 1/5, but invariance needs exponent < -1
-    res = three_periodic_from_q(5, 1)
-    m = res.map
+    m, _ = three_periodic_from_q(5, 1)
     sc = sphere_conditions(m)
     assert sc.x1_radius_exponent == -1 and not sc.x1_sphere_invariant
     assert not m.sphere_is_invariant(SphereSpec("x1", -1))
@@ -278,17 +278,15 @@ def test_sphere_conditions_need_pole_norms_in_p_z():
 def test_three_periodic_on_invariant_sphere_p7():
     # q = 1 at p = 7: a + c = -7/12, so the orbit sits on S_{1/7}(x2), which
     # is invariant (the map lands in the disjoint-disk regime)
-    res = three_periodic_from_q(7, 1)
-    m = res.map
+    m, orb = three_periodic_from_q(7, 1)
     assert m.classify().case == 3
     sc = sphere_conditions(m)
     assert sc.x2_radius_exponent == -1 and sc.x2_sphere_invariant
     sphere = SphereSpec("x2", -1)
     assert m.sphere_is_invariant(sphere)
-    report = verify_orbit_structure(m, res.orbit, sphere)
-    assert report.multiplier_norm_exponent == 0
-    assert report.rho_exponent == -1
-    assert report.containment_ok and report.ball_mapping_checked == 24
+    assert verify_orbit_structure(m, orb, sphere) == 24
+    assert orb.multiplier_norm_exponent == 0
+    assert rho(m, sphere) == -1
 
 
 def test_structure_checks_on_invariant_sphere_2_cycle():
@@ -298,10 +296,24 @@ def test_structure_checks_on_invariant_sphere_2_cycle():
     orb = two_periodic(m)
     assert orb.exact and set(orb.points) == {2, -4}
     assert orb.multiplier_norm_exponent == 0  # multiplier 10, |10|_3 = 1
-    report = verify_orbit_structure(m, orb, SphereSpec("x2", -1))
-    assert report.rho_exponent == -1
+    assert verify_orbit_structure(m, orb, SphereSpec("x2", -1)) == 16
+    assert rho(m, SphereSpec("x2", -1)) == -1
     # both points inside one ball of radius rho(r): |2 - (-4)|_3 = 1/3
     assert _fraction_valuation(Fraction(6), 3) == 1
+
+
+@pytest.mark.parametrize("samples", [1, 5, 8, 32])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_structure_check_count_is_samples_times_period(samples, seed):
+    # one sampled point per sample and orbit point: the 2-cycle {2, -4} of
+    # (3, -4, 1) and the 3-cycle of q = 1 at p = 7, both on S_(p^-1)(x2)
+    sphere = SphereSpec("x2", -1)
+    m2 = CanonicalMap(3, -4, 1)
+    m3, orb3 = three_periodic_from_q(7, 1)
+    for m, orb in ((m2, two_periodic(m2)), (m3, orb3)):
+        got = verify_orbit_structure(m, orb, sphere, samples=samples, seed=seed)
+        assert got == samples * len(orb.points)
+    assert len(orb3.points) == 3
 
 
 def test_structure_rejects_orbit_off_sphere():
@@ -329,7 +341,8 @@ def test_q_sweep_deterministic_and_verified():
     hits = [r for r in recs if r.on_x2_sphere_exponent is not None]
     assert hits, "expected on-sphere 3-cycles at p=7"
     for rec in hits[:3]:
-        res = three_periodic_from_q(7, rec.q)
+        m, orb = three_periodic_from_q(7, rec.q)
+        assert m.a == rec.a == h_of_q(rec.q)
         sphere = SphereSpec("x2", rec.on_x2_sphere_exponent)
-        report = verify_orbit_structure(res.map, res.orbit, sphere)
-        assert report.multiplier_norm_exponent == 0
+        assert verify_orbit_structure(m, orb, sphere) == 8 * 3
+        assert orb.multiplier_norm_exponent == 0

@@ -14,7 +14,12 @@ and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
 has it, ``cli.build_parser(cmd)`` of each command, and an in-process
 ``cli.main`` of each of the six golden commands with ``--json`` (stdout
 captured). Prints one JSON object of microseconds per call (best of REPEAT
-timeit runs). Run it on two checkouts on the same machine to compare them:
+timeit runs), and under "import_cli" the time of ``import padicdyn.cli`` in
+IMPORT_RUNS fresh processes run one after another with PYTHONPATH set to
+``--src`` (median and minimum, in milliseconds, timed inside each process),
+with whether PYTHONDONTWRITEBYTECODE is set: when it is, every process
+compiles the package from source. Run it on two checkouts on the same
+machine to compare them:
 
     python3 tools/time_layers.py --src src
     python3 tools/time_layers.py --src /path/to/other/checkout/src
@@ -27,7 +32,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import statistics
+import subprocess
 import sys
 import timeit
 from fractions import Fraction
@@ -53,6 +61,9 @@ GOLDEN_COMMANDS = {
 }
 INPUTS = 64
 REPEAT = 7
+IMPORT_RUNS = 15
+IMPORT_PROBE = ("import time; t = time.perf_counter(); import padicdyn.cli; "
+                "print(time.perf_counter() - t)")
 
 
 def _units(rng: random.Random, p: int, n: int) -> list[int]:
@@ -75,6 +86,18 @@ def _per_call(fn, args: list) -> float:
 def _best_us(fn, number: int) -> float:
     """Microseconds per call of fn(), best of REPEAT runs of ``number`` calls."""
     return round(min(timeit.repeat(fn, number=number, repeat=REPEAT)) / number * 1e6, 3)
+
+
+def _import_cli(src: str) -> dict:
+    """Milliseconds of ``import padicdyn.cli`` in fresh processes."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    times = [1000 * float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                                         check=True, capture_output=True,
+                                         text=True).stdout)
+             for _ in range(IMPORT_RUNS)]
+    return {"runs": IMPORT_RUNS, "median_ms": round(statistics.median(times), 2),
+            "min_ms": round(min(times), 2),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None}
 
 
 def _request_path(out: dict) -> None:
@@ -110,6 +133,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory of a checkout")
     args = parser.parse_args()
+    import_cli = _import_cli(args.src)
     sys.path.insert(0, args.src)
     from padicdyn import padic
     from padicdyn.dynamics import CanonicalMap, orbit
@@ -166,6 +190,7 @@ def main() -> None:
             out["orbit"][f"steps={steps} {mode}"] = _best_us(
                 lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
     _request_path(out)
+    out["import_cli"] = import_cli
     print(json.dumps(out, indent=1))
 
 
