@@ -6,9 +6,12 @@ is deterministic (sorted keys, exact rational strings and integer
 exponents, no floats, no timestamp unless --timestamp is passed).
 
 Every command is described once, in ``_COMMANDS``. When the first argument
-names a command, ``main`` builds only that command's parser; the full parser,
-with every command as a subparser, is built only for help, ``--version`` and
-errors before a command is named. No parser is kept between calls.
+names a command, ``main`` reads a well-formed request straight off that
+command's entry and builds no parser. Anything the reader does not take
+(help, abbreviations, malformed or missing values, stray arguments) goes
+to argparse, so every help, usage and error text is argparse's own: to the
+command's parser when a command is named, otherwise to the full parser,
+with every command as a subparser. No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -375,11 +378,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+#: A token that is a value even though it starts with "-": a negative
+#: fraction ("--a -2/3") is a value, as a negative integer is.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative fraction ("--a -2/3") is a value, as a negative integer is
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _CliArgumentError(message)
@@ -448,24 +455,78 @@ def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _scan(cmd: str, argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser(cmd).parse_args(argv)`` returns, read straight off
+    ``_COMMANDS``, or None for any input this reader does not take.
+
+    It takes only exact option names (``--opt value`` or ``--opt=value``; a
+    flag without "="), separate values that do not start with "-" unless
+    they are negative numbers, values that the option's type converts and
+    that are among its choices, and input with every required option. A
+    repeated option keeps its last value. Everything else (help, version,
+    abbreviations, "--", malformed or missing values, stray arguments) is
+    left to argparse, which parses it or prints its own message.
+    """
+    _, handler, options = _COMMANDS[cmd]
+    table = dict(_SHARED_OPTIONS + options)
+    seen = {}
+    tokens = iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        kwargs = table.get(option)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            seen[option] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")  # a missing value is refused below
+            if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return None
+        elif value == "--":  # argparse drops "--" from the values it converts
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        seen[option] = value
+    args = argparse.Namespace(cmd=cmd, func=handler)
+    for option, kwargs in table.items():
+        if option in seen:
+            value = seen[option]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default", False if kwargs.get("action") else None)
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command needs only its own parser; anything else (no
-    # arguments, an unknown command, --help, --version) gets the full one
     cmd = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(cmd)
     try:
-        # the full parser sets args.cmd itself, from its subparsers
-        args = parser.parse_args(argv if cmd is None else argv[1:],
-                                 argparse.Namespace(cmd=cmd))
+        args = _scan(cmd, argv[1:]) if cmd else None
+        if args is None:
+            # argparse parses what the scanner does not take: a named command
+            # needs only its own parser; anything else (no arguments, an
+            # unknown command, --help, --version) gets the full one, which
+            # sets args.cmd itself, from its subparsers
+            args = build_parser(cmd).parse_args(argv if cmd is None else argv[1:],
+                                                argparse.Namespace(cmd=cmd))
         if args.samples < 1:
-            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
+            raise _CliArgumentError(
+                f"argument --samples: must be at least 1, got {args.samples}")
         if args.samples > SAMPLE_BUDGET:
-            parser.error(f"argument --samples: {args.samples} is over the budget of "
-                         f"{SAMPLE_BUDGET} samples; the largest count that fits is "
-                         f"{SAMPLE_BUDGET}")
+            raise _CliArgumentError(
+                f"argument --samples: {args.samples} is over the budget of "
+                f"{SAMPLE_BUDGET} samples; the largest count that fits is {SAMPLE_BUDGET}")
         if args.cmd == "ergodic" and (problem := _ergodic_budget_error(args)):
-            parser.error(problem)
+            raise _CliArgumentError(problem)
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -3,11 +3,10 @@
 On every invariant sphere f is an isometry moving each point by the same
 distance rho(r). Three independent deciders are provided and cross-checked:
 
-  * ergodicity_theorem: exponent comparisons (never ergodic for p >= 3;
-    for p = 2 the sphere S_r(0) is ergodic iff |c|_2 = beta and r = alpha/2).
-    The p >= 3 rule is wrong on some spheres around x2, where the oracle
-    finds a single cycle: ergodic --p 3 --a 1/18 --c -4/3 --radius-exp -1
-    --center x2 --oracle-depth 6 exits 3 with "deciders disagree";
+  * ergodicity_theorem: exponent comparisons and the multiplier at x2 (for
+    p >= 3 a sphere around x2 is ergodic iff f'(x2) topologically generates
+    Z_p^*, and no other sphere is; for p = 2 the sphere S_r(0) is ergodic
+    iff |c|_2 = beta and r = alpha/2);
   * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to f
     on the sphere's unit coordinate (p = 2, spheres around x1);
   * residue_cycle_oracle: brute-force cycle structure of the induced
@@ -29,7 +28,14 @@ from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_points
 from .errors import NotApplicableError, VerificationError, _verify
-from .padic import INFINITY, _fraction_valuation, _horner, _int_valuation, _unit_residue
+from .padic import (
+    INFINITY,
+    _fraction_valuation,
+    _horner,
+    _int_valuation,
+    _prime_factors,
+    _unit_residue,
+)
 
 __all__ = [
     "ORACLE_BALL_BUDGET",
@@ -379,23 +385,39 @@ def residue_cycle_oracle(
 @dataclass(frozen=True)
 class ErgodicityVerdict:
     verdict: str  # "ergodic" | "notErgodic"
-    reason: str   # "pGe3Rule" | "radiusRule" | "mod4Case k" | "oracle"
+    reason: str   # "pGe3Rule" | "generatorRule" | "radiusRule"
 
 
 def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict:
     """Decide ergodicity on an invariant sphere by exponent comparisons.
 
-    p >= 3: never ergodic. p = 2 around x2: never ergodic (the displacement
-    equals the radius there). p = 2 around x1: ergodic iff |c|_2 = beta and
-    r = alpha/2.
+    p >= 3 around x1: never ergodic ("pGe3Rule"). p >= 3 around x2, with
+    lam = f'(x2) = 1 - c^2/a: when lam mod p is a primitive root, ergodic iff
+    lam^(p-1) != 1 (mod p^2), that is iff lam topologically generates Z_p^*
+    ("generatorRule"); otherwise not ergodic ("pGe3Rule"). p = 2 around x2:
+    never ergodic (the displacement equals the radius there). p = 2 around
+    x1: ergodic iff |c|_2 = beta and r = alpha/2.
 
-    Known defect: the p >= 3 rule is wrong on some spheres around x2, where
-    f acts on the level-1 balls as multiplication by f'(x2) and the oracle
-    finds a single cycle. ergodic --p 3 --a 1/18 --c -4/3 --radius-exp -1
-    --center x2 --oracle-depth 6 exits 3 (theorem=notErgodic, oracle=ergodic).
+    The x2 rule is derived here (the paper's text is not in the repository),
+    as in the monomial theorem of Gundlach, Khrennikov and Lindahl ("On
+    ergodic behavior of p-adic dynamical systems", IDAQP 4, 2001). In the
+    unit coordinate of rescale_to_unit, f is
+    g(u) = u(lam + t1*u)/(1 - t1*u + t2*u^2) with p | t1 and p^2 | t2 on
+    every invariant x2-sphere, so g(u) = lam*u mod p: the level-1 balls form
+    one cycle iff lam is a primitive root mod p. Then
+    g^(p-1)(u) = lam^(p-1)*u*(1 + t1*(1 + 1/lam)*u*S - t2*u^2*S2) mod p^2
+    with S and S2 the sums of lam^j and lam^2j over j < p - 1. p divides S
+    (lam != 1 mod p), so p^2 divides t1*S and t2*S2, and g^(p-1) is
+    multiplication by lam^(p-1) on the level-2 balls: one cycle iff
+    lam^(p-1) != 1 (mod p^2). As for monomials, the deeper levels follow.
     """
     _require_invariant(m, sphere)
-    if m.p >= 3:
+    p = m.p
+    if p >= 3:
+        lam = m.multiplier_x2()
+        if sphere.center == "x2" and _is_primitive_root(lam, p):
+            ergodic = pow(_residue(lam, p * p), p - 1, p * p) != 1
+            return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "generatorRule")
         return ErgodicityVerdict("notErgodic", "pGe3Rule")
     if sphere.center == "x2":
         return ErgodicityVerdict("notErgodic", "radiusRule")
@@ -403,6 +425,14 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     vc = _fraction_valuation(m.c, 2)
     ergodic = (vc == v_beta) and (sphere.radius_exponent == -v_alpha - 1)
     return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "radiusRule")
+
+
+def _is_primitive_root(x: Fraction, p: int) -> bool:
+    """Whether x is a p-adic unit whose residue generates (Z/p)^*."""
+    if _fraction_valuation(x, p) != 0:
+        return False
+    g = _residue(x, p)
+    return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
 # -- mod-4 coefficient-sum criterion -------------------------------------------------

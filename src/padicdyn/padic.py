@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from typing import Union
 
 from .errors import (
@@ -123,6 +124,54 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of 1 <= n < PRIME_BOUND.
+
+    Composite parts are split by Pollard's rho, which finds a prime factor q
+    in about sqrt(q) steps, so every such n splits in at most about 2^21.
+    """
+    factors, pending = set(), [n]
+    while pending:
+        n = pending.pop()
+        if n == 1:
+            continue
+        if is_prime(n):
+            factors.add(n)
+            continue
+        d = _rho_divisor(n)
+        pending += [d, n // d]
+    return factors
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of a composite n: Pollard's rho with Brent's cycle
+    search, taking the gcd once per 64 steps (Brent, BIT 20, 1980)."""
+    if n % 2 == 0:
+        return 2
+    for c in count(1):
+        y, r, product, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                d = gcd(product, n)
+                k += 64
+            r *= 2
+        if d == n:  # the batch overshot: redo it one step at a time
+            y, d = saved, 1
+            while d == 1:
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
+        if d != n:
+            return d
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli
+from padicdyn import cli, ergodicity
 from padicdyn.cli import main
 from padicdyn.dynamics import sphere_points
+from padicdyn.ergodicity import ErgodicityVerdict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +46,9 @@ LATER_GOLDEN_COMMANDS = {
                                "--steps", "8"],
     "orbit_pole_at_start.json": ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "1",
                                  "--steps", "4"],
+    # f'(x2) = -31 generates Z_3^*: the generator rule's ergodic x2-sphere
+    "ergodic_x2_generator.json": ["ergodic", "--p", "3", "--a", "1/18", "--c", "-4/3",
+                                  "--radius-exp", "-1", "--center", "x2", "--oracle-depth", "6"],
 }
 GOLDEN_CASES = sorted(GOLDEN_COMMANDS.items()) + list(LATER_GOLDEN_COMMANDS.items())
 
@@ -235,8 +241,11 @@ def test_exit_verification_failure(capsys, monkeypatch):
     assert code == 3 and err.count("\n") == 1 and "pole hit" in err
 
 
-def test_decider_disagreement_exits_3(capsys):
-    # case-3 sphere around x2 where theorem and oracle disagree (open defect)
+def test_decider_disagreement_exits_3(capsys, monkeypatch):
+    # a theorem that calls every sphere at p >= 3 not ergodic, as it did
+    # before the generator rule, disagrees with the oracle on this x2-sphere
+    monkeypatch.setattr(ergodicity, "ergodicity_theorem",
+                        lambda m, sphere: ErgodicityVerdict("notErgodic", "pGe3Rule"))
     code, out, err = run_cli(
         capsys,
         ["ergodic", "--p=3", "--a=1/18", "--c=-4/3", "--radius-exp=-1", "--center=x2",
@@ -244,6 +253,7 @@ def test_decider_disagreement_exits_3(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("internal verification failed: ") and err.count("\n") == 1
+    assert "theorem=notErgodic, oracle=ergodic" in err
 
 
 def test_orbit_pole_hit(capsys):
@@ -572,7 +582,7 @@ def test_command_parser_matches_the_full_parser(name, argv):
     assert vars(cli.build_parser(argv[0]).parse_args(argv[1:])) == full
 
 
-def test_main_builds_one_parser_per_call(capsys, monkeypatch):
+def test_main_builds_a_parser_only_for_what_the_scanner_refuses(capsys, monkeypatch):
     build_parser, built = cli.build_parser, []
 
     def spy(cmd=None):
@@ -581,11 +591,104 @@ def test_main_builds_one_parser_per_call(capsys, monkeypatch):
         return parser
 
     monkeypatch.setattr(cli, "build_parser", spy)
+    # a well-formed request builds no parser
     argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1"]
     assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 0
+    assert built == []
+    # a malformed one builds a fresh parser of its command on every call
+    argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1", "--frob"]
+    assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 1
+    assert [cmd for cmd, _ in built] == ["analyze", "analyze"]
+    assert built[0][1] is not built[1][1]
+    # no command: the full parser
     assert run_cli(capsys, [])[0] == 1
     assert [cmd for cmd, _ in built] == ["analyze", "analyze", None]
-    assert built[0][1] is not built[1][1]
+
+
+def _random_argv(rng, cmd):
+    """One argv of ``cmd`` drawn from its table: mostly well-formed, with
+    negative fractions, both value forms, repeats, abbreviations, unknown
+    options, help, version, "--", missing values, bad literals and choices,
+    and stray positionals mixed in."""
+    _, _, options = cli._COMMANDS[cmd]
+    table = dict(cli._SHARED_OPTIONS + options)
+    good = {int: ["2", "3", "5", "7", "-1", "0", "32", "1024", "-2", "-256"],
+            cli._rational: ["1", "-2", "2/3", "-2/3", "-7/4", "3", "-1/2", "5"]}
+    bad = {int: ["4.5", "three", "", "1/2", "-x", " 7", "+5", "1_0", "٣"],
+           cli._rational: ["1/0", "1.5", "abc", "", "-.5", "3/-2", "2//3", "- 2"]}
+    groups = []
+    for option, kwargs in table.items():
+        wanted = 0.95 if kwargs.get("required") else 0.3
+        for _ in range(1 + (rng.random() < 0.1)):  # sometimes repeated
+            if rng.random() >= wanted:
+                continue
+            if kwargs.get("action") == "store_true":
+                groups.append([option] if rng.random() < 0.95 else [option + "=1"])
+                continue
+            if "choices" in kwargs:
+                value = rng.choice(kwargs["choices"] + ("fast", "x3", "-x1"))
+            elif "type" in kwargs:
+                pool = good if rng.random() < 0.9 else bad
+                value = rng.choice(pool[kwargs["type"]])
+            else:
+                value = rng.choice(["out.csv", "", "-", "x=y", "-x", "--", "-3"])
+            if rng.random() < 0.3:
+                groups.append([f"{option}={value}"])
+            else:
+                groups.append([option, value])
+    for _ in range(rng.random() < 0.2):
+        option = rng.choice(list(table))
+        noise = rng.choice([
+            ["-h"], ["--help"], ["--version"], ["--"], ["--frob"], ["5"], ["x"], ["-5"],
+            ["-"], [option[:rng.randint(3, len(option) - 1)] if len(option) > 3 else "--x",
+                    "1"],
+            [option],  # its value is missing unless it is a flag
+            ["--", option, "1"], [f"{option}="], ["-p", "3"],
+        ])
+        groups.append(noise)
+    rng.shuffle(groups)
+    return [cmd] + [token for group in groups for token in group]
+
+
+def test_scan_agrees_with_argparse_on_random_requests(capsys, monkeypatch):
+    # the scanner may refuse any input, but what it takes it must read as
+    # argparse does, and main must answer every input as argparse alone would
+    monkeypatch.setenv("COLUMNS", "80")
+    for cmd, (help_text, _, options) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, cmd, (help_text, _echo_args, options))
+    # one parser of each kind serves every call, which only saves time:
+    # argparse keeps no state between parse_args calls
+    parsers = {cmd: cli.build_parser(cmd) for cmd in (None, *cli._COMMANDS)}
+    monkeypatch.setattr(cli, "build_parser", lambda cmd=None: parsers[cmd])
+    rng = random.Random(22)
+    argvs = [_random_argv(rng, cmd) for _ in range(1000) for cmd in cli._COMMANDS]
+    taken = 0
+    for argv in argvs:
+        scanned = cli._scan(argv[0], argv[1:])
+        if scanned is not None:
+            taken += 1
+            parsed = parsers[argv[0]].parse_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+            assert vars(scanned) == vars(parsed), argv
+    assert 1500 < taken < len(argvs) - 1500
+    answers = [_answer(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_scan", lambda cmd, argv: None)
+    for argv, answer in zip(argvs, answers):
+        assert _answer(capsys, argv) == answer, argv
+
+
+def _echo_args(args):
+    print(sorted((name, repr(value)) for name, value in vars(args).items()
+                 if name != "func"))
+    return 0
+
+
+def _answer(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # help and version
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def test_periodic_refuses_q_with_a_or_c(capsys):

@@ -8,6 +8,7 @@ from padicdyn.dynamics import sphere_points, sphere_units
 from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
+    ErgodicityVerdict,
     _ball_permutation,
     _verify_permutation,
     decide_ergodicity,
@@ -199,6 +200,52 @@ def test_theorem_p2_center_x2_rule():
     m = CanonicalMap(2, 1, 4)  # case 2 at p = 2: x2-centered spheres exist
     v = ergodicity_theorem(m, SphereSpec("x2", -1))
     assert v.verdict == "notErgodic" and v.reason == "radiusRule"
+
+
+def _random_x2_sphere(rng, p):
+    """An invariant x2-sphere whose multiplier lam = f'(x2) is drawn first:
+    a random unit not 1 mod p, a third of the time with lam^(p-1) = 1 mod p^2."""
+    while True:
+        g = rng.randrange(2, p)
+        lam = g ** p % p ** 2 if rng.random() < 1 / 3 else g + p * rng.randrange(p)
+        lam += p ** 2 * rng.randint(-3, 3)
+        c = random_unit(rng, p, 40) * Fraction(p) ** rng.randint(-1, 1)
+        m = CanonicalMap(p, c * c / (1 - lam), c)  # so that 1 - c^2/a = lam
+        bound = m.invariant_spheres().x2_exponent_bound
+        if bound is not None:
+            return m, SphereSpec("x2", bound - 1 - rng.randint(0, 1))
+
+
+@pytest.mark.parametrize("p,depth", [(3, 6), (5, 4), (7, 3), (11, 3)])
+def test_theorem_on_x2_spheres_matches_the_oracle(p, depth):
+    # around x2 the theorem reads f'(x2) alone: ergodic iff it generates
+    # Z_p^*, i.e. a primitive root mod p with lam^(p-1) != 1 (mod p^2)
+    rng = random.Random(f"x2-generator:{p}")
+    seen = set()
+    for _ in range(30):
+        m, sphere = _random_x2_sphere(rng, p)
+        theorem = ergodicity_theorem(m, sphere)
+        oracle = residue_cycle_oracle(m, sphere, depth)
+        assert theorem.verdict == ("ergodic" if oracle.ergodic else "notErgodic"), (m, sphere)
+        seen.add((theorem.reason, theorem.verdict))
+    # at p = 3 every unit other than 1 mod 3 is a primitive root
+    assert seen == {("generatorRule", "ergodic"), ("generatorRule", "notErgodic"),
+                    *[("pGe3Rule", "notErgodic")] * (p > 3)}
+
+
+def test_theorem_x2_split_multiplier():
+    # lam = 17 is a primitive root mod 3 but 17^2 = 1 (mod 9): the level-1
+    # balls form one cycle, the level-2 balls three
+    m, sphere = CanonicalMap(3, Fraction(-9, 16), 3), SphereSpec("x2", -2)
+    assert m.multiplier_x2() == 17
+    assert ergodicity_theorem(m, sphere) == ErgodicityVerdict("notErgodic", "generatorRule")
+    levels = residue_cycle_oracle(m, sphere, 2).levels
+    assert [lv.cycle_lengths for lv in levels] == [(2,), (2, 2, 2)]
+    assert decide_ergodicity(m, sphere).verdict == "notErgodic"
+    # lam = 5 generates Z_3^*
+    m = CanonicalMap(3, Fraction(-9, 16), Fraction(3, 2))
+    assert m.multiplier_x2() == 5
+    assert decide_ergodicity(m, sphere).verdict == "ergodic"
 
 
 def test_theorem_requires_invariance():

@@ -21,7 +21,13 @@ from padicdyn import (
 )
 from padicdyn.conjugation import GeneralMap
 from padicdyn.dynamics import PRECISION_BIT_BUDGET
-from padicdyn.padic import PRIME_BOUND, _fraction_valuation, _int_valuation, _inverse_unit
+from padicdyn.padic import (
+    PRIME_BOUND,
+    _fraction_valuation,
+    _int_valuation,
+    _inverse_unit,
+    _prime_factors,
+)
 from util import (
     brute_force_is_square,
     int_valuation_loop,
@@ -161,6 +167,35 @@ def test_is_prime_rejects_strong_pseudoprimes():
     for n in (PRIME_BOUND, 2**89 - 1):
         with pytest.raises(ValueError, match="not decided"):
             is_prime(n)
+
+
+def _trial_division_factors(n):
+    factors, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+        d += 1
+    return factors | ({n} if n > 1 else set())
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random("prime-factors")
+    for n in [*range(1, 2000), *(rng.randrange(2, 10**8) for _ in range(100))]:
+        assert _prime_factors(n) == _trial_division_factors(n), n
+    # two 31-bit primes and a prime square: the cofactors that trial division
+    # below the square root leaves to Pollard's rho
+    q1, q2 = 2147483647, 2147483629
+    assert _prime_factors(2 * q1 * q2) == {2, q1, q2}
+    assert _prime_factors(4 * q1 * q1) == {2, q1}
+    # the largest n taken: its factors are prime and divide it out completely
+    n, factors = PRIME_BOUND - 1, _prime_factors(PRIME_BOUND - 1)
+    assert factors == {2, 3, 5, 127, 18778597, 858557454841}
+    for q in factors:
+        assert is_prime(q)
+        while n % q == 0:
+            n //= q
+    assert n == 1
 
 
 def test_arithmetic_and_prime_mismatch():

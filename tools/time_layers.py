@@ -11,7 +11,9 @@ and truncated mode, whose exact iterates outgrow 12,000 bits at step 13.
 On the request path it times
 ``isometry_check`` with 32 samples, ``TruncatedPadic.digits`` at 64, 256
 and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
-has it, ``cli.build_parser(cmd)`` of each command, and an in-process
+has them, ``cli.build_parser(cmd)`` of each command and ``cli._scan`` of
+one well-formed request of each command (the argv of SCAN_REQUESTS with
+``--json``), and an in-process
 ``cli.main`` of each of the six golden commands with ``--json`` (stdout
 captured). Prints one JSON object of microseconds per call (best of REPEAT
 timeit runs), and under "import_cli" the time of ``import padicdyn.cli`` in
@@ -58,6 +60,14 @@ GOLDEN_COMMANDS = {
     "periodic_two_cycle": ["periodic", "--p", "7", "--a", "4", "--c", "3"],
     "conjugate_double_root": ["conjugate", "--p", "3", "--a", "1", "--b", "0", "--c", "-1",
                               "--d", "1"],
+}
+# one request per command: the golden ones, and orbit_exact_case4's
+SCAN_REQUESTS = {
+    "analyze": GOLDEN_COMMANDS["analyze_case4"][1:],
+    "orbit": ["--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--steps", "8"],
+    "ergodic": GOLDEN_COMMANDS["ergodic_p2_ergodic"][1:],
+    "periodic": GOLDEN_COMMANDS["periodic_two_cycle"][1:],
+    "conjugate": GOLDEN_COMMANDS["conjugate_double_root"][1:],
 }
 INPUTS = 64
 REPEAT = 7
@@ -121,6 +131,9 @@ def _request_path(out: dict) -> None:
     out["build_parser"] = {"full": _best_us(cli.build_parser, 20)}
     for cmd in getattr(cli, "_COMMANDS", ()):  # one command's parser
         out["build_parser"][cmd] = _best_us(lambda: cli.build_parser(cmd), 20)
+    if hasattr(cli, "_scan"):  # a well-formed request read off the table
+        out["scan"] = {cmd: _best_us(lambda: cli._scan(cmd, argv + ["--json"]), 200)
+                       for cmd, argv in SCAN_REQUESTS.items()}
     out["cli_main"] = {}
     for name, argv in GOLDEN_COMMANDS.items():
         def request(argv=argv + ["--json"]):
