@@ -414,8 +414,7 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     _require_invariant(m, sphere)
     p = m.p
     if p >= 3:
-        lam = m.multiplier_x2()
-        if sphere.center == "x2" and _is_primitive_root(lam, p):
+        if sphere.center == "x2" and _is_primitive_root(lam := m.multiplier_x2(), p):
             ergodic = pow(_residue(lam, p * p), p - 1, p * p) != 1
             return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "generatorRule")
         return ErgodicityVerdict("notErgodic", "pGe3Rule")

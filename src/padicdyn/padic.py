@@ -130,7 +130,10 @@ def _prime_factors(n: int) -> set[int]:
     """The distinct prime factors of 1 <= n < PRIME_BOUND.
 
     Composite parts are split by Pollard's rho, which finds a prime factor q
-    in about sqrt(q) steps, so every such n splits in at most about 2^21.
+    in about sqrt(q) steps on average. A composite n < PRIME_BOUND < 2^82
+    has a factor below 2^41, so it splits in about 2^21 steps at most: half
+    a second for p - 1 = 2 * q1 * q2 with 40-bit q1 and q2 (Intel Xeon,
+    Python 3.11).
     """
     factors, pending = set(), [n]
     while pending:
