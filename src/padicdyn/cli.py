@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -56,38 +55,14 @@ EXIT_VERIFICATION = 3
 #: Xeon, Python 3.11).
 RADIUS_EXPONENT_BUDGET = 256
 
-#: Largest --samples. ``ergodic``'s isometry check compares every pair of
-#: samples, so its time grows with the square of the count: ergodic --p 2
-#: --a 2 --c 1 --radius-exp -2 took 0.15 s at 512 samples, 0.65 s at 1024
-#: and 2.7 s at 2048 (Intel Xeon, Python 3.11).
+#: Largest --samples. Each sampled check costs one exact evaluation of f
+#: per sample, on rationals of about |e| * log2(p) bits, and the isometry
+#: check adds a few residues per sample and ball level. At the largest
+#: radius and prime that ``ergodic`` admits (e = -256, p = 1021, oracle
+#: depth 2) the request took 2.05 s at 32 samples, 2.50 s at 1024 and
+#: 3.06 s at 2048 (Intel Xeon, Python 3.11): the cap keeps the samples'
+#: share to about half a second.
 SAMPLE_BUDGET = 1024
-
-#: Most weighted pairs that ``ergodic``'s isometry check compares. A pair's
-#: integers grow with the b = |e| * bitlen(p) bits of the sample points, and
-#: its cost faster than linearly: at p = 101 a pair took 1.5 us at b = 14,
-#: 8.4 us at 112, 31 us at 448, 69 us at 896 and 170 us at 1792 (Intel Xeon,
-#: Python 3.11). A pair weighs 1 + b/16 + (b/256)^2, which is about 1 us
-#: there (up to 2.3 us for p = 3 at small b, 0.2 us for p = 2 at large b,
-#: whose valuations are bit operations), so a check takes about a second:
-#: 1024 samples fit up to b = 15 and 32 samples up to b = 9896.
-ISOMETRY_PAIR_BUDGET = 1 << 20
-
-
-def _ergodic_budget_error(args) -> str | None:
-    """Why an ``ergodic`` request is over a budget, or None; no work is done."""
-    if abs(args.radius_exp) > RADIUS_EXPONENT_BUDGET:
-        return (f"radius exponent {args.radius_exp} is over the budget: "
-                f"|--radius-exp| must be at most {RADIUS_EXPONENT_BUDGET}")
-    bits = abs(args.radius_exp) * args.p.bit_length()
-    weight = bits * bits + 4096 * bits + 65536  # 65536 * (1 + b/16 + (b/256)^2)
-    pairs = (ISOMETRY_PAIR_BUDGET << 16) // weight
-    fits = (1 + math.isqrt(1 + 8 * pairs)) // 2  # most n with n(n-1)/2 <= pairs
-    if args.samples > fits:
-        return (f"argument --samples: {args.samples} samples at radius exponent "
-                f"{args.radius_exp} are over the isometry budget of "
-                f"{ISOMETRY_PAIR_BUDGET} weighted pairs; the largest count that "
-                f"fits at this radius is {fits}")
-    return None
 
 
 def _json(value, *names):
@@ -391,6 +366,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliArgumentError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops "--" from an option's values, so "--csv=--" would
+        # give the option [] instead of refusing it
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 _REQUIRED = {"type": _rational, "required": True}
 _OPTIONAL = {"type": _rational, "default": None}
@@ -525,8 +507,10 @@ def main(argv=None) -> int:
             raise _CliArgumentError(
                 f"argument --samples: {args.samples} is over the budget of "
                 f"{SAMPLE_BUDGET} samples; the largest count that fits is {SAMPLE_BUDGET}")
-        if args.cmd == "ergodic" and (problem := _ergodic_budget_error(args)):
-            raise _CliArgumentError(problem)
+        if args.cmd == "ergodic" and abs(args.radius_exp) > RADIUS_EXPONENT_BUDGET:
+            raise _CliArgumentError(
+                f"radius exponent {args.radius_exp} is over the budget: "
+                f"|--radius-exp| must be at most {RADIUS_EXPONENT_BUDGET}")
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

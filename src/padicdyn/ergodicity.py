@@ -21,18 +21,17 @@ the mod-4 test and the ball kernel read their coefficients from it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .dynamics import CanonicalMap, SphereSpec, sphere_points
+from .dynamics import CanonicalMap, SphereSpec, sphere_points, sphere_units
 from .errors import NotApplicableError, VerificationError, _verify
 from .padic import (
-    INFINITY,
     _fraction_valuation,
     _horner,
-    _int_valuation,
     _prime_factors,
     _unit_residue,
 )
@@ -140,50 +139,61 @@ class IsometryReport:
 def isometry_check(
     m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
 ) -> IsometryReport:
-    """Verify |f(x)-f(y)|_p = |x-y|_p exactly on all sampled pairs.
+    """Verify |f(x)-f(y)|_p = |x-y|_p and |a - x*y|_p = |a|_p exactly on all
+    count*(count-1)/2 sampled pairs, in time linear in the count.
 
-    Also checks the numerator factor of the distance-ratio identity:
-    v(a - x*y) = v(a) for every sampled pair (so the ratio of norms is 1).
-    Raises VerificationError with a counterexample on any violation.
+    A sample is x = x_i + s*u with s = p^-e; its image coordinate
+    w = (f(x) - f(x_0))/s is read off exact values of f. The metric is
+    ultrametric, so f is an isometry on the samples iff every w is
+    p-integral and at every level k "same residue mod p^k" is the same
+    equivalence relation on the u's as on the w's, up to the level where
+    every class is a singleton. Equal samples count as one point.
 
-    The check is exact over all count*(count-1)/2 pairs and is computed on
-    integer cross-products. With x = xn/xd (and so on for y, f(x), f(y), a)
-    in any representation, v(n/d) = v(n) - v(d), so
-
-        v(f(x) - f(y)) = v(fn*gd - gn*fd) - v(fd) - v(gd)
-        v(x - y)       = v(xn*yd - yn*xd) - v(xd) - v(yd)
-        v(a - x*y)     = v(an*xd*yd - ad*xn*yn) - v(ad) - v(xd) - v(yd)
-
-    with every denominator valuation taken once per point.
+    Raises VerificationError naming the failed condition of the numerator
+    factor (see below), or the first violating pair in sample order, which
+    a pair scan finds once the level check has failed.
     """
     _require_invariant(m, sphere)
+    # With x = x_i + s*u, y = x_i + s*u', t1 = c*s/a, t2 = s^2/a and
+    # lam = f'(x2) = 1 - c^2/a:
+    #   around x1 = 0:   a - x*y = a*(1 - t2*u*u')
+    #   around x2 = -c:  a - x*y = a*(lam + t1*(u + u') - t2*u*u')
+    # For p-integral u and u', v(t1) >= 1, v(t2) >= 1 and v(lam) = 0 make the
+    # bracket a unit, so v(a - x*y) = v(a) for every pair. rescale_to_unit
+    # checks exactly these conditions.
+    try:
+        rescale_to_unit(m, sphere)
+    except NotApplicableError as exc:
+        raise VerificationError(f"numerator factor |a - xy| = |a| is not ensured: {exc}") from None
     p = m.p
-    pts = sphere_points(m, sphere, count, seed)
+    center = m.center_point(sphere.center)
+    s = Fraction(p) ** -sphere.radius_exponent
+    units = sphere_units(p, count, seed)
+    pts = [center + u * s for u in units]  # as sphere_points builds them
     images = [m.eval(x) for x in pts]
-    va = _fraction_valuation(m.a, p)
-    an, ad = m.a.numerator, m.a.denominator
-    vad = _int_valuation(ad, p)
-    parts = [(x, x.numerator, x.denominator, _int_valuation(x.denominator, p),
-              fx.numerator, fx.denominator, _int_valuation(fx.denominator, p))
-             for x, fx in zip(pts, images)]
-    for i, (x, xn, xd, vxd, fn, fd, vfd) in enumerate(parts):
-        for y, yn, yd, vyd, gn, gd, vgd in parts[i + 1:]:
-            diff = fn * gd - gn * fd
-            lhs = (_int_valuation(diff, p) if diff else INFINITY) - vfd - vgd
-            diff = xn * yd - yn * xd
-            rhs = (_int_valuation(diff, p) if diff else INFINITY) - vxd - vyd
-            if lhs != rhs:
-                raise VerificationError(
-                    f"isometry violated for x={x}, y={y}: v={lhs} != {rhs}",
-                    counterexample=(x, y),
-                )
-            diff = an * xd * yd - ad * xn * yn
-            if not diff or _int_valuation(diff, p) - vad - vxd - vyd != va:
-                raise VerificationError(
-                    f"numerator factor |a - xy| != |a| for x={x}, y={y}",
-                    counterexample=(x, y),
-                )
-    return IsometryReport(len(parts) * (len(parts) - 1) // 2)
+    coords = dict(zip(units, ((fx - images[0]) / s for fx in images)))
+    # distinct units u, u' differ by a numerator below 2h^2 over a unit, so
+    # they differ mod top; level k compares the partitions by u and by w mod
+    # p^k with the one by both, and classes of one point drop out
+    h = max(max(abs(u.numerator), u.denominator) for u in coords)
+    top = p ** ((2 * h * h).bit_length() // (p.bit_length() - 1) + 1)
+    isometric = all(w.denominator % p for w in coords.values())  # level 0
+    keys = [(_residue(u, top), _residue(w, top)) for u, w in coords.items()] if isometric else []
+    mod = 1
+    while isometric and keys:
+        mod *= p
+        level = [(ku % mod, kw % mod) for ku, kw in keys]
+        isometric = len(set(level)) == len({ku for ku, _ in level}) == len({kw for _, kw in level})
+        sizes = Counter(ku for ku, _ in level)
+        keys = [key for key, (ku, _) in zip(keys, level) if sizes[ku] > 1]
+    if not isometric:
+        for i, (x, fx) in enumerate(zip(pts, images)):
+            for y, fy in zip(pts[i + 1:], images[i + 1:]):
+                lhs, rhs = _fraction_valuation(fx - fy, p), _fraction_valuation(x - y, p)
+                if lhs != rhs:
+                    raise VerificationError(f"isometry violated for x={x}, y={y}: "
+                                            f"v={lhs} != {rhs}", counterexample=(x, y))
+    return IsometryReport(len(pts) * (len(pts) - 1) // 2)
 
 
 # -- the map on a sphere's unit coordinate -------------------------------------------
@@ -211,9 +221,9 @@ def rescale_to_unit(
     p-integral: (0, 1) and (1, t1, t2) around x1, (0, lam, t1) and
     (1, -t1, t2) around x2.
 
-    Raises NotApplicableError unless p divides t1 and t2 and lam is a unit,
-    so that the map sends residue balls to residue balls; that holds on
-    every invariant sphere.
+    Raises NotApplicableError, naming the conditions that fail, unless p
+    divides t1 and t2 and lam is a unit, so that the map sends residue balls
+    to residue balls; that holds on every invariant sphere.
     """
     p = m.p
     s = Fraction(p) ** -sphere.radius_exponent
@@ -224,12 +234,12 @@ def rescale_to_unit(
     else:
         lam = Fraction(1)
         numerator, denominator = (Fraction(0), lam), (Fraction(1), t1, t2)
-    if not (_fraction_valuation(t1, p) >= 1 and _fraction_valuation(t2, p) >= 1
-            and _fraction_valuation(lam, p) == 0):
-        raise NotApplicableError(
-            f"balls of {sphere} do not map to balls: need v(t1) >= 1, v(t2) >= 1 "
-            f"and v(f'(center)) = 0"
-        )
+    v1, v2, vl = (_fraction_valuation(x, p) for x in (t1, t2, lam))
+    failed = ", ".join(text for holds, text in (
+        (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
+        (vl == 0, f"v(f'(center)) = {vl} != 0")) if not holds)
+    if failed:
+        raise NotApplicableError(f"balls of {sphere} do not map to balls: {failed}")
     return numerator, denominator
 
 
@@ -395,8 +405,12 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     lam = f'(x2) = 1 - c^2/a: when lam mod p is a primitive root, ergodic iff
     lam^(p-1) != 1 (mod p^2), that is iff lam topologically generates Z_p^*
     ("generatorRule"); otherwise not ergodic ("pGe3Rule"). p = 2 around x2:
-    never ergodic (the displacement equals the radius there). p = 2 around
-    x1: ergodic iff |c|_2 = beta and r = alpha/2.
+    never ergodic, by the mod-4 criterion. In the unit coordinate of
+    rescale_to_unit f is (lam*u + t1*u^2)/(1 - t1*u + t2*u^2), so A2 = t1
+    and B1 = -t1 add to 0, while each of the criterion's four patterns has
+    A2 + B1 = 2 (mod 4), and a swapped pattern needs B1 odd, which -t1 (p
+    divides t1) is not. p = 2 around x1: ergodic iff |c|_2 = beta and
+    r = alpha/2.
 
     The x2 rule is derived here (the paper's text is not in the repository),
     as in the monomial theorem of Gundlach, Khrennikov and Lindahl ("On

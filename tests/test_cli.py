@@ -330,8 +330,8 @@ def test_samples_must_be_at_least_one(capsys):
 
 
 def test_samples_over_budget_exits_1_before_any_work(capsys, monkeypatch):
-    # the isometry check is quadratic in the count, so 100000 samples would
-    # run for minutes: the budget refuses them before any command runs
+    # every sample costs exact evaluations of f, so the budget refuses
+    # 100000 samples before any command runs
     def refuse(args):
         raise AssertionError("the command ran")
 
@@ -351,41 +351,34 @@ def test_samples_over_budget_exits_1_before_any_work(capsys, monkeypatch):
     assert code == 1 and out == ""
 
 
-def test_samples_over_the_isometry_budget_at_a_radius_exit_1_before_any_work(
-        capsys, monkeypatch):
-    # the isometry check's pairs grow with the square of the count and each
-    # pair's cost faster than linearly with |e| * bitlen(p): 1024 samples at
-    # p = 101, e = -256 ran for about 90 s, so the joint budget refuses them
+@pytest.mark.parametrize("argv", [
+    # refused by the former joint budget on samples and radius bits
+    ["ergodic", "--p", "2", "--a", "192", "--c", "36", "--radius-exp", "-9",
+     "--oracle-depth", "2", "--samples", "1024"],
+    ["ergodic", "--p", "101", "--a", "1", "--c", "1", "--oracle-depth", "2",
+     "--radius-exp", "-256", "--samples", "1024"],
+])
+def test_samples_at_budget_run_at_any_radius(capsys, argv):
+    # the isometry check is linear in the count, so SAMPLE_BUDGET samples
+    # run at every radius within RADIUS_EXPONENT_BUDGET
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["isometry"] == {"ok": True, "pairs_checked": 1024 * 1023 // 2}
+
+
+def test_radius_budget_is_checked_before_any_work(capsys, monkeypatch):
     ran = []
     for cmd, (help_text, _, options) in cli._COMMANDS.items():
         monkeypatch.setitem(cli._COMMANDS, cmd, (help_text, ran.append, options))
     request = ["ergodic", "--p", "101", "--a", "1", "--c", "1", "--oracle-depth", "2"]
-    code, out, err = run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "1024"])
+    code, out, err = run_cli(capsys, request + ["--radius-exp", "-257", "--samples", "1024"])
     assert code == 1 and out == "" and ran == []
-    assert err == ("error: argument --samples: 1024 samples at radius exponent -256 are "
-                   "over the isometry budget of 1048576 weighted pairs; the largest count "
-                   "that fits at this radius is 114\n")
-    assert cli.ISOMETRY_PAIR_BUDGET == 1 << 20
-    # the largest count that fits runs, one more does not
-    assert run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "114"])[0] is None
-    assert run_cli(capsys, request + ["--radius-exp", "-256", "--samples", "115"])[0] == 1
-    assert len(ran) == 1
-    # the default 32 samples fit at every radius for p <= 101, and 1024 fit
-    # at the small radii that ran in under a second
-    for p in (2, 3, 5, 7, 11, 101):
-        for e in ("-256", "256", "-1"):
-            assert run_cli(capsys, ["ergodic", "--p", str(p), "--a", "1", "--c", "1",
-                                    "--radius-exp", e])[0] is None
-    for p, e in ((2, "-2"), (101, "-2"), (2, "-7")):
-        assert run_cli(capsys, ["ergodic", "--p", str(p), "--a", "1", "--c", "1",
-                                "--radius-exp", e, "--samples", "1024"])[0] is None
-    assert len(ran) == 1 + 18 + 3
-    # the radius budget is checked first, with its own message
-    code, _, err = run_cli(capsys, request + ["--radius-exp", "-257", "--samples", "1024"])
-    assert code == 1 and "|--radius-exp| must be at most 256" in err
+    assert err == ("error: radius exponent -257 is over the budget: "
+                   "|--radius-exp| must be at most 256\n")
     # other commands take any --samples within SAMPLE_BUDGET at any size
     assert run_cli(capsys, ["analyze", "--p", "101", "--a", "1", "--c", "1",
                             "--samples", "1024"])[0] is None
+    assert len(ran) == 1
 
 
 def test_samples_at_budget_run(capsys):
@@ -552,6 +545,20 @@ def test_usage_error_text(capsys, monkeypatch, name):
     golden = json.loads((GOLDEN / "usage_errors.json").read_text(encoding="utf-8"))
     assert out == ""
     assert {"exit": code, "stderr": err} == golden[name]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2", "--csv=--"],
+     "--csv"),
+    (["analyze", "--p", "3", "--a=--", "--c", "1"], "--a"),
+])
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, monkeypatch, tmp_path,
+                                                         argv, option):
+    # argparse drops "--" from an option's values; the option must not get []
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: argument {option}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_reads_sys_argv():

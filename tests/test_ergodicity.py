@@ -161,6 +161,66 @@ def test_isometry_kernel_and_reference_catch_a_moved_image(monkeypatch, m, spher
     assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
 
 
+@pytest.mark.parametrize("m,sphere,seed", [
+    (M2, SphereSpec("x1", -2), None),
+    (CASE3, SphereSpec("x2", -1), 7),
+    (*_scaled(CASE2, SphereSpec("x2", -2), 2), None),
+])
+def test_isometry_kernel_and_reference_catch_images_drawn_together(monkeypatch, m, sphere,
+                                                                   seed):
+    # put the image of the 6th sample point within p^40 of its nearest
+    # neighbour's image: that pair's images are closer than its points,
+    # and a pair alone in its ball class one level up must still be caught
+    pts = sphere_points(m, sphere, 16, seed)
+    moved = pts[5]
+    partner = max((y for y in pts if y != moved), key=lambda y: m.val(moved - y))
+    real = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
+        real(self, partner) + Fraction(self.p) ** 40 if x == moved else real(self, x)))
+    got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
+    assert isinstance(got, tuple) and moved in got[1], got
+    assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
+    if seed is None and m is M2:  # u = 11 and 27 share no level-4 ball with another sample
+        assert sum(m.val(moved - y) >= m.val(moved - partner) for y in pts) == 2
+
+
+def test_isometry_levels_reach_units_that_agree_to_many_digits(monkeypatch):
+    # two units of about 21 bits that agree mod 2^40: the level check must
+    # run to level 41 to tell them apart, and an image moved by s*2^40 shows
+    # only there
+    units = [Fraction(1), Fraction(3), Fraction(1572865, 1048577), Fraction(524287, 1048575)]
+    assert M2.val(units[2] - units[3]) == 40
+    for module in ("padicdyn.dynamics", "padicdyn.ergodicity"):
+        monkeypatch.setattr(f"{module}.sphere_units", lambda p, count, seed=None: units)
+    sphere = SphereSpec("x1", -2)
+    assert isometry_check(M2, sphere, 4) == reference_isometry_check(M2, sphere, 4)
+    pts = sphere_points(M2, sphere, 4)
+    real = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
+        real(self, x) + (Fraction(2) ** 42 if x == pts[3] else 0)))
+    got = _isometry_outcome(isometry_check, M2, sphere, 4, None)
+    assert isinstance(got, tuple) and got[1] == (pts[2], pts[3]), got
+    assert got == _isometry_outcome(reference_isometry_check, M2, sphere, 4, None)
+
+
+def test_isometry_checks_the_numerator_factor_conditions_once_per_sphere(monkeypatch):
+    # the boundary sphere r = alpha = |c| of this map is not invariant, and
+    # f is not an isometry on it: v(t1) = v(t2) = 0 there, so the conditions
+    # that give |a - xy| = |a| for every pair fail before any pair is built
+    m, sphere = CanonicalMap(3, Fraction(-9), Fraction(-6)), SphereSpec("x1", -1)
+    assert not m.sphere_is_invariant(sphere)
+    monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
+    with pytest.raises(VerificationError) as exc:
+        isometry_check(m, sphere, 32)
+    assert str(exc.value) == (
+        "numerator factor |a - xy| = |a| is not ensured: balls of "
+        "SphereSpec(center='x1', radius_exponent=-1) do not map to balls: "
+        "v(t1) = 0 < 1, v(t2) = 0 < 1")
+    # the pair scan finds the same sphere non-isometric
+    with pytest.raises(VerificationError, match="isometry violated for x=3, y=6: v=2 != 1"):
+        reference_isometry_check(m, sphere, 32)
+
+
 # -- minimal invariant ball -----------------------------------------------------------
 
 

@@ -177,7 +177,7 @@ def reference_oracle_levels(m, sphere: SphereSpec, depth: int) -> tuple:
     return tuple(levels)
 
 
-# -- Fraction reference for the isometry check's integer pair kernel -------------
+# -- pair-scan reference for the isometry check's level classes ------------------
 
 
 def reference_isometry_check(m, sphere: SphereSpec, count: int = 32,

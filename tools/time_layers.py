@@ -9,7 +9,9 @@ it, by ``padic._inverse_unit``, also at the orbit precisions 24, 64 and
 256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5) at precision 64 in auto
 and truncated mode, whose exact iterates outgrow 12,000 bits at step 13.
 On the request path it times
-``isometry_check`` with 32 samples, ``TruncatedPadic.digits`` at 64, 256
+``isometry_check`` with 32 samples and, best of LARGE_REPEAT single calls,
+at the larger inputs of ISOMETRY_LARGE (up to 1024 samples at radius
+exponent -256), ``TruncatedPadic.digits`` at 64, 256
 and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
 has them, ``cli.build_parser(cmd)`` of each command and ``cli._scan`` of
 one well-formed request of each command (the argv of SCAN_REQUESTS with
@@ -50,6 +52,10 @@ INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
+# (p, a, c, center, e, samples)
+ISOMETRY_LARGE = ((3, -2, 1, "x1", -16, 833), (2, 2, 1, "x1", -2, 1024),
+                  (101, 1, 1, "x1", -256, 1024))
+LARGE_REPEAT = 3
 DIGIT_COUNTS = (64, 256, 4096)
 GOLDEN_COMMANDS = {
     "analyze_case4": ["analyze", "--p", "3", "--a", "-2", "--c", "1"],
@@ -122,6 +128,12 @@ def _request_path(out: dict) -> None:
         for seed in (None, 1):
             out["isometry_check"][f"p={p} {center} e={e} seed={seed}"] = _best_us(
                 lambda: isometry_check(m, sphere, 32, seed), 10)
+    out["isometry_check_large"] = {}
+    for p, a, c, center, e, n in ISOMETRY_LARGE:
+        m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
+        out["isometry_check_large"][f"p={p} {center} e={e} samples={n}"] = round(min(
+            timeit.repeat(lambda: isometry_check(m, sphere, n), number=1,
+                          repeat=LARGE_REPEAT)) * 1e6, 3)
     out["digits"] = {}
     for p in PRIMES:
         for n in DIGIT_COUNTS:
