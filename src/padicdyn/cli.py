@@ -57,11 +57,11 @@ RADIUS_EXPONENT_BUDGET = 256
 
 #: Largest --samples. Each sampled check costs one exact evaluation of f
 #: per sample, on rationals of about |e| * log2(p) bits, and the isometry
-#: check adds a few residues per sample and ball level. At the largest
-#: radius and prime that ``ergodic`` admits (e = -256, p = 1021, oracle
-#: depth 2) the request took 2.05 s at 32 samples, 2.50 s at 1024 and
-#: 3.06 s at 2048 (Intel Xeon, Python 3.11): the cap keeps the samples'
-#: share to about half a second.
+#: check two residues per sample and a few integer operations per sample
+#: and ball level. At the largest radius and prime that ``ergodic`` admits
+#: (e = -256, p = 1021, oracle depth 2) the request took 1.47 s at 32
+#: samples, 1.77 s at 1024 and 2.08 s at 2048 (Intel Xeon, Python 3.11):
+#: the cap keeps the samples' share to about a third of a second.
 SAMPLE_BUDGET = 1024
 
 
