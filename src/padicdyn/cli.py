@@ -23,6 +23,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from types import NoneType
 
 from . import __version__
 from .conjugation import GeneralMap, conjugate, verify_conjugacy
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedCaseError,
     VerificationError,
 )
-from .ergodicity import decide_ergodicity, isometry_check, rho, verify_rho
+from .ergodicity import decide_ergodicity, rho, sampled_checks
 from .padic import INFINITY, TruncatedPadic, parse_rational
 from .periodic import (
     sphere_conditions,
@@ -55,13 +56,16 @@ EXIT_VERIFICATION = 3
 #: Xeon, Python 3.11).
 RADIUS_EXPONENT_BUDGET = 256
 
-#: Largest --samples. Each sampled check costs one exact evaluation of f
-#: per sample, on rationals of about |e| * log2(p) bits, and the isometry
-#: check two residues per sample and a few integer operations per sample
-#: and ball level. At the largest radius and prime that ``ergodic`` admits
-#: (e = -256, p = 1021, oracle depth 2) the request took 1.47 s at 32
-#: samples, 1.77 s at 1024 and 2.08 s at 2048 (Intel Xeon, Python 3.11):
-#: the cap keeps the samples' share to about a third of a second.
+#: Largest --samples. The sampled checks evaluate f exactly once per
+#: sample, on rationals of about |e| * log2(p) bits, and read the
+#: displacement and the isometry off the integer numerators and
+#: denominators of x and f(x): two valuations per sample for the
+#: displacement, one valuation and two residues for the isometry, and a
+#: few integer operations per sample and ball level. At the largest radius
+#: and prime that ``ergodic`` admits (e = -256, p = 1021, oracle depth 2)
+#: the request took 1.08 s at 32 samples, 1.34 s at 1024 and 1.60 s at
+#: 2048 (Intel Xeon, Python 3.11): the cap keeps the samples' share to
+#: about a quarter of a second.
 SAMPLE_BUDGET = 1024
 
 
@@ -74,6 +78,8 @@ def _json(value, *names):
     its fields when none are given); a CanonicalMap of ``p``, ``a``, ``c``
     by default.
     """
+    if type(value) in (int, str, bool, NoneType):
+        return value
     if isinstance(value, (Fraction, TruncatedPadic)):
         return str(value)
     if value is INFINITY:
@@ -194,20 +200,18 @@ def _cmd_ergodic(args) -> int:
     m = CanonicalMap(args.p, args.a, args.c)
     sphere = SphereSpec(args.center, args.radius_exp)
     decision = decide_ergodicity(m, sphere, depth=args.oracle_depth)
-    try:
-        rho_exp = rho(m, sphere)
-        verify_rho(m, sphere, count=args.samples, seed=args.seed)
+    rho_exp, iso = sampled_checks(m, sphere, count=args.samples, seed=args.seed)
+    if rho_exp is None:
+        displacement = {
+            "rho_exponent": None,
+            "note": "radius equals |c|_p; displacement is point-dependent",
+        }
+    else:
         displacement = {
             "rho_exponent": rho_exp,
             "samples_checked": args.samples,
             "matches_samples": True,
         }
-    except NotApplicableError:
-        displacement = {
-            "rho_exponent": None,
-            "note": "radius equals |c|_p; displacement is point-dependent",
-        }
-    iso = isometry_check(m, sphere, count=args.samples, seed=args.seed)
     mod4 = _json(decision.mod4)
     if mod4 is not None:
         mod4["sums"]["residues_mod4"] = list(decision.mod4.sums.residues())

@@ -57,7 +57,6 @@ __all__ = [
     "Region",
     "SphereSpec",
     "orbit",
-    "sphere_points",
     "sphere_units",
 ]
 
@@ -183,19 +182,24 @@ class CanonicalMap:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        """Exact value of f(x); raises PoleHitError on the denominator's roots.
-
-        With x = xn/xd, a = an/ad and c = cn/cd, f(x) is
-        an*cd*xn*xd / (ad*cd*xn^2 + ad*cn*xn*xd + an*cd*xd^2), reduced once.
-        """
+        """Exact value of f(x); raises PoleHitError on the denominator's roots."""
         x = _coerce_fraction(x)
-        xn, xd = x.numerator, x.denominator
+        return Fraction(*self._eval_pair(x.numerator, x.denominator))
+
+    def _eval_pair(self, xn: int, xd: int) -> tuple[int, int]:
+        """f(xn/xd) as an unreduced (numerator, denominator) pair, xd != 0;
+        raises PoleHitError on the denominator's roots.
+
+        With a = an/ad and c = cn/cd, f(x) is
+        an*cd*xn*xd / (ad*cd*xn^2 + ad*cn*xn*xd + an*cd*xd^2), homogeneous
+        in (xn, xd), so xn/xd need not be in lowest terms.
+        """
         an, ad = self.a.numerator, self.a.denominator
         cn, cd = self.c.numerator, self.c.denominator
         den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
         if den == 0:
-            raise PoleHitError(x)
-        return Fraction(an * cd * xn * xd, den)
+            raise PoleHitError(Fraction(xn, xd))
+        return an * cd * xn * xd, den
 
     def eval_truncated(self, t: TruncatedPadic) -> TruncatedPadic:
         """f(t) in truncated arithmetic, digit for digit equal to the

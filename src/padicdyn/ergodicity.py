@@ -16,7 +16,11 @@ distance rho(r). Three independent deciders are provided and cross-checked:
     first balls of that pass.
 
 rescale_to_unit is the one place that writes f on the unit coordinate; both
-the mod-4 test and the ball kernel read their coefficients from it.
+the mod-4 test and the ball kernel read their coefficients from it. Every
+exact check runs on integer numerators and denominators: the anchors
+evaluate f with CanonicalMap's integer form of it, the sampled checks read
+the numerators and denominators of CanonicalMap.eval's values, and the
+mod-4 test scales each polynomial to integer coefficients.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Optional
 
-from .dynamics import CanonicalMap, SphereSpec, sphere_points, sphere_units
+from .dynamics import CanonicalMap, SphereSpec, sphere_units
 from .errors import NotApplicableError, VerificationError, _verify
-from .padic import (
+from .padic import (  # noqa: F401 - perfbench's tracer patches _unit_residue here
     _fraction_valuation,
     _horner,
+    _int_valuation,
     _prime_factors,
     _unit_residue,
 )
@@ -45,14 +51,12 @@ __all__ = [
     "OracleLevel",
     "OracleResult",
     "decide_ergodicity",
-    "displacement_table",
     "ergodicity_theorem",
-    "isometry_check",
     "mod4_criterion",
     "residue_cycle_oracle",
     "rescale_to_unit",
     "rho",
-    "verify_rho",
+    "sampled_checks",
 ]
 
 
@@ -102,16 +106,51 @@ def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
     return e
 
 
+# -- sampled checks ----------------------------------------------------------------
+#
+# A draw of samples is _sample's: units u from sphere_units, the points
+# x = x_i + u*s with s = p^-e, as sphere_points builds them, and their
+# images f(x) from CanonicalMap.eval, one evaluation per point. Both checks
+# read valuations and residues off the numerators and denominators of x
+# and f(x), not off Fraction differences. sampled_checks, which the
+# ``ergodic`` command runs, checks the displacement and the isometry on
+# one draw. displacement_table, verify_rho and isometry_check make one
+# check each on a draw of their own; the library does not call them, so
+# they are not in __all__, and the tests use them as the single checks.
+
+
+def _sample(m: CanonicalMap, sphere: SphereSpec, count: int, seed: Optional[int]):
+    """(units, points, images) of ``count`` samples of the sphere."""
+    center = m.center_point(sphere.center)
+    s = Fraction(m.p) ** -sphere.radius_exponent
+    units = sphere_units(m.p, count, seed)
+    points = [center + u * s for u in units]
+    return units, points, [m.eval(x) for x in points]
+
+
+def _displacement_exponents(p: int, points, images) -> list[int]:
+    """E = -v(f(x) - x) per point: v(fx.den*x.den) - v(fx.num*x.den - x.num*fx.den)."""
+    return [_int_valuation(fx.denominator * x.denominator, p)
+            - _int_valuation(fx.numerator * x.denominator - x.numerator * fx.denominator, p)
+            for x, fx in zip(points, images)]
+
+
+def _check_displacements(p: int, expected: int, points, images) -> None:
+    for x, got in zip(points, _displacement_exponents(p, points, images)):
+        if got != expected:
+            raise VerificationError(
+                f"displacement mismatch at x={x}: p^{got} != p^{expected}",
+                counterexample=x,
+            )
+
+
 def displacement_table(
     m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
 ) -> list[tuple[Fraction, int]]:
     """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E."""
     _require_invariant(m, sphere)
-    out = []
-    for x in sphere_points(m, sphere, count, seed):
-        v = _fraction_valuation(m.eval(x) - x, m.p)
-        out.append((x, -v))
-    return out
+    _, points, images = _sample(m, sphere, count, seed)
+    return list(zip(points, _displacement_exponents(m.p, points, images)))
 
 
 def verify_rho(
@@ -119,16 +158,8 @@ def verify_rho(
 ) -> int:
     """Assert |f(x)-x|_p = p**rho(r) on sampled points; returns sample count."""
     expected = rho(m, sphere)
-    for x, got in displacement_table(m, sphere, count, seed):
-        if got != expected:
-            raise VerificationError(
-                f"displacement mismatch at x={x}: p^{got} != p^{expected}",
-                counterexample=x,
-            )
+    _check_displacements(m.p, expected, *_sample(m, sphere, count, seed)[1:])
     return count
-
-
-# -- isometry ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -154,6 +185,34 @@ def isometry_check(
     a pair scan finds once the level check has failed.
     """
     _require_invariant(m, sphere)
+    return _check_isometry(m, sphere, *_sample(m, sphere, count, seed))
+
+
+def sampled_checks(
+    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
+) -> tuple[Optional[int], IsometryReport]:
+    """verify_rho and isometry_check on one draw of ``count`` samples, with
+    one evaluation of f per sample.
+
+    Returns the exponent rho(r), or None on the sphere of radius |c|, where
+    the displacement varies with the point and is not checked, and the
+    isometry report. The displacement is checked first; each check raises
+    what verify_rho and isometry_check raise.
+    """
+    _require_invariant(m, sphere)
+    try:
+        expected = rho(m, sphere)
+    except NotApplicableError:  # r = |c|: the sphere is invariant, rho undefined
+        expected = None
+    units, points, images = _sample(m, sphere, count, seed)
+    if expected is not None:
+        _check_displacements(m.p, expected, points, images)
+    return expected, _check_isometry(m, sphere, units, points, images)
+
+
+def _check_isometry(m: CanonicalMap, sphere: SphereSpec, units, points,
+                    images) -> IsometryReport:
+    """isometry_check on drawn samples (see there)."""
     # With x = x_i + s*u, y = x_i + s*u', t1 = c*s/a, t2 = s^2/a and
     # lam = f'(x2) = 1 - c^2/a:
     #   around x1 = 0:   a - x*y = a*(1 - t2*u*u')
@@ -165,21 +224,30 @@ def isometry_check(
         rescale_to_unit(m, sphere)
     except NotApplicableError as exc:
         raise VerificationError(f"numerator factor |a - xy| = |a| is not ensured: {exc}") from None
-    p = m.p
-    center = m.center_point(sphere.center)
-    s = Fraction(p) ** -sphere.radius_exponent
-    units = sphere_units(p, count, seed)
-    pts = [center + u * s for u in units]  # as sphere_points builds them
-    images = [m.eval(x) for x in pts]
-    coords = dict(zip(units, ((fx - images[0]) / s for fx in images)))
+    p, e = m.p, sphere.radius_exponent
+    f0n, f0d = images[0].numerator, images[0].denominator
+    # the difference f(x) - f(x_0) as an integer pair: w = (dn/dd) * p^e
+    pairs = dict(zip(units, ((fx.numerator * f0d - f0n * fx.denominator,
+                              fx.denominator * f0d) for fx in images)))
     # distinct units u, u' differ by a numerator below 2h^2 over a unit, so
     # they differ mod top; level k compares the partitions by u and by w mod
     # p^k with the one by both, and classes of one point drop out
-    h = max(max(abs(u.numerator), u.denominator) for u in coords)
+    h = max(max(abs(u.numerator), u.denominator) for u in pairs)
     top = p ** ((2 * h * h).bit_length() // (p.bit_length() - 1) + 1)
-    isometric = all(w.denominator % p for w in coords.values())  # level 0
-    keys = [(_residue(u, top), _residue(w, top)) for u, w in coords.items()] if isometric else []
-    mod = 1
+    keys = []
+    for u, (dn, dd) in pairs.items():
+        # w = dn / (unit * p^j) with unit = dd / p^v(dd) and j = v(dd) - e
+        v = _int_valuation(dd, p)
+        unit, j = dd // p ** v, v - e
+        if j <= 0:
+            wn = dn * p ** -j
+        else:
+            wn, rest = divmod(dn, p ** j)
+            if rest:  # level 0: w is not p-integral
+                keys = None
+                break
+        keys.append((_residue(u, top), wn * pow(unit, -1, top) % top))
+    isometric, mod = keys is not None, 1
     while isometric and keys:
         mod *= p
         level = [(ku % mod, kw % mod) for ku, kw in keys]
@@ -187,13 +255,13 @@ def isometry_check(
         sizes = Counter(ku for ku, _ in level)
         keys = [key for key, (ku, _) in zip(keys, level) if sizes[ku] > 1]
     if not isometric:
-        for i, (x, fx) in enumerate(zip(pts, images)):
-            for y, fy in zip(pts[i + 1:], images[i + 1:]):
+        for i, (x, fx) in enumerate(zip(points, images)):
+            for y, fy in zip(points[i + 1:], images[i + 1:]):
                 lhs, rhs = _fraction_valuation(fx - fy, p), _fraction_valuation(x - y, p)
                 if lhs != rhs:
                     raise VerificationError(f"isometry violated for x={x}, y={y}: "
                                             f"v={lhs} != {rhs}", counterexample=(x, y))
-    return IsometryReport(len(pts) * (len(pts) - 1) // 2)
+    return IsometryReport(len(points) * (len(points) - 1) // 2)
 
 
 # -- the map on a sphere's unit coordinate -------------------------------------------
@@ -270,9 +338,11 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
     form of rescale_to_unit, with its coefficients reduced mod p**level
     once. Every image is checked to be a unit and the map to be a
     bijection; the first _ANCHOR_BALLS images are checked against exact
-    evaluation of f at two representatives each. Any failure raises
-    VerificationError; a sphere whose balls do not map to balls is refused
-    by rescale_to_unit.
+    evaluation of f at two representatives each. The anchors evaluate f
+    with CanonicalMap's integer form of it, from a and c themselves, and
+    take the image's valuation and unit residue on integers, so they share
+    nothing with the kernel. Any failure raises VerificationError; a sphere
+    whose balls do not map to balls is refused by rescale_to_unit.
     """
     p, e = m.p, sphere.radius_exponent
     numerator, denominator = rescale_to_unit(m, sphere)
@@ -283,14 +353,19 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
     perm = {u: u * (n1 + n2 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
             for u in range(1, mod) if u % p}
     _verify_permutation(perm, p, level)
-    center = m.center_point(sphere.center)
-    scale = Fraction(p) ** -e
+    # the centre is xn/xd and s = p^-e is sn/sd; the point of rep is
+    # (xn*sd + rep*sn*xd)/(xd*sd), and its image coordinate
+    # w = (f(x) - xn/xd)/s = ((num*xd - xn*den)*sd) / (den*xd*sn)
+    xn, xd = (0, 1) if sphere.center == "x1" else (-m.c.numerator, m.c.denominator)
+    sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)
     for u in islice(perm, _ANCHOR_BALLS):
         for rep in (u, u + mod):
-            w = (m.eval(center + rep * scale) - center) / scale
-            _verify(_fraction_valuation(w, p) == 0,
+            num, den = m._eval_pair(xn * sd + rep * sn * xd, xd * sd)
+            wn, wd = (num * xd - xn * den) * sd, den * xd * sn
+            pv = p ** _int_valuation(wd, p)
+            _verify(wn % pv == 0 and wn // pv % p != 0,  # v(wn) = v(wd): w is a unit
                     f"image left the sphere at ball u={u}", rep)
-            exact = _unit_residue(w, p, level)
+            exact = wn // pv * pow(wd // pv, -1, mod) % mod
             _verify(exact == perm[u],
                     f"kernel image {perm[u]} of ball u={u} differs from the exact "
                     f"image {exact}", rep)
@@ -382,7 +457,13 @@ def residue_cycle_oracle(
             _verify(stray is None,
                     f"induced ball map not well defined at level {k}: ball u={stray}",
                     stray)
-            _verify_permutation(perm, p, k)
+            # No permutation check is needed here. The finer level is a
+            # bijection of the units mod p^(k+1) (checked at the deepest
+            # level, and by this argument at the others), and this level is
+            # its well-defined reduction: a unit v mod p^k lifts to a unit
+            # v', the image of some finer ball u', so v is the image of
+            # u' mod p^k. The map is onto, hence a bijection of this finite
+            # set, and its images, reductions of units, are units.
         lengths = _cycle_lengths(perm)
         levels.append(OracleLevel(k, len(perm), len(lengths), tuple(lengths)))
     levels.reverse()
@@ -487,10 +568,9 @@ _MOD4_CASES = {
 _SELF_MAP_SAMPLES = (1, 3, 5, -1, -3, 7)
 
 
-def _coefficient_sums(coeffs) -> tuple[Fraction, Fraction]:
-    odd = sum((c for i, c in enumerate(coeffs) if i % 2 == 1), Fraction(0))
-    even = sum((c for i, c in enumerate(coeffs) if i % 2 == 0), Fraction(0))
-    return odd, even
+def _coefficient_sums(coeffs: list[int]) -> tuple[int, int]:
+    """The odd- and the even-index coefficient sums."""
+    return sum(coeffs[1::2]), sum(coeffs[0::2])
 
 
 def mod4_criterion(num_coeffs, den_coeffs) -> Mod4Verdict:
@@ -501,25 +581,32 @@ def mod4_criterion(num_coeffs, den_coeffs) -> Mod4Verdict:
     coefficient sums of the numerator and B1/B2 of the denominator, the map
     is ergodic iff (A1,A2,B1,B2) mod 4 matches one of four patterns, or one
     of them with numerator and denominator interchanged (reported as case 5).
+
+    The checks run on integers: each polynomial is scaled by the lcm of its
+    coefficients' denominators, which is odd, so a value at an integer t is
+    a 2-adic unit iff the scaled value is odd.
     """
     num = [Fraction(c) for c in num_coeffs]
     den = [Fraction(c) for c in den_coeffs]
     for c in num + den:
-        if _fraction_valuation(c, 2) < 0:
+        if c.denominator % 2 == 0:
             raise ValueError(f"coefficient {c} is not a 2-adic integer")
+    scales = [lcm(*(c.denominator for c in poly)) for poly in (num, den)]
+    num_int, den_int = ([c.numerator * (scale // c.denominator) for c in poly]
+                        for poly, scale in zip((num, den), scales))
 
     for t in _SELF_MAP_SAMPLES:
-        nt, dt = _horner(num, t), _horner(den, t)
-        if _fraction_valuation(nt, 2) != 0 or _fraction_valuation(dt, 2) != 0:
+        if not _horner(num_int, t) & _horner(den_int, t) & 1:
             raise ValueError(
                 f"map does not preserve the odd units: value at t={t} is not a unit"
             )
 
-    A1, A2 = _coefficient_sums(num)
-    B1, B2 = _coefficient_sums(den)
-    _verify(A1 + A2 == _horner(num, 1) and B1 + B2 == _horner(den, 1),
+    A1, A2 = _coefficient_sums(num_int)
+    B1, B2 = _coefficient_sums(den_int)
+    _verify(A1 + A2 == _horner(num_int, 1) and B1 + B2 == _horner(den_int, 1),
             "coefficient sums differ from the polynomial values at t = 1")
-    sums = Mod4Sums(A1, A2, B1, B2)
+    ns, ds = scales
+    sums = Mod4Sums(Fraction(A1, ns), Fraction(A2, ns), Fraction(B1, ds), Fraction(B2, ds))
     residues = sums.residues()
     for k, pattern in _MOD4_CASES.items():
         if residues == pattern:

@@ -318,9 +318,10 @@ def _coerce_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _horner(coeffs, x) -> Fraction:
-    """Value at x of the polynomial with coefficients ``coeffs`` (low to high)."""
-    acc = Fraction(0)
+def _horner(coeffs, x) -> Fraction | int:
+    """Value at x of the polynomial with coefficients ``coeffs`` (low to high):
+    an int for int coefficients and x, a Fraction when either is one."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

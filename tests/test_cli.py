@@ -241,6 +241,23 @@ def test_exit_verification_failure(capsys, monkeypatch):
     assert code == 3 and err.count("\n") == 1 and "pole hit" in err
 
 
+@pytest.mark.parametrize("argv,samples", [
+    (["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2"], 32),
+    (["ergodic", "--p", "3", "--a", "-2", "--c", "1", "--radius-exp", "-1", "--samples", "20"],
+     20),
+    (["ergodic", "--p", "5", "--a", "3", "--c", "1", "--radius-exp", "-1", "--center", "x2",
+      "--seed", "5", "--samples", "8"], 8),
+])
+def test_ergodic_request_evaluates_f_once_per_sample(capsys, monkeypatch, argv, samples):
+    # the displacement and the isometry check read one draw of samples, and
+    # the oracle's anchors evaluate f through CanonicalMap's integer form
+    calls = []
+    real = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: calls.append(x) or real(self, x))
+    code, _, _ = run_cli(capsys, argv + ["--json"])
+    assert code == 0 and len(calls) == samples
+
+
 def test_decider_disagreement_exits_3(capsys, monkeypatch):
     # a theorem that calls every sphere at p >= 3 not ergodic, as it did
     # before the generator rule, disagrees with the oracle on this x2-sphere

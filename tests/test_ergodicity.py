@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
     ErgodicityVerdict,
     _ball_permutation,
+    _cycle_lengths,
     _verify_permutation,
     decide_ergodicity,
     displacement_table,
@@ -19,8 +21,10 @@ from padicdyn.ergodicity import (
     rescale_to_unit,
     residue_cycle_oracle,
     rho,
+    sampled_checks,
     verify_rho,
 )
+from padicdyn.padic import _fraction_valuation, _horner
 
 from util import (
     HaarMeasureContext,
@@ -79,6 +83,54 @@ def test_rho_requires_invariant_sphere():
         rho(M2, SphereSpec("x1", -1))  # r = alpha is not invariant
     with pytest.raises(NotApplicableError):
         rho(CASE4, SphereSpec("x2", -1))  # case 4: nothing invariant around x2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_displacement_exponents_equal_the_fraction_valuation(p):
+    # the exponents come from numerators and denominators of x and f(x);
+    # the reference subtracts Fractions
+    rng = random.Random(f"displacement:{p}")
+    spheres = _differential_spheres(p, rng, 6)
+    spheres += [_scaled(m, sphere, 2) for m, sphere in spheres[:3]]
+    for m, sphere in spheres:
+        for seed in (None, rng.randrange(1 << 30)):
+            table = displacement_table(m, sphere, 16, seed)
+            points = sphere_points(m, sphere, 16, seed)
+            assert [x for x, _ in table] == points
+            assert [e for _, e in table] == [-_fraction_valuation(m.eval(x) - x, p)
+                                             for x in points], (m, sphere, seed)
+    assert any(m.val(x) < 0 for m, sphere in spheres for x in sphere_points(m, sphere, 8))
+
+
+def test_sampled_checks_equal_the_separate_checks():
+    # one draw feeds both checks; on the sphere of radius |c| rho is None
+    # and only the isometry is checked
+    for m, sphere, seed in [(M2, SphereSpec("x1", -2), None), (CASE3, SphereSpec("x2", -1), 4),
+                            (CASE2, SphereSpec("x1", -1), None)]:
+        try:
+            expected = rho(m, sphere)
+        except NotApplicableError:
+            expected = None
+        else:
+            assert verify_rho(m, sphere, 12, seed) == 12
+        assert sampled_checks(m, sphere, 12, seed) == (expected,
+                                                       isometry_check(m, sphere, 12, seed))
+    assert sampled_checks(CASE2, SphereSpec("x1", -1), 12)[0] is None
+
+
+def test_sampled_checks_check_the_displacement_first(monkeypatch):
+    # an image moved by s*p: the displacement of that point and the isometry
+    # of its pairs both fail; the displacement is reported, as the CLI did
+    # when it ran verify_rho before isometry_check
+    m, sphere = M2, SphereSpec("x1", -2)
+    moved = sphere_points(m, sphere, 8)[3]
+    real = CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
+        real(self, x) + (Fraction(8) if x == moved else 0)))
+    with pytest.raises(VerificationError, match=f"displacement mismatch at x={moved}"):
+        sampled_checks(m, sphere, 8)
+    with pytest.raises(VerificationError, match="isometry violated"):
+        isometry_check(m, sphere, 8)
 
 
 # -- isometry -----------------------------------------------------------------------
@@ -376,6 +428,50 @@ def test_mod4_rejects_bad_inputs():
         mod4_criterion([0, 2], [1])  # 2t does not preserve the odd units
 
 
+def test_mod4_checks_the_sums_against_the_values_at_one(monkeypatch):
+    # off by 4 at t = 1 only: the value stays odd, so the spot checks pass
+    real = ergodicity._horner
+    monkeypatch.setattr(ergodicity, "_horner",
+                        lambda coeffs, t: real(coeffs, t) + (4 if t == 1 else 0))
+    with pytest.raises(VerificationError, match="coefficient sums differ"):
+        mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -2)))
+
+
+def _odd_unit_cycles(num, den, k):
+    """Cycle lengths of t -> num(t)/den(t) on the odd residues mod 2^k, each
+    image an exact Fraction reduced mod 2^k."""
+    mod = 2 ** k
+    perm = {}
+    for t in range(1, mod, 2):
+        w = _horner(num, Fraction(t)) / _horner(den, Fraction(t))
+        perm[t] = w.numerator * pow(w.denominator, -1, mod) % mod
+    return _cycle_lengths(perm)
+
+
+def test_mod4_criterion_equals_a_cycle_census():
+    # random maps of degree <= 3 with 2-adic integer coefficients; such a
+    # map preserves the odd units iff the coefficient sums of numerator and
+    # denominator are odd. Ergodic on the units iff the odd residues mod 2^8
+    # form one cycle (non-ergodic maps split by level 3 here)
+    rng = random.Random("mod4-census")
+
+    def poly():
+        return [Fraction(rng.randint(-8, 8), rng.choice((1, 1, 1, 3, 5, 7)))
+                for _ in range(rng.randint(1, 4))]
+
+    cases, checked = Counter(), 0
+    while checked < 500:
+        num, den = poly(), poly()
+        if not (_horner(num, 1).numerator % 2 and _horner(den, 1).numerator % 2):
+            continue
+        verdict = mod4_criterion(num, den)
+        assert verdict.ergodic == (len(_odd_unit_cycles(num, den, 8)) == 1), (num, den, verdict)
+        cases[verdict.case] += 1
+        checked += 1
+    assert set(cases) == {1, 2, 3, 4, 5, None}
+    assert cases[None] > 100
+
+
 # -- residue cycle oracle ------------------------------------------------------------------
 
 
@@ -512,6 +608,41 @@ def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, 
     monkeypatch.setattr(ergodicity, "_residue", corrupted)
     with pytest.raises(VerificationError, match="differs from the exact image"):
         residue_cycle_oracle(m, sphere, depth)
+
+
+@pytest.mark.parametrize("m,sphere,depth,index", [
+    (M2, SphereSpec("x1", -2), 8, (1, 1)),     # t1 in the denominator
+    (CASE3, SphereSpec("x2", -1), 4, (0, 1)),  # lam in the numerator
+])
+def test_anchor_catches_corrupted_unit_coordinate_coefficients(monkeypatch, m, sphere, depth,
+                                                               index):
+    # one coefficient of rescale_to_unit off by p^(depth-1): still a ball map
+    # that reduces level by level, so only exact evaluation of f from a and c
+    # catches it
+    real = ergodicity.rescale_to_unit
+
+    def corrupted(m, sphere):
+        coefficients = [list(x) for x in real(m, sphere)]
+        coefficients[index[0]][index[1]] += m.p ** (depth - 1)
+        return tuple(tuple(x) for x in coefficients)
+
+    monkeypatch.setattr(ergodicity, "rescale_to_unit", corrupted)
+    with pytest.raises(VerificationError, match="differs from the exact image"):
+        residue_cycle_oracle(m, sphere, depth)
+
+
+@pytest.mark.parametrize("m,sphere", [(M2, SphereSpec("x1", -2)),
+                                      (CASE3, SphereSpec("x2", -1))])
+def test_anchor_with_a_zero_image_coordinate_left_the_sphere(monkeypatch, m, sphere):
+    # f forced to the centre: the image coordinate w = (f(x) - centre)/s is
+    # 0, which has no finite valuation; the anchor reports that the image
+    # left the sphere
+    center = m.center_point(sphere.center)
+    monkeypatch.setattr(CanonicalMap, "_eval_pair",
+                        lambda self, xn, xd: (center.numerator, center.denominator))
+    with pytest.raises(VerificationError, match="image left the sphere at ball u=1") as exc:
+        residue_cycle_oracle(m, sphere, 3)
+    assert exc.value.counterexample == 1
 
 
 # -- Haar measure -----------------------------------------------------------------------

@@ -8,7 +8,12 @@ random unit modulo p**n by ``pow(u, -1, p**n)`` and, where the checkout has
 it, by ``padic._inverse_unit``, also at the orbit precisions 24, 64 and
 256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5) at precision 64 in auto
 and truncated mode, whose exact iterates outgrow 12,000 bits at step 13.
-On the request path it times
+On the ergodicity path it times, at the spheres of ORACLE_SPHERES (one
+per prime at its ``oracle_deep`` depth), one ``_ball_permutation`` level
+and ``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
+unit-coordinate form; and ``verify_rho`` plus ``isometry_check`` with 32
+samples, unseeded and seeded, next to ``sampled_checks``, which runs both
+on one draw, where the checkout has it. On the request path it times
 ``isometry_check`` with 32 samples and, best of LARGE_REPEAT single calls,
 at the larger inputs of ISOMETRY_LARGE (up to 1024 samples at radius
 exponent -256), ``TruncatedPadic.digits`` at 64, 256
@@ -52,6 +57,9 @@ INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
+# (p, a, c, center, e, oracle depth): the golden spheres at p = 2 and 3
+ORACLE_SPHERES = ((2, 2, 1, "x1", -2, 8), (3, -2, 1, "x1", -1, 5), (5, 3, 1, "x2", -1, 4),
+                  (7, 3, 1, "x1", -2, 3))
 # (p, a, c, center, e, samples)
 ISOMETRY_LARGE = ((3, -2, 1, "x1", -16, 833), (2, 2, 1, "x1", -2, 1024),
                   (101, 1, 1, "x1", -256, 1024))
@@ -114,6 +122,33 @@ def _import_cli(src: str) -> dict:
     return {"runs": IMPORT_RUNS, "median_ms": round(statistics.median(times), 2),
             "min_ms": round(min(times), 2),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None}
+
+
+def _ergodicity_path(out: dict) -> None:
+    from padicdyn import ergodicity
+    from padicdyn.dynamics import CanonicalMap, SphereSpec
+
+    out["ball_permutation"], out["decide_ergodicity"] = {}, {}
+    for p, a, c, center, e, depth in ORACLE_SPHERES:
+        m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
+        case = f"p={p} {center} e={e} depth={depth}"
+        out["ball_permutation"][case] = _best_us(
+            lambda: ergodicity._ball_permutation(m, sphere, depth), 20)
+        out["decide_ergodicity"][case] = _best_us(
+            lambda: ergodicity.decide_ergodicity(m, sphere, depth), 20)
+    m, sphere = CanonicalMap(2, Fraction(2), Fraction(1)), SphereSpec("x1", -2)
+    coefficients = ergodicity.rescale_to_unit(m, sphere)
+    out["mod4_criterion"] = _best_us(lambda: ergodicity.mod4_criterion(*coefficients), 500)
+    out["verify_rho+isometry_check"], out["sampled_checks"] = {}, {}
+    sampled_checks = getattr(ergodicity, "sampled_checks", None)
+    for seed in (None, 1):
+        case = f"p=2 x1 e=-2 samples=32 seed={seed}"
+        out["verify_rho+isometry_check"][case] = _best_us(
+            lambda: (ergodicity.verify_rho(m, sphere, 32, seed),
+                     ergodicity.isometry_check(m, sphere, 32, seed)), 20)
+        if sampled_checks:
+            out["sampled_checks"][case] = _best_us(
+                lambda: sampled_checks(m, sphere, 32, seed), 20)
 
 
 def _request_path(out: dict) -> None:
@@ -214,6 +249,7 @@ def main() -> None:
         for mode in ("auto", "truncated"):
             out["orbit"][f"steps={steps} {mode}"] = _best_us(
                 lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
+    _ergodicity_path(out)
     _request_path(out)
     out["import_cli"] = import_cli
     print(json.dumps(out, indent=1))
