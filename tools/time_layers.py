@@ -57,7 +57,8 @@ INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
-# (p, a, c, center, e, oracle depth): the golden spheres at p = 2 and 3
+# (p, a, c, center, e, oracle depth): the golden spheres at p = 2 and 3 and one
+# sphere each at p = 5 and 7, at the depths of the oracle_deep workload
 ORACLE_SPHERES = ((2, 2, 1, "x1", -2, 8), (3, -2, 1, "x1", -1, 5), (5, 3, 1, "x2", -1, 4),
                   (7, 3, 1, "x1", -2, 3))
 # (p, a, c, center, e, samples)
