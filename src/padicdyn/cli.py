@@ -12,6 +12,14 @@ command's entry and builds no parser. Anything the reader does not take
 to argparse, so every help, usage and error text is argparse's own: to the
 command's parser when a command is named, otherwise to the full parser,
 with every command as a subparser. No parser is kept between calls.
+
+A command builds its report from the library's result objects, picking
+fields without converting them, and ``_emit`` writes it in one pass:
+``_write`` walks the report once, converts each value (the one place that
+does) and appends the text, byte for byte what
+``json.dumps(..., sort_keys=True, indent=2)`` writes, to a list that
+``_emit`` prints with one write. A value that is not a report type, such as
+a float, raises TypeError before anything is printed.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import sys
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from types import NoneType
+from functools import cache
+from typing import Optional
 
 from . import __version__
 from .conjugation import GeneralMap, conjugate, verify_conjugacy
@@ -69,45 +78,101 @@ RADIUS_EXPONENT_BUDGET = 256
 SAMPLE_BUDGET = 1024
 
 
-def _json(value, *names):
-    """The JSON form of a report value.
+#: A report value's JSON string, escaped as json writes it (ensure_ascii).
+_quote = json.encoder.encode_basestring_ascii
 
-    Exact rationals and truncated p-adics become strings, INFINITY becomes
-    "inf", tuples and lists become lists and dicts are mapped value by
-    value. A dataclass becomes the dict of the attributes ``names`` (all of
-    its fields when none are given); a CanonicalMap of ``p``, ``a``, ``c``
-    by default.
+
+@cache
+def _field_names(kind: type) -> Optional[tuple[str, ...]]:
+    """The attributes that a report value of type ``kind`` is written as, in
+    key order, or None when it is not a record: ``p``, ``a``, ``c`` for a
+    CanonicalMap, every field for another dataclass."""
+    if kind is CanonicalMap:
+        return ("a", "c", "p")
+    if is_dataclass(kind):
+        return tuple(sorted(f.name for f in fields(kind)))
+    return None
+
+
+def _fields(record, *names) -> dict:
+    """The attributes ``names`` of a record (all that it is written as when
+    none are given), as a dict of unconverted values."""
+    return {name: getattr(record, name) for name in names or _field_names(type(record))}
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the JSON text of a report value to ``out``, byte for byte as
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes the converted value.
+
+    ``newline`` is a newline and the indent of the line ``value`` starts on.
+    This is the one place where leaves are converted: strings, ints, bools and
+    None are written as json writes them; exact rationals and truncated
+    p-adics become their ``str``, INFINITY becomes "inf"; tuples and lists
+    become lists, dicts objects with sorted keys, and a record (see
+    _field_names) the object of its attributes. Anything else, a float or a
+    key that is not a str included, raises TypeError.
     """
-    if type(value) in (int, str, bool, NoneType):
-        return value
-    if isinstance(value, (Fraction, TruncatedPadic)):
-        return str(value)
-    if value is INFINITY:
-        return "inf"
-    if isinstance(value, (tuple, list)):
-        return [_json(x) for x in value]
-    if isinstance(value, dict):
-        return {key: _json(x) for key, x in value.items()}
-    if isinstance(value, CanonicalMap):
-        names = names or ("p", "a", "c")
-    elif is_dataclass(value):
-        names = names or [f.name for f in fields(value)]
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        _write_members(sorted(value.items()), out, newline)
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is Fraction or kind is TruncatedPadic:
+        out.append(_quote(str(value)))
+    elif value is INFINITY:
+        out.append('"inf"')
+    elif (names := _field_names(kind)) is not None:
+        _write_members([(name, getattr(value, name)) for name in names], out, newline)
     else:
-        return value
-    return {name: _json(getattr(value, name)) for name in names}
+        raise TypeError(f"a report value of type {kind.__name__} is not JSON serializable")
+
+
+def _write_members(members: list, out: list, newline: str) -> None:
+    """Append a JSON object of (key, value) members sorted by key to ``out``;
+    a key that is not a str raises TypeError (from _quote)."""
+    if not members:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    separator = "{" + inner
+    for key, item in members:
+        out.append(separator + _quote(key) + ": ")
+        _write(item, out, inner)
+        separator = "," + inner
+    out.append(newline + "}")
 
 
 def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
     v_alpha, v_beta = m.alpha_beta()
-    classification = _json(m.classify())
+    classification = _fields(m.classify())
     for point in ("x1", "x2"):
-        classification[point]["region"]["open"] = True
+        fixed = classification[point] = _fields(classification[point])
+        fixed["region"] = {**_fields(fixed["region"]), "open": True}
     inv = m.invariant_spheres()
     report = {
         "input": input_echo,
         "map": {
-            **_json(m, "p", "a", "c", "discriminant"),
-            "fixed_points": _json(m, "x1", "x2"),
+            **_fields(m, "p", "a", "c", "discriminant"),
+            "fixed_points": _fields(m, "x1", "x2"),
             "poles": m.poles(),
             "alpha_norm_exponent": -v_alpha,
             "beta_norm_exponent": -v_beta,
@@ -129,15 +194,24 @@ def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
 
 
 def _conjugation_dict(m: GeneralMap, result):
-    return {**_json(result), "fixed_point_cubic": m.fixed_point_cubic()}
+    return {**_fields(result), "fixed_point_cubic": m.fixed_point_cubic()}
 
 
 def _emit(args, report, human_lines) -> None:
+    """Print the report, with the ``command`` and ``version`` keys (and
+    ``generated_at`` under --timestamp) that every report carries, as JSON
+    under --json, otherwise the human-readable lines.
+
+    The JSON text is written whole into a list first and printed with one
+    write, so a report that cannot be written prints nothing."""
     report = {**report, "command": args.cmd, "version": __version__}
     if args.timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.json:
-        sys.stdout.write(json.dumps(_json(report), sort_keys=True, indent=2) + "\n")
+        text = []
+        _write(report, text, "\n")
+        text.append("\n")
+        sys.stdout.write("".join(text))
     else:
         for line in human_lines:
             print(line)
@@ -183,8 +257,8 @@ def _cmd_orbit(args) -> int:
     m = CanonicalMap(args.p, args.a, args.c)
     result = orbit(m, args.x0, args.steps, mode=args.mode, precision=args.precision)
     report = {
-        "input": {**_json(m), "x0": args.x0, "steps": args.steps},
-        **_json(result, "mode", "points", "pole_hit"),
+        "input": {**_fields(m), "x0": args.x0, "steps": args.steps},
+        **_fields(result, "mode", "points", "pole_hit"),
         "distance_exponents": {"x1": result.dist_x1_exponents, "x2": result.dist_x2_exponents},
     }
     lines = [f"orbit mode: {result.mode}, steps completed: {result.steps_completed}"]
@@ -212,19 +286,20 @@ def _cmd_ergodic(args) -> int:
             "samples_checked": args.samples,
             "matches_samples": True,
         }
-    mod4 = _json(decision.mod4)
+    mod4 = decision.mod4
     if mod4 is not None:
-        mod4["sums"]["residues_mod4"] = list(decision.mod4.sums.residues())
+        mod4 = {**_fields(mod4),
+                "sums": {**_fields(mod4.sums), "residues_mod4": mod4.sums.residues()}}
     report = {
         "input": {
-            **_json(m),
+            **_fields(m),
             "center": args.center,
             "radius_exponent": args.radius_exp,
             "oracle_depth": decision.oracle.depth,
             "samples": args.samples,
             "seed": args.seed,
         },
-        "sphere": {**_json(sphere), "center_point": m.center_point(sphere.center)},
+        "sphere": {**_fields(sphere), "center_point": m.center_point(sphere.center)},
         "theorem": decision.theorem,
         "mod4": mod4,
         "oracle": decision.oracle,
@@ -232,7 +307,7 @@ def _cmd_ergodic(args) -> int:
         "displacement": displacement,
         # every ball of radius rho maps into itself and no smaller ball does
         "minimal_invariant_ball_exponent": displacement["rho_exponent"],
-        "isometry": {**_json(iso), "ok": True},
+        "isometry": {**_fields(iso), "ok": True},
         "verdict": decision.verdict,
     }
     if args.csv:
@@ -264,7 +339,7 @@ def _cmd_periodic(args) -> int:
             "input": {"p": args.p, "q": args.q},
             "h_q": m.a,
             "map": m,
-            **_json(orb, "points", "multiplier_norm_exponent"),
+            **_fields(orb, "points", "multiplier_norm_exponent"),
             "p6_at_a": "0",
             "sphere_conditions": sphere_conditions(m),
         }
@@ -305,7 +380,7 @@ def _cmd_periodic(args) -> int:
         "kind": "two_periodic",
         "input": m,
         "exists": True,
-        **_json(orb),
+        **_fields(orb),
         "on_invariant_sphere": on_sphere,
         "structure": structure,
     }

@@ -17,10 +17,10 @@ distance rho(r). Three independent deciders are provided and cross-checked:
 
 rescale_to_unit is the one place that writes f on the unit coordinate; both
 the mod-4 test and the ball kernel read their coefficients from it. Every
-exact check runs on integer numerators and denominators: the anchors
-evaluate f with CanonicalMap's integer form of it, the sampled checks read
-the numerators and denominators of CanonicalMap.eval's values, and the
-mod-4 test scales each polynomial to integer coefficients.
+exact check runs on integer numerators and denominators: the anchors and
+the sampled checks evaluate f with CanonicalMap's integer form of it,
+_eval_pair (not eval), on unreduced pairs, and the mod-4 test scales each
+polynomial to integer coefficients.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Optional
+from typing import Optional, Union
 
 from .dynamics import CanonicalMap, SphereSpec, sphere_units
 from .errors import NotApplicableError, VerificationError, _verify
@@ -110,34 +110,44 @@ def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
 #
 # A draw of samples is _sample's: units u from sphere_units, the points
 # x = x_i + u*s with s = p^-e, as sphere_points builds them, and their
-# images f(x) from CanonicalMap.eval, one evaluation per point. Both checks
-# read valuations and residues off the numerators and denominators of x
-# and f(x), not off Fraction differences. sampled_checks, which the
-# ``ergodic`` command runs, checks the displacement and the isometry on
-# one draw. displacement_table, verify_rho and isometry_check make one
-# check each on a draw of their own; the library does not call them, so
-# they are not in __all__, and the tests use them as the single checks.
+# images f(x) from CanonicalMap._eval_pair, one evaluation per point. Points
+# and images travel as unreduced integer (numerator, denominator) pairs, and
+# both checks read valuations and residues off them; a Fraction is built
+# only for a message or a counterexample. sampled_checks, which the
+# ``ergodic`` command runs, checks the displacement and the isometry on one
+# draw. displacement_table, verify_rho and isometry_check make one check
+# each on a draw of their own; the library does not call them, so they are
+# not in __all__, and the tests use them as the single checks.
 
 
 def _sample(m: CanonicalMap, sphere: SphereSpec, count: int, seed: Optional[int]):
-    """(units, points, images) of ``count`` samples of the sphere."""
+    """(units, points, images) of ``count`` samples of the sphere, the points
+    and images as integer pairs."""
+    p, e = m.p, sphere.radius_exponent
     center = m.center_point(sphere.center)
-    s = Fraction(m.p) ** -sphere.radius_exponent
-    units = sphere_units(m.p, count, seed)
-    points = [center + u * s for u in units]
-    return units, points, [m.eval(x) for x in points]
+    xn, xd = center.numerator, center.denominator
+    sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)
+    units = sphere_units(p, count, seed)
+    # x = xn/xd + (un/ud)*(sn/sd)
+    points = [(xn * sd * u.denominator + u.numerator * sn * xd, xd * sd * u.denominator)
+              for u in units]
+    return units, points, [m._eval_pair(*x) for x in points]
 
 
-def _displacement_exponents(p: int, points, images) -> list[int]:
-    """E = -v(f(x) - x) per point: v(fx.den*x.den) - v(fx.num*x.den - x.num*fx.den)."""
-    return [_int_valuation(fx.denominator * x.denominator, p)
-            - _int_valuation(fx.numerator * x.denominator - x.numerator * fx.denominator, p)
-            for x, fx in zip(points, images)]
+def _displacement_exponents(p: int, points, images) -> list:
+    """E = -v(f(x) - x) per point, v(fd*xd) - v(fn*xd - xn*fd), or "-inf" at a
+    fixed point of f."""
+    out = []
+    for (xn, xd), (fn, fd) in zip(points, images):
+        moved = fn * xd - xn * fd
+        out.append(_int_valuation(fd * xd, p) - _int_valuation(moved, p) if moved else "-inf")
+    return out
 
 
 def _check_displacements(p: int, expected: int, points, images) -> None:
     for x, got in zip(points, _displacement_exponents(p, points, images)):
         if got != expected:
+            x = Fraction(*x)
             raise VerificationError(
                 f"displacement mismatch at x={x}: p^{got} != p^{expected}",
                 counterexample=x,
@@ -146,11 +156,13 @@ def _check_displacements(p: int, expected: int, points, images) -> None:
 
 def displacement_table(
     m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> list[tuple[Fraction, int]]:
-    """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E."""
+) -> list[tuple[Fraction, Union[int, str]]]:
+    """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E; E is
+    "-inf" at a point that f fixes (x2 on the sphere of radius |c| around x1)."""
     _require_invariant(m, sphere)
     _, points, images = _sample(m, sphere, count, seed)
-    return list(zip(points, _displacement_exponents(m.p, points, images)))
+    return [(Fraction(*x), got)
+            for x, got in zip(points, _displacement_exponents(m.p, points, images))]
 
 
 def verify_rho(
@@ -225,10 +237,9 @@ def _check_isometry(m: CanonicalMap, sphere: SphereSpec, units, points,
     except NotApplicableError as exc:
         raise VerificationError(f"numerator factor |a - xy| = |a| is not ensured: {exc}") from None
     p, e = m.p, sphere.radius_exponent
-    f0n, f0d = images[0].numerator, images[0].denominator
+    f0n, f0d = images[0]
     # the difference f(x) - f(x_0) as an integer pair: w = (dn/dd) * p^e
-    pairs = dict(zip(units, ((fx.numerator * f0d - f0n * fx.denominator,
-                              fx.denominator * f0d) for fx in images)))
+    pairs = dict(zip(units, ((fn * f0d - f0n * fd, fd * f0d) for fn, fd in images)))
     # distinct units u, u' differ by a numerator below 2h^2 over a unit, so
     # they differ mod top; level k compares the partitions by u and by w mod
     # p^k with the one by both, and classes of one point drop out
@@ -255,6 +266,8 @@ def _check_isometry(m: CanonicalMap, sphere: SphereSpec, units, points,
         sizes = Counter(ku for ku, _ in level)
         keys = [key for key, (ku, _) in zip(keys, level) if sizes[ku] > 1]
     if not isometric:
+        points = [Fraction(*x) for x in points]
+        images = [Fraction(*fx) for fx in images]
         for i, (x, fx) in enumerate(zip(points, images)):
             for y, fy in zip(points[i + 1:], images[i + 1:]):
                 lhs, rhs = _fraction_valuation(fx - fy, p), _fraction_valuation(x - y, p)

@@ -62,7 +62,8 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     """The unique 2-periodic orbit {-c + s, -c - s} with s^2 = c^2 - 2a.
 
     Exact rationals when c^2 - 2a is a perfect rational square; otherwise a
-    truncated Hensel root at the requested precision, which must fit
+    truncated Hensel root at the requested precision. The precision is
+    checked first, whichever case applies: it must be at least 1 and fit
     PRECISION_BIT_BUDGET (ValueError otherwise). Returns None when
     c^2 - 2a is not a square in Q_p or is zero (then -c +- s collapses onto
     the fixed point x2, not a 2-cycle).
@@ -73,6 +74,9 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
     factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
     """
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    _require_precision_budget(m.p, precision)
     disc = m.c * m.c - 2 * m.a
     if disc == 0:
         return None
@@ -89,7 +93,6 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
         return PeriodicOrbit((t1, t2), mult, True)
     if not is_square(disc, m.p):
         return None
-    _require_precision_budget(m.p, precision)
     s = hensel_sqrt(disc, precision, m.p)
     t1 = s - m.c
     t2 = -s - m.c

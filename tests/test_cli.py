@@ -13,7 +13,10 @@ from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
 from padicdyn import cli, ergodicity
 from padicdyn.cli import main
 from padicdyn.dynamics import sphere_points
-from padicdyn.ergodicity import ErgodicityVerdict
+from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
+from padicdyn.padic import INFINITY
+
+from util import reference_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,12 +253,15 @@ def test_exit_verification_failure(capsys, monkeypatch):
 ])
 def test_ergodic_request_evaluates_f_once_per_sample(capsys, monkeypatch, argv, samples):
     # the displacement and the isometry check read one draw of samples, and
-    # the oracle's anchors evaluate f through CanonicalMap's integer form
-    calls = []
-    real = CanonicalMap.eval
-    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: calls.append(x) or real(self, x))
+    # the oracle's 16 anchors (8 balls, 2 representatives each): all of them
+    # evaluate f through CanonicalMap's integer form, none through eval
+    calls, evals = [], []
+    real_pair, real_eval = CanonicalMap._eval_pair, CanonicalMap.eval
+    monkeypatch.setattr(CanonicalMap, "_eval_pair",
+                        lambda self, xn, xd: calls.append((xn, xd)) or real_pair(self, xn, xd))
+    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: evals.append(x) or real_eval(self, x))
     code, _, _ = run_cli(capsys, argv + ["--json"])
-    assert code == 0 and len(calls) == samples
+    assert code == 0 and len(calls) == samples + 16 and evals == []
 
 
 def test_decider_disagreement_exits_3(capsys, monkeypatch):
@@ -492,9 +498,26 @@ def test_truncated_precision_over_budget_exits_1(capsys):
     code, out, err = run_cli(capsys, ["periodic", "--p", "2", "--a", "-8", "--c", "1",
                                       "--precision", "100000000"])
     assert code == 1 and "over the budget of 8192 bits" in err
-    # an exact 2-cycle does not use the precision
-    assert run_cli(capsys, ["periodic", "--p", "7", "--a", "4", "--c", "3",
-                            "--precision", "100000000"])[0] == 0
+    # an exact 2-cycle does not use the precision, but it is checked first
+    code, out, err = run_cli(capsys, ["periodic", "--p", "7", "--a", "4", "--c", "3",
+                                      "--precision", "100000000"])
+    assert code == 1 and out == "" and "over the budget of 8192 bits" in err
+
+
+@pytest.mark.parametrize("a,c", [("4", "3"), ("1", "3")])  # an exact 2-cycle; none (c^2 - 2a = 7)
+@pytest.mark.parametrize("precision,message", [
+    ("0", "precision must be >= 1, got 0"),
+    ("-5", "precision must be >= 1, got -5"),
+    ("100000", "truncated precision 100000 needs 100000 digits of 3 bits, over the budget "
+               "of 8192 bits; the largest precision that fits is 2730"),
+])
+def test_periodic_precision_is_checked_before_any_work(capsys, monkeypatch, a, c, precision,
+                                                       message):
+    argv = ["periodic", "--p", "7", "--a", a, "--c", c]
+    assert run_cli(capsys, argv + ["--json"])[0] == 0
+    monkeypatch.setattr("padicdyn.periodic.rational_sqrt", None)  # no work may start
+    code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_truncated_orbit_at_a_prime_wider_than_32_bits(capsys):
@@ -739,3 +762,81 @@ def test_boundary_sphere_mapped_into_itself_is_not_invariant(capsys):
     broken = [(x, y) for i, x in enumerate(points) for y in points[:i]
               if m.val(m.eval(x) - m.eval(y)) != m.val(x - y)]
     assert len(broken) == 64
+
+
+# -- the one-pass JSON writer ----------------------------------------------------
+
+_TEXTS = ("", "plain", 'a "quoted" word', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f",
+          "non-ASCII: \u00e9 \u221e \u2028 \U0001d53d_p", "/ and \\u0041")
+
+
+def _random_leaf(rng: random.Random, seen: set):
+    kind = rng.choice(("str", "bool", "None", "int", "Fraction", "TruncatedPadic",
+                       "tagged zero", "INFINITY", "SphereSpec", "OracleLevel", "CanonicalMap"))
+    seen.add(kind)
+    if kind == "str":
+        return rng.choice(_TEXTS)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "int":
+        return rng.choice((0, -1, 7, -(1 << 64) - 3, rng.randrange(-(1 << 200), 1 << 200)))
+    if kind == "Fraction":
+        return Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**9))
+    p = rng.choice((2, 3, 5, 7))
+    if kind == "TruncatedPadic":
+        return TruncatedPadic.from_rational(Fraction(rng.randrange(1, 10**6), rng.randrange(1, 99)),
+                                            p, rng.randrange(1, 20))
+    if kind == "tagged zero":
+        return TruncatedPadic.zero(p, rng.choice((INFINITY, rng.randrange(-5, 30))))
+    if kind == "SphereSpec":
+        return SphereSpec(rng.choice(("x1", "x2")), rng.randrange(-9, 9))
+    if kind == "OracleLevel":
+        lengths = tuple(rng.randrange(1, 9) for _ in range(rng.randrange(0, 4)))
+        return OracleLevel(rng.randrange(1, 9), sum(lengths), len(lengths), lengths)
+    if kind == "CanonicalMap":
+        return CanonicalMap(p, Fraction(rng.randrange(1, 99), rng.randrange(1, 9)),
+                            Fraction(rng.randrange(-99, -1), rng.randrange(1, 9)))
+    return {"None": None, "INFINITY": INFINITY}[kind]
+
+
+def _random_tree(rng: random.Random, depth: int, seen: set):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng, seen)
+    kind = rng.choice(("list", "tuple", "dict"))
+    seen.add(kind)
+    items = [_random_tree(rng, depth - 1, seen) for _ in range(rng.choice((0, 1, 2, 5)))]
+    if kind == "dict":
+        seen.update(("empty dict",) if not items else ())
+        return {rng.choice(_TEXTS) + str(k): item for k, item in enumerate(items)}
+    seen.update(("empty list",) if not items else ())
+    return items if kind == "list" else tuple(items)
+
+
+def _written(value) -> str:
+    text = []
+    cli._write(value, text, "\n")
+    return "".join(text)
+
+
+def test_writer_equals_json_dumps_of_the_converted_tree():
+    rng, seen = random.Random("json-writer"), set()
+    for _ in range(400):
+        tree = _random_tree(rng, 4, seen)
+        assert _written(tree) == json.dumps(reference_json(tree), sort_keys=True, indent=2), tree
+    assert seen == {"str", "bool", "None", "int", "Fraction", "TruncatedPadic", "tagged zero",
+                    "INFINITY", "SphereSpec", "OracleLevel", "CanonicalMap", "list", "tuple",
+                    "dict", "empty list", "empty dict"}
+
+
+@pytest.mark.parametrize("value", [1.5, {"rho": [0.0]}, [{"inf": float("inf")}], {1: "one"},
+                                   {"a": {("x", 1): 2}}, object()])
+def test_writer_refuses_floats_and_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        _written(value)
+
+
+def test_unserializable_report_exits_1_and_writes_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sphere_conditions", lambda m: {"ratio": 0.5})
+    code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1", "--json"])
+    assert (code, out) == (1, "")
+    assert err == "error: a report value of type float is not JSON serializable\n"

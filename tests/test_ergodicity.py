@@ -28,6 +28,7 @@ from padicdyn.padic import _fraction_valuation, _horner
 
 from util import (
     HaarMeasureContext,
+    faulty_eval_pair,
     random_unit,
     reference_isometry_check,
     reference_oracle_levels,
@@ -78,6 +79,17 @@ def test_rho_excluded_at_radius_equal_c_norm():
     assert len(table) == 24
 
 
+def test_displacement_table_gives_x2_the_exponent_minus_inf():
+    # on the sphere of radius |c| = 1/5 around x1 the first unit, u = 1,
+    # draws x = 5 = x2, which f fixes; the other points move
+    m, sphere = CanonicalMap(5, 1, -5), SphereSpec("x1", -1)
+    table = displacement_table(m, sphere, 8)
+    assert table[0] == (m.x2, "-inf")
+    assert [e for _, e in table] == [
+        "-inf" if x == m.x2 else -_fraction_valuation(m.eval(x) - x, 5) for x, _ in table]
+    assert sampled_checks(m, sphere, 8)[0] is None
+
+
 def test_rho_requires_invariant_sphere():
     with pytest.raises(NotApplicableError):
         rho(M2, SphereSpec("x1", -1))  # r = alpha is not invariant
@@ -124,9 +136,8 @@ def test_sampled_checks_check_the_displacement_first(monkeypatch):
     # when it ran verify_rho before isometry_check
     m, sphere = M2, SphereSpec("x1", -2)
     moved = sphere_points(m, sphere, 8)[3]
-    real = CanonicalMap.eval
-    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
-        real(self, x) + (Fraction(8) if x == moved else 0)))
+    monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
+        f(x) + (Fraction(8) if x == moved else 0))))
     with pytest.raises(VerificationError, match=f"displacement mismatch at x={moved}"):
         sampled_checks(m, sphere, 8)
     with pytest.raises(VerificationError, match="isometry violated"):
@@ -205,9 +216,8 @@ def test_isometry_kernel_and_reference_catch_a_moved_image(monkeypatch, m, spher
         k = -sphere.radius_exponent - 1
     else:
         k = max(m.val(moved - y) for y in pts if y != moved) - 1
-    real = CanonicalMap.eval
-    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
-        real(self, x) + (Fraction(self.p) ** k if x == moved else 0)))
+    monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
+        f(x) + (Fraction(m.p) ** k if x == moved else 0))))
     got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
     assert isinstance(got, tuple) and moved in got[1], got
     assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
@@ -226,9 +236,8 @@ def test_isometry_kernel_and_reference_catch_images_drawn_together(monkeypatch, 
     pts = sphere_points(m, sphere, 16, seed)
     moved = pts[5]
     partner = max((y for y in pts if y != moved), key=lambda y: m.val(moved - y))
-    real = CanonicalMap.eval
-    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
-        real(self, partner) + Fraction(self.p) ** 40 if x == moved else real(self, x)))
+    monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
+        f(partner) + Fraction(m.p) ** 40 if x == moved else f(x))))
     got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
     assert isinstance(got, tuple) and moved in got[1], got
     assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
@@ -247,9 +256,8 @@ def test_isometry_levels_reach_units_that_agree_to_many_digits(monkeypatch):
     sphere = SphereSpec("x1", -2)
     assert isometry_check(M2, sphere, 4) == reference_isometry_check(M2, sphere, 4)
     pts = sphere_points(M2, sphere, 4)
-    real = CanonicalMap.eval
-    monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
-        real(self, x) + (Fraction(2) ** 42 if x == pts[3] else 0)))
+    monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
+        f(x) + (Fraction(2) ** 42 if x == pts[3] else 0))))
     got = _isometry_outcome(isometry_check, M2, sphere, 4, None)
     assert isinstance(got, tuple) and got[1] == (pts[2], pts[3]), got
     assert got == _isometry_outcome(reference_isometry_check, M2, sphere, 4, None)

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: seeded generators and brute-force oracles."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from types import NoneType
 from typing import Literal
 
-from padicdyn.dynamics import SphereSpec, sphere_points
+from padicdyn.dynamics import CanonicalMap, SphereSpec, sphere_points
 from padicdyn.ergodicity import IsometryReport, OracleLevel, _cycle_lengths, rescale_to_unit
 from padicdyn.errors import PoleHitError, PrecisionError, VerificationError
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
@@ -177,6 +178,19 @@ def reference_oracle_levels(m, sphere: SphereSpec, depth: int) -> tuple:
     return tuple(levels)
 
 
+def faulty_eval_pair(image):
+    """A stand-in for CanonicalMap._eval_pair that makes f(x) = image(m, x, f),
+    with f the true map on Fractions. CanonicalMap.eval wraps _eval_pair, so
+    the integer checks and the Fraction references see the same fault."""
+    real = CanonicalMap._eval_pair
+
+    def eval_pair(m, xn, xd):
+        y = image(m, Fraction(xn, xd), lambda x: Fraction(*real(m, x.numerator, x.denominator)))
+        return y.numerator, y.denominator
+
+    return eval_pair
+
+
 # -- pair-scan reference for the isometry check's level classes ------------------
 
 
@@ -306,3 +320,35 @@ def verify_rescaled(m, sphere: SphereSpec, units) -> int:
         )
         checked += 1
     return checked
+
+
+# -- two-pass reference for the CLI's JSON writer ----------------------------------
+
+
+def reference_json(value, *names):
+    """The JSON form of a report value, which json.dumps then writes: the
+    CLI's serializer before it wrote reports in one pass.
+
+    Exact rationals and truncated p-adics become strings, INFINITY becomes
+    "inf", tuples and lists become lists and dicts are mapped value by
+    value. A dataclass becomes the dict of the attributes ``names`` (all of
+    its fields when none are given); a CanonicalMap of ``p``, ``a``, ``c``
+    by default.
+    """
+    if type(value) in (int, str, bool, NoneType):
+        return value
+    if isinstance(value, (Fraction, TruncatedPadic)):
+        return str(value)
+    if value is INFINITY:
+        return "inf"
+    if isinstance(value, (tuple, list)):
+        return [reference_json(x) for x in value]
+    if isinstance(value, dict):
+        return {key: reference_json(x) for key, x in value.items()}
+    if isinstance(value, CanonicalMap):
+        names = names or ("p", "a", "c")
+    elif is_dataclass(value):
+        names = names or [f.name for f in fields(value)]
+    else:
+        return value
+    return {name: reference_json(getattr(value, name)) for name in names}

@@ -14,15 +14,19 @@ and ``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
 unit-coordinate form; and ``verify_rho`` plus ``isometry_check`` with 32
 samples, unseeded and seeded, next to ``sampled_checks``, which runs both
 on one draw, where the checkout has it. On the request path it times
-``isometry_check`` with 32 samples and, best of LARGE_REPEAT single calls,
-at the larger inputs of ISOMETRY_LARGE (up to 1024 samples at radius
-exponent -256), ``TruncatedPadic.digits`` at 64, 256
-and 4096 digits, the full ``cli.build_parser()`` and, where the checkout
-has them, ``cli.build_parser(cmd)`` of each command and ``cli._scan`` of
-one well-formed request of each command (the argv of SCAN_REQUESTS with
-``--json``), and an in-process
-``cli.main`` of each of the six golden commands with ``--json`` (stdout
-captured). Prints one JSON object of microseconds per call (best of REPEAT
+``isometry_check`` and, where the checkout has it, ``sampled_checks`` with
+32 samples at the spheres of ISOMETRY_SPHERES; ``isometry_check`` at the
+larger inputs of ISOMETRY_LARGE (up to 1024 samples at radius exponent
+-256), best of LARGE_REPEAT single calls; ``TruncatedPadic.digits`` at 64,
+256 and 4096 digits; the full ``cli.build_parser()`` and, where the
+checkout has them, ``cli.build_parser(cmd)`` of each command and
+``cli._scan`` of one well-formed request of each command (the argv of
+SCAN_REQUESTS with ``--json``); an in-process ``cli.main`` of each of the
+six golden commands with ``--json`` (stdout captured); and the writing of
+those six reports, as ``cli._emit`` hands them on: by
+``json.dumps(cli._json(report), sort_keys=True, indent=2)`` where the
+checkout has ``cli._json``, otherwise by the one-pass ``cli._write``.
+Prints one JSON object of microseconds per call (best of REPEAT
 timeit runs), and under "import_cli" the time of ``import padicdyn.cli`` in
 IMPORT_RUNS fresh processes run one after another with PYTHONPATH set to
 ``--src`` (median and minimum, in milliseconds, timed inside each process),
@@ -153,22 +157,26 @@ def _ergodicity_path(out: dict) -> None:
 
 
 def _request_path(out: dict) -> None:
-    from padicdyn import cli
+    from padicdyn import cli, ergodicity
     from padicdyn.dynamics import CanonicalMap, SphereSpec
-    from padicdyn.ergodicity import isometry_check
     from padicdyn.padic import TruncatedPadic
 
-    out["isometry_check"] = {}
+    out["isometry_check"], out["sampled_checks_spheres"] = {}, {}
+    sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for p, a, c, center, e in ISOMETRY_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
         for seed in (None, 1):
-            out["isometry_check"][f"p={p} {center} e={e} seed={seed}"] = _best_us(
-                lambda: isometry_check(m, sphere, 32, seed), 10)
+            case = f"p={p} {center} e={e} seed={seed}"
+            out["isometry_check"][case] = _best_us(
+                lambda: ergodicity.isometry_check(m, sphere, 32, seed), 10)
+            if sampled_checks:
+                out["sampled_checks_spheres"][case] = _best_us(
+                    lambda: sampled_checks(m, sphere, 32, seed), 10)
     out["isometry_check_large"] = {}
     for p, a, c, center, e, n in ISOMETRY_LARGE:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
         out["isometry_check_large"][f"p={p} {center} e={e} samples={n}"] = round(min(
-            timeit.repeat(lambda: isometry_check(m, sphere, n), number=1,
+            timeit.repeat(lambda: ergodicity.isometry_check(m, sphere, n), number=1,
                           repeat=LARGE_REPEAT)) * 1e6, 3)
     out["digits"] = {}
     for p in PRIMES:
@@ -188,6 +196,38 @@ def _request_path(out: dict) -> None:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv)
         out["cli_main"][name] = _best_us(request, 10)
+    out["write_reports"] = _write_reports(cli)
+
+
+def _write_reports(cli) -> dict:
+    """Microseconds to serialize the reports of the six golden commands, all
+    six per call, and which serializer did it."""
+    reports = []
+    emit = cli._emit
+
+    def grab(args, report, lines):
+        reports.append({**report, "command": args.cmd, "version": cli.__version__})
+    cli._emit = grab
+    try:
+        for argv in GOLDEN_COMMANDS.values():
+            cli.main(argv + ["--json"])
+    finally:
+        cli._emit = emit
+    if hasattr(cli, "_json"):  # two passes: convert the tree, then json's encoder
+        def write():
+            return [json.dumps(cli._json(r), sort_keys=True, indent=2) + "\n" for r in reports]
+        path = "_json + json.dumps"
+    else:
+        def write():
+            texts = []
+            for r in reports:
+                text = []
+                cli._write(r, text, "\n")
+                text.append("\n")
+                texts.append("".join(text))
+            return texts
+        path = "_write"
+    return {"path": path, "reports": len(reports), "six_reports_us": _best_us(write, 200)}
 
 
 def main() -> None:
