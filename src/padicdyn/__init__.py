@@ -13,7 +13,6 @@ from .dynamics import (
     OrbitResult,
     SphereSpec,
     orbit,
-    sphere_points,
 )
 from .ergodicity import (
     ErgodicityVerdict,

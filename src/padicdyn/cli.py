@@ -8,10 +8,10 @@ exponents, no floats, no timestamp unless --timestamp is passed).
 Every command is described once, in ``_COMMANDS``. When the first argument
 names a command, ``main`` reads a well-formed request straight off that
 command's entry and builds no parser. Anything the reader does not take
-(help, abbreviations, malformed or missing values, stray arguments) goes
-to argparse, so every help, usage and error text is argparse's own: to the
-command's parser when a command is named, otherwise to the full parser,
-with every command as a subparser. No parser is kept between calls.
+(help, version, abbreviations, malformed or missing values, stray
+arguments) goes, whole, to argparse's one parser, with every command as a
+subparser, so every help, usage and error text is argparse's own. No parser
+is kept between calls.
 
 A command builds its report from the library's result objects, picking
 fields without converting them, and ``_emit`` writes it in one pass:
@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import __version__
 from .conjugation import GeneralMap, conjugate, verify_conjugacy
-from .dynamics import CanonicalMap, SphereSpec, orbit
+from .dynamics import CanonicalMap, SphereSpec, _require_precision_budget, orbit
 from .errors import (
     InconsistentParametersError,
     NotApplicableError,
@@ -333,6 +333,7 @@ def _cmd_periodic(args) -> int:
     if args.q is not None and (args.a is not None or args.c is not None):
         raise ValueError("periodic takes either --q or both --a and --c, not both")
     if args.q is not None:
+        _require_precision_budget(args.p, args.precision)  # as two_periodic does
         m, orb = three_periodic_from_q(args.p, args.q)
         report = {
             "kind": "three_periodic",
@@ -493,31 +494,23 @@ _COMMANDS = {
 }
 
 
-def _add_command_options(parser: argparse.ArgumentParser, cmd: str) -> argparse.ArgumentParser:
-    _, handler, options = _COMMANDS[cmd]
-    for option, kwargs in _SHARED_OPTIONS + options:
-        parser.add_argument(option, **kwargs)
-    parser.set_defaults(func=handler)
-    return parser
-
-
-def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one command (``padicdyn cmd``), or with no ``cmd`` the
-    full parser with every command as a subparser."""
-    if cmd is not None:
-        return _add_command_options(_Parser(prog=f"padicdyn {cmd}"), cmd)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, with every command as a subparser."""
     # the help text shows the module docstring's first two paragraphs (none under -OO)
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
     parser = _Parser(prog="padicdyn", description=description)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command_options(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in _SHARED_OPTIONS + options:
+            command.add_argument(option, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
 def _scan(cmd: str, argv: list[str]) -> argparse.Namespace | None:
-    """What ``build_parser(cmd).parse_args(argv)`` returns, read straight off
+    """What the parser returns for ``[cmd, *argv]``, read straight off
     ``_COMMANDS``, or None for any input this reader does not take.
 
     It takes only exact option names (``--opt value`` or ``--opt=value``; a
@@ -569,16 +562,10 @@ def _scan(cmd: str, argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _scan(cmd, argv[1:]) if cmd else None
-        if args is None:
-            # argparse parses what the scanner does not take: a named command
-            # needs only its own parser; anything else (no arguments, an
-            # unknown command, --help, --version) gets the full one, which
-            # sets args.cmd itself, from its subparsers
-            args = build_parser(cmd).parse_args(argv if cmd is None else argv[1:],
-                                                argparse.Namespace(cmd=cmd))
+        args = _scan(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+        if args is None:  # argparse parses what the scanner does not take
+            args = build_parser().parse_args(argv)
         if args.samples < 1:
             raise _CliArgumentError(
                 f"argument --samples: must be at least 1, got {args.samples}")

@@ -27,7 +27,6 @@ from .errors import (
     _verify,
 )
 from .padic import (
-    INFINITY,
     TruncatedPadic,
     Valuation,
     _add_triples,
@@ -57,6 +56,7 @@ __all__ = [
     "Region",
     "SphereSpec",
     "orbit",
+    "sphere_pairs",
     "sphere_units",
 ]
 
@@ -498,16 +498,20 @@ def sphere_units(p: int, count: int, seed: Optional[int] = None) -> list[Fractio
     return out
 
 
-def sphere_points(
-    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> list[Fraction]:
-    """Points center + u * p**(-e) on S_{p**e}(x_i), u running over units.
+def sphere_pairs(center: Fraction, p: int, e: int, units) -> list[tuple[int, int]]:
+    """The points center + u * p**(-e) of S_{p**e}(center), u running over
+    ``units``, as unreduced integer (numerator, denominator) pairs."""
+    xn, xd = center.numerator, center.denominator
+    sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)  # p**(-e) = sn/sd
+    return [(xn * sd * u.denominator + u.numerator * sn * xd, xd * sd * u.denominator)
+            for u in units]
 
-    (|x - center|_p = p**e means v(x - center) = -e.)
-    """
-    center = m.center_point(sphere.center)
-    scale = Fraction(m.p) ** -sphere.radius_exponent
-    return [center + u * scale for u in sphere_units(m.p, count, seed)]
+
+def _distance_exponent_pairs(p: int, xn: int, xd: int, yn: int, yd: int):
+    """-v(x - y) for x = xn/xd and y = yn/yd given as unreduced pairs, or
+    "-inf" when x = y."""
+    diff = xn * yd - yn * xd
+    return _int_valuation(xd * yd, p) - _int_valuation(diff, p) if diff else "-inf"
 
 
 # -- orbits -------------------------------------------------------------------
@@ -549,7 +553,9 @@ PRECISION_BIT_BUDGET = 1 << 13
 
 
 def _require_precision_budget(p: int, precision: int) -> None:
-    """Refuse a truncated precision whose modulus p**precision is over budget."""
+    """Refuse a truncated precision below 1 or whose p**precision is over budget."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     if precision * p.bit_length() > PRECISION_BIT_BUDGET:
         raise ValueError(
             f"truncated precision {precision} needs {precision} digits of "
@@ -590,11 +596,6 @@ def _require_step_budget(steps: int, bits: int) -> None:
             f"{ORBIT_STEP_BIT_BUDGET} step bits (steps times precision bits); "
             f"at most {ORBIT_STEP_BIT_BUDGET // bits} steps fit"
         )
-
-
-def _distance_exponent_exact(x: Fraction, center: Fraction, p: int):
-    v = _fraction_valuation(x - center, p)
-    return "-inf" if v is INFINITY else -v
 
 
 def _height(x: Fraction) -> int:
@@ -651,8 +652,9 @@ def _exact_orbit(m: CanonicalMap, x0: Fraction, steps: int) -> Optional[OrbitRes
         points.append(x)
     if _height(points[-1]) > EXACT_HEIGHT_BUDGET:
         return None
-    d1 = tuple(_distance_exponent_exact(x, m.x1, m.p) for x in points)
-    d2 = tuple(_distance_exponent_exact(x, m.x2, m.p) for x in points)
+    pairs = [(x.numerator, x.denominator) for x in points]
+    d1 = tuple(_distance_exponent_pairs(m.p, *x, 0, 1) for x in pairs)
+    d2 = tuple(_distance_exponent_pairs(m.p, *x, -m.c.numerator, m.c.denominator) for x in pairs)
     return OrbitResult("exact", tuple(points), d1, d2, pole)
 
 

@@ -15,12 +15,11 @@ distance rho(r). Three independent deciders are provided and cross-checked:
     coarser one is its reduction), and exact evaluation of f anchors the
     first balls of that pass.
 
-rescale_to_unit is the one place that writes f on the unit coordinate; both
-the mod-4 test and the ball kernel read their coefficients from it. Every
-exact check runs on integer numerators and denominators: the anchors and
-the sampled checks evaluate f with CanonicalMap's integer form of it,
-_eval_pair (not eval), on unreduced pairs, and the mod-4 test scales each
-polynomial to integer coefficients.
+rescale_to_unit is the one place that writes f on a sphere's unit
+coordinate: rho, the isometry check, the mod-4 test and the ball kernel
+read it. Every exact check runs on integer numerators and denominators,
+with CanonicalMap._eval_pair (not eval) on unreduced pairs, and the mod-4
+test scales each polynomial to integer coefficients.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
-from .dynamics import CanonicalMap, SphereSpec, sphere_units
+from .dynamics import CanonicalMap, SphereSpec, _distance_exponent_pairs, sphere_pairs, sphere_units
 from .errors import NotApplicableError, VerificationError, _verify
 from .padic import (  # noqa: F401 - perfbench's tracer patches _unit_residue here
     _fraction_valuation,
@@ -86,83 +85,57 @@ def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
     |c| < alpha = beta regime the sphere coincides with S_r(0) when
     r > |c| (same formula); when r < |c| every point has |x| = |c| and
     rho = r |c|^2 / (alpha*beta). r = |c| is excluded: the displacement is
-    then point-dependent (see displacement_table).
+    then point-dependent (NotApplicableError).
+
+    One rule gives them all. With N = (0, n1[, n2]) and D = (1, d1, d2) the
+    unit form of rescale_to_unit, f(x) - x = s*u*g(u)/D(u) with s = p^-e and
+    g(u) = (n1 - 1) + (n2 - d1)*u - d2*u^2, where u and D(u) are units. When
+    exactly one coefficient of g has the least valuation, v(g(u)) is that
+    valuation for every unit u, and rho is e minus it; two tie iff r = |c|.
     """
     _require_invariant(m, sphere)
-    v_alpha, v_beta = m.alpha_beta()
-    vc = _fraction_valuation(m.c, m.p)
     e = sphere.radius_exponent
-    if sphere.center == "x1" or m.classify().case == 2:
-        if e == -vc:
-            raise NotApplicableError(
-                f"rho is undefined on the sphere of radius |c| = p^{-vc}; "
-                "the displacement varies with the point (use displacement_table)"
-            )
-        if e < -vc:
-            base = 2 * e - vc if sphere.center == "x1" else e - 2 * vc
-            return base + v_alpha + v_beta
-        return 3 * e + v_alpha + v_beta
-    # x2-centered, |c| = alpha = beta regime
-    return e
+    expected = _displacement_rule(m.p, e, *rescale_to_unit(m, sphere))
+    if expected is None:
+        raise NotApplicableError(f"rho is undefined on the sphere of radius |c| = p^{e}; "
+                                 "the displacement varies with the point")
+    return expected
+
+
+def _displacement_rule(p: int, e: int, numerator, denominator) -> Optional[int]:
+    """rho's rule on a unit form of rescale_to_unit; None where two
+    coefficients of g tie (d2 stands for -d2: only valuations are read)."""
+    n1, n2 = (numerator[1:] + (0,))[:2]
+    _, d1, d2 = denominator
+    least, second = sorted(_fraction_valuation(g, p) for g in (n1 - 1, n2 - d1, d2))[:2]
+    return e - least if least < second else None
 
 
 # -- sampled checks ----------------------------------------------------------------
 #
 # A draw of samples is _sample's: units u from sphere_units, the points
-# x = x_i + u*s with s = p^-e, as sphere_points builds them, and their
-# images f(x) from CanonicalMap._eval_pair, one evaluation per point. Points
-# and images travel as unreduced integer (numerator, denominator) pairs, and
-# both checks read valuations and residues off them; a Fraction is built
-# only for a message or a counterexample. sampled_checks, which the
-# ``ergodic`` command runs, checks the displacement and the isometry on one
-# draw. displacement_table, verify_rho and isometry_check make one check
-# each on a draw of their own; the library does not call them, so they are
-# not in __all__, and the tests use them as the single checks.
+# x = x_i + u*s (s = p^-e) from sphere_pairs and their images from
+# CanonicalMap._eval_pair, all unreduced integer pairs; a Fraction is built
+# only for a message or a counterexample. sampled_checks, which ``ergodic``
+# runs, makes both checks on one draw and one unit form of f. verify_rho and
+# isometry_check make one check each; the library does not call them, so
+# they are not in __all__, and the tests use them as the single checks.
 
 
 def _sample(m: CanonicalMap, sphere: SphereSpec, count: int, seed: Optional[int]):
     """(units, points, images) of ``count`` samples of the sphere, the points
     and images as integer pairs."""
-    p, e = m.p, sphere.radius_exponent
-    center = m.center_point(sphere.center)
-    xn, xd = center.numerator, center.denominator
-    sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)
-    units = sphere_units(p, count, seed)
-    # x = xn/xd + (un/ud)*(sn/sd)
-    points = [(xn * sd * u.denominator + u.numerator * sn * xd, xd * sd * u.denominator)
-              for u in units]
+    units = sphere_units(m.p, count, seed)
+    points = sphere_pairs(m.center_point(sphere.center), m.p, sphere.radius_exponent, units)
     return units, points, [m._eval_pair(*x) for x in points]
 
 
-def _displacement_exponents(p: int, points, images) -> list:
-    """E = -v(f(x) - x) per point, v(fd*xd) - v(fn*xd - xn*fd), or "-inf" at a
-    fixed point of f."""
-    out = []
-    for (xn, xd), (fn, fd) in zip(points, images):
-        moved = fn * xd - xn * fd
-        out.append(_int_valuation(fd * xd, p) - _int_valuation(moved, p) if moved else "-inf")
-    return out
-
-
 def _check_displacements(p: int, expected: int, points, images) -> None:
-    for x, got in zip(points, _displacement_exponents(p, points, images)):
-        if got != expected:
+    for x, fx in zip(points, images):
+        if (got := _distance_exponent_pairs(p, *fx, *x)) != expected:
             x = Fraction(*x)
-            raise VerificationError(
-                f"displacement mismatch at x={x}: p^{got} != p^{expected}",
-                counterexample=x,
-            )
-
-
-def displacement_table(
-    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> list[tuple[Fraction, Union[int, str]]]:
-    """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E; E is
-    "-inf" at a point that f fixes (x2 on the sphere of radius |c| around x1)."""
-    _require_invariant(m, sphere)
-    _, points, images = _sample(m, sphere, count, seed)
-    return [(Fraction(*x), got)
-            for x, got in zip(points, _displacement_exponents(m.p, points, images))]
+            raise VerificationError(f"displacement mismatch at x={x}: p^{got} != p^{expected}",
+                                    counterexample=x)
 
 
 def verify_rho(
@@ -193,50 +166,50 @@ def isometry_check(
     every class is a singleton. Equal samples count as one point.
 
     Raises VerificationError naming the failed condition of the numerator
-    factor (see below), or the first violating pair in sample order, which
-    a pair scan finds once the level check has failed.
+    factor (see _isometric_unit_form), or the first violating pair in sample
+    order, which a pair scan finds once the level check has failed.
     """
     _require_invariant(m, sphere)
-    return _check_isometry(m, sphere, *_sample(m, sphere, count, seed))
+    _isometric_unit_form(m, sphere)
+    return _check_isometry(m.p, sphere.radius_exponent, *_sample(m, sphere, count, seed))
 
 
 def sampled_checks(
     m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
 ) -> tuple[Optional[int], IsometryReport]:
-    """verify_rho and isometry_check on one draw of ``count`` samples, with
-    one evaluation of f per sample.
+    """verify_rho and isometry_check on one draw of ``count`` samples and
+    one unit form of f, with one evaluation of f per sample.
 
     Returns the exponent rho(r), or None on the sphere of radius |c|, where
     the displacement varies with the point and is not checked, and the
-    isometry report. The displacement is checked first; each check raises
-    what verify_rho and isometry_check raise.
+    isometry report. The numerator factor is checked first, then the
+    displacement; each raises what isometry_check and verify_rho raise.
     """
     _require_invariant(m, sphere)
-    try:
-        expected = rho(m, sphere)
-    except NotApplicableError:  # r = |c|: the sphere is invariant, rho undefined
-        expected = None
+    e = sphere.radius_exponent
+    expected = _displacement_rule(m.p, e, *_isometric_unit_form(m, sphere))
     units, points, images = _sample(m, sphere, count, seed)
     if expected is not None:
         _check_displacements(m.p, expected, points, images)
-    return expected, _check_isometry(m, sphere, units, points, images)
+    return expected, _check_isometry(m.p, e, units, points, images)
 
 
-def _check_isometry(m: CanonicalMap, sphere: SphereSpec, units, points,
-                    images) -> IsometryReport:
-    """isometry_check on drawn samples (see there)."""
-    # With x = x_i + s*u, y = x_i + s*u', t1 = c*s/a, t2 = s^2/a and
-    # lam = f'(x2) = 1 - c^2/a:
-    #   around x1 = 0:   a - x*y = a*(1 - t2*u*u')
-    #   around x2 = -c:  a - x*y = a*(lam + t1*(u + u') - t2*u*u')
-    # For p-integral u and u', v(t1) >= 1, v(t2) >= 1 and v(lam) = 0 make the
-    # bracket a unit, so v(a - x*y) = v(a) for every pair. rescale_to_unit
-    # checks exactly these conditions.
+def _isometric_unit_form(m: CanonicalMap, sphere: SphereSpec):
+    """rescale_to_unit(m, sphere), whose conditions also make |a - x*y| = |a|
+    for every pair of samples; VerificationError when they fail.
+
+    With x = x_i + s*u, y = x_i + s*u', t1 = c*s/a, t2 = s^2/a and lam = f'(x2),
+    a - x*y is a*(1 - t2*u*u') around x1 and a*(lam + t1*(u + u') - t2*u*u')
+    around x2: v(t1) >= 1, v(t2) >= 1 and v(lam) = 0 make the bracket a unit.
+    """
     try:
-        rescale_to_unit(m, sphere)
+        return rescale_to_unit(m, sphere)
     except NotApplicableError as exc:
         raise VerificationError(f"numerator factor |a - xy| = |a| is not ensured: {exc}") from None
-    p, e = m.p, sphere.radius_exponent
+
+
+def _check_isometry(p: int, e: int, units, points, images) -> IsometryReport:
+    """The level check of isometry_check on drawn samples (see there)."""
     f0n, f0d = images[0]
     # the difference f(x) - f(x_0) as an integer pair: w = (dn/dd) * p^e
     pairs = dict(zip(units, ((fn * f0d - f0n * fd, fd * f0d) for fn, fd in images)))
@@ -266,15 +239,21 @@ def _check_isometry(m: CanonicalMap, sphere: SphereSpec, units, points,
         sizes = Counter(ku for ku, _ in level)
         keys = [key for key, (ku, _) in zip(keys, level) if sizes[ku] > 1]
     if not isometric:
-        points = [Fraction(*x) for x in points]
-        images = [Fraction(*fx) for fx in images]
-        for i, (x, fx) in enumerate(zip(points, images)):
-            for y, fy in zip(points[i + 1:], images[i + 1:]):
-                lhs, rhs = _fraction_valuation(fx - fy, p), _fraction_valuation(x - y, p)
-                if lhs != rhs:
-                    raise VerificationError(f"isometry violated for x={x}, y={y}: "
-                                            f"v={lhs} != {rhs}", counterexample=(x, y))
+        _scan_pairs(p, points, images)
     return IsometryReport(len(points) * (len(points) - 1) // 2)
+
+
+def _scan_pairs(p: int, points, images) -> None:
+    """VerificationError with the first pair of samples, in sample order,
+    whose images are not as far apart as the samples (on Fractions)."""
+    points = [Fraction(*x) for x in points]
+    images = [Fraction(*fx) for fx in images]
+    for i, (x, fx) in enumerate(zip(points, images)):
+        for y, fy in zip(points[i + 1:], images[i + 1:]):
+            lhs, rhs = _fraction_valuation(fx - fy, p), _fraction_valuation(x - y, p)
+            if lhs != rhs:
+                raise VerificationError(f"isometry violated for x={x}, y={y}: "
+                                        f"v={lhs} != {rhs}", counterexample=(x, y))
 
 
 # -- the map on a sphere's unit coordinate -------------------------------------------

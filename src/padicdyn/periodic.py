@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .dynamics import CanonicalMap, SphereSpec, _require_precision_budget, sphere_units
+from .dynamics import (
+    CanonicalMap,
+    SphereSpec,
+    _distance_exponent_pairs,
+    _require_precision_budget,
+    sphere_pairs,
+    sphere_units,
+)
 from .ergodicity import rho
 from .errors import (
     InconsistentParametersError,
@@ -74,8 +81,6 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
     factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
     """
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
     _require_precision_budget(m.p, precision)
     disc = m.c * m.c - 2 * m.a
     if disc == 0:
@@ -248,22 +253,15 @@ def verify_orbit_structure(
     # sphere-to-sphere mapping around consecutive points, one level inside rho:
     # isometry + f(y_k) = y_(k+1) force |f(x) - y_(k+1)| = |x - y_k| exactly
     rho_inner = rho_exp - 1
-    checked = 0
     pts = orbit.points + (orbit.points[0],)
     units = sphere_units(m.p, samples, seed)
-    for k in range(len(orbit.points)):
-        yk, yk1 = pts[k], pts[k + 1]
-        for u in units:
-            x = yk + u * Fraction(m.p) ** -rho_inner
-            diff = m.eval(x) - yk1
-            image_dist = None if diff == 0 else -_fraction_valuation(diff, m.p)
-            if image_dist != rho_inner:
-                raise VerificationError(
-                    f"f(S_(p^{rho_inner})({yk})) leaves S_(p^{rho_inner})({yk1})",
-                    counterexample=x,
-                )
-            checked += 1
-    return checked
+    for yk, yk1 in zip(pts, pts[1:]):
+        for x in sphere_pairs(yk, m.p, rho_inner, units):
+            fx = m._eval_pair(*x)
+            if _distance_exponent_pairs(m.p, *fx, yk1.numerator, yk1.denominator) != rho_inner:
+                raise VerificationError(f"f(S_(p^{rho_inner})({yk})) leaves "
+                                        f"S_(p^{rho_inner})({yk1})", counterexample=Fraction(*x))
+    return len(units) * len(orbit.points)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, is_square
 from padicdyn.cli import main as cli_main
-from padicdyn.dynamics import orbit, sphere_points
+from padicdyn.dynamics import orbit
 from padicdyn.ergodicity import (
     decide_ergodicity,
     isometry_check,
@@ -33,6 +33,7 @@ from padicdyn.periodic import (
 from util import (
     brute_force_is_square,
     random_rational,
+    sphere_points,
     square_residue_set,
     ultrametric_valuations,
 )

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -12,11 +11,10 @@ import pytest
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
 from padicdyn import cli, ergodicity
 from padicdyn.cli import main
-from padicdyn.dynamics import sphere_points
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
 
-from util import reference_json
+from util import reference_json, sphere_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -504,18 +502,33 @@ def test_truncated_precision_over_budget_exits_1(capsys):
     assert code == 1 and out == "" and "over the budget of 8192 bits" in err
 
 
-@pytest.mark.parametrize("a,c", [("4", "3"), ("1", "3")])  # an exact 2-cycle; none (c^2 - 2a = 7)
-@pytest.mark.parametrize("precision,message", [
+_BAD_PRECISIONS = [
     ("0", "precision must be >= 1, got 0"),
     ("-5", "precision must be >= 1, got -5"),
     ("100000", "truncated precision 100000 needs 100000 digits of 3 bits, over the budget "
                "of 8192 bits; the largest precision that fits is 2730"),
-])
+]
+
+
+@pytest.mark.parametrize("a,c", [("4", "3"), ("1", "3")])  # an exact 2-cycle; none (c^2 - 2a = 7)
+@pytest.mark.parametrize("precision,message", _BAD_PRECISIONS)
 def test_periodic_precision_is_checked_before_any_work(capsys, monkeypatch, a, c, precision,
                                                        message):
     argv = ["periodic", "--p", "7", "--a", a, "--c", c]
     assert run_cli(capsys, argv + ["--json"])[0] == 0
     monkeypatch.setattr("padicdyn.periodic.rational_sqrt", None)  # no work may start
+    code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("precision,message", _BAD_PRECISIONS)
+def test_periodic_q_precision_is_checked_before_any_work(capsys, monkeypatch, precision,
+                                                         message):
+    # the 3-cycle does not use the precision, but it is checked as on the
+    # --a --c path, with the same message
+    argv = ["periodic", "--p", "7", "--q", "1"]
+    assert run_cli(capsys, argv + ["--json"])[0] == 0
+    monkeypatch.setattr(cli, "three_periodic_from_q", None)  # no work may start
     code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -615,7 +628,7 @@ def test_module_entry_point_reads_sys_argv():
 @pytest.mark.parametrize("name,argv", [(name, argv) for name, argv in sorted(HELP_COMMANDS.items())
                                        if len(argv) == 2])
 def test_full_parser_prints_the_same_help(capsys, monkeypatch, name, argv):
-    # the full parser's subparsers come from the same table as the per-command ones
+    # the parser's subparsers come from the command table
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(argv)
@@ -624,17 +637,17 @@ def test_full_parser_prints_the_same_help(capsys, monkeypatch, name, argv):
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_command_parser_matches_the_full_parser(name, argv):
-    full = vars(cli.build_parser().parse_args(argv))
-    assert full.pop("cmd") == argv[0]
-    assert vars(cli.build_parser(argv[0]).parse_args(argv[1:])) == full
+    # the scanner reads each golden request off its command's table as the
+    # parser reads the whole argument list
+    assert vars(cli._scan(argv[0], argv[1:])) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_main_builds_a_parser_only_for_what_the_scanner_refuses(capsys, monkeypatch):
     build_parser, built = cli.build_parser, []
 
-    def spy(cmd=None):
-        parser = build_parser(cmd)
-        built.append((cmd, parser))
+    def spy():
+        parser = build_parser()
+        built.append(parser)
         return parser
 
     monkeypatch.setattr(cli, "build_parser", spy)
@@ -642,14 +655,13 @@ def test_main_builds_a_parser_only_for_what_the_scanner_refuses(capsys, monkeypa
     argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1"]
     assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 0
     assert built == []
-    # a malformed one builds a fresh parser of its command on every call
+    # a malformed one builds a fresh parser on every call
     argv = ["analyze", "--p", "3", "--a", "-2", "--c", "1", "--frob"]
     assert run_cli(capsys, argv)[0] == run_cli(capsys, argv)[0] == 1
-    assert [cmd for cmd, _ in built] == ["analyze", "analyze"]
-    assert built[0][1] is not built[1][1]
-    # no command: the full parser
+    assert len(built) == 2 and built[0] is not built[1]
+    # no command: the same parser
     assert run_cli(capsys, [])[0] == 1
-    assert [cmd for cmd, _ in built] == ["analyze", "analyze", None]
+    assert len(built) == 3
 
 
 def _random_argv(rng, cmd):
@@ -705,10 +717,10 @@ def test_scan_agrees_with_argparse_on_random_requests(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     for cmd, (help_text, _, options) in cli._COMMANDS.items():
         monkeypatch.setitem(cli._COMMANDS, cmd, (help_text, _echo_args, options))
-    # one parser of each kind serves every call, which only saves time:
-    # argparse keeps no state between parse_args calls
-    parsers = {cmd: cli.build_parser(cmd) for cmd in (None, *cli._COMMANDS)}
-    monkeypatch.setattr(cli, "build_parser", lambda cmd=None: parsers[cmd])
+    # one parser serves every call, which only saves time: argparse keeps no
+    # state between parse_args calls
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     rng = random.Random(22)
     argvs = [_random_argv(rng, cmd) for _ in range(1000) for cmd in cli._COMMANDS]
     taken = 0
@@ -716,7 +728,7 @@ def test_scan_agrees_with_argparse_on_random_requests(capsys, monkeypatch):
         scanned = cli._scan(argv[0], argv[1:])
         if scanned is not None:
             taken += 1
-            parsed = parsers[argv[0]].parse_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+            parsed = parser.parse_args(argv)
             assert vars(scanned) == vars(parsed), argv
     assert 1500 < taken < len(argvs) - 1500
     answers = [_answer(capsys, argv) for argv in argvs]

@@ -21,7 +21,6 @@ from padicdyn.dynamics import (
     _height,
     _height_loss,
     orbit,
-    sphere_points,
 )
 from padicdyn.padic import INFINITY, _fraction_valuation
 
@@ -30,6 +29,7 @@ from util import (
     random_nonzero_rational,
     random_rational,
     representative,
+    sphere_points,
     validate_norm_image,
 )
 

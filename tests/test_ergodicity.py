@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, ergodicity
-from padicdyn.dynamics import sphere_points, sphere_units
+from padicdyn.dynamics import sphere_units
 from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
@@ -14,7 +14,6 @@ from padicdyn.ergodicity import (
     _cycle_lengths,
     _verify_permutation,
     decide_ergodicity,
-    displacement_table,
     ergodicity_theorem,
     isometry_check,
     mod4_criterion,
@@ -28,10 +27,13 @@ from padicdyn.padic import _fraction_valuation, _horner
 
 from util import (
     HaarMeasureContext,
+    displacement_table,
     faulty_eval_pair,
     random_unit,
     reference_isometry_check,
     reference_oracle_levels,
+    reference_rho,
+    sphere_points,
     verify_rescaled,
 )
 
@@ -90,6 +92,43 @@ def test_displacement_table_gives_x2_the_exponent_minus_inf():
     assert sampled_checks(m, sphere, 8)[0] is None
 
 
+def _rho_outcome(rho_of, m, sphere):
+    """rho_of(m, sphere), or the message of its NotApplicableError."""
+    try:
+        return rho_of(m, sphere)
+    except NotApplicableError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rho_rule_equals_the_closed_forms(p):
+    # the rule read off the unit form against the paper's case-by-case
+    # closed forms, on the five radii below each bound and on r = |c|: both
+    # are undefined on the same spheres, with the same message
+    rng = random.Random(f"rho-rule:{p}")
+    outcomes = Counter()
+    for _ in range(80):
+        a = random_unit(rng, p, 40) * Fraction(p) ** rng.randint(-3, 3)
+        c = random_unit(rng, p, 40) * Fraction(p) ** rng.randint(-3, 3)
+        m = CanonicalMap(p, a, c)
+        try:
+            inv = m.invariant_spheres()
+        except InconsistentParametersError:
+            continue
+        for center, bound in (("x1", inv.x1_exponent_bound), ("x2", inv.x2_exponent_bound)):
+            if bound is None:
+                continue
+            radii = {bound - k for k in range(1, 6)}
+            if -m.val(c) < bound:  # the sphere of radius |c|
+                radii.add(-m.val(c))
+            for e in sorted(radii):
+                sphere = SphereSpec(center, e)
+                got = _rho_outcome(rho, m, sphere)
+                assert got == _rho_outcome(reference_rho, m, sphere), (m, sphere)
+                outcomes[center, type(got)] += 1
+    assert set(outcomes) == {("x1", int), ("x1", str), ("x2", int), ("x2", str)}, outcomes
+
+
 def test_rho_requires_invariant_sphere():
     with pytest.raises(NotApplicableError):
         rho(M2, SphereSpec("x1", -1))  # r = alpha is not invariant
@@ -102,8 +141,7 @@ def test_displacement_exponents_equal_the_fraction_valuation(p):
     # the exponents come from numerators and denominators of x and f(x);
     # the reference subtracts Fractions
     rng = random.Random(f"displacement:{p}")
-    spheres = _differential_spheres(p, rng, 6)
-    spheres += [_scaled(m, sphere, 2) for m, sphere in spheres[:3]]
+    spheres = _sample_corpus(p, rng)
     for m, sphere in spheres:
         for seed in (None, rng.randrange(1 << 30)):
             table = displacement_table(m, sphere, 16, seed)
@@ -128,6 +166,19 @@ def test_sampled_checks_equal_the_separate_checks():
         assert sampled_checks(m, sphere, 12, seed) == (expected,
                                                        isometry_check(m, sphere, 12, seed))
     assert sampled_checks(CASE2, SphereSpec("x1", -1), 12)[0] is None
+
+
+def test_sampled_checks_read_one_unit_form(monkeypatch):
+    # the displacement rule and the numerator-factor conditions both read
+    # one call of rescale_to_unit
+    calls, real = [], ergodicity.rescale_to_unit
+    monkeypatch.setattr(ergodicity, "rescale_to_unit",
+                        lambda m, sphere: calls.append(sphere) or real(m, sphere))
+    for m, sphere in [(M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)),
+                      (CASE2, SphereSpec("x1", -1))]:
+        calls.clear()
+        sampled_checks(m, sphere, 8)
+        assert calls == [sphere]
 
 
 def test_sampled_checks_check_the_displacement_first(monkeypatch):
@@ -180,11 +231,26 @@ def _scaled(m, sphere, k):
                                                                sphere.radius_exponent + k)
 
 
+#: Spheres of radius 1 (e = 0) around both centres of a case-2 map with
+#: alpha = 3: there the denominator of f(x) - f(x_0) can be prime to p, which
+#: takes the isometry kernel's branch that scales the image coordinate up
+RADIUS_ONE_SPHERES = [(CanonicalMap(3, Fraction(-13, 63), Fraction(144, 5)),
+                       SphereSpec(center, 0)) for center in ("x1", "x2")]
+
+
+def _sample_corpus(p: int, rng: random.Random):
+    """The sampled checks' differential corpus at p: seeded invariant
+    spheres, three of them scaled so that their points carry p^2 in the
+    denominator, and at p = 3 the spheres of radius 1."""
+    spheres = _differential_spheres(p, rng, 6)
+    spheres += [_scaled(m, sphere, 2) for m, sphere in spheres[:3]]
+    return spheres + [(m, sphere) for m, sphere in RADIUS_ONE_SPHERES if m.p == p]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_isometry_kernel_equals_the_fraction_reference(p):
     rng = random.Random(f"isometry-kernel:{p}")
-    spheres = _differential_spheres(p, rng, 6)
-    spheres += [_scaled(m, sphere, 2) for m, sphere in spheres[:3]]
+    spheres = _sample_corpus(p, rng)
     for m, sphere in spheres:
         for count in (8, 16, 32):
             for seed in (None, rng.randrange(1 << 30)):
@@ -195,6 +261,25 @@ def test_isometry_kernel_equals_the_fraction_reference(p):
     # the corpus has sample points and values of a with p in the denominator
     assert any(m.val(m.a) < 0 for m, _ in spheres)
     assert any(m.val(x) < 0 for m, sphere in spheres for x in sphere_points(m, sphere, 8))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_isometry_level_check_alone_passes_every_isometric_sphere(monkeypatch, p):
+    # the pair scan runs only once the level check has failed, and on an
+    # isometric sphere it finds no pair, so a faulty level check would pass
+    # unseen: on the corpus, all isometric, the scan must never run
+    def scan(p, points, images):
+        raise AssertionError("the pair scan ran on an isometric sphere")
+
+    rng = random.Random(f"isometry-kernel:{p}")
+    spheres = _sample_corpus(p, rng)
+    monkeypatch.setattr(ergodicity, "_scan_pairs", scan)
+    for m, sphere in spheres:
+        for count in (8, 32):
+            for seed in (None, rng.randrange(1 << 30)):
+                report = isometry_check(m, sphere, count, seed)
+                assert report.pairs_checked == count * (count - 1) // 2
+                assert sampled_checks(m, sphere, count, seed)[1] == report
 
 
 @pytest.mark.parametrize("m,sphere,seed", [
@@ -251,7 +336,7 @@ def test_isometry_levels_reach_units_that_agree_to_many_digits(monkeypatch):
     # only there
     units = [Fraction(1), Fraction(3), Fraction(1572865, 1048577), Fraction(524287, 1048575)]
     assert M2.val(units[2] - units[3]) == 40
-    for module in ("padicdyn.dynamics", "padicdyn.ergodicity"):
+    for module in ("padicdyn.ergodicity", "util"):
         monkeypatch.setattr(f"{module}.sphere_units", lambda p, count, seed=None: units)
     sphere = SphereSpec("x1", -2)
     assert isometry_check(M2, sphere, 4) == reference_isometry_check(M2, sphere, 4)

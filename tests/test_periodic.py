@@ -14,6 +14,7 @@ from padicdyn.ergodicity import rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
+    PeriodicOrbit,
     h_of_q,
     p6_eval,
     q_sweep,
@@ -24,6 +25,7 @@ from padicdyn.periodic import (
 )
 from util import (
     agrees_on_reported_digits,
+    faulty_eval_pair,
     p6_coefficients,
     random_nonzero_rational,
     reference_derivative_truncated,
@@ -316,6 +318,24 @@ def test_structure_check_count_is_samples_times_period(samples, seed):
     assert len(orb3.points) == 3
 
 
+@pytest.mark.parametrize("samples", [1, 8])
+def test_structure_check_evaluates_f_once_per_sample_on_integer_pairs(monkeypatch, samples):
+    # check (3) evaluates f through CanonicalMap's integer form, never eval
+    sphere = SphereSpec("x2", -1)
+    m2 = CanonicalMap(3, -4, 1)
+    m3, orb3 = three_periodic_from_q(7, 1)
+    for m, orb in ((m2, two_periodic(m2)), (m3, orb3)):
+        calls, evals = [], []
+        real_pair, real_eval = CanonicalMap._eval_pair, CanonicalMap.eval
+        monkeypatch.setattr(CanonicalMap, "_eval_pair", lambda self, xn, xd: (
+            calls.append((xn, xd)) or real_pair(self, xn, xd)))
+        monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
+            evals.append(x) or real_eval(self, x)))
+        assert verify_orbit_structure(m, orb, sphere, samples=samples) == len(calls)
+        assert len(calls) == samples * len(orb.points) and evals == []
+        monkeypatch.undo()
+
+
 def test_structure_rejects_orbit_off_sphere():
     m = CanonicalMap(7, 4, 3)
     orb = two_periodic(m)
@@ -326,6 +346,41 @@ def test_structure_rejects_orbit_off_sphere():
     assert not orb.exact
     with pytest.raises(NotApplicableError, match="truncated"):
         verify_orbit_structure(m, orb, SphereSpec("x2", -1))
+
+
+def test_structure_check_1_catches_a_point_outside_the_displacement_ball():
+    # on S_(3^-1)(0) of (3, -2, 1) rho = -2 < -1, so two points of the sphere
+    # can lie farther apart than rho: |6 - 3|_3 = 3^-1
+    m, sphere = CanonicalMap(3, -2, 1), SphereSpec("x1", -1)
+    orb = PeriodicOrbit((Fraction(3), Fraction(6)), 0, True)
+    with pytest.raises(VerificationError) as exc:
+        verify_orbit_structure(m, orb, sphere)
+    assert str(exc.value) == "orbit point 6 escapes V_(p^-2)(y0)"
+    assert exc.value.counterexample == 6
+
+
+def test_structure_check_2_catches_a_multiplier_that_is_not_indifferent():
+    m = CanonicalMap(3, -4, 1)
+    orb = PeriodicOrbit(two_periodic(m).points, 1, True)
+    with pytest.raises(VerificationError) as exc:
+        verify_orbit_structure(m, orb, SphereSpec("x2", -1))
+    assert str(exc.value) == "on-sphere periodic orbit must be indifferent; got exponent 1"
+    assert exc.value.counterexample is None
+
+
+def test_structure_check_3_catches_an_image_off_the_inner_sphere(monkeypatch):
+    # the 2-cycle {2, -4} of (3, -4, 1): rho = -1, so check (3) samples
+    # x = -4 + 9u around -4; the image of x = -4 + 9*4 = 32 is moved by 3,
+    # so |f(32) - 2|_3 = 3^-1 instead of 3^-2
+    m = CanonicalMap(3, -4, 1)
+    orb = two_periodic(m)
+    assert orb.points == (2, -4)
+    monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
+        f(x) + (3 if x == 32 else 0))))
+    with pytest.raises(VerificationError) as exc:
+        verify_orbit_structure(m, orb, SphereSpec("x2", -1))
+    assert str(exc.value) == "f(S_(p^-2)(-4)) leaves S_(p^-2)(2)"
+    assert exc.value.counterexample == 32
 
 
 def test_two_cycle_check_names_the_precision():

@@ -6,9 +6,21 @@ from fractions import Fraction
 from types import NoneType
 from typing import Literal
 
-from padicdyn.dynamics import CanonicalMap, SphereSpec, sphere_points
-from padicdyn.ergodicity import IsometryReport, OracleLevel, _cycle_lengths, rescale_to_unit
-from padicdyn.errors import PoleHitError, PrecisionError, VerificationError
+from padicdyn.dynamics import (
+    CanonicalMap,
+    SphereSpec,
+    _distance_exponent_pairs,
+    sphere_units,
+)
+from padicdyn.ergodicity import (
+    IsometryReport,
+    OracleLevel,
+    _cycle_lengths,
+    _require_invariant,
+    _sample,
+    rescale_to_unit,
+)
+from padicdyn.errors import NotApplicableError, PoleHitError, PrecisionError, VerificationError
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
 
 
@@ -142,6 +154,52 @@ def reference_orbit_truncated(m, x0: Fraction, steps: int, precision: int):
         d1.append(_reference_distance(t, m.x1))
         d2.append(_reference_distance(t, m.x2))
     return points, d1, d2, None
+
+
+# -- sphere samples as Fractions, and the displacement's closed forms -------------
+
+
+def sphere_points(m, sphere: SphereSpec, count: int = 32, seed=None) -> list[Fraction]:
+    """Points center + u * p**(-e) on S_{p**e}(x_i), u running over units:
+    the Fraction reference of dynamics.sphere_pairs.
+
+    (|x - center|_p = p**e means v(x - center) = -e.)
+    """
+    center = m.center_point(sphere.center)
+    scale = Fraction(m.p) ** -sphere.radius_exponent
+    return [center + u * scale for u in sphere_units(m.p, count, seed)]
+
+
+def displacement_table(m, sphere: SphereSpec, count: int = 32, seed=None) -> list:
+    """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E, read
+    off the integer pairs of ergodicity's samples; E is "-inf" at a point
+    that f fixes (x2 on the sphere of radius |c| around x1)."""
+    _require_invariant(m, sphere)
+    _, points, images = _sample(m, sphere, count, seed)
+    return [(Fraction(*x), _distance_exponent_pairs(m.p, *fx, *x))
+            for x, fx in zip(points, images)]
+
+
+def reference_rho(m, sphere: SphereSpec) -> int:
+    """The paper's closed forms of the displacement exponent rho(r), case by
+    case (ergodicity.rho's docstring lists them): the reference of
+    ergodicity.rho, which reads one rule off the unit form of f."""
+    _require_invariant(m, sphere)
+    v_alpha, v_beta = m.alpha_beta()
+    vc = _fraction_valuation(m.c, m.p)
+    e = sphere.radius_exponent
+    if sphere.center == "x1" or m.classify().case == 2:
+        if e == -vc:
+            raise NotApplicableError(
+                f"rho is undefined on the sphere of radius |c| = p^{-vc}; "
+                "the displacement varies with the point"
+            )
+        if e < -vc:
+            base = 2 * e - vc if sphere.center == "x1" else e - 2 * vc
+            return base + v_alpha + v_beta
+        return 3 * e + v_alpha + v_beta
+    # x2-centered, |c| = alpha = beta regime
+    return e
 
 
 # -- Fraction reference for the residue oracle's integer kernel --------------------

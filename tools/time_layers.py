@@ -15,13 +15,15 @@ unit-coordinate form; and ``verify_rho`` plus ``isometry_check`` with 32
 samples, unseeded and seeded, next to ``sampled_checks``, which runs both
 on one draw, where the checkout has it. On the request path it times
 ``isometry_check`` and, where the checkout has it, ``sampled_checks`` with
-32 samples at the spheres of ISOMETRY_SPHERES; ``isometry_check`` at the
-larger inputs of ISOMETRY_LARGE (up to 1024 samples at radius exponent
--256), best of LARGE_REPEAT single calls; ``TruncatedPadic.digits`` at 64,
-256 and 4096 digits; the full ``cli.build_parser()`` and, where the
-checkout has them, ``cli.build_parser(cmd)`` of each command and
-``cli._scan`` of one well-formed request of each command (the argv of
-SCAN_REQUESTS with ``--json``); an in-process ``cli.main`` of each of the
+32 samples and ``rho`` at the spheres of ISOMETRY_SPHERES;
+``verify_orbit_structure`` with 32 samples on the 2-cycle of the
+``periodic_two_cycle_structure`` golden (p, a, c) = (3, -1, 1/2);
+``isometry_check`` at the larger inputs of ISOMETRY_LARGE (up to 1024
+samples at radius exponent -256), best of LARGE_REPEAT single calls;
+``TruncatedPadic.digits`` at 64, 256 and 4096 digits;
+``cli.build_parser()`` and, where the checkout has it, ``cli._scan`` of one
+well-formed request of each command (the argv of SCAN_REQUESTS with
+``--json``); an in-process ``cli.main`` of each of the
 six golden commands with ``--json`` (stdout captured); and the writing of
 those six reports, as ``cli._emit`` hands them on: by
 ``json.dumps(cli._json(report), sort_keys=True, indent=2)`` where the
@@ -157,14 +159,15 @@ def _ergodicity_path(out: dict) -> None:
 
 
 def _request_path(out: dict) -> None:
-    from padicdyn import cli, ergodicity
+    from padicdyn import cli, ergodicity, periodic
     from padicdyn.dynamics import CanonicalMap, SphereSpec
     from padicdyn.padic import TruncatedPadic
 
-    out["isometry_check"], out["sampled_checks_spheres"] = {}, {}
+    out["isometry_check"], out["sampled_checks_spheres"], out["rho"] = {}, {}, {}
     sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for p, a, c, center, e in ISOMETRY_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
+        out["rho"][f"p={p} {center} e={e}"] = _best_us(lambda: ergodicity.rho(m, sphere), 200)
         for seed in (None, 1):
             case = f"p={p} {center} e={e} seed={seed}"
             out["isometry_check"][case] = _best_us(
@@ -172,6 +175,11 @@ def _request_path(out: dict) -> None:
             if sampled_checks:
                 out["sampled_checks_spheres"][case] = _best_us(
                     lambda: sampled_checks(m, sphere, 32, seed), 10)
+    m = CanonicalMap(3, Fraction(-1), Fraction(1, 2))
+    orb = periodic.two_periodic(m)
+    sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))
+    out["verify_orbit_structure"] = {"p=3 a=-1 c=1/2 samples=32": _best_us(
+        lambda: periodic.verify_orbit_structure(m, orb, sphere, 32), 20)}
     out["isometry_check_large"] = {}
     for p, a, c, center, e, n in ISOMETRY_LARGE:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
@@ -185,8 +193,6 @@ def _request_path(out: dict) -> None:
             t = TruncatedPadic(p, 0, _units(rng, p, n)[0], n)
             out["digits"][f"p={p} P={n}"] = _best_us(t.digits, 20)
     out["build_parser"] = {"full": _best_us(cli.build_parser, 20)}
-    for cmd in getattr(cli, "_COMMANDS", ()):  # one command's parser
-        out["build_parser"][cmd] = _best_us(lambda: cli.build_parser(cmd), 20)
     if hasattr(cli, "_scan"):  # a well-formed request read off the table
         out["scan"] = {cmd: _best_us(lambda: cli._scan(cmd, argv + ["--json"]), 200)
                        for cmd, argv in SCAN_REQUESTS.items()}
