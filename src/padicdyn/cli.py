@@ -368,11 +368,12 @@ def _cmd_periodic(args) -> int:
     if orb.exact:
         sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))  # s != 0: finite
         if m.sphere_is_invariant(sphere):
+            rho_exp = rho(m, sphere)
             checked = verify_orbit_structure(m, orb, sphere, samples=args.samples,
-                                             seed=args.seed)
+                                             seed=args.seed, rho_exp=rho_exp)
             on_sphere = sphere
             structure = {
-                "rho_exponent": rho(m, sphere),
+                "rho_exponent": rho_exp,
                 "containment_ok": True,
                 "multiplier_norm_exponent": orb.multiplier_norm_exponent,
                 "ball_mapping_checked": checked,

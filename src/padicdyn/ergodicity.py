@@ -16,10 +16,12 @@ distance rho(r). Three independent deciders are provided and cross-checked:
     first balls of that pass.
 
 rescale_to_unit is the one place that writes f on a sphere's unit
-coordinate: rho, the isometry check, the mod-4 test and the ball kernel
-read it. Every exact check runs on integer numerators and denominators,
-with CanonicalMap._eval_pair (not eval) on unreduced pairs, and the mod-4
-test scales each polynomial to integer coefficients.
+coordinate, and its gate, _unit_form_valuations, the one place that
+decides which spheres the checks apply to: rho, the isometry check and
+sampled_checks read the gate's integer valuations, the mod-4 test and the
+ball kernel the coefficients. Every exact check runs on integer numerators
+and denominators, with CanonicalMap._eval_pair (not eval) on unreduced
+pairs, and the mod-4 test scales each polynomial to integer coefficients.
 """
 
 from __future__ import annotations
@@ -92,23 +94,22 @@ def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
     g(u) = (n1 - 1) + (n2 - d1)*u - d2*u^2, where u and D(u) are units. When
     exactly one coefficient of g has the least valuation, v(g(u)) is that
     valuation for every unit u, and rho is e minus it; two tie iff r = |c|.
+    The rule reads the gate's integer valuations and builds no Fraction.
     """
-    _require_invariant(m, sphere)
     e = sphere.radius_exponent
-    expected = _displacement_rule(m.p, e, *rescale_to_unit(m, sphere))
+    expected = _displacement_rule(m.p, sphere, *_unit_form_valuations(m, sphere))
     if expected is None:
         raise NotApplicableError(f"rho is undefined on the sphere of radius |c| = p^{e}; "
                                  "the displacement varies with the point")
     return expected
 
 
-def _displacement_rule(p: int, e: int, numerator, denominator) -> Optional[int]:
-    """rho's rule on a unit form of rescale_to_unit; None where two
-    coefficients of g tie (d2 stands for -d2: only valuations are read)."""
-    n1, n2 = (numerator[1:] + (0,))[:2]
-    _, d1, d2 = denominator
-    least, second = sorted(_fraction_valuation(g, p) for g in (n1 - 1, n2 - d1, d2))[:2]
-    return e - least if least < second else None
+def _displacement_rule(p: int, sphere: SphereSpec, v1: int, v2: int) -> Optional[int]:
+    """rho's rule on v(t1), v(t2); None where two coefficients of g tie: g is
+    -t1*u - t2*u^2 around x1 and -t1^2/t2 + 2*t1*u - t2*u^2 around x2."""
+    vs = (v1, v2) if sphere.center == "x1" else (2 * v1 - v2, v1 + (p == 2), v2)
+    least, second = sorted(vs)[:2]
+    return sphere.radius_exponent - least if least < second else None
 
 
 # -- sampled checks ----------------------------------------------------------------
@@ -165,12 +166,12 @@ def isometry_check(
     equivalence relation on the u's as on the w's, up to the level where
     every class is a singleton. Equal samples count as one point.
 
-    Raises VerificationError naming the failed condition of the numerator
-    factor (see _isometric_unit_form), or the first violating pair in sample
-    order, which a pair scan finds once the level check has failed.
+    Raises VerificationError naming the failed conditions of the gate,
+    which make |a - x*y| = |a| for every pair (see _unit_form_valuations),
+    or the first violating pair in sample order, which a pair scan finds
+    once the level check has failed.
     """
-    _require_invariant(m, sphere)
-    _isometric_unit_form(m, sphere)
+    _unit_form_valuations(m, sphere)
     return _check_isometry(m.p, sphere.radius_exponent, *_sample(m, sphere, count, seed))
 
 
@@ -182,30 +183,14 @@ def sampled_checks(
 
     Returns the exponent rho(r), or None on the sphere of radius |c|, where
     the displacement varies with the point and is not checked, and the
-    isometry report. The numerator factor is checked first, then the
-    displacement; each raises what isometry_check and verify_rho raise.
+    isometry report. The gate runs first, then the displacement; each
+    raises what isometry_check and verify_rho raise.
     """
-    _require_invariant(m, sphere)
-    e = sphere.radius_exponent
-    expected = _displacement_rule(m.p, e, *_isometric_unit_form(m, sphere))
+    expected = _displacement_rule(m.p, sphere, *_unit_form_valuations(m, sphere))
     units, points, images = _sample(m, sphere, count, seed)
     if expected is not None:
         _check_displacements(m.p, expected, points, images)
-    return expected, _check_isometry(m.p, e, units, points, images)
-
-
-def _isometric_unit_form(m: CanonicalMap, sphere: SphereSpec):
-    """rescale_to_unit(m, sphere), whose conditions also make |a - x*y| = |a|
-    for every pair of samples; VerificationError when they fail.
-
-    With x = x_i + s*u, y = x_i + s*u', t1 = c*s/a, t2 = s^2/a and lam = f'(x2),
-    a - x*y is a*(1 - t2*u*u') around x1 and a*(lam + t1*(u + u') - t2*u*u')
-    around x2: v(t1) >= 1, v(t2) >= 1 and v(lam) = 0 make the bracket a unit.
-    """
-    try:
-        return rescale_to_unit(m, sphere)
-    except NotApplicableError as exc:
-        raise VerificationError(f"numerator factor |a - xy| = |a| is not ensured: {exc}") from None
+    return expected, _check_isometry(m.p, sphere.radius_exponent, units, points, images)
 
 
 def _check_isometry(p: int, e: int, units, points, images) -> IsometryReport:
@@ -281,26 +266,42 @@ def rescale_to_unit(
     p-integral: (0, 1) and (1, t1, t2) around x1, (0, lam, t1) and
     (1, -t1, t2) around x2.
 
-    Raises NotApplicableError, naming the conditions that fail, unless p
+    The gate, _unit_form_valuations, runs first: on an invariant sphere p
     divides t1 and t2 and lam is a unit, so that the map sends residue balls
-    to residue balls; that holds on every invariant sphere.
+    to residue balls.
     """
-    p = m.p
-    s = Fraction(p) ** -sphere.radius_exponent
+    _unit_form_valuations(m, sphere)
+    s = Fraction(m.p) ** -sphere.radius_exponent
     t1, t2 = m.c * s / m.a, s * s / m.a
     if sphere.center == "x2":
-        lam = m.multiplier_x2()
-        numerator, denominator = (Fraction(0), lam, t1), (Fraction(1), -t1, t2)
-    else:
-        lam = Fraction(1)
-        numerator, denominator = (Fraction(0), lam), (Fraction(1), t1, t2)
-    v1, v2, vl = (_fraction_valuation(x, p) for x in (t1, t2, lam))
-    failed = ", ".join(text for holds, text in (
-        (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
-        (vl == 0, f"v(f'(center)) = {vl} != 0")) if not holds)
-    if failed:
-        raise NotApplicableError(f"balls of {sphere} do not map to balls: {failed}")
-    return numerator, denominator
+        return (Fraction(0), m.multiplier_x2(), t1), (Fraction(1), -t1, t2)
+    return (Fraction(0), Fraction(1)), (Fraction(1), t1, t2)
+
+
+def _unit_form_valuations(m: CanonicalMap, sphere: SphereSpec) -> tuple[int, int]:
+    """The gate of every sphere check: (v(t1), v(t2)) on an invariant sphere.
+
+    NotApplicableError when the sphere is not invariant, otherwise
+    VerificationError naming those of v(t1) >= 1, v(t2) >= 1 and v(lam) = 0
+    that fail: the two decisions of invariance disagree. The valuations
+    v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off integers,
+    v(lam) is 0 around x1 and the classification's multiplier exponent
+    around x2. The conditions also make |a - x*y| = |a| for x = x_i + s*u,
+    y = x_i + s*u': a - x*y is a*(1 - t2*u*u') around x1 and
+    a*(lam + t1*(u + u') - t2*u*u') around x2.
+    """
+    _require_invariant(m, sphere)
+    p, e, c = m.p, sphere.radius_exponent, m.c
+    va = sum(m.alpha_beta())
+    v1 = _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p) - va - e
+    v2 = -va - 2 * e
+    vl = 0 if sphere.center == "x1" else m.classify().x2.multiplier_norm_exponent
+    if v1 < 1 or v2 < 1 or vl != 0:  # the message is built only on failure
+        failed = ", ".join(text for holds, text in (
+            (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
+            (vl == 0, f"v(f'(center)) = {vl} != 0")) if not holds)
+        raise VerificationError(f"balls of invariant {sphere} do not map to balls: {failed}")
+    return v1, v2
 
 
 # -- residue-ball permutations ---------------------------------------------------
@@ -334,7 +335,7 @@ def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[i
     with CanonicalMap's integer form of it, from a and c themselves, and
     take the image's valuation and unit residue on integers, so they share
     nothing with the kernel. Any failure raises VerificationError; a sphere
-    whose balls do not map to balls is refused by rescale_to_unit.
+    that is not invariant is refused by rescale_to_unit's gate.
     """
     p, e = m.p, sphere.radius_exponent
     numerator, denominator = rescale_to_unit(m, sphere)
@@ -514,9 +515,8 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
 
 
 def _is_primitive_root(x: Fraction, p: int) -> bool:
-    """Whether x is a p-adic unit whose residue generates (Z/p)^*."""
-    if _fraction_valuation(x, p) != 0:
-        return False
+    """Whether the residue of x generates (Z/p)^*; x is a unit (an invariant
+    x2-sphere is in case 2 or 3, where classify verified v(f'(x2)) = 0)."""
     g = _residue(x, p)
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 

@@ -405,11 +405,9 @@ def _lift_sqrt_two(u_mod: int, k: int) -> int:
     for j in range(3, k):
         if (r * r - u_mod) % (1 << (j + 1)):
             r += 1 << (j - 1)
-    half = 1 << (k - 1)
-    r %= half
-    if r % 4 == 3:
-        r = (half - r) % half
-    return r
+    # r = 1 mod 4 already: it starts at 1 and grows by multiples of 4, and
+    # reducing mod 2**(k-1) >= 4 keeps that
+    return r % (1 << (k - 1))
 
 
 # -- digit-level rules of truncated arithmetic -----------------------------------

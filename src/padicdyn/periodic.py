@@ -89,12 +89,9 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     s = rational_sqrt(disc) if disc > 0 else None
     if s is not None:
         t1, t2 = -m.c + s, -m.c - s
-        try:
-            _verify(m.eval(t1) == t2 and m.eval(t2) == t1, "f does not swap -c +- s")
-        except PoleHitError as exc:
-            raise VerificationError(
-                f"2-periodic candidate {exc.point} is a pole; orbit invalid"
-            ) from exc
+        # no pole: a common root of x^2 + 2cx + 2a and x^2 + cx + a has
+        # cx + a = 0 and x^2 = 0, so a = 0, which CanonicalMap refuses
+        _verify(m.eval(t1) == t2 and m.eval(t2) == t1, "f does not swap -c +- s")
         return PeriodicOrbit((t1, t2), mult, True)
     if not is_square(disc, m.p):
         return None
@@ -217,6 +214,7 @@ def verify_orbit_structure(
     sphere: SphereSpec,
     samples: int = 8,
     seed: Optional[int] = None,
+    rho_exp: Optional[int] = None,
 ) -> int:
     """Structural checks for a periodic orbit lying on an invariant sphere.
 
@@ -229,6 +227,7 @@ def verify_orbit_structure(
     period. Raises VerificationError (with the counterexample) if any check fails;
     the orbit must genuinely lie on the given invariant sphere. A truncated
     orbit raises NotApplicableError: the checks compare exact points.
+    ``rho_exp`` is rho(m, sphere), computed here unless the caller has it.
     """
     if not orbit.exact:
         raise NotApplicableError("structure checks need an exact orbit; this one is truncated")
@@ -238,7 +237,8 @@ def verify_orbit_structure(
             raise VerificationError(
                 f"orbit point {y} is not on the sphere", counterexample=y
             )
-    rho_exp = rho(m, sphere)
+    if rho_exp is None:
+        rho_exp = rho(m, sphere)
     y0 = orbit.points[0]
     for y in orbit.points[1:]:
         if -_fraction_valuation(y - y0, m.p) > rho_exp:

@@ -3,13 +3,14 @@ import os
 import random
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity
+from padicdyn import cli, ergodicity, periodic
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
@@ -852,3 +853,51 @@ def test_unserializable_report_exits_1_and_writes_nothing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1", "--json"])
     assert (code, out) == (1, "")
     assert err == "error: a report value of type float is not JSON serializable\n"
+
+
+def test_timestamp_adds_only_a_utc_generation_time(capsys):
+    code, out, err = run_cli(capsys, ["analyze", "--p", "3", "--a", "-2", "--c", "1", "--json",
+                                      "--timestamp"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    stamp = datetime.fromisoformat(report.pop("generated_at"))
+    assert stamp.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=5)
+    assert report == json.loads((GOLDEN / "analyze_case4.json").read_text())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--p", "3", "--a", "1", "--b", "0", "--c", "-1"],
+     "four-parameter input needs all of --a --b --c --d"),
+    (["periodic", "--p", "3", "--a", "1"], "periodic needs either --q or both --a and --c"),
+])
+def test_incomplete_parameter_sets_exit_1(capsys, argv, message):
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+def test_ergodic_exits_3_when_the_invariance_bound_and_the_unit_form_disagree(
+        capsys, monkeypatch):
+    # the boundary sphere r = alpha = |c| passes a patched invariance bound,
+    # but its balls do not map to balls: an internal disagreement, not an
+    # unsupported input
+    monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
+    code, out, err = run_cli(capsys, ["ergodic", "--p=3", "--a=-9", "--c=-6", "--radius-exp=-1"])
+    assert (code, out) == (3, "")
+    assert err == ("internal verification failed: balls of invariant "
+                   "SphereSpec(center='x1', radius_exponent=-1) do not map to balls: "
+                   "v(t1) = 0 < 1, v(t2) = 0 < 1\n")
+
+
+def test_on_sphere_periodic_request_computes_rho_once(capsys, monkeypatch):
+    calls = []
+
+    def spy(m, sphere):
+        calls.append(sphere)
+        return ergodicity.rho(m, sphere)
+
+    monkeypatch.setattr(cli, "rho", spy)
+    monkeypatch.setattr(periodic, "rho", spy)
+    code, out, _ = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_structure.json"]
+                           + ["--json"])
+    assert code == 0 and out == (GOLDEN / "periodic_two_cycle_structure.json").read_text()
+    assert calls == [SphereSpec("x2", -1)]

@@ -347,6 +347,11 @@ def test_orbit_validates_arguments():
 
 
 
+def test_sphere_spec_refuses_an_unknown_center():
+    with pytest.raises(ValueError, match="center must be 'x1' or 'x2'"):
+        SphereSpec("x3", -1)
+
+
 def test_height_loss_bounds_every_step():
     # _height(f(x)) >= 2 _height(x) - L; the bound is nearly tight next to
     # a real root of the denominator: at x = 268/33 for (a, c) = (-1, -7) in

@@ -170,9 +170,9 @@ def test_sampled_checks_equal_the_separate_checks():
 
 def test_sampled_checks_read_one_unit_form(monkeypatch):
     # the displacement rule and the numerator-factor conditions both read
-    # one call of rescale_to_unit
-    calls, real = [], ergodicity.rescale_to_unit
-    monkeypatch.setattr(ergodicity, "rescale_to_unit",
+    # one call of the gate
+    calls, real = [], ergodicity._unit_form_valuations
+    monkeypatch.setattr(ergodicity, "_unit_form_valuations",
                         lambda m, sphere: calls.append(sphere) or real(m, sphere))
     for m, sphere in [(M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)),
                       (CASE2, SphereSpec("x1", -1))]:
@@ -358,12 +358,48 @@ def test_isometry_checks_the_numerator_factor_conditions_once_per_sphere(monkeyp
     with pytest.raises(VerificationError) as exc:
         isometry_check(m, sphere, 32)
     assert str(exc.value) == (
-        "numerator factor |a - xy| = |a| is not ensured: balls of "
-        "SphereSpec(center='x1', radius_exponent=-1) do not map to balls: "
-        "v(t1) = 0 < 1, v(t2) = 0 < 1")
+        "balls of invariant SphereSpec(center='x1', radius_exponent=-1) do not map "
+        "to balls: v(t1) = 0 < 1, v(t2) = 0 < 1")
     # the pair scan finds the same sphere non-isometric
     with pytest.raises(VerificationError, match="isometry violated for x=3, y=6: v=2 != 1"):
         reference_isometry_check(m, sphere, 32)
+
+
+@pytest.mark.parametrize("m,sphere,failed", [
+    (CanonicalMap(3, -9, -6), SphereSpec("x1", -1), "v(t1) = 0 < 1, v(t2) = 0 < 1"),
+    (CASE4, SphereSpec("x2", -1), "v(f'(center)) = 1 != 0"),
+])
+def test_every_sphere_reader_reports_a_gate_disagreement_as_verification(
+        monkeypatch, m, sphere, failed):
+    # the invariance bound admits the sphere (patched), the unit form's
+    # conditions do not: every reader goes through the one gate and raises
+    # VerificationError naming the failed conditions
+    assert not m.sphere_is_invariant(sphere)
+    monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
+    message = f"balls of invariant {sphere} do not map to balls: {failed}"
+    for check in (rescale_to_unit, rho, isometry_check, sampled_checks, residue_cycle_oracle):
+        with pytest.raises(VerificationError) as exc:
+            check(m, sphere)
+        assert str(exc.value) == message, check
+
+
+def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
+    # the displacement rule and the gate read integer valuations; the
+    # classification, which the invariance bound reads, is computed first
+    calls = []
+    for module in ("padic", "dynamics", "ergodicity"):
+        monkeypatch.setattr(f"padicdyn.{module}._fraction_valuation",
+                            lambda x, p: calls.append(x) or _fraction_valuation(x, p))
+    for m, sphere in [(M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)),
+                      (CASE2, SphereSpec("x1", -1)), (CASE2, SphereSpec("x2", -2))]:
+        m.classify()
+        calls.clear()
+        try:
+            rho(m, sphere)
+        except NotApplicableError:
+            pass
+        sampled_checks(m, sphere, 8)
+        assert calls == [], (m, sphere)
 
 
 # -- minimal invariant ball -----------------------------------------------------------
@@ -470,10 +506,14 @@ def test_rescale_coefficients_and_bounds():
 
 
 def test_rescale_rejects_non_invariant_radius():
-    with pytest.raises(NotApplicableError, match="do not map to balls"):
-        rescale_to_unit(M2, SphereSpec("x1", -1))  # r = alpha: t1 = 1 is a unit
-    with pytest.raises(NotApplicableError, match="do not map to balls"):
-        rescale_to_unit(CASE4, SphereSpec("x2", -1))  # case 4: f'(x2) = 3/2, not a unit
+    # the gate's text: r = alpha, where t1 = 1 is a unit, and case 4, where
+    # f'(x2) = 3/2 is not a unit
+    with pytest.raises(NotApplicableError, match=r"^S_\(p\^-1\)\(x1\) is not invariant: "
+                       "requires radius exponent < -1$"):
+        rescale_to_unit(M2, SphereSpec("x1", -1))
+    with pytest.raises(NotApplicableError, match=r"^S_\(p\^-1\)\(x2\) is not invariant: "
+                       "no sphere around x2 is invariant for this map$"):
+        rescale_to_unit(CASE4, SphereSpec("x2", -1))
 
 
 def test_rescaled_identity_on_unit_samples():
@@ -624,8 +664,9 @@ def test_oracle_ball_budget(monkeypatch):
 
 
 def test_kernel_refuses_a_sphere_whose_balls_do_not_map_to_balls():
-    # r = alpha: t1 = c*s/a = 1 is a unit, so the ball map is not defined
-    with pytest.raises(NotApplicableError, match="do not map to balls"):
+    # r = alpha: t1 = c*s/a = 1 is a unit, so the ball map is not defined,
+    # and the gate refuses the sphere as not invariant
+    with pytest.raises(NotApplicableError, match="is not invariant: requires radius exponent < -1"):
         _ball_permutation(M2, SphereSpec("x1", -1), 3)
 
 

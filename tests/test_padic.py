@@ -297,6 +297,15 @@ def test_hensel_sqrt_random_squares(p):
         n += 1
 
 
+@pytest.mark.parametrize("x", [2, -1, 8, 13])
+def test_hensel_sqrt_searches_past_two_for_a_non_residue(x):
+    # 17 = 1 mod 8: 2 is a square mod 17, so Tonelli-Shanks must try z = 3
+    s = hensel_sqrt(x, 6, 17)
+    r = representative(s)
+    assert (r * r - x) % 17**6 == 0
+    assert 1 <= s.unit % 17 <= 8
+
+
 def test_hensel_sqrt_rejects_non_squares():
     with pytest.raises(NotASquareError):
         hensel_sqrt(2, 6, 5)
@@ -305,6 +314,20 @@ def test_hensel_sqrt_rejects_non_squares():
 
 
 # -- truncated arithmetic --------------------------------------------------------
+
+
+@pytest.mark.parametrize("args,message", [
+    ((5, 0, 0, 3), "tagged zero must carry precision 0"),
+    ((5, 0, 2, 0), "precision must be >= 1"),
+    ((5, 0, 10, 1), "unit must be a reduced p-coprime residue"),
+    ((5, 0, 10, 2), "unit must be a reduced p-coprime residue"),
+    ((5, INFINITY, 2, 1), "INFINITY valuation is reserved for zero"),
+])
+def test_truncated_padic_refuses_malformed_triples(args, message):
+    # a nonzero tagged zero, no digits, a unit out of range or divisible by
+    # p, and the zero valuation on a unit
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TruncatedPadic(*args)
 
 
 def test_truncated_add_full_cancellation_is_tagged_zero():
