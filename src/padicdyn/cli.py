@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedCaseError,
     VerificationError,
 )
-from .ergodicity import decide_ergodicity, rho, sampled_checks
+from .ergodicity import decide_ergodicity, sampled_checks
 from .padic import INFINITY, TruncatedPadic, parse_rational
 from .periodic import (
     sphere_conditions,
@@ -368,9 +368,8 @@ def _cmd_periodic(args) -> int:
     if orb.exact:
         sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))  # s != 0: finite
         if m.sphere_is_invariant(sphere):
-            rho_exp = rho(m, sphere)
-            checked = verify_orbit_structure(m, orb, sphere, samples=args.samples,
-                                             seed=args.seed, rho_exp=rho_exp)
+            rho_exp, checked = verify_orbit_structure(m, orb, sphere, samples=args.samples,
+                                                      seed=args.seed)
             on_sphere = sphere
             structure = {
                 "rho_exponent": rho_exp,

@@ -17,9 +17,9 @@ distance rho(r). Three independent deciders are provided and cross-checked:
 
 rescale_to_unit is the one place that writes f on a sphere's unit
 coordinate, and its gate, _unit_form_valuations, the one place that
-decides which spheres the checks apply to: rho, the isometry check and
-sampled_checks read the gate's integer valuations, the mod-4 test and the
-ball kernel the coefficients. Every exact check runs on integer numerators
+decides which spheres the checks apply to: ergodicity_theorem, rho, the
+isometry check and sampled_checks pass through the gate's integer
+valuations, the mod-4 test and the ball kernel through the coefficients. Every exact check runs on integer numerators
 and denominators, with CanonicalMap._eval_pair (not eval) on unreduced
 pairs, and the mod-4 test scales each polynomial to integer coefficients.
 """
@@ -498,8 +498,10 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     (lam != 1 mod p), so p^2 divides t1*S and t2*S2, and g^(p-1) is
     multiplication by lam^(p-1) on the level-2 balls: one cycle iff
     lam^(p-1) != 1 (mod p^2). As for monomials, the deeper levels follow.
+    The theorem reads its sphere through the gate of rescale_to_unit, which
+    makes lam a unit on every x2-sphere it decides.
     """
-    _require_invariant(m, sphere)
+    _unit_form_valuations(m, sphere)
     p = m.p
     if p >= 3:
         if sphere.center == "x2" and _is_primitive_root(lam := m.multiplier_x2(), p):
@@ -515,8 +517,8 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
 
 
 def _is_primitive_root(x: Fraction, p: int) -> bool:
-    """Whether the residue of x generates (Z/p)^*; x is a unit (an invariant
-    x2-sphere is in case 2 or 3, where classify verified v(f'(x2)) = 0)."""
+    """Whether the residue of x generates (Z/p)^*; x is a unit (the gate of
+    ergodicity_theorem checked v(f'(x2)) = 0)."""
     g = _residue(x, p)
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 

@@ -214,8 +214,7 @@ def verify_orbit_structure(
     sphere: SphereSpec,
     samples: int = 8,
     seed: Optional[int] = None,
-    rho_exp: Optional[int] = None,
-) -> int:
+) -> tuple[int, int]:
     """Structural checks for a periodic orbit lying on an invariant sphere.
 
     (1) every orbit point lies in the ball V_rho(r)(y0);
@@ -223,11 +222,11 @@ def verify_orbit_structure(
     (3) spheres around consecutive orbit points map into each other:
         f(S_rho'(y_k)) inside S_rho'(y_(k+1)) for rho' = rho(r)/p, sampled.
 
-    Returns the number of sampled points checked in (3), samples times the
-    period. Raises VerificationError (with the counterexample) if any check fails;
+    Returns (rho, checked): the exponent rho(m, sphere) of the displacement
+    radius that (1) reads, and the number of sampled points checked in (3),
+    samples times the period. Raises VerificationError (with the counterexample) if any check fails;
     the orbit must genuinely lie on the given invariant sphere. A truncated
     orbit raises NotApplicableError: the checks compare exact points.
-    ``rho_exp`` is rho(m, sphere), computed here unless the caller has it.
     """
     if not orbit.exact:
         raise NotApplicableError("structure checks need an exact orbit; this one is truncated")
@@ -237,8 +236,7 @@ def verify_orbit_structure(
             raise VerificationError(
                 f"orbit point {y} is not on the sphere", counterexample=y
             )
-    if rho_exp is None:
-        rho_exp = rho(m, sphere)
+    rho_exp = rho(m, sphere)
     y0 = orbit.points[0]
     for y in orbit.points[1:]:
         if -_fraction_valuation(y - y0, m.p) > rho_exp:
@@ -261,7 +259,7 @@ def verify_orbit_structure(
             if _distance_exponent_pairs(m.p, *fx, yk1.numerator, yk1.denominator) != rho_inner:
                 raise VerificationError(f"f(S_(p^{rho_inner})({yk})) leaves "
                                         f"S_(p^{rho_inner})({yk1})", counterexample=Fraction(*x))
-    return len(units) * len(orbit.points)
+    return rho_exp, len(units) * len(orbit.points)
 
 
 @dataclass(frozen=True)

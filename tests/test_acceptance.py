@@ -33,6 +33,7 @@ from padicdyn.periodic import (
 from util import (
     brute_force_is_square,
     random_rational,
+    reference_rho,
     sphere_points,
     square_residue_set,
     ultrametric_valuations,
@@ -189,7 +190,8 @@ def test_criterion_6_periodic_orbits_exact():
     for mm, oo, sphere in on_sphere:
         assert mm.sphere_is_invariant(sphere)
         assert oo.multiplier_norm_exponent == 0
-        assert verify_orbit_structure(mm, oo, sphere) == 8 * len(oo.points)
+        assert verify_orbit_structure(mm, oo, sphere) == (reference_rho(mm, sphere),
+                                                     8 * len(oo.points))
     print("ACCEPTANCE 6 (exact 2-/3-periodic orbits, exclusions, indifference): PASS")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity, periodic
+from padicdyn import cli, ergodicity
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
@@ -875,28 +875,37 @@ def test_incomplete_parameter_sets_exit_1(capsys, argv, message):
     assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,sphere,failed", [
+    # the boundary sphere r = alpha = |c| around x1
+    (["--p=3", "--a=-9", "--c=-6", "--radius-exp=-1"], "center='x1', radius_exponent=-1",
+     "v(t1) = 0 < 1, v(t2) = 0 < 1"),
+    # x2-spheres in case 5 (lam = 8/9) and case 4 (lam = 3), where lam is no unit
+    (["--p=3", "--a=9", "--c=1", "--center=x2", "--radius-exp=-3"],
+     "center='x2', radius_exponent=-3", "v(f'(center)) = -2 != 0"),
+    (["--p=3", "--a=-2", "--c=1", "--center=x2", "--radius-exp=-1"],
+     "center='x2', radius_exponent=-1", "v(f'(center)) = 1 != 0"),
+])
 def test_ergodic_exits_3_when_the_invariance_bound_and_the_unit_form_disagree(
-        capsys, monkeypatch):
-    # the boundary sphere r = alpha = |c| passes a patched invariance bound,
-    # but its balls do not map to balls: an internal disagreement, not an
-    # unsupported input
+        capsys, monkeypatch, argv, sphere, failed):
+    # the sphere passes a patched invariance bound, but its balls do not map
+    # to balls: an internal disagreement, not an unsupported input
     monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
-    code, out, err = run_cli(capsys, ["ergodic", "--p=3", "--a=-9", "--c=-6", "--radius-exp=-1"])
+    code, out, err = run_cli(capsys, ["ergodic", *argv])
     assert (code, out) == (3, "")
-    assert err == ("internal verification failed: balls of invariant "
-                   "SphereSpec(center='x1', radius_exponent=-1) do not map to balls: "
-                   "v(t1) = 0 < 1, v(t2) = 0 < 1\n")
+    assert err == (f"internal verification failed: balls of invariant SphereSpec({sphere}) "
+                   f"do not map to balls: {failed}\n")
 
 
 def test_on_sphere_periodic_request_computes_rho_once(capsys, monkeypatch):
+    # every rho call reads the displacement rule, wherever rho is imported
     calls = []
+    real = ergodicity._displacement_rule
 
-    def spy(m, sphere):
+    def spy(p, sphere, v1, v2):
         calls.append(sphere)
-        return ergodicity.rho(m, sphere)
+        return real(p, sphere, v1, v2)
 
-    monkeypatch.setattr(cli, "rho", spy)
-    monkeypatch.setattr(periodic, "rho", spy)
+    monkeypatch.setattr(ergodicity, "_displacement_rule", spy)
     code, out, _ = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_structure.json"]
                            + ["--json"])
     assert code == 0 and out == (GOLDEN / "periodic_two_cycle_structure.json").read_text()

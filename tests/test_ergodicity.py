@@ -368,6 +368,7 @@ def test_isometry_checks_the_numerator_factor_conditions_once_per_sphere(monkeyp
 @pytest.mark.parametrize("m,sphere,failed", [
     (CanonicalMap(3, -9, -6), SphereSpec("x1", -1), "v(t1) = 0 < 1, v(t2) = 0 < 1"),
     (CASE4, SphereSpec("x2", -1), "v(f'(center)) = 1 != 0"),
+    (CanonicalMap(3, 9, 1), SphereSpec("x2", -3), "v(f'(center)) = -2 != 0"),  # case 5
 ])
 def test_every_sphere_reader_reports_a_gate_disagreement_as_verification(
         monkeypatch, m, sphere, failed):
@@ -377,7 +378,8 @@ def test_every_sphere_reader_reports_a_gate_disagreement_as_verification(
     assert not m.sphere_is_invariant(sphere)
     monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
     message = f"balls of invariant {sphere} do not map to balls: {failed}"
-    for check in (rescale_to_unit, rho, isometry_check, sampled_checks, residue_cycle_oracle):
+    for check in (rescale_to_unit, rho, isometry_check, sampled_checks, residue_cycle_oracle,
+                  ergodicity_theorem, decide_ergodicity):
         with pytest.raises(VerificationError) as exc:
             check(m, sphere)
         assert str(exc.value) == message, check

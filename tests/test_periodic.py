@@ -29,6 +29,7 @@ from util import (
     p6_coefficients,
     random_nonzero_rational,
     reference_derivative_truncated,
+    reference_rho,
 )
 
 
@@ -286,7 +287,7 @@ def test_three_periodic_on_invariant_sphere_p7():
     assert sc.x2_radius_exponent == -1 and sc.x2_sphere_invariant
     sphere = SphereSpec("x2", -1)
     assert m.sphere_is_invariant(sphere)
-    assert verify_orbit_structure(m, orb, sphere) == 24
+    assert verify_orbit_structure(m, orb, sphere) == (-1, 24)
     assert orb.multiplier_norm_exponent == 0
     assert rho(m, sphere) == -1
 
@@ -298,7 +299,7 @@ def test_structure_checks_on_invariant_sphere_2_cycle():
     orb = two_periodic(m)
     assert orb.exact and set(orb.points) == {2, -4}
     assert orb.multiplier_norm_exponent == 0  # multiplier 10, |10|_3 = 1
-    assert verify_orbit_structure(m, orb, SphereSpec("x2", -1)) == 16
+    assert verify_orbit_structure(m, orb, SphereSpec("x2", -1)) == (-1, 16)
     assert rho(m, SphereSpec("x2", -1)) == -1
     # both points inside one ball of radius rho(r): |2 - (-4)|_3 = 1/3
     assert _fraction_valuation(Fraction(6), 3) == 1
@@ -313,7 +314,7 @@ def test_structure_check_count_is_samples_times_period(samples, seed):
     m2 = CanonicalMap(3, -4, 1)
     m3, orb3 = three_periodic_from_q(7, 1)
     for m, orb in ((m2, two_periodic(m2)), (m3, orb3)):
-        got = verify_orbit_structure(m, orb, sphere, samples=samples, seed=seed)
+        _, got = verify_orbit_structure(m, orb, sphere, samples=samples, seed=seed)
         assert got == samples * len(orb.points)
     assert len(orb3.points) == 3
 
@@ -331,7 +332,7 @@ def test_structure_check_evaluates_f_once_per_sample_on_integer_pairs(monkeypatc
             calls.append((xn, xd)) or real_pair(self, xn, xd)))
         monkeypatch.setattr(CanonicalMap, "eval", lambda self, x: (
             evals.append(x) or real_eval(self, x)))
-        assert verify_orbit_structure(m, orb, sphere, samples=samples) == len(calls)
+        assert verify_orbit_structure(m, orb, sphere, samples=samples)[1] == len(calls)
         assert len(calls) == samples * len(orb.points) and evals == []
         monkeypatch.undo()
 
@@ -399,5 +400,5 @@ def test_q_sweep_deterministic_and_verified():
         m, orb = three_periodic_from_q(7, rec.q)
         assert m.a == rec.a == h_of_q(rec.q)
         sphere = SphereSpec("x2", rec.on_x2_sphere_exponent)
-        assert verify_orbit_structure(m, orb, sphere) == 8 * 3
+        assert verify_orbit_structure(m, orb, sphere) == (reference_rho(m, sphere), 8 * 3)
         assert orb.multiplier_norm_exponent == 0
