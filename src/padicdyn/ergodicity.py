@@ -19,9 +19,10 @@ rescale_to_unit is the one place that writes f on a sphere's unit
 coordinate, and its gate, _unit_form_valuations, the one place that
 decides which spheres the checks apply to: ergodicity_theorem, rho, the
 isometry check and sampled_checks pass through the gate's integer
-valuations, the mod-4 test and the ball kernel through the coefficients. Every exact check runs on integer numerators
-and denominators, with CanonicalMap._eval_pair (not eval) on unreduced
-pairs, and the mod-4 test scales each polynomial to integer coefficients.
+valuations, the mod-4 test and the ball kernel through the coefficients.
+Every exact check runs on integer numerators and denominators, with
+CanonicalMap._eval_pair (not eval) on unreduced pairs, and the mod-4 test
+scales each polynomial to integer coefficients.
 """
 
 from __future__ import annotations
