@@ -274,7 +274,7 @@ def _cmd_ergodic(args) -> int:
     m = CanonicalMap(args.p, args.a, args.c)
     sphere = SphereSpec(args.center, args.radius_exp)
     decision = decide_ergodicity(m, sphere, depth=args.oracle_depth)
-    rho_exp, iso = sampled_checks(m, sphere, count=args.samples, seed=args.seed)
+    rho_exp, iso = sampled_checks(decision.form, count=args.samples, seed=args.seed)
     if rho_exp is None:
         displacement = {
             "rho_exponent": None,

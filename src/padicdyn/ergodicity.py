@@ -16,11 +16,12 @@ distance rho(r). Three independent deciders are provided and cross-checked:
     first balls of that pass.
 
 rescale_to_unit is the one place that writes f on a sphere's unit
-coordinate, and its gate, _unit_form_valuations, the one place that
-decides which spheres the checks apply to: ergodicity_theorem, rho, the
-isometry check and sampled_checks pass through the gate's integer
-valuations, the mod-4 test and the ball kernel through the coefficients.
-Every exact check runs on integer numerators and denominators, with
+coordinate and decides which spheres the checks apply to. It returns a
+UnitForm, and every sphere reader takes that record instead of the map and
+the sphere, so no reader can be reached past the gate: ergodicity_theorem,
+rho and the sampled checks read its integer valuations, the mod-4 test and
+the ball kernel its coefficients. decide_ergodicity builds one form per
+request. Every exact check runs on integer numerators and denominators, with
 CanonicalMap._eval_pair (not eval) on unreduced pairs, and the mod-4 test
 scales each polynomial to integer coefficients.
 """
@@ -52,6 +53,7 @@ __all__ = [
     "Mod4Verdict",
     "OracleLevel",
     "OracleResult",
+    "UnitForm",
     "decide_ergodicity",
     "ergodicity_theorem",
     "mod4_criterion",
@@ -75,10 +77,77 @@ def _require_invariant(m: CanonicalMap, sphere: SphereSpec):
         )
 
 
+# -- the map on a sphere's unit coordinate -------------------------------------------
+#
+# On S_r(x_i), r = p^e, write x = x_i + s*u with s = p^-e, so that u runs over
+# the units of Z_p. Dividing f(x) - x_i by s gives the map on u:
+#
+#   around x1:  w = u / (1 + t1*u + t2*u^2)
+#   around x2:  w = u*(lam + t1*u) / (1 - t1*u + t2*u^2)
+#
+# with t1 = c*s/a, t2 = s^2/a and lam = f'(x2) = 1 - c^2/a. When p divides t1
+# and t2 and lam is a unit, the denominator is 1 mod p and w is a unit, so
+# w mod p^k depends on u mod p^k alone: f maps the ball of index u mod p^k
+# onto the ball of index w mod p^k, and the level-k permutation is the
+# reduction mod p^k of every deeper one.
+
+
+@dataclass(frozen=True)
+class UnitForm:
+    """f on an invariant sphere's unit coordinate, as rescale_to_unit builds
+    it: v1 = v(t1) and v2 = v(t2), and the coefficients (low to high) of the
+    numerator and the denominator of w, all p-integral. Around x2,
+    lam = f'(x2) is numerator[1]."""
+
+    m: CanonicalMap
+    sphere: SphereSpec
+    v1: int
+    v2: int
+    numerator: tuple[Fraction, ...]
+    denominator: tuple[Fraction, ...]
+
+
+def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> UnitForm:
+    """Conjugate f on ``sphere`` onto the units of Z_p (see above): the form
+    with numerator (0, 1) and denominator (1, t1, t2) around x1, (0, lam, t1)
+    and (1, -t1, t2) around x2. This is the gate of every sphere check.
+
+    NotApplicableError when the sphere is not invariant, otherwise
+    VerificationError naming those of v(t1) >= 1, v(t2) >= 1 and v(lam) = 0
+    that fail: the two decisions of invariance disagree. When they hold, the
+    map sends residue balls to residue balls. The valuations
+    v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off integers,
+    v(lam) is 0 around x1 and the classification's multiplier exponent
+    around x2. The conditions also make |a - x*y| = |a| for x = x_i + s*u,
+    y = x_i + s*u': a - x*y is a*(1 - t2*u*u') around x1 and
+    a*(lam + t1*(u + u') - t2*u*u') around x2.
+    """
+    _require_invariant(m, sphere)
+    p, e, c = m.p, sphere.radius_exponent, m.c
+    va = sum(m.alpha_beta())
+    v1 = _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p) - va - e
+    v2 = -va - 2 * e
+    vl = 0 if sphere.center == "x1" else m.classify().x2.multiplier_norm_exponent
+    if v1 < 1 or v2 < 1 or vl != 0:  # the message is built only on failure
+        failed = ", ".join(text for holds, text in (
+            (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
+            (vl == 0, f"v(f'(center)) = {vl} != 0")) if not holds)
+        raise VerificationError(f"balls of invariant {sphere} do not map to balls: {failed}")
+    # t1 = c*s/a and t2 = s^2/a on the integers of s = sn/sd, c and a
+    sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)
+    an, ad = m.a.numerator, m.a.denominator
+    t1 = Fraction(c.numerator * sn * ad, c.denominator * sd * an)
+    t2 = Fraction(sn * sn * ad, sd * sd * an)
+    if sphere.center == "x2":
+        return UnitForm(m, sphere, v1, v2, (Fraction(0), m.multiplier_x2(), t1),
+                        (Fraction(1), -t1, t2))
+    return UnitForm(m, sphere, v1, v2, (Fraction(0), Fraction(1)), (Fraction(1), t1, t2))
+
+
 # -- displacement -------------------------------------------------------------
 
 
-def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
+def rho(form: UnitForm) -> int:
     """Exponent of the common displacement |f(x)-x|_p on an invariant sphere.
 
     For spheres around x1 = 0 (radius r = p**e, r != |c|):
@@ -95,20 +164,21 @@ def rho(m: CanonicalMap, sphere: SphereSpec) -> int:
     g(u) = (n1 - 1) + (n2 - d1)*u - d2*u^2, where u and D(u) are units. When
     exactly one coefficient of g has the least valuation, v(g(u)) is that
     valuation for every unit u, and rho is e minus it; two tie iff r = |c|.
-    The rule reads the gate's integer valuations and builds no Fraction.
+    The rule reads the form's integer valuations v1 and v2.
     """
-    e = sphere.radius_exponent
-    expected = _displacement_rule(m.p, sphere, *_unit_form_valuations(m, sphere))
+    expected = _displacement_rule(form)
     if expected is None:
-        raise NotApplicableError(f"rho is undefined on the sphere of radius |c| = p^{e}; "
+        raise NotApplicableError("rho is undefined on the sphere of radius |c| = "
+                                 f"p^{form.sphere.radius_exponent}; "
                                  "the displacement varies with the point")
     return expected
 
 
-def _displacement_rule(p: int, sphere: SphereSpec, v1: int, v2: int) -> Optional[int]:
+def _displacement_rule(form: UnitForm) -> Optional[int]:
     """rho's rule on v(t1), v(t2); None where two coefficients of g tie: g is
     -t1*u - t2*u^2 around x1 and -t1^2/t2 + 2*t1*u - t2*u^2 around x2."""
-    vs = (v1, v2) if sphere.center == "x1" else (2 * v1 - v2, v1 + (p == 2), v2)
+    v1, v2, sphere = form.v1, form.v2, form.sphere
+    vs = (v1, v2) if sphere.center == "x1" else (2 * v1 - v2, v1 + (form.m.p == 2), v2)
     least, second = sorted(vs)[:2]
     return sphere.radius_exponent - least if least < second else None
 
@@ -124,9 +194,10 @@ def _displacement_rule(p: int, sphere: SphereSpec, v1: int, v2: int) -> Optional
 # they are not in __all__, and the tests use them as the single checks.
 
 
-def _sample(m: CanonicalMap, sphere: SphereSpec, count: int, seed: Optional[int]):
+def _sample(form: UnitForm, count: int, seed: Optional[int]):
     """(units, points, images) of ``count`` samples of the sphere, the points
     and images as integer pairs."""
+    m, sphere = form.m, form.sphere
     units = sphere_units(m.p, count, seed)
     points = sphere_pairs(m.center_point(sphere.center), m.p, sphere.radius_exponent, units)
     return units, points, [m._eval_pair(*x) for x in points]
@@ -140,12 +211,9 @@ def _check_displacements(p: int, expected: int, points, images) -> None:
                                     counterexample=x)
 
 
-def verify_rho(
-    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> int:
+def verify_rho(form: UnitForm, count: int = 32, seed: Optional[int] = None) -> int:
     """Assert |f(x)-x|_p = p**rho(r) on sampled points; returns sample count."""
-    expected = rho(m, sphere)
-    _check_displacements(m.p, expected, *_sample(m, sphere, count, seed)[1:])
+    _check_displacements(form.m.p, rho(form), *_sample(form, count, seed)[1:])
     return count
 
 
@@ -154,9 +222,8 @@ class IsometryReport:
     pairs_checked: int
 
 
-def isometry_check(
-    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> IsometryReport:
+def isometry_check(form: UnitForm, count: int = 32,
+                   seed: Optional[int] = None) -> IsometryReport:
     """Verify |f(x)-f(y)|_p = |x-y|_p and |a - x*y|_p = |a|_p exactly on all
     count*(count-1)/2 sampled pairs, in time linear in the count.
 
@@ -167,31 +234,29 @@ def isometry_check(
     equivalence relation on the u's as on the w's, up to the level where
     every class is a singleton. Equal samples count as one point.
 
-    Raises VerificationError naming the failed conditions of the gate,
-    which make |a - x*y| = |a| for every pair (see _unit_form_valuations),
-    or the first violating pair in sample order, which a pair scan finds
-    once the level check has failed.
+    The gate that built the form makes |a - x*y| = |a| for every pair (see
+    rescale_to_unit). Raises VerificationError with the first violating pair
+    in sample order, which a pair scan finds once the level check has failed.
     """
-    _unit_form_valuations(m, sphere)
-    return _check_isometry(m.p, sphere.radius_exponent, *_sample(m, sphere, count, seed))
+    return _check_isometry(form.m.p, form.sphere.radius_exponent, *_sample(form, count, seed))
 
 
-def sampled_checks(
-    m: CanonicalMap, sphere: SphereSpec, count: int = 32, seed: Optional[int] = None
-) -> tuple[Optional[int], IsometryReport]:
+def sampled_checks(form: UnitForm, count: int = 32, seed: Optional[int] = None
+                   ) -> tuple[Optional[int], IsometryReport]:
     """verify_rho and isometry_check on one draw of ``count`` samples and
     one unit form of f, with one evaluation of f per sample.
 
     Returns the exponent rho(r), or None on the sphere of radius |c|, where
     the displacement varies with the point and is not checked, and the
-    isometry report. The gate runs first, then the displacement; each
-    raises what isometry_check and verify_rho raise.
+    isometry report. The displacement is checked first; each check raises
+    what isometry_check and verify_rho raise.
     """
-    expected = _displacement_rule(m.p, sphere, *_unit_form_valuations(m, sphere))
-    units, points, images = _sample(m, sphere, count, seed)
+    expected = _displacement_rule(form)
+    units, points, images = _sample(form, count, seed)
+    p = form.m.p
     if expected is not None:
-        _check_displacements(m.p, expected, points, images)
-    return expected, _check_isometry(m.p, sphere.radius_exponent, units, points, images)
+        _check_displacements(p, expected, points, images)
+    return expected, _check_isometry(p, form.sphere.radius_exponent, units, points, images)
 
 
 def _check_isometry(p: int, e: int, units, points, images) -> IsometryReport:
@@ -242,69 +307,6 @@ def _scan_pairs(p: int, points, images) -> None:
                                         f"v={lhs} != {rhs}", counterexample=(x, y))
 
 
-# -- the map on a sphere's unit coordinate -------------------------------------------
-#
-# On S_r(x_i), r = p^e, write x = x_i + s*u with s = p^-e, so that u runs over
-# the units of Z_p. Dividing f(x) - x_i by s gives the map on u:
-#
-#   around x1:  w = u / (1 + t1*u + t2*u^2)
-#   around x2:  w = u*(lam + t1*u) / (1 - t1*u + t2*u^2)
-#
-# with t1 = c*s/a, t2 = s^2/a and lam = f'(x2) = 1 - c^2/a. When p divides t1
-# and t2 and lam is a unit, the denominator is 1 mod p and w is a unit, so
-# w mod p^k depends on u mod p^k alone: f maps the ball of index u mod p^k
-# onto the ball of index w mod p^k, and the level-k permutation is the
-# reduction mod p^k of every deeper one.
-
-
-def rescale_to_unit(
-    m: CanonicalMap, sphere: SphereSpec
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Conjugate f on ``sphere`` onto the units of Z_p (see above).
-
-    Returns the coefficients (low to high) of the numerator and the
-    denominator of f in the unit coordinate u of x = x_i + u*p^-e, all
-    p-integral: (0, 1) and (1, t1, t2) around x1, (0, lam, t1) and
-    (1, -t1, t2) around x2.
-
-    The gate, _unit_form_valuations, runs first: on an invariant sphere p
-    divides t1 and t2 and lam is a unit, so that the map sends residue balls
-    to residue balls.
-    """
-    _unit_form_valuations(m, sphere)
-    s = Fraction(m.p) ** -sphere.radius_exponent
-    t1, t2 = m.c * s / m.a, s * s / m.a
-    if sphere.center == "x2":
-        return (Fraction(0), m.multiplier_x2(), t1), (Fraction(1), -t1, t2)
-    return (Fraction(0), Fraction(1)), (Fraction(1), t1, t2)
-
-
-def _unit_form_valuations(m: CanonicalMap, sphere: SphereSpec) -> tuple[int, int]:
-    """The gate of every sphere check: (v(t1), v(t2)) on an invariant sphere.
-
-    NotApplicableError when the sphere is not invariant, otherwise
-    VerificationError naming those of v(t1) >= 1, v(t2) >= 1 and v(lam) = 0
-    that fail: the two decisions of invariance disagree. The valuations
-    v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off integers,
-    v(lam) is 0 around x1 and the classification's multiplier exponent
-    around x2. The conditions also make |a - x*y| = |a| for x = x_i + s*u,
-    y = x_i + s*u': a - x*y is a*(1 - t2*u*u') around x1 and
-    a*(lam + t1*(u + u') - t2*u*u') around x2.
-    """
-    _require_invariant(m, sphere)
-    p, e, c = m.p, sphere.radius_exponent, m.c
-    va = sum(m.alpha_beta())
-    v1 = _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p) - va - e
-    v2 = -va - 2 * e
-    vl = 0 if sphere.center == "x1" else m.classify().x2.multiplier_norm_exponent
-    if v1 < 1 or v2 < 1 or vl != 0:  # the message is built only on failure
-        failed = ", ".join(text for holds, text in (
-            (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
-            (vl == 0, f"v(f'(center)) = {vl} != 0")) if not holds)
-        raise VerificationError(f"balls of invariant {sphere} do not map to balls: {failed}")
-    return v1, v2
-
-
 # -- residue-ball permutations ---------------------------------------------------
 
 
@@ -324,26 +326,25 @@ def _verify_permutation(perm: dict[int, int], p: int, level: int) -> None:
 _ANCHOR_BALLS = 8
 
 
-def _ball_permutation(m: CanonicalMap, sphere: SphereSpec, level: int) -> dict[int, int]:
+def _ball_permutation(form: UnitForm, level: int) -> dict[int, int]:
     """The permutation f induces on radius-r*p^-level balls of the sphere.
 
     Balls are indexed by unit residues u mod p**level; the ball of index u
-    is V_(r*p^-level)(center + u*p^-e). The images come from the integer
-    form of rescale_to_unit, with its coefficients reduced mod p**level
-    once. Every image is checked to be a unit and the map to be a
-    bijection; the first _ANCHOR_BALLS images are checked against exact
-    evaluation of f at two representatives each. The anchors evaluate f
+    is V_(r*p^-level)(center + u*p^-e). The images come from the form's
+    coefficients, reduced mod p**level once.
+    Every image is checked to be a unit and the map to be a bijection; the
+    first _ANCHOR_BALLS images are checked against exact evaluation of f at
+    two representatives each. The anchors evaluate f
     with CanonicalMap's integer form of it, from a and c themselves, and
     take the image's valuation and unit residue on integers, so they share
-    nothing with the kernel. Any failure raises VerificationError; a sphere
-    that is not invariant is refused by rescale_to_unit's gate.
+    nothing with the kernel. Any failure raises VerificationError.
     """
+    m, sphere = form.m, form.sphere
     p, e = m.p, sphere.radius_exponent
-    numerator, denominator = rescale_to_unit(m, sphere)
     mod = p ** level
     # w = u*(n1 + n2*u) / (1 + d1*u + d2*u^2); around x1 the numerator is u
-    n1, n2 = ([_residue(x, mod) for x in numerator[1:]] + [0])[:2]
-    _, d1, d2 = (_residue(x, mod) for x in denominator)
+    n1, n2 = ([_residue(x, mod) for x in form.numerator[1:]] + [0])[:2]
+    _, d1, d2 = (_residue(x, mod) for x in form.denominator)
     perm = {u: u * (n1 + n2 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
             for u in range(1, mod) if u % p}
     _verify_permutation(perm, p, level)
@@ -409,9 +410,7 @@ class OracleResult:
 ORACLE_BALL_BUDGET = 1 << 20
 
 
-def residue_cycle_oracle(
-    m: CanonicalMap, sphere: SphereSpec, depth: Optional[int] = None
-) -> OracleResult:
+def residue_cycle_oracle(form: UnitForm, depth: Optional[int] = None) -> OracleResult:
     """Brute-force cycle structure of the induced ball permutations.
 
     For each level k = 1..depth the sphere splits into (p-1)*p^(k-1) balls
@@ -425,8 +424,7 @@ def residue_cycle_oracle(
     ball u < p^k maps to the reduction of its image, and every finer ball
     must map into the image of its parent ball (checked).
     """
-    _require_invariant(m, sphere)
-    p = m.p
+    p = form.m.p
     fits = 1
     while p ** (fits + 1) - 1 <= ORACLE_BALL_BUDGET:
         fits += 1
@@ -441,7 +439,7 @@ def residue_cycle_oracle(
             f"oracle depth {depth} needs {p}^{depth} - 1 balls, over the budget of "
             f"{ORACLE_BALL_BUDGET}; {hint}"
         )
-    perm = _ball_permutation(m, sphere, depth)
+    perm = _ball_permutation(form, depth)
     levels = []
     for k in range(depth, 0, -1):
         if k < depth:
@@ -473,7 +471,7 @@ class ErgodicityVerdict:
     reason: str   # "pGe3Rule" | "generatorRule" | "radiusRule"
 
 
-def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict:
+def ergodicity_theorem(form: UnitForm) -> ErgodicityVerdict:
     """Decide ergodicity on an invariant sphere by exponent comparisons.
 
     p >= 3 around x1: never ergodic ("pGe3Rule"). p >= 3 around x2, with
@@ -499,13 +497,12 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
     (lam != 1 mod p), so p^2 divides t1*S and t2*S2, and g^(p-1) is
     multiplication by lam^(p-1) on the level-2 balls: one cycle iff
     lam^(p-1) != 1 (mod p^2). As for monomials, the deeper levels follow.
-    The theorem reads its sphere through the gate of rescale_to_unit, which
-    makes lam a unit on every x2-sphere it decides.
+    The form has passed the gate of rescale_to_unit, which makes lam, its
+    numerator[1] around x2, a unit on every x2-sphere.
     """
-    _unit_form_valuations(m, sphere)
-    p = m.p
+    m, sphere, p = form.m, form.sphere, form.m.p
     if p >= 3:
-        if sphere.center == "x2" and _is_primitive_root(lam := m.multiplier_x2(), p):
+        if sphere.center == "x2" and _is_primitive_root(lam := form.numerator[1], p):
             ergodic = pow(_residue(lam, p * p), p - 1, p * p) != 1
             return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "generatorRule")
         return ErgodicityVerdict("notErgodic", "pGe3Rule")
@@ -519,7 +516,7 @@ def ergodicity_theorem(m: CanonicalMap, sphere: SphereSpec) -> ErgodicityVerdict
 
 def _is_primitive_root(x: Fraction, p: int) -> bool:
     """Whether the residue of x generates (Z/p)^*; x is a unit (the gate of
-    ergodicity_theorem checked v(f'(x2)) = 0)."""
+    rescale_to_unit checked v(f'(x2)) = 0)."""
     g = _residue(x, p)
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
@@ -622,18 +619,21 @@ class ErgodicityDecision:
     mod4: Optional[Mod4Verdict]  # only for p = 2, center x1
     oracle: OracleResult
     verdict: str  # set only after every decider agreed on it
+    form: UnitForm  # the one unit form that every decider read
 
 
 def decide_ergodicity(
     m: CanonicalMap, sphere: SphereSpec, depth: Optional[int] = None
 ) -> ErgodicityDecision:
-    """Run every applicable decider and fail loudly unless they all agree."""
-    thm = ergodicity_theorem(m, sphere)
-    oracle = residue_cycle_oracle(m, sphere, depth)
+    """Run every applicable decider on one unit form of f and fail loudly
+    unless they all agree."""
+    form = rescale_to_unit(m, sphere)
+    thm = ergodicity_theorem(form)
+    oracle = residue_cycle_oracle(form, depth)
     verdicts = {thm.verdict, "ergodic" if oracle.ergodic else "notErgodic"}
     mod4 = None
     if m.p == 2 and sphere.center == "x1":
-        mod4 = mod4_criterion(*rescale_to_unit(m, sphere))
+        mod4 = mod4_criterion(form.numerator, form.denominator)
         verdicts.add("ergodic" if mod4.ergodic else "notErgodic")
     if len(verdicts) != 1:
         raise VerificationError(
@@ -641,4 +641,4 @@ def decide_ergodicity(
             f"oracle={'ergodic' if oracle.ergodic else 'notErgodic'}, "
             f"mod4={None if mod4 is None else mod4.ergodic}"
         )
-    return ErgodicityDecision(thm, mod4, oracle, thm.verdict)
+    return ErgodicityDecision(thm, mod4, oracle, thm.verdict, form)

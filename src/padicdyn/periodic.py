@@ -21,11 +21,9 @@ from .dynamics import (
     sphere_pairs,
     sphere_units,
 )
-from .ergodicity import rho
+from .ergodicity import rescale_to_unit, rho
 from .errors import (
-    InconsistentParametersError,
     NotApplicableError,
-    PoleHitError,
     PrecisionError,
     VerificationError,
     _verify,
@@ -142,14 +140,12 @@ def three_periodic_from_q(p: int, q) -> tuple[CanonicalMap, PeriodicOrbit]:
     a = h_of_q(q)
     c = q * a - 1
     m = CanonicalMap(p, a, c)
-    try:
-        y1 = m.eval(a)
-        y2 = m.eval(y1)
-        back = m.eval(y2)
-    except PoleHitError as exc:
-        raise VerificationError(
-            f"3-periodic candidate hits a pole at {exc.point}"
-        ) from exc
+    # no pole: the orbit is a -> 1/(q+1) -> (3q+2)/(2q+1), where x^2 + cx + a is
+    # q^2(3q+2)^2/((q+1)(2q+1)^2(3q+1)^2), q/((q+1)^2(3q+1)) and (3q+2)/(2q+1),
+    # zero only at q in {0, -2/3}, which _EXCLUDED_Q refuses
+    y1 = m.eval(a)
+    y2 = m.eval(y1)
+    back = m.eval(y2)
     _verify(back == a, f"f^3(a) != a for q = {q}")
     _verify(y1 != a, f"a is a fixed point for q = {q}")
     _verify(p6_eval(m, a) == 0, f"P6(a) != 0 for q = {q}")
@@ -236,7 +232,7 @@ def verify_orbit_structure(
             raise VerificationError(
                 f"orbit point {y} is not on the sphere", counterexample=y
             )
-    rho_exp = rho(m, sphere)
+    rho_exp = rho(rescale_to_unit(m, sphere))
     y0 = orbit.points[0]
     for y in orbit.points[1:]:
         if -_fraction_valuation(y - y0, m.p) > rho_exp:
@@ -288,12 +284,14 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
                 continue
             try:
                 m, _ = three_periodic_from_q(p, q)
-            except (VerificationError, ValueError):
+            except ValueError:  # excluded q, or a pole of h
                 continue
-            try:
-                sc = sphere_conditions(m)
-            except InconsistentParametersError:
-                continue
+            # sphere_conditions refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =
+            # q(q+1)(2q+1)(3q+1)(3q+2)/N^2 with N = 3q^3 + 9q^2 + 6q + 1. For v(q) < 0,
+            # v(kappa) = v(2) - v(q) > 0. Otherwise, where p | N (never p = 3: N = 1
+            # mod 3), the five factors are units, as their resultants with N are +-1
+            # or +-3, so a negative v(kappa) = -2v(N) is even
+            sc = sphere_conditions(m)
             out.append(QSweepRecord(
                 q, m.a, m.c,
                 sc.x1_radius_exponent if sc.x1_sphere_invariant else None,

@@ -132,9 +132,9 @@ def test_criterion_3_siegel_confinement_and_contraction():
 def test_criterion_4_isometry_and_rho():
     for case, m in WORKED_MAPS.items():
         for sphere in _invariant_sphere_sample(m):
-            rep = isometry_check(m, sphere, count=32)  # exact on all 496 pairs
+            rep = isometry_check(rescale_to_unit(m, sphere), count=32)  # exact on all 496 pairs
             assert rep.pairs_checked == 496
-            assert verify_rho(m, sphere, count=32) == 32
+            assert verify_rho(rescale_to_unit(m, sphere), count=32) == 32
     print("ACCEPTANCE 4 (isometry and displacement rho(r) on invariant spheres): PASS")
 
 
@@ -144,8 +144,8 @@ def test_criterion_5_ergodicity_triple_agreement():
     for e in range(-2, -7, -1):
         sphere = SphereSpec("x1", e)
         decision = decide_ergodicity(m, sphere, depth=8)  # raises on any disagreement
-        numerator, denominator = rescale_to_unit(m, sphere)
-        assert mod4_criterion(numerator, denominator).ergodic == (
+        form = rescale_to_unit(m, sphere)
+        assert mod4_criterion(form.numerator, form.denominator).ergodic == (
             decision.verdict == "ergodic"
         )
         verdicts[e] = decision.verdict
@@ -159,7 +159,7 @@ def test_criterion_5_ergodicity_triple_agreement():
     # p = 3: oracle confirms non-ergodicity on invariant spheres
     for m3 in (WORKED_MAPS[4], WORKED_MAPS[5]):
         sphere = SphereSpec("x1", m3.invariant_spheres().x1_exponent_bound - 1)
-        res = residue_cycle_oracle(m3, sphere, depth=5)
+        res = residue_cycle_oracle(rescale_to_unit(m3, sphere), depth=5)
         assert not res.ergodic
         assert decide_ergodicity(m3, sphere).verdict == "notErgodic"
     print("ACCEPTANCE 5 (theorem + mod-4 + oracle agree; exactly r=1/4 ergodic): PASS")

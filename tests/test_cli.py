@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -267,7 +268,7 @@ def test_decider_disagreement_exits_3(capsys, monkeypatch):
     # a theorem that calls every sphere at p >= 3 not ergodic, as it did
     # before the generator rule, disagrees with the oracle on this x2-sphere
     monkeypatch.setattr(ergodicity, "ergodicity_theorem",
-                        lambda m, sphere: ErgodicityVerdict("notErgodic", "pGe3Rule"))
+                        lambda form: ErgodicityVerdict("notErgodic", "pGe3Rule"))
     code, out, err = run_cli(
         capsys,
         ["ergodic", "--p=3", "--a=1/18", "--c=-4/3", "--radius-exp=-1", "--center=x2",
@@ -896,14 +897,33 @@ def test_ergodic_exits_3_when_the_invariance_bound_and_the_unit_form_disagree(
                    f"do not map to balls: {failed}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2"],
+    ["--p", "3", "--a", "-2", "--c", "1", "--radius-exp", "-1"],
+    ["--p", "5", "--a", "-1", "--c", "5", "--radius-exp", "-1", "--center", "x2"],
+])
+def test_ergodic_request_builds_one_unit_form(capsys, monkeypatch, argv):
+    # the gate and the invariance bound run once per request: every decider
+    # and the sampled checks read the one form that decide_ergodicity built
+    calls = Counter()
+    for owner, name in ((ergodicity, "rescale_to_unit"), (ergodicity, "_require_invariant"),
+                        (CanonicalMap, "sphere_is_invariant")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=real:
+                            calls.update([name]) or real(*args))
+    code, _, _ = run_cli(capsys, ["ergodic", *argv])
+    assert code == 0
+    assert calls == {"rescale_to_unit": 1, "_require_invariant": 1, "sphere_is_invariant": 1}
+
+
 def test_on_sphere_periodic_request_computes_rho_once(capsys, monkeypatch):
     # every rho call reads the displacement rule, wherever rho is imported
     calls = []
     real = ergodicity._displacement_rule
 
-    def spy(p, sphere, v1, v2):
-        calls.append(sphere)
-        return real(p, sphere, v1, v2)
+    def spy(form):
+        calls.append(form.sphere)
+        return real(form)
 
     monkeypatch.setattr(ergodicity, "_displacement_rule", spy)
     code, out, _ = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_structure.json"]

@@ -1,10 +1,12 @@
+import dataclasses
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, ergodicity
+from padicdyn import CanonicalMap, NotApplicableError, SphereSpec, cli, ergodicity
 from padicdyn.dynamics import sphere_units
 from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
@@ -48,12 +50,12 @@ CASE4 = CanonicalMap(3, -2, 1)
 
 def test_rho_p2_example():
     # r = 1/4 < |c| = 1: rho = r^2 |c| / (alpha beta) = (1/16)/(1/2) = 1/8
-    assert rho(M2, SphereSpec("x1", -2)) == -3
+    assert rho(rescale_to_unit(M2, SphereSpec("x1", -2))) == -3
 
 
 def test_rho_case3_x2_sphere_is_radius():
     for e in (-1, -2, -3):
-        assert rho(CASE3, SphereSpec("x2", e)) == e
+        assert rho(rescale_to_unit(CASE3, SphereSpec("x2", e))) == e
 
 
 def test_rho_matches_sampled_displacement():
@@ -67,15 +69,15 @@ def test_rho_matches_sampled_displacement():
         (CASE2, SphereSpec("x2", -2)),   # r < |c|, derived branch
     ]
     for m, sph in spheres:
-        assert verify_rho(m, sph, count=32) == 32
+        assert verify_rho(rescale_to_unit(m, sph), count=32) == 32
 
 
 def test_rho_excluded_at_radius_equal_c_norm():
     # case-2 map: |c|_5 = 1/5; the sphere of that exact radius is excluded
     with pytest.raises(NotApplicableError):
-        rho(CASE2, SphereSpec("x1", -1))
+        rho(rescale_to_unit(CASE2, SphereSpec("x1", -1)))
     with pytest.raises(NotApplicableError):
-        rho(CASE2, SphereSpec("x2", -1))
+        rho(rescale_to_unit(CASE2, SphereSpec("x2", -1)))
     # per-point table still available there
     table = displacement_table(CASE2, SphereSpec("x1", -1), count=24)
     assert len(table) == 24
@@ -89,13 +91,13 @@ def test_displacement_table_gives_x2_the_exponent_minus_inf():
     assert table[0] == (m.x2, "-inf")
     assert [e for _, e in table] == [
         "-inf" if x == m.x2 else -_fraction_valuation(m.eval(x) - x, 5) for x, _ in table]
-    assert sampled_checks(m, sphere, 8)[0] is None
+    assert sampled_checks(rescale_to_unit(m, sphere), 8)[0] is None
 
 
-def _rho_outcome(rho_of, m, sphere):
-    """rho_of(m, sphere), or the message of its NotApplicableError."""
+def _rho_outcome(rho_of):
+    """rho_of(), or the message of its NotApplicableError."""
     try:
-        return rho_of(m, sphere)
+        return rho_of()
     except NotApplicableError as exc:
         return str(exc)
 
@@ -123,17 +125,17 @@ def test_rho_rule_equals_the_closed_forms(p):
                 radii.add(-m.val(c))
             for e in sorted(radii):
                 sphere = SphereSpec(center, e)
-                got = _rho_outcome(rho, m, sphere)
-                assert got == _rho_outcome(reference_rho, m, sphere), (m, sphere)
+                got = _rho_outcome(lambda: rho(rescale_to_unit(m, sphere)))
+                assert got == _rho_outcome(lambda: reference_rho(m, sphere)), (m, sphere)
                 outcomes[center, type(got)] += 1
     assert set(outcomes) == {("x1", int), ("x1", str), ("x2", int), ("x2", str)}, outcomes
 
 
 def test_rho_requires_invariant_sphere():
     with pytest.raises(NotApplicableError):
-        rho(M2, SphereSpec("x1", -1))  # r = alpha is not invariant
+        rho(rescale_to_unit(M2, SphereSpec("x1", -1)))  # r = alpha is not invariant
     with pytest.raises(NotApplicableError):
-        rho(CASE4, SphereSpec("x2", -1))  # case 4: nothing invariant around x2
+        rho(rescale_to_unit(CASE4, SphereSpec("x2", -1)))  # case 4: nothing invariant around x2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -157,28 +159,28 @@ def test_sampled_checks_equal_the_separate_checks():
     # and only the isometry is checked
     for m, sphere, seed in [(M2, SphereSpec("x1", -2), None), (CASE3, SphereSpec("x2", -1), 4),
                             (CASE2, SphereSpec("x1", -1), None)]:
+        form = rescale_to_unit(m, sphere)
         try:
-            expected = rho(m, sphere)
+            expected = rho(form)
         except NotApplicableError:
             expected = None
         else:
-            assert verify_rho(m, sphere, 12, seed) == 12
-        assert sampled_checks(m, sphere, 12, seed) == (expected,
-                                                       isometry_check(m, sphere, 12, seed))
-    assert sampled_checks(CASE2, SphereSpec("x1", -1), 12)[0] is None
+            assert verify_rho(form, 12, seed) == 12
+        assert sampled_checks(form, 12, seed) == (expected, isometry_check(form, 12, seed))
+    assert sampled_checks(rescale_to_unit(CASE2, SphereSpec("x1", -1)), 12)[0] is None
 
 
 def test_sampled_checks_read_one_unit_form(monkeypatch):
     # the displacement rule and the numerator-factor conditions both read
-    # one call of the gate
-    calls, real = [], ergodicity._unit_form_valuations
-    monkeypatch.setattr(ergodicity, "_unit_form_valuations",
-                        lambda m, sphere: calls.append(sphere) or real(m, sphere))
-    for m, sphere in [(M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)),
-                      (CASE2, SphereSpec("x1", -1))]:
-        calls.clear()
-        sampled_checks(m, sphere, 8)
-        assert calls == [sphere]
+    # the form they are given; neither passes the gate again
+    forms = [rescale_to_unit(m, sphere) for m, sphere in [
+        (M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)), (CASE2, SphereSpec("x1", -1))]]
+    calls = []
+    for name in ("rescale_to_unit", "_require_invariant"):
+        monkeypatch.setattr(ergodicity, name, lambda *args, name=name: calls.append(name))
+    for form in forms:
+        sampled_checks(form, 8)
+    assert calls == []
 
 
 def test_sampled_checks_check_the_displacement_first(monkeypatch):
@@ -190,9 +192,9 @@ def test_sampled_checks_check_the_displacement_first(monkeypatch):
     monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
         f(x) + (Fraction(8) if x == moved else 0))))
     with pytest.raises(VerificationError, match=f"displacement mismatch at x={moved}"):
-        sampled_checks(m, sphere, 8)
+        sampled_checks(rescale_to_unit(m, sphere), 8)
     with pytest.raises(VerificationError, match="isometry violated"):
-        isometry_check(m, sphere, 8)
+        isometry_check(rescale_to_unit(m, sphere), 8)
 
 
 # -- isometry -----------------------------------------------------------------------
@@ -206,13 +208,19 @@ def test_isometry_on_worked_spheres():
         (CASE3, SphereSpec("x2", -1)),
         (CASE4, SphereSpec("x1", -1)),
     ]:
-        rep = isometry_check(m, sph, count=16)
+        rep = isometry_check(rescale_to_unit(m, sph), count=16)
         assert rep.pairs_checked == 120
 
 
 def test_isometry_includes_seeded_mode():
-    rep = isometry_check(M2, SphereSpec("x1", -2), count=12, seed=99)
+    rep = isometry_check(rescale_to_unit(M2, SphereSpec("x1", -2)), count=12, seed=99)
     assert rep.pairs_checked == 66
+
+
+def _isometry_on(m, sphere, count, seed):
+    """isometry_check on the unit form of f on the sphere, called as
+    reference_isometry_check is."""
+    return isometry_check(rescale_to_unit(m, sphere), count, seed)
 
 
 def _isometry_outcome(check, m, sphere, count, seed):
@@ -254,7 +262,7 @@ def test_isometry_kernel_equals_the_fraction_reference(p):
     for m, sphere in spheres:
         for count in (8, 16, 32):
             for seed in (None, rng.randrange(1 << 30)):
-                got = _isometry_outcome(isometry_check, m, sphere, count, seed)
+                got = _isometry_outcome(_isometry_on, m, sphere, count, seed)
                 assert got == _isometry_outcome(reference_isometry_check, m, sphere,
                                                 count, seed), (m, sphere, count, seed)
     assert {sphere.center for _, sphere in spheres} == {"x1", "x2"}
@@ -277,9 +285,9 @@ def test_isometry_level_check_alone_passes_every_isometric_sphere(monkeypatch, p
     for m, sphere in spheres:
         for count in (8, 32):
             for seed in (None, rng.randrange(1 << 30)):
-                report = isometry_check(m, sphere, count, seed)
+                report = isometry_check(rescale_to_unit(m, sphere), count, seed)
                 assert report.pairs_checked == count * (count - 1) // 2
-                assert sampled_checks(m, sphere, count, seed)[1] == report
+                assert sampled_checks(rescale_to_unit(m, sphere), count, seed)[1] == report
 
 
 @pytest.mark.parametrize("m,sphere,seed", [
@@ -303,7 +311,7 @@ def test_isometry_kernel_and_reference_catch_a_moved_image(monkeypatch, m, spher
         k = max(m.val(moved - y) for y in pts if y != moved) - 1
     monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
         f(x) + (Fraction(m.p) ** k if x == moved else 0))))
-    got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
+    got = _isometry_outcome(_isometry_on, m, sphere, 16, seed)
     assert isinstance(got, tuple) and moved in got[1], got
     assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
 
@@ -323,7 +331,7 @@ def test_isometry_kernel_and_reference_catch_images_drawn_together(monkeypatch, 
     partner = max((y for y in pts if y != moved), key=lambda y: m.val(moved - y))
     monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
         f(partner) + Fraction(m.p) ** 40 if x == moved else f(x))))
-    got = _isometry_outcome(isometry_check, m, sphere, 16, seed)
+    got = _isometry_outcome(_isometry_on, m, sphere, 16, seed)
     assert isinstance(got, tuple) and moved in got[1], got
     assert got == _isometry_outcome(reference_isometry_check, m, sphere, 16, seed)
     if seed is None and m is M2:  # u = 11 and 27 share no level-4 ball with another sample
@@ -339,11 +347,11 @@ def test_isometry_levels_reach_units_that_agree_to_many_digits(monkeypatch):
     for module in ("padicdyn.ergodicity", "util"):
         monkeypatch.setattr(f"{module}.sphere_units", lambda p, count, seed=None: units)
     sphere = SphereSpec("x1", -2)
-    assert isometry_check(M2, sphere, 4) == reference_isometry_check(M2, sphere, 4)
+    assert _isometry_on(M2, sphere, 4, None) == reference_isometry_check(M2, sphere, 4)
     pts = sphere_points(M2, sphere, 4)
     monkeypatch.setattr(CanonicalMap, "_eval_pair", faulty_eval_pair(lambda m, x, f: (
         f(x) + (Fraction(2) ** 42 if x == pts[3] else 0))))
-    got = _isometry_outcome(isometry_check, M2, sphere, 4, None)
+    got = _isometry_outcome(_isometry_on, M2, sphere, 4, None)
     assert isinstance(got, tuple) and got[1] == (pts[2], pts[3]), got
     assert got == _isometry_outcome(reference_isometry_check, M2, sphere, 4, None)
 
@@ -356,7 +364,7 @@ def test_isometry_checks_the_numerator_factor_conditions_once_per_sphere(monkeyp
     assert not m.sphere_is_invariant(sphere)
     monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
     with pytest.raises(VerificationError) as exc:
-        isometry_check(m, sphere, 32)
+        isometry_check(rescale_to_unit(m, sphere), 32)
     assert str(exc.value) == (
         "balls of invariant SphereSpec(center='x1', radius_exponent=-1) do not map "
         "to balls: v(t1) = 0 < 1, v(t2) = 0 < 1")
@@ -371,18 +379,26 @@ def test_isometry_checks_the_numerator_factor_conditions_once_per_sphere(monkeyp
     (CanonicalMap(3, 9, 1), SphereSpec("x2", -3), "v(f'(center)) = -2 != 0"),  # case 5
 ])
 def test_every_sphere_reader_reports_a_gate_disagreement_as_verification(
-        monkeypatch, m, sphere, failed):
+        monkeypatch, capsys, m, sphere, failed):
     # the invariance bound admits the sphere (patched), the unit form's
-    # conditions do not: every reader goes through the one gate and raises
-    # VerificationError naming the failed conditions
+    # conditions do not: the one gate raises VerificationError naming the
+    # failed conditions, and every reader takes the gated form, so none can
+    # be reached past it; ``ergodic`` exits 3
     assert not m.sphere_is_invariant(sphere)
     monkeypatch.setattr(CanonicalMap, "sphere_is_invariant", lambda self, sphere: True)
     message = f"balls of invariant {sphere} do not map to balls: {failed}"
-    for check in (rescale_to_unit, rho, isometry_check, sampled_checks, residue_cycle_oracle,
-                  ergodicity_theorem, decide_ergodicity):
+    for check in (rescale_to_unit, decide_ergodicity):
         with pytest.raises(VerificationError) as exc:
             check(m, sphere)
         assert str(exc.value) == message, check
+    for reader in (rho, verify_rho, isometry_check, sampled_checks, residue_cycle_oracle,
+                   _ball_permutation, ergodicity_theorem):
+        assert next(iter(inspect.signature(reader).parameters.values())).annotation \
+            == "UnitForm", reader
+    assert cli.main(["ergodic", f"--p={m.p}", f"--a={m.a}", f"--c={m.c}",
+                     f"--radius-exp={sphere.radius_exponent}",
+                     f"--center={sphere.center}"]) == 3
+    assert capsys.readouterr().err == f"internal verification failed: {message}\n"
 
 
 def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
@@ -397,10 +413,10 @@ def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
         m.classify()
         calls.clear()
         try:
-            rho(m, sphere)
+            rho(rescale_to_unit(m, sphere))
         except NotApplicableError:
             pass
-        sampled_checks(m, sphere, 8)
+        sampled_checks(rescale_to_unit(m, sphere), 8)
         assert calls == [], (m, sphere)
 
 
@@ -410,11 +426,11 @@ def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
 def _minimal_invariant_ball(m, sphere):
     """rho(r), checked on the induced residue permutations: every ball of
     radius p^rho is fixed, and no ball one level finer is."""
-    rho_exp = rho(m, sphere)
+    rho_exp = rho(rescale_to_unit(m, sphere))
     level = sphere.radius_exponent - rho_exp
     if level >= 1:
-        assert all(u == w for u, w in _ball_permutation(m, sphere, level).items())
-    assert all(u != w for u, w in _ball_permutation(m, sphere, level + 1).items())
+        assert all(u == w for u, w in _ball_permutation(rescale_to_unit(m, sphere), level).items())
+    assert all(u != w for u, w in _ball_permutation(rescale_to_unit(m, sphere), level + 1).items())
     return rho_exp
 
 
@@ -430,18 +446,18 @@ def test_minimal_invariant_ball_with_oracle():
 
 
 def test_theorem_p2_center_x1():
-    assert ergodicity_theorem(M2, SphereSpec("x1", -2)).verdict == "ergodic"
-    assert ergodicity_theorem(M2, SphereSpec("x1", -3)).verdict == "notErgodic"
+    assert ergodicity_theorem(rescale_to_unit(M2, SphereSpec("x1", -2))).verdict == "ergodic"
+    assert ergodicity_theorem(rescale_to_unit(M2, SphereSpec("x1", -3))).verdict == "notErgodic"
 
 
 def test_theorem_p_ge_3_rule():
-    v = ergodicity_theorem(CASE4, SphereSpec("x1", -1))
+    v = ergodicity_theorem(rescale_to_unit(CASE4, SphereSpec("x1", -1)))
     assert v.verdict == "notErgodic" and v.reason == "pGe3Rule"
 
 
 def test_theorem_p2_center_x2_rule():
     m = CanonicalMap(2, 1, 4)  # case 2 at p = 2: x2-centered spheres exist
-    v = ergodicity_theorem(m, SphereSpec("x2", -1))
+    v = ergodicity_theorem(rescale_to_unit(m, SphereSpec("x2", -1)))
     assert v.verdict == "notErgodic" and v.reason == "radiusRule"
 
 
@@ -467,8 +483,8 @@ def test_theorem_on_x2_spheres_matches_the_oracle(p, depth):
     seen = set()
     for _ in range(30):
         m, sphere = _random_x2_sphere(rng, p)
-        theorem = ergodicity_theorem(m, sphere)
-        oracle = residue_cycle_oracle(m, sphere, depth)
+        theorem = ergodicity_theorem(rescale_to_unit(m, sphere))
+        oracle = residue_cycle_oracle(rescale_to_unit(m, sphere), depth)
         assert theorem.verdict == ("ergodic" if oracle.ergodic else "notErgodic"), (m, sphere)
         seen.add((theorem.reason, theorem.verdict))
     # at p = 3 every unit other than 1 mod 3 is a primitive root
@@ -481,8 +497,9 @@ def test_theorem_x2_split_multiplier():
     # balls form one cycle, the level-2 balls three
     m, sphere = CanonicalMap(3, Fraction(-9, 16), 3), SphereSpec("x2", -2)
     assert m.multiplier_x2() == 17
-    assert ergodicity_theorem(m, sphere) == ErgodicityVerdict("notErgodic", "generatorRule")
-    levels = residue_cycle_oracle(m, sphere, 2).levels
+    assert ergodicity_theorem(rescale_to_unit(m, sphere)) == ErgodicityVerdict("notErgodic",
+                                                                               "generatorRule")
+    levels = residue_cycle_oracle(rescale_to_unit(m, sphere), 2).levels
     assert [lv.cycle_lengths for lv in levels] == [(2,), (2, 2, 2)]
     assert decide_ergodicity(m, sphere).verdict == "notErgodic"
     # lam = 5 generates Z_3^*
@@ -493,18 +510,19 @@ def test_theorem_x2_split_multiplier():
 
 def test_theorem_requires_invariance():
     with pytest.raises(NotApplicableError):
-        ergodicity_theorem(M2, SphereSpec("x1", 0))
+        ergodicity_theorem(rescale_to_unit(M2, SphereSpec("x1", 0)))
 
 
 # -- rescaling and the mod-4 criterion ---------------------------------------------------
 
 
 def test_rescale_coefficients_and_bounds():
-    numerator, denominator = rescale_to_unit(M2, SphereSpec("x1", -2))
-    assert numerator == (0, 1)
-    assert denominator == (1, 2, 8)
+    form = rescale_to_unit(M2, SphereSpec("x1", -2))
+    assert form.numerator == (0, 1)
+    assert form.denominator == (1, 2, 8)
+    assert (form.v1, form.v2) == (1, 3)  # t1 = 2, t2 = 8
     # numerator sums are fixed: A1 = 1, A2 = 0
-    assert sum(numerator[1::2]) == 1 and sum(numerator[0::2]) == 0
+    assert sum(form.numerator[1::2]) == 1 and sum(form.numerator[0::2]) == 0
 
 
 def test_rescale_rejects_non_invariant_radius():
@@ -541,17 +559,23 @@ def test_mod4_identity_map_is_not_ergodic():
     assert (v.sums.A1, v.sums.A2, v.sums.B1, v.sums.B2) == (1, 0, 0, 1)
 
 
+def _coefficients(m, sphere):
+    """The numerator and the denominator coefficients of f's unit form."""
+    form = rescale_to_unit(m, sphere)
+    return form.numerator, form.denominator
+
+
 def test_mod4_on_rescaled_maps():
-    v = mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -2)))
+    v = mod4_criterion(*_coefficients(M2, SphereSpec("x1", -2)))
     assert v.ergodic and v.case == 3
     assert v.sums.B1 == 2 and v.sums.B2 == 9
-    v = mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -3)))
+    v = mod4_criterion(*_coefficients(M2, SphereSpec("x1", -3)))
     assert not v.ergodic
 
 
 def test_mod4_swapped_case_detected():
     # swap numerator and denominator of an ergodic case-3 instance
-    numerator, denominator = rescale_to_unit(M2, SphereSpec("x1", -2))
+    numerator, denominator = _coefficients(M2, SphereSpec("x1", -2))
     v = mod4_criterion(denominator, numerator)
     assert v.ergodic and v.case == 5
 
@@ -569,7 +593,7 @@ def test_mod4_checks_the_sums_against_the_values_at_one(monkeypatch):
     monkeypatch.setattr(ergodicity, "_horner",
                         lambda coeffs, t: real(coeffs, t) + (4 if t == 1 else 0))
     with pytest.raises(VerificationError, match="coefficient sums differ"):
-        mod4_criterion(*rescale_to_unit(M2, SphereSpec("x1", -2)))
+        mod4_criterion(*_coefficients(M2, SphereSpec("x1", -2)))
 
 
 def _odd_unit_cycles(num, den, k):
@@ -611,7 +635,7 @@ def test_mod4_criterion_equals_a_cycle_census():
 
 
 def test_oracle_single_cycle_structure_when_ergodic():
-    res = residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=8)
+    res = residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=8)
     assert res.ergodic
     for lv in res.levels:
         assert lv.ball_count == 2 ** (lv.level - 1)
@@ -620,19 +644,19 @@ def test_oracle_single_cycle_structure_when_ergodic():
 
 
 def test_oracle_detects_non_ergodicity():
-    res = residue_cycle_oracle(M2, SphereSpec("x1", -3), depth=8)
+    res = residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -3)), depth=8)
     assert not res.ergodic
     assert any(lv.cycle_count >= 2 for lv in res.levels)
 
 
 def test_oracle_p3_multiple_cycles():
-    res = residue_cycle_oracle(CASE4, SphereSpec("x1", -1), depth=5)
+    res = residue_cycle_oracle(rescale_to_unit(CASE4, SphereSpec("x1", -1)), depth=5)
     assert not res.ergodic
     assert all(lv.ball_count == 2 * 3 ** (lv.level - 1) for lv in res.levels)
 
 
 def test_oracle_csv_format():
-    res = residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=3)
+    res = residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=3)
     lines = res.to_csv().strip().splitlines()
     assert lines[0] == "level,ball_count,cycle_count,cycle_lengths"
     assert lines[1] == "1,1,1,1"
@@ -642,9 +666,9 @@ def test_oracle_csv_format():
 
 def test_oracle_validates_arguments():
     with pytest.raises(ValueError):
-        residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=1)
+        residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=1)
     with pytest.raises(NotApplicableError):
-        residue_cycle_oracle(M2, SphereSpec("x1", 3))
+        residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", 3)))
 
 
 def test_oracle_ball_budget(monkeypatch):
@@ -655,13 +679,15 @@ def test_oracle_ball_budget(monkeypatch):
                         lambda *args: calls.append(args))
     for depth in (21, 40, 10**9):
         with pytest.raises(ValueError, match="largest depth that fits is 20"):
-            residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=depth)
+            residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=depth)
     # depth 5 at p = 101 (about 10^10 balls) is refused up front
     with pytest.raises(ValueError, match="101\\^5 - 1 balls.*largest depth that fits is 3"):
-        residue_cycle_oracle(CanonicalMap(101, -2, 1), SphereSpec("x1", -1), depth=5)
+        residue_cycle_oracle(rescale_to_unit(CanonicalMap(101, -2, 1), SphereSpec("x1", -1)),
+                             depth=5)
     for depth in (2, None):
         with pytest.raises(ValueError, match="no depth >= 2 fits for p = 1031"):
-            residue_cycle_oracle(CanonicalMap(1031, -2, 1), SphereSpec("x1", -1), depth)
+            residue_cycle_oracle(rescale_to_unit(CanonicalMap(1031, -2, 1), SphereSpec("x1", -1)),
+                                 depth)
     assert calls == []
 
 
@@ -669,7 +695,7 @@ def test_kernel_refuses_a_sphere_whose_balls_do_not_map_to_balls():
     # r = alpha: t1 = c*s/a = 1 is a unit, so the ball map is not defined,
     # and the gate refuses the sphere as not invariant
     with pytest.raises(NotApplicableError, match="is not invariant: requires radius exponent < -1"):
-        _ball_permutation(M2, SphereSpec("x1", -1), 3)
+        _ball_permutation(rescale_to_unit(M2, SphereSpec("x1", -1)), 3)
 
 
 def test_ball_map_checks_catch_broken_tables(monkeypatch):
@@ -681,14 +707,14 @@ def test_ball_map_checks_catch_broken_tables(monkeypatch):
     # but ball 5 no longer maps into the image of its parent ball 1 mod 4
     real = ergodicity._ball_permutation
 
-    def swapped(m, sphere, level):
-        perm = real(m, sphere, level)
+    def swapped(form, level):
+        perm = real(form, level)
         perm[1], perm[3] = perm[3], perm[1]
         return perm
 
     monkeypatch.setattr(ergodicity, "_ball_permutation", swapped)
     with pytest.raises(VerificationError, match="not well defined at level 2: ball u=5"):
-        residue_cycle_oracle(M2, SphereSpec("x1", -2), depth=3)
+        residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=3)
 
 
 def _differential_spheres(p: int, rng: random.Random, count: int):
@@ -719,7 +745,7 @@ def test_kernel_levels_equal_the_fraction_reference(p, depth):
     rng = random.Random(f"oracle-kernel:{p}")
     spheres = _differential_spheres(p, rng, 12 if p < 7 else 6)
     for m, sphere in spheres:
-        levels = residue_cycle_oracle(m, sphere, depth).levels
+        levels = residue_cycle_oracle(rescale_to_unit(m, sphere), depth).levels
         assert levels == reference_oracle_levels(m, sphere, depth), (m, sphere)
     centers = {(sphere.center, m.classify().case) for m, sphere in spheres}
     assert ("x1", 3) in centers or p == 2
@@ -734,8 +760,8 @@ def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, 
                                                         target):
     # off by p^(depth-1): the corrupted map is still a bijection of units that
     # reduces level by level, so only the comparison with exact f catches it
-    numerator, denominator = rescale_to_unit(m, sphere)
-    assert target in numerator + denominator
+    form = rescale_to_unit(m, sphere)
+    assert target in form.numerator + form.denominator
     real = ergodicity._residue
 
     def corrupted(x, mod):
@@ -743,28 +769,24 @@ def test_anchor_catches_a_corrupted_coefficient_residue(monkeypatch, m, sphere, 
 
     monkeypatch.setattr(ergodicity, "_residue", corrupted)
     with pytest.raises(VerificationError, match="differs from the exact image"):
-        residue_cycle_oracle(m, sphere, depth)
+        residue_cycle_oracle(form, depth)
 
 
 @pytest.mark.parametrize("m,sphere,depth,index", [
     (M2, SphereSpec("x1", -2), 8, (1, 1)),     # t1 in the denominator
     (CASE3, SphereSpec("x2", -1), 4, (0, 1)),  # lam in the numerator
 ])
-def test_anchor_catches_corrupted_unit_coordinate_coefficients(monkeypatch, m, sphere, depth,
-                                                               index):
-    # one coefficient of rescale_to_unit off by p^(depth-1): still a ball map
+def test_anchor_catches_corrupted_unit_coordinate_coefficients(m, sphere, depth, index):
+    # one coefficient of the unit form off by p^(depth-1): still a ball map
     # that reduces level by level, so only exact evaluation of f from a and c
     # catches it
-    real = ergodicity.rescale_to_unit
-
-    def corrupted(m, sphere):
-        coefficients = [list(x) for x in real(m, sphere)]
-        coefficients[index[0]][index[1]] += m.p ** (depth - 1)
-        return tuple(tuple(x) for x in coefficients)
-
-    monkeypatch.setattr(ergodicity, "rescale_to_unit", corrupted)
+    form = rescale_to_unit(m, sphere)
+    coefficients = [list(form.numerator), list(form.denominator)]
+    coefficients[index[0]][index[1]] += m.p ** (depth - 1)
+    corrupted = dataclasses.replace(form, numerator=tuple(coefficients[0]),
+                                    denominator=tuple(coefficients[1]))
     with pytest.raises(VerificationError, match="differs from the exact image"):
-        residue_cycle_oracle(m, sphere, depth)
+        residue_cycle_oracle(corrupted, depth)
 
 
 @pytest.mark.parametrize("m,sphere", [(M2, SphereSpec("x1", -2)),
@@ -777,7 +799,7 @@ def test_anchor_with_a_zero_image_coordinate_left_the_sphere(monkeypatch, m, sph
     monkeypatch.setattr(CanonicalMap, "_eval_pair",
                         lambda self, xn, xd: (center.numerator, center.denominator))
     with pytest.raises(VerificationError, match="image left the sphere at ball u=1") as exc:
-        residue_cycle_oracle(m, sphere, 3)
+        residue_cycle_oracle(rescale_to_unit(m, sphere), 3)
     assert exc.value.counterexample == 1
 
 
@@ -861,8 +883,8 @@ def test_radius_twice_displacement_iff_ergodic_p2():
             if e == -vc:
                 continue
             sphere = SphereSpec("x1", e)
-            verdict = ergodicity_theorem(m, sphere).verdict
-            assert (e == rho(m, sphere) + 1) == (verdict == "ergodic")
+            verdict = ergodicity_theorem(rescale_to_unit(m, sphere)).verdict
+            assert (e == rho(rescale_to_unit(m, sphere)) + 1) == (verdict == "ergodic")
             seen_ergodic += verdict == "ergodic"
     assert seen_ergodic > 0
 
@@ -870,7 +892,7 @@ def test_radius_twice_displacement_iff_ergodic_p2():
 def test_measure_preservation_via_permutation():
     # the oracle's well-definedness + bijectivity checks passing means each
     # level is a permutation of equal-measure balls: preimages preserve measure
-    res = residue_cycle_oracle(CASE3, SphereSpec("x2", -1), depth=3)
+    res = residue_cycle_oracle(rescale_to_unit(CASE3, SphereSpec("x2", -1)), depth=3)
     ctx = HaarMeasureContext(5, SphereSpec("x2", -1))
     for lv in res.levels:
         mu = ctx.measure(-1 - lv.level)

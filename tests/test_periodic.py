@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,7 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
-from padicdyn.ergodicity import rho
+from padicdyn.ergodicity import rescale_to_unit, rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
 from padicdyn.periodic import (
@@ -289,7 +290,7 @@ def test_three_periodic_on_invariant_sphere_p7():
     assert m.sphere_is_invariant(sphere)
     assert verify_orbit_structure(m, orb, sphere) == (-1, 24)
     assert orb.multiplier_norm_exponent == 0
-    assert rho(m, sphere) == -1
+    assert rho(rescale_to_unit(m, sphere)) == -1
 
 
 def test_structure_checks_on_invariant_sphere_2_cycle():
@@ -300,7 +301,7 @@ def test_structure_checks_on_invariant_sphere_2_cycle():
     assert orb.exact and set(orb.points) == {2, -4}
     assert orb.multiplier_norm_exponent == 0  # multiplier 10, |10|_3 = 1
     assert verify_orbit_structure(m, orb, SphereSpec("x2", -1)) == (-1, 16)
-    assert rho(m, SphereSpec("x2", -1)) == -1
+    assert rho(rescale_to_unit(m, SphereSpec("x2", -1))) == -1
     # both points inside one ball of radius rho(r): |2 - (-4)|_3 = 1/3
     assert _fraction_valuation(Fraction(6), 3) == 1
 
@@ -389,6 +390,16 @@ def test_two_cycle_check_names_the_precision():
     with pytest.raises(PrecisionError, match="at precision 16; rerun with a higher precision"):
         two_periodic(m, precision=16)
     assert not two_periodic(m).exact
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_q_sweep_keeps_every_admissible_q(p):
+    # the sweep skips only the q that the construction refuses, the excluded
+    # values and the poles of h: every other q of height <= 12 has a record
+    refused = {Fraction(-1), Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)}
+    admissible = [Fraction(n, d) for d in range(1, 13) for n in range(-12, 13)
+                  if n and gcd(n, d) == 1 and Fraction(n, d) not in refused]
+    assert [rec.q for rec in q_sweep(p, 12)] == admissible
 
 
 def test_q_sweep_deterministic_and_verified():

@@ -174,8 +174,7 @@ def displacement_table(m, sphere: SphereSpec, count: int = 32, seed=None) -> lis
     """Per-point displacement exponents (x, E) with |f(x)-x|_p = p**E, read
     off the integer pairs of ergodicity's samples; E is "-inf" at a point
     that f fixes (x2 on the sphere of radius |c| around x1)."""
-    _require_invariant(m, sphere)
-    _, points, images = _sample(m, sphere, count, seed)
+    _, points, images = _sample(rescale_to_unit(m, sphere), count, seed)
     return [(Fraction(*x), _distance_exponent_pairs(m.p, *fx, *x))
             for x, fx in zip(points, images)]
 
@@ -366,14 +365,14 @@ def validate_norm_image(m, radius_exponent: int, count: int = 32, seed=None) -> 
 def verify_rescaled(m, sphere: SphereSpec, units) -> int:
     """Check (f(x_i + u*s) - x_i)/s == N(u)/D(u), s = p^-e, at sample units u,
     with N and D the coefficients of rescale_to_unit; returns the count."""
-    numerator, denominator = rescale_to_unit(m, sphere)
+    form = rescale_to_unit(m, sphere)
     center = m.center_point(sphere.center)
     scale = Fraction(m.p) ** -sphere.radius_exponent
     checked = 0
     for u in units:
         u = Fraction(u)
         lhs = (m.eval(center + u * scale) - center) / scale
-        assert lhs == _horner(numerator, u) / _horner(denominator, u), (
+        assert lhs == _horner(form.numerator, u) / _horner(form.denominator, u), (
             f"unit form of f on {sphere} fails at u={u}"
         )
         checked += 1

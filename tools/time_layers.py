@@ -15,7 +15,10 @@ unit-coordinate form; and ``verify_rho`` plus ``isometry_check`` with 32
 samples, unseeded and seeded, next to ``sampled_checks``, which runs both
 on one draw, where the checkout has it. On the request path it times
 ``isometry_check`` and, where the checkout has it, ``sampled_checks`` with
-32 samples and ``rho`` at the spheres of ISOMETRY_SPHERES;
+32 samples, ``rho`` and ``rescale_to_unit`` at the spheres of
+ISOMETRY_SPHERES. Where the checkout has ``UnitForm``, the sphere readers
+take a form built before the timing, otherwise the map and the sphere, and
+then each call includes its invariance gate;
 ``verify_orbit_structure`` with 32 samples on the 2-cycle of the
 ``periodic_two_cycle_structure`` golden (p, a, c) = (3, -1, 1/2);
 ``isometry_check`` at the larger inputs of ISOMETRY_LARGE (up to 1024
@@ -131,6 +134,14 @@ def _import_cli(src: str) -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None}
 
 
+def _sphere_args(ergodicity, m, sphere) -> tuple:
+    """The leading arguments of a sphere reader: the unit form where the
+    checkout has UnitForm, otherwise the map and the sphere."""
+    if hasattr(ergodicity, "UnitForm"):
+        return (ergodicity.rescale_to_unit(m, sphere),)
+    return m, sphere
+
+
 def _ergodicity_path(out: dict) -> None:
     from padicdyn import ergodicity
     from padicdyn.dynamics import CanonicalMap, SphereSpec
@@ -139,23 +150,26 @@ def _ergodicity_path(out: dict) -> None:
     for p, a, c, center, e, depth in ORACLE_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
         case = f"p={p} {center} e={e} depth={depth}"
+        args = _sphere_args(ergodicity, m, sphere)
         out["ball_permutation"][case] = _best_us(
-            lambda: ergodicity._ball_permutation(m, sphere, depth), 20)
+            lambda: ergodicity._ball_permutation(*args, depth), 20)
         out["decide_ergodicity"][case] = _best_us(
             lambda: ergodicity.decide_ergodicity(m, sphere, depth), 20)
     m, sphere = CanonicalMap(2, Fraction(2), Fraction(1)), SphereSpec("x1", -2)
-    coefficients = ergodicity.rescale_to_unit(m, sphere)
+    form = ergodicity.rescale_to_unit(m, sphere)
+    coefficients = (form.numerator, form.denominator) if hasattr(form, "numerator") else form
+    args = _sphere_args(ergodicity, m, sphere)
     out["mod4_criterion"] = _best_us(lambda: ergodicity.mod4_criterion(*coefficients), 500)
     out["verify_rho+isometry_check"], out["sampled_checks"] = {}, {}
     sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for seed in (None, 1):
         case = f"p=2 x1 e=-2 samples=32 seed={seed}"
         out["verify_rho+isometry_check"][case] = _best_us(
-            lambda: (ergodicity.verify_rho(m, sphere, 32, seed),
-                     ergodicity.isometry_check(m, sphere, 32, seed)), 20)
+            lambda: (ergodicity.verify_rho(*args, 32, seed),
+                     ergodicity.isometry_check(*args, 32, seed)), 20)
         if sampled_checks:
             out["sampled_checks"][case] = _best_us(
-                lambda: sampled_checks(m, sphere, 32, seed), 20)
+                lambda: sampled_checks(*args, 32, seed), 20)
 
 
 def _request_path(out: dict) -> None:
@@ -164,17 +178,21 @@ def _request_path(out: dict) -> None:
     from padicdyn.padic import TruncatedPadic
 
     out["isometry_check"], out["sampled_checks_spheres"], out["rho"] = {}, {}, {}
+    out["rescale_to_unit"] = {}
     sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for p, a, c, center, e in ISOMETRY_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
-        out["rho"][f"p={p} {center} e={e}"] = _best_us(lambda: ergodicity.rho(m, sphere), 200)
+        args = _sphere_args(ergodicity, m, sphere)
+        out["rescale_to_unit"][f"p={p} {center} e={e}"] = _best_us(
+            lambda: ergodicity.rescale_to_unit(m, sphere), 200)
+        out["rho"][f"p={p} {center} e={e}"] = _best_us(lambda: ergodicity.rho(*args), 200)
         for seed in (None, 1):
             case = f"p={p} {center} e={e} seed={seed}"
             out["isometry_check"][case] = _best_us(
-                lambda: ergodicity.isometry_check(m, sphere, 32, seed), 10)
+                lambda: ergodicity.isometry_check(*args, 32, seed), 10)
             if sampled_checks:
                 out["sampled_checks_spheres"][case] = _best_us(
-                    lambda: sampled_checks(m, sphere, 32, seed), 10)
+                    lambda: sampled_checks(*args, 32, seed), 10)
     m = CanonicalMap(3, Fraction(-1), Fraction(1, 2))
     orb = periodic.two_periodic(m)
     sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))
@@ -182,9 +200,10 @@ def _request_path(out: dict) -> None:
         lambda: periodic.verify_orbit_structure(m, orb, sphere, 32), 20)}
     out["isometry_check_large"] = {}
     for p, a, c, center, e, n in ISOMETRY_LARGE:
-        m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
+        args = _sphere_args(ergodicity, CanonicalMap(p, Fraction(a), Fraction(c)),
+                            SphereSpec(center, e))
         out["isometry_check_large"][f"p={p} {center} e={e} samples={n}"] = round(min(
-            timeit.repeat(lambda: ergodicity.isometry_check(m, sphere, n), number=1,
+            timeit.repeat(lambda: ergodicity.isometry_check(*args, n), number=1,
                           repeat=LARGE_REPEAT)) * 1e6, 3)
     out["digits"] = {}
     for p in PRIMES:
