@@ -125,12 +125,20 @@ class InvariantSpheres:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class CanonicalMap:
-    """f(x) = a*x/(x^2 + c*x + a) with a*c != 0 over Q_p."""
+    """f(x) = a*x/(x^2 + c*x + a) with a*c != 0 over Q_p.
+
+    Construction checks p and a, c != 0 and computes ``va`` = v(a) and
+    ``vc`` = v(c), the two numbers every structural fact of the map follows
+    from; every reader takes them from here. The classification and the
+    orbit kernel's per-precision residues of a and c are built on first use
+    and kept on the map.
+    """
 
     p: int
     a: Fraction
     c: Fraction
-    _ab: Optional[tuple[int, int]] = field(default=None, init=False, compare=False)
+    va: int = field(init=False, compare=False)
+    vc: int = field(init=False, compare=False)
     _cls: Optional[Classification] = field(default=None, init=False, compare=False)
     _digits: dict = field(default_factory=dict, init=False, compare=False)
 
@@ -143,6 +151,8 @@ class CanonicalMap:
             raise DegenerateMapError("a must be nonzero")
         if self.c == 0:
             raise DegenerateMapError("c must be nonzero")
+        object.__setattr__(self, "va", _fraction_valuation(self.a, self.p))
+        object.__setattr__(self, "vc", _fraction_valuation(self.c, self.p))
 
     def __repr__(self):
         return f"CanonicalMap(p={self.p}, a={self.a}, c={self.c})"
@@ -224,7 +234,7 @@ class CanonicalMap:
     # step reads its modulus and coefficient residues from one entry; the
     # few other counts a step asks for (a at the digits the denominator's
     # sum keeps, the digits left after a cancellation) are entries of the
-    # same table, reduced from a wider entry.
+    # same table.
     #
     # The step also returns the distance exponent of t to x2 = -c, the
     # negated valuation of t + c. When v(t) != v(c) it is -min(v(t), v(c)),
@@ -236,24 +246,13 @@ class CanonicalMap:
     # one place.
 
     def _digit_context(self, k: int) -> tuple:
-        """(p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k).
-
-        Built on first use; the units are reduced from an entry with more
-        digits when there is one.
-        """
-        digits = self._digits
-        entry = digits.get(k)
+        """(p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k), built
+        on first use."""
+        entry = self._digits.get(k)
         if entry is None:
-            p, mod = self.p, self.p ** k
-            wider = min((j for j in digits if j > k), default=None)
-            if wider is None:
-                a, c = self.a, self.c
-                entry = (mod, _fraction_valuation(a, p), _fraction_valuation(c, p),
-                         _unit_residue(a, p, k), _unit_residue(c, p, k))
-            else:
-                _, va, vc, ua, uc = digits[wider]
-                entry = (mod, va, vc, ua % mod, uc % mod)
-            digits[k] = entry
+            p = self.p
+            entry = self._digits[k] = (p ** k, self.va, self.vc, _unit_residue(self.a, p, k),
+                                       _unit_residue(self.c, p, k))
         return entry
 
     def _step_triple(self, v, u: int, n: int) -> tuple:
@@ -308,8 +307,7 @@ class CanonicalMap:
 
     def _step_tagged_zero(self, m) -> tuple:
         """_step_triple of the tagged zero O(p**m), m possibly INFINITY."""
-        p = self.p
-        _, va, vc, _, _ = self._digit_context(1)
+        p, va, vc = self.p, self.va, self.vc
         sv = m + min(m, vc)  # t*t + t*c = O(p**sv)
         count = _coerce_digits(va, sv, 0)  # digits of a in the denominator
         a = (va, 0, 0) if count is None else (va, self._digit_context(count)[3], count)
@@ -318,11 +316,12 @@ class CanonicalMap:
 
     def _distance_x2_triple(self, v, u: int, n: int):
         """Distance exponent of a triple t to x2 = -c: the valuation of t + c."""
-        mod, _, vc, _, uc = self._digit_context(max(1, n))
+        vc = self.vc
         if not u:
             return "-inf" if vc >= v else -vc
         if v != vc:
             return -min(v, vc)
+        mod, _, _, _, uc = self._digit_context(n)
         s = (u + uc) % mod
         return -(v + _int_valuation(s, self.p)) if s else "-inf"
 
@@ -335,16 +334,15 @@ class CanonicalMap:
         """
         x = _coerce_fraction(x)
         xn, xd = x.numerator, x.denominator
-        an, ad = self.a.numerator, self.a.denominator
-        cn, cd = self.c.numerator, self.c.denominator
-        den = ad * xn * (cd * xn + cn * xd) + an * cd * xd * xd
-        if den == 0:
-            raise PoleHitError(x)
+        an, ad, cd = self.a.numerator, self.a.denominator, self.c.denominator
+        den = self._eval_pair(xn, xd)[1]
         return Fraction(an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den)
 
     def multiplier_x2(self) -> Fraction:
-        """f'(-c) = 1 - c^2/a."""
-        return 1 - self.c * self.c / self.a
+        """f'(-c) = 1 - c^2/a = (an*cd^2 - ad*cn^2) / (an*cd^2)."""
+        an, ad = self.a.numerator, self.a.denominator
+        cn, cd = self.c.numerator, self.c.denominator
+        return Fraction(an * cd * cd - ad * cn * cn, an * cd * cd)
 
     def center_point(self, center: CenterKind) -> Fraction:
         return self.x1 if center == "x1" else self.x2
@@ -359,11 +357,7 @@ class CanonicalMap:
         and v(a) must then be even for the roots to have norms in p**Z.
         Cross-checked against |a|_p = alpha*beta and the |c|_p relations.
         """
-        cached = self._ab
-        if cached is not None:
-            return cached
-        va = _fraction_valuation(self.a, self.p)
-        vc = _fraction_valuation(self.c, self.p)
+        va, vc = self.va, self.vc
         if 2 * vc < va:
             v_beta = vc
             v_alpha = va - vc
@@ -378,7 +372,6 @@ class CanonicalMap:
         _verify(v_alpha >= v_beta and v_alpha + v_beta == va
                 and ((vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta)),
                 f"pole valuations ({v_alpha}, {v_beta}) contradict v(a) = {va}, v(c) = {vc}")
-        object.__setattr__(self, "_ab", (v_alpha, v_beta))
         return v_alpha, v_beta
 
     # -- classification --------------------------------------------------------
@@ -413,12 +406,11 @@ class CanonicalMap:
             region=Region("siegel_disk", self.x1, -v_alpha),
             case=1,
         )
-        vc = _fraction_valuation(self.c, p)
         if v_alpha > v_beta:
             _verify(mv == v_beta - v_alpha < 0,
                     f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
             case, kind, region = 5, "repelling", Region("repelling_ball", self.x2, -v_beta)
-        elif vc > v_alpha:
+        elif self.vc > v_alpha:
             _verify(mv == 0, f"case 2 needs |f'(x2)| = 1, got v = {mv}")
             case, kind, region = 2, "indifferent", Region("siegel_disk", self.x1, -v_alpha)
         else:

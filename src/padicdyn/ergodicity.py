@@ -116,18 +116,18 @@ def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> UnitForm:
     VerificationError naming those of v(t1) >= 1, v(t2) >= 1 and v(lam) = 0
     that fail: the two decisions of invariance disagree. When they hold, the
     map sends residue balls to residue balls. The valuations
-    v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off integers,
-    v(lam) is 0 around x1 and the classification's multiplier exponent
-    around x2. The conditions also make |a - x*y| = |a| for x = x_i + s*u,
-    y = x_i + s*u': a - x*y is a*(1 - t2*u*u') around x1 and
+    v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off the map's
+    ``va`` and ``vc``; v(lam) is 0 around x1, and around x2 lam and v(lam)
+    are the classification's multiplier and its exponent. The conditions
+    also make |a - x*y| = |a| for x = x_i + s*u, y = x_i + s*u':
+    a - x*y is a*(1 - t2*u*u') around x1 and
     a*(lam + t1*(u + u') - t2*u*u') around x2.
     """
     _require_invariant(m, sphere)
     p, e, c = m.p, sphere.radius_exponent, m.c
-    va = sum(m.alpha_beta())
-    v1 = _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p) - va - e
-    v2 = -va - 2 * e
-    vl = 0 if sphere.center == "x1" else m.classify().x2.multiplier_norm_exponent
+    v1, v2 = m.vc - m.va - e, -m.va - 2 * e
+    x2 = None if sphere.center == "x1" else m.classify().x2
+    vl = 0 if x2 is None else x2.multiplier_norm_exponent
     if v1 < 1 or v2 < 1 or vl != 0:  # the message is built only on failure
         failed = ", ".join(text for holds, text in (
             (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
@@ -138,8 +138,8 @@ def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> UnitForm:
     an, ad = m.a.numerator, m.a.denominator
     t1 = Fraction(c.numerator * sn * ad, c.denominator * sd * an)
     t2 = Fraction(sn * sn * ad, sd * sd * an)
-    if sphere.center == "x2":
-        return UnitForm(m, sphere, v1, v2, (Fraction(0), m.multiplier_x2(), t1),
+    if x2 is not None:
+        return UnitForm(m, sphere, v1, v2, (Fraction(0), x2.multiplier, t1),
                         (Fraction(1), -t1, t2))
     return UnitForm(m, sphere, v1, v2, (Fraction(0), Fraction(1)), (Fraction(1), t1, t2))
 
@@ -509,8 +509,7 @@ def ergodicity_theorem(form: UnitForm) -> ErgodicityVerdict:
     if sphere.center == "x2":
         return ErgodicityVerdict("notErgodic", "radiusRule")
     v_alpha, v_beta = m.alpha_beta()
-    vc = _fraction_valuation(m.c, 2)
-    ergodic = (vc == v_beta) and (sphere.radius_exponent == -v_alpha - 1)
+    ergodic = (m.vc == v_beta) and (sphere.radius_exponent == -v_alpha - 1)
     return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "radiusRule")
 
 

@@ -195,7 +195,7 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
     |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r. Raises
     InconsistentParametersError when the map's pole norms are not in p**Z.
     """
-    e1 = -_fraction_valuation(m.a, m.p)
+    e1 = -m.va
     v2 = _fraction_valuation(m.a + m.c, m.p)
     e2 = None if v2 is INFINITY else -v2
     return SphereConditions(

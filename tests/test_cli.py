@@ -565,6 +565,26 @@ def test_exact_orbit_height_budget(capsys):
                    "or auto mode\n")
 
 
+def test_exact_orbit_whose_last_iterate_is_over_the_height_budget(capsys):
+    # no iterate is sure to outgrow the budget in advance, and only the 11th does
+    orbit = ["orbit", "--p", "3", "--a", "25/9", "--c", "-8", "--x0", "63/8", "--json",
+             "--steps"]
+    for steps, mode in (("10", "exact"), ("11", "truncated")):
+        code, out, _ = run_cli(capsys, orbit + [steps])
+        assert code == 0 and json.loads(out)["mode"] == mode
+    code, out, err = run_cli(capsys, orbit + ["11", "--mode", "exact"])
+    assert (code, out) == (2, "")
+    assert err.startswith("unsupported: an exact iterate has more than 12000 bits")
+
+
+def test_periodic_exits_3_when_the_truncated_2_cycle_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(CanonicalMap, "eval_truncated", lambda self, t: t)
+    code, out, err = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_truncated.json"])
+    assert (code, out) == (3, "")
+    assert err == ("internal verification failed: truncated 2-cycle verification failed "
+                   "at precision 32\n")
+
+
 def test_orbit_step_budget_exits_1(capsys):
     orbit = ["orbit", "--p", "3", "--a", "-2", "--c", "1", "--x0", "5", "--steps"]
     code, out, err = run_cli(capsys, orbit + ["65537"])
@@ -914,6 +934,17 @@ def test_ergodic_request_builds_one_unit_form(capsys, monkeypatch, argv):
     code, _, _ = run_cli(capsys, ["ergodic", *argv])
     assert code == 0
     assert calls == {"rescale_to_unit": 1, "_require_invariant": 1, "sphere_is_invariant": 1}
+
+
+def test_x2_sphere_request_computes_the_multiplier_once(capsys, monkeypatch):
+    # the unit form reads lambda = f'(x2) off the classification
+    calls = []
+    real = CanonicalMap.multiplier_x2
+    monkeypatch.setattr(CanonicalMap, "multiplier_x2",
+                        lambda self: calls.append(self) or real(self))
+    code, _, _ = run_cli(capsys, ["ergodic", "--p", "5", "--a", "-1", "--c", "5",
+                                  "--radius-exp", "-1", "--center", "x2"])
+    assert code == 0 and calls == [CanonicalMap(5, -1, 5)]
 
 
 def test_on_sphere_periodic_request_computes_rho_once(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicdyn import UnsupportedCaseError
+from padicdyn import PoleHitError, UnsupportedCaseError
 from padicdyn.conjugation import GeneralMap, _cubic_root_profile, conjugate, verify_conjugacy
 
 
@@ -72,6 +72,13 @@ def test_conjugate_raises_on_unsupported_cases():
     with pytest.raises(UnsupportedCaseError) as exc:
         conjugate(GeneralMap(5, 1, 0, 0, 1))
     assert exc.value.label == "triple-fixed-point"
+
+
+def test_general_map_eval_raises_at_a_pole():
+    m = GeneralMap(3, 1, 0, 0, -1)  # x/(x^2 - 1): poles at +-1
+    assert m.eval(2) == Fraction(2, 3)
+    with pytest.raises(PoleHitError):
+        m.eval(1)
 
 
 def test_a_must_be_nonzero():

@@ -95,6 +95,30 @@ def test_alpha_beta_worked_examples():
     assert CanonicalMap(2, 2, 1).alpha_beta() == (1, 0)    # alpha=1/2, beta=1
 
 
+def test_map_facts_are_computed_at_construction():
+    # v(a) and v(c) are plain fields, outside equality and hashing
+    m = CanonicalMap(3, Fraction(2, 9), Fraction(27, 5))
+    assert (m.va, m.vc) == (-2, 3)
+    assert m == CanonicalMap(3, Fraction(2, 9), Fraction(27, 5))
+    assert hash(m) == hash(CanonicalMap(3, Fraction(2, 9), Fraction(27, 5)))
+    assert not hasattr(m, "_ab")
+    assert repr(m) == "CanonicalMap(p=3, a=2/9, c=27/5)"
+    assert repr(CanonicalMap(5, -1, 5)) == "CanonicalMap(p=5, a=-1, c=5)"
+
+
+def test_map_facts_equal_fresh_valuations():
+    rng = random.Random(3232)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        a = random_nonzero_rational(rng, 10**4) * Fraction(p) ** rng.randint(-3, 3)
+        c = random_nonzero_rational(rng, 10**4) * Fraction(p) ** rng.randint(-3, 3)
+        m = CanonicalMap(p, a, c)
+        assert (m.va, m.vc) == (_fraction_valuation(a, p), _fraction_valuation(c, p))
+        # the integer form of f'(x2) is the rational 1 - c^2/a
+        lam = m.multiplier_x2()
+        assert lam == 1 - c * c / a and type(lam) is Fraction
+
+
 def test_alpha_beta_inconsistent_parameters():
     # 2 v(c) >= v(a) with v(a) odd: roots of x^2+cx+a leave Q_p
     with pytest.raises(InconsistentParametersError):

@@ -57,6 +57,14 @@ def test_two_periodic_truncated():
     assert sorted([t1.valuation, t2.valuation]) == [0, 1]
 
 
+def test_two_periodic_refuses_a_truncated_cycle_that_f_does_not_swap(monkeypatch):
+    # f fixing both points instead of swapping them fails the truncated check
+    monkeypatch.setattr(CanonicalMap, "eval_truncated", lambda self, t: t)
+    with pytest.raises(VerificationError,
+                       match="truncated 2-cycle verification failed at precision 24"):
+        two_periodic(CanonicalMap(3, 3, 1), precision=24)
+
+
 def test_two_periodic_none_when_not_square():
     assert two_periodic(CanonicalMap(5, 3, 1)) is None  # v(-5) odd at p=5
 

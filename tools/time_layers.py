@@ -1,36 +1,32 @@
-"""Per-call times of the truncated-arithmetic layers of padicdyn.
+"""Per-call times of the layers of padicdyn.
 
 Times ``padic._div_triples``, ``padic._int_valuation`` and
-``CanonicalMap._step_triple`` on fixed seeded inputs, the step together
-with the distance of its input to x2 (one call where the step returns the
-distance, otherwise the step and ``_distance_x2_triple``), the inverse of a
-random unit modulo p**n by ``pow(u, -1, p**n)`` and, where the checkout has
-it, by ``padic._inverse_unit``, also at the orbit precisions 24, 64 and
-256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5) at precision 64 in auto
-and truncated mode, whose exact iterates outgrow 12,000 bits at step 13.
-On the ergodicity path it times, at the spheres of ORACLE_SPHERES (one
-per prime at its ``oracle_deep`` depth), one ``_ball_permutation`` level
-and ``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
-unit-coordinate form; and ``verify_rho`` plus ``isometry_check`` with 32
-samples, unseeded and seeded, next to ``sampled_checks``, which runs both
-on one draw, where the checkout has it. On the request path it times
-``isometry_check`` and, where the checkout has it, ``sampled_checks`` with
-32 samples, ``rho`` and ``rescale_to_unit`` at the spheres of
-ISOMETRY_SPHERES. Where the checkout has ``UnitForm``, the sphere readers
-take a form built before the timing, otherwise the map and the sphere, and
-then each call includes its invariance gate;
-``verify_orbit_structure`` with 32 samples on the 2-cycle of the
-``periodic_two_cycle_structure`` golden (p, a, c) = (3, -1, 1/2);
-``isometry_check`` at the larger inputs of ISOMETRY_LARGE (up to 1024
-samples at radius exponent -256), best of LARGE_REPEAT single calls;
-``TruncatedPadic.digits`` at 64, 256 and 4096 digits;
-``cli.build_parser()`` and, where the checkout has it, ``cli._scan`` of one
-well-formed request of each command (the argv of SCAN_REQUESTS with
-``--json``); an in-process ``cli.main`` of each of the
-six golden commands with ``--json`` (stdout captured); and the writing of
-those six reports, as ``cli._emit`` hands them on: by
-``json.dumps(cli._json(report), sort_keys=True, indent=2)`` where the
-checkout has ``cli._json``, otherwise by the one-pass ``cli._write``.
+``CanonicalMap._step_triple`` (which returns its input's distance to x2)
+on fixed seeded inputs, the inverse of a random unit modulo p**n by
+``pow(u, -1, p**n)`` and by ``padic._inverse_unit``, also at the orbit
+precisions 24, 64 and 256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5)
+at precision 64 in auto and truncated mode, whose exact iterates outgrow
+12,000 bits at step 13. For the maps of MAPS it times the construction
+``CanonicalMap(p, a, c)``, ``classify()`` on a freshly built map (the
+construction included) and ``multiplier_x2()``. On the ergodicity path it
+times, at the spheres of ORACLE_SPHERES (one per prime at its
+``oracle_deep`` depth), one ``_ball_permutation`` level and
+``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
+unit form; and ``verify_rho`` plus ``isometry_check`` with 32 samples,
+unseeded and seeded, next to ``sampled_checks``, which runs both on one
+draw. On the request path it times ``isometry_check`` and
+``sampled_checks`` with 32 samples, ``rho`` and ``rescale_to_unit`` at the
+spheres of ISOMETRY_SPHERES; the sphere readers take a unit form built
+before the timing. It also times ``verify_orbit_structure`` with 32 samples
+on the 2-cycle of the ``periodic_two_cycle_structure`` golden
+(p, a, c) = (3, -1, 1/2); ``isometry_check`` at the larger inputs of
+ISOMETRY_LARGE (up to 1024 samples at radius exponent -256), best of
+LARGE_REPEAT single calls; ``TruncatedPadic.digits`` at 64, 256 and 4096
+digits; ``cli.build_parser()`` and ``cli._scan`` of one well-formed request
+of each command (the argv of SCAN_REQUESTS with ``--json``); an in-process
+``cli.main`` of each of the six golden commands with ``--json`` (stdout
+captured); and the writing of those six reports by the one-pass
+``cli._write``, as ``cli._emit`` hands them on.
 Prints one JSON object of microseconds per call (best of REPEAT
 timeit runs), and under "import_cli" the time of ``import padicdyn.cli`` in
 IMPORT_RUNS fresh processes run one after another with PYTHONPATH set to
@@ -65,6 +61,9 @@ VALUATION_PRIMES = (2, 3, 7, 1021)
 INVERSE_PRIMES = (2, 3, 7)
 INVERSE_BITS = (16, 24, 32, 40, 48, 64, 96, 128, 256, 512)
 ORBIT_STEPS = (12, 13, 25, 150)
+# (p, a, c): the golden analyze maps (cases 4 and 2), a case-5 map and a case-3
+# map with larger heights
+MAPS = ((3, "-2", "1"), (5, "-1", "5"), (3, "3", "1"), (7, "-26/3", "5/2"))
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
 # (p, a, c, center, e, oracle depth): the golden spheres at p = 2 and 3 and one
 # sphere each at p = 5 and 7, at the depths of the oracle_deep workload
@@ -134,12 +133,17 @@ def _import_cli(src: str) -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None}
 
 
-def _sphere_args(ergodicity, m, sphere) -> tuple:
-    """The leading arguments of a sphere reader: the unit form where the
-    checkout has UnitForm, otherwise the map and the sphere."""
-    if hasattr(ergodicity, "UnitForm"):
-        return (ergodicity.rescale_to_unit(m, sphere),)
-    return m, sphere
+def _map_facts(out: dict) -> None:
+    from padicdyn.dynamics import CanonicalMap
+
+    out["canonical_map"], out["classify_fresh"], out["multiplier_x2"] = {}, {}, {}
+    for p, a, c in MAPS:
+        a, c = Fraction(a), Fraction(c)
+        case = f"p={p} a={a} c={c}"
+        m = CanonicalMap(p, a, c)
+        out["canonical_map"][case] = _best_us(lambda: CanonicalMap(p, a, c), 2000)
+        out["classify_fresh"][case] = _best_us(lambda: CanonicalMap(p, a, c).classify(), 500)
+        out["multiplier_x2"][case] = _best_us(m.multiplier_x2, 2000)
 
 
 def _ergodicity_path(out: dict) -> None:
@@ -150,26 +154,23 @@ def _ergodicity_path(out: dict) -> None:
     for p, a, c, center, e, depth in ORACLE_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
         case = f"p={p} {center} e={e} depth={depth}"
-        args = _sphere_args(ergodicity, m, sphere)
+        form = ergodicity.rescale_to_unit(m, sphere)
         out["ball_permutation"][case] = _best_us(
-            lambda: ergodicity._ball_permutation(*args, depth), 20)
+            lambda: ergodicity._ball_permutation(form, depth), 20)
         out["decide_ergodicity"][case] = _best_us(
             lambda: ergodicity.decide_ergodicity(m, sphere, depth), 20)
     m, sphere = CanonicalMap(2, Fraction(2), Fraction(1)), SphereSpec("x1", -2)
     form = ergodicity.rescale_to_unit(m, sphere)
-    coefficients = (form.numerator, form.denominator) if hasattr(form, "numerator") else form
-    args = _sphere_args(ergodicity, m, sphere)
-    out["mod4_criterion"] = _best_us(lambda: ergodicity.mod4_criterion(*coefficients), 500)
+    out["mod4_criterion"] = _best_us(
+        lambda: ergodicity.mod4_criterion(form.numerator, form.denominator), 500)
     out["verify_rho+isometry_check"], out["sampled_checks"] = {}, {}
-    sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for seed in (None, 1):
         case = f"p=2 x1 e=-2 samples=32 seed={seed}"
         out["verify_rho+isometry_check"][case] = _best_us(
-            lambda: (ergodicity.verify_rho(*args, 32, seed),
-                     ergodicity.isometry_check(*args, 32, seed)), 20)
-        if sampled_checks:
-            out["sampled_checks"][case] = _best_us(
-                lambda: sampled_checks(*args, 32, seed), 20)
+            lambda: (ergodicity.verify_rho(form, 32, seed),
+                     ergodicity.isometry_check(form, 32, seed)), 20)
+        out["sampled_checks"][case] = _best_us(
+            lambda: ergodicity.sampled_checks(form, 32, seed), 20)
 
 
 def _request_path(out: dict) -> None:
@@ -179,20 +180,18 @@ def _request_path(out: dict) -> None:
 
     out["isometry_check"], out["sampled_checks_spheres"], out["rho"] = {}, {}, {}
     out["rescale_to_unit"] = {}
-    sampled_checks = getattr(ergodicity, "sampled_checks", None)
     for p, a, c, center, e in ISOMETRY_SPHERES:
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
-        args = _sphere_args(ergodicity, m, sphere)
+        form = ergodicity.rescale_to_unit(m, sphere)
         out["rescale_to_unit"][f"p={p} {center} e={e}"] = _best_us(
             lambda: ergodicity.rescale_to_unit(m, sphere), 200)
-        out["rho"][f"p={p} {center} e={e}"] = _best_us(lambda: ergodicity.rho(*args), 200)
+        out["rho"][f"p={p} {center} e={e}"] = _best_us(lambda: ergodicity.rho(form), 200)
         for seed in (None, 1):
             case = f"p={p} {center} e={e} seed={seed}"
             out["isometry_check"][case] = _best_us(
-                lambda: ergodicity.isometry_check(*args, 32, seed), 10)
-            if sampled_checks:
-                out["sampled_checks_spheres"][case] = _best_us(
-                    lambda: sampled_checks(*args, 32, seed), 10)
+                lambda: ergodicity.isometry_check(form, 32, seed), 10)
+            out["sampled_checks_spheres"][case] = _best_us(
+                lambda: ergodicity.sampled_checks(form, 32, seed), 10)
     m = CanonicalMap(3, Fraction(-1), Fraction(1, 2))
     orb = periodic.two_periodic(m)
     sphere = SphereSpec("x2", -m.val(orb.points[0] - m.x2))
@@ -200,10 +199,10 @@ def _request_path(out: dict) -> None:
         lambda: periodic.verify_orbit_structure(m, orb, sphere, 32), 20)}
     out["isometry_check_large"] = {}
     for p, a, c, center, e, n in ISOMETRY_LARGE:
-        args = _sphere_args(ergodicity, CanonicalMap(p, Fraction(a), Fraction(c)),
-                            SphereSpec(center, e))
+        form = ergodicity.rescale_to_unit(CanonicalMap(p, Fraction(a), Fraction(c)),
+                                          SphereSpec(center, e))
         out["isometry_check_large"][f"p={p} {center} e={e} samples={n}"] = round(min(
-            timeit.repeat(lambda: ergodicity.isometry_check(*args, n), number=1,
+            timeit.repeat(lambda: ergodicity.isometry_check(form, n), number=1,
                           repeat=LARGE_REPEAT)) * 1e6, 3)
     out["digits"] = {}
     for p in PRIMES:
@@ -212,9 +211,8 @@ def _request_path(out: dict) -> None:
             t = TruncatedPadic(p, 0, _units(rng, p, n)[0], n)
             out["digits"][f"p={p} P={n}"] = _best_us(t.digits, 20)
     out["build_parser"] = {"full": _best_us(cli.build_parser, 20)}
-    if hasattr(cli, "_scan"):  # a well-formed request read off the table
-        out["scan"] = {cmd: _best_us(lambda: cli._scan(cmd, argv + ["--json"]), 200)
-                       for cmd, argv in SCAN_REQUESTS.items()}
+    out["scan"] = {cmd: _best_us(lambda: cli._scan(cmd, argv + ["--json"]), 200)
+                   for cmd, argv in SCAN_REQUESTS.items()}
     out["cli_main"] = {}
     for name, argv in GOLDEN_COMMANDS.items():
         def request(argv=argv + ["--json"]):
@@ -226,7 +224,7 @@ def _request_path(out: dict) -> None:
 
 def _write_reports(cli) -> dict:
     """Microseconds to serialize the reports of the six golden commands, all
-    six per call, and which serializer did it."""
+    six per call."""
     reports = []
     emit = cli._emit
 
@@ -238,21 +236,15 @@ def _write_reports(cli) -> dict:
             cli.main(argv + ["--json"])
     finally:
         cli._emit = emit
-    if hasattr(cli, "_json"):  # two passes: convert the tree, then json's encoder
-        def write():
-            return [json.dumps(cli._json(r), sort_keys=True, indent=2) + "\n" for r in reports]
-        path = "_json + json.dumps"
-    else:
-        def write():
-            texts = []
-            for r in reports:
-                text = []
-                cli._write(r, text, "\n")
-                text.append("\n")
-                texts.append("".join(text))
-            return texts
-        path = "_write"
-    return {"path": path, "reports": len(reports), "six_reports_us": _best_us(write, 200)}
+    def write():
+        texts = []
+        for r in reports:
+            text = []
+            cli._write(r, text, "\n")
+            text.append("\n")
+            texts.append("".join(text))
+        return texts
+    return {"reports": len(reports), "six_reports_us": _best_us(write, 200)}
 
 
 def main() -> None:
@@ -264,8 +256,8 @@ def main() -> None:
     from padicdyn import padic
     from padicdyn.dynamics import CanonicalMap, orbit
 
-    out = {"div_triples": {}, "step_triple": {}, "step_with_distance": {},
-           "inverse_unit_orbit": {}, "int_valuation": {}}
+    out = {"div_triples": {}, "step_triple": {}, "inverse_unit_orbit": {},
+           "int_valuation": {}}
     for p in PRIMES:
         m = CanonicalMap(p, Fraction(-2), Fraction(1))
         for n in PRECISIONS:
@@ -277,29 +269,20 @@ def main() -> None:
             steps = []
             for u, _ in pairs:
                 try:
-                    step = m._step_triple(0, u, n)
+                    m._step_triple(0, u, n)
                 except ArithmeticError:  # a start at a pole of f
                     continue
                 steps.append((0, u, n))
             out["step_triple"][case] = _per_call(m._step_triple, steps)
-            if len(step) == 4:  # the step returns its input's distance to x2
-                with_distance = m._step_triple
-            else:
-                def with_distance(v, u, n):
-                    return m._step_triple(v, u, n), m._distance_x2_triple(v, u, n)
-            out["step_with_distance"][case] = _per_call(with_distance, steps)
-            if hasattr(padic, "_inverse_unit"):
-                out["inverse_unit_orbit"][case] = _per_call(
-                    padic._inverse_unit, [(u, p, n) for u, _ in pairs])
+            out["inverse_unit_orbit"][case] = _per_call(
+                padic._inverse_unit, [(u, p, n) for u, _ in pairs])
     for p in VALUATION_PRIMES:
         rng = random.Random(f"layers:valuation:{p}")
         for v in VALUATIONS:
             values = [p ** v * u for u in _units(rng, p, 20)]
             out["int_valuation"][f"p={p} v={v}"] = _per_call(
                 padic._int_valuation, [(x, p) for x in values])
-    out["inverse_pow"], inverse_unit = {}, getattr(padic, "_inverse_unit", None)
-    if inverse_unit:
-        out["inverse_unit"] = {}
+    out["inverse_pow"], out["inverse_unit"] = {}, {}
     for p in INVERSE_PRIMES:
         for bits in INVERSE_BITS:
             n = max(1, round(bits / math.log2(p)))
@@ -307,14 +290,14 @@ def main() -> None:
             units = [(u, p, n) for u in _units(rng, p, n)]
             case = f"p={p} n={n} bits={(p ** n).bit_length()}"
             out["inverse_pow"][case] = _per_call(lambda u, p, n: pow(u, -1, p ** n), units)
-            if inverse_unit:
-                out["inverse_unit"][case] = _per_call(inverse_unit, units)
+            out["inverse_unit"][case] = _per_call(padic._inverse_unit, units)
     out["orbit"] = {}
     m = CanonicalMap(3, Fraction(-2), Fraction(1))
     for steps in ORBIT_STEPS:
         for mode in ("auto", "truncated"):
             out["orbit"][f"steps={steps} {mode}"] = _best_us(
                 lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
+    _map_facts(out)
     _ergodicity_path(out)
     _request_path(out)
     out["import_cli"] = import_cli
