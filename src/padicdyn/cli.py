@@ -48,6 +48,7 @@ from .errors import (
 from .ergodicity import decide_ergodicity, sampled_checks
 from .padic import INFINITY, TruncatedPadic, parse_rational
 from .periodic import (
+    p6_eval,
     sphere_conditions,
     three_periodic_from_q,
     two_periodic,
@@ -341,7 +342,7 @@ def _cmd_periodic(args) -> int:
             "h_q": m.a,
             "map": m,
             **_fields(orb, "points", "multiplier_norm_exponent"),
-            "p6_at_a": "0",
+            "p6_at_a": p6_eval(m, m.a),
             "sphere_conditions": sphere_conditions(m),
         }
         lines = [

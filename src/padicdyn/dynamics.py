@@ -24,9 +24,10 @@ from .errors import (
     PrecisionError,
     PrimeMismatchError,
     UnsupportedCaseError,
-    _verify,
+    VerificationError,
 )
 from .padic import (
+    INFINITY,
     TruncatedPadic,
     Valuation,
     _add_triples,
@@ -36,7 +37,6 @@ from .padic import (
     _fraction_valuation,
     _int_valuation,
     _inverse_unit,
-    _unit_residue,
     hensel_sqrt,
     is_prime,
     is_square,
@@ -129,9 +129,10 @@ class CanonicalMap:
 
     Construction checks p and a, c != 0 and computes ``va`` = v(a) and
     ``vc`` = v(c), the two numbers every structural fact of the map follows
-    from; every reader takes them from here. The classification and the
-    orbit kernel's per-precision residues of a and c are built on first use
-    and kept on the map.
+    from; every reader takes them from here. The case of x2 (with f'(x2)
+    and its valuation), the classification and the orbit kernel's
+    per-precision residues of a and c are built on first use and kept on
+    the map.
     """
 
     p: int
@@ -139,6 +140,7 @@ class CanonicalMap:
     c: Fraction
     va: int = field(init=False, compare=False)
     vc: int = field(init=False, compare=False)
+    _case: Optional[tuple] = field(default=None, init=False, compare=False)
     _cls: Optional[Classification] = field(default=None, init=False, compare=False)
     _digits: dict = field(default_factory=dict, init=False, compare=False)
 
@@ -247,12 +249,20 @@ class CanonicalMap:
 
     def _digit_context(self, k: int) -> tuple:
         """(p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k), built
-        on first use."""
+        on first use. The units are a and c with p**va and p**vc divided out
+        of their numerator or denominator."""
         entry = self._digits.get(k)
         if entry is None:
-            p = self.p
-            entry = self._digits[k] = (p ** k, self.va, self.vc, _unit_residue(self.a, p, k),
-                                       _unit_residue(self.c, p, k))
+            p, mod = self.p, self.p ** k
+            units = []
+            for x, v in ((self.a, self.va), (self.c, self.vc)):
+                num, den = x.numerator, x.denominator
+                if v > 0:
+                    num //= p ** v
+                elif v < 0:
+                    den //= p ** -v
+                units.append(num * _inverse_unit(den, p, k) % mod)
+            entry = self._digits[k] = (mod, self.va, self.vc, *units)
         return entry
 
     def _step_triple(self, v, u: int, n: int) -> tuple:
@@ -369,12 +379,60 @@ class CanonicalMap:
                 )
             v_alpha = v_beta = va // 2
         # alpha <= beta, |a| = alpha*beta, and the |c| constraints
-        _verify(v_alpha >= v_beta and v_alpha + v_beta == va
-                and ((vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta)),
-                f"pole valuations ({v_alpha}, {v_beta}) contradict v(a) = {va}, v(c) = {vc}")
+        if not (v_alpha >= v_beta and v_alpha + v_beta == va
+                and ((vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta))):
+            raise VerificationError(f"pole valuations ({v_alpha}, {v_beta}) contradict "
+                                    f"v(a) = {va}, v(c) = {vc}")
         return v_alpha, v_beta
 
     # -- classification --------------------------------------------------------
+
+    def _case_facts(self) -> tuple:
+        """(case, f'(x2), v(f'(x2))), computed once per map on integers.
+
+        The case follows from alpha_beta() and v(c), and cases 3 and 4 split
+        on v(a - c^2), read off the integer an*cd^2 - ad*cn^2 over ad*cd^2
+        (classify's table). Each case is cross-checked against mv, the
+        valuation of the one multiplier_x2() of the map, which v(a - c^2)
+        does not read. A failed check raises VerificationError; its message
+        is built only then.
+        """
+        cached = self._case
+        if cached is not None:
+            return cached
+        v_alpha, v_beta = self.alpha_beta()
+        mult = self.multiplier_x2()
+        mv = _fraction_valuation(mult, self.p)
+        if v_alpha > v_beta:
+            if not mv == v_beta - v_alpha < 0:
+                raise VerificationError(f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
+            case = 5
+        elif self.vc > v_alpha:
+            if mv != 0:
+                raise VerificationError(f"case 2 needs |f'(x2)| = 1, got v = {mv}")
+            case = 2
+        else:
+            # |c| = alpha = beta; split on |a - c^2| vs alpha^2. v(ad) and
+            # v(cd) are the negative parts of v(a) and v(c), as both are reduced
+            an, ad = self.a.numerator, self.a.denominator
+            cn, cd = self.c.numerator, self.c.denominator
+            gap = an * cd * cd - ad * cn * cn
+            gv = (_int_valuation(gap, self.p) - max(0, -self.va) - 2 * max(0, -self.vc)
+                  if gap else INFINITY)
+            if gv < 2 * v_alpha:
+                raise VerificationError(f"|a - c^2| exceeds alpha^2 (v = {gv})")
+            if gv == 2 * v_alpha:
+                if mv != 0:
+                    raise VerificationError(f"case 3 needs |f'(x2)| = 1, got v = {mv}")
+                case = 3
+            else:
+                # mv is INFINITY when a = c^2 (superattracting)
+                if not mv > 0:
+                    raise VerificationError(f"case 4 needs |f'(x2)| < 1, got v = {mv}")
+                case = 4
+        result = (case, mult, mv)
+        object.__setattr__(self, "_case", result)
+        return result
 
     def classify(self) -> Classification:
         """Type and local structure of both fixed points.
@@ -390,14 +448,16 @@ class CanonicalMap:
                                             -> attracting, basin U_alpha(x2)
           5: alpha < beta                   -> repelling on U_beta(x2),
                                                |f'(x2)| = beta/alpha
+
+        The case, f'(x2) and its valuation come from _case_facts, which
+        compares integers and runs the cross-checks of each case against
+        |f'(x2)|; this method builds the reports from them.
         """
         cached = self._cls
         if cached is not None:
             return cached
+        case, mult, mv = self._case_facts()
         v_alpha, v_beta = self.alpha_beta()
-        p = self.p
-        mult = self.multiplier_x2()
-        mv = _fraction_valuation(mult, p)
         x1_report = FixedPointReport(
             point=self.x1,
             multiplier=Fraction(1),
@@ -406,25 +466,14 @@ class CanonicalMap:
             region=Region("siegel_disk", self.x1, -v_alpha),
             case=1,
         )
-        if v_alpha > v_beta:
-            _verify(mv == v_beta - v_alpha < 0,
-                    f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
-            case, kind, region = 5, "repelling", Region("repelling_ball", self.x2, -v_beta)
-        elif self.vc > v_alpha:
-            _verify(mv == 0, f"case 2 needs |f'(x2)| = 1, got v = {mv}")
-            case, kind, region = 2, "indifferent", Region("siegel_disk", self.x1, -v_alpha)
+        if case == 5:
+            kind, region = "repelling", Region("repelling_ball", self.x2, -v_beta)
+        elif case == 2:
+            kind, region = "indifferent", Region("siegel_disk", self.x1, -v_alpha)
+        elif case == 3:
+            kind, region = "indifferent", Region("siegel_disk", self.x2, -v_alpha)
         else:
-            # |c| = alpha = beta; split on |a - c^2| vs alpha^2
-            gap = self.a - self.c * self.c
-            gv = _fraction_valuation(gap, p)
-            _verify(gv >= 2 * v_alpha, f"|a - c^2| exceeds alpha^2 (v = {gv})")
-            if gv == 2 * v_alpha:
-                _verify(mv == 0, f"case 3 needs |f'(x2)| = 1, got v = {mv}")
-                case, kind, region = 3, "indifferent", Region("siegel_disk", self.x2, -v_alpha)
-            else:
-                # mv is INFINITY when a = c^2 (superattracting)
-                _verify(mv > 0, f"case 4 needs |f'(x2)| < 1, got v = {mv}")
-                case, kind, region = 4, "attracting", Region("basin", self.x2, -v_alpha)
+            kind, region = "attracting", Region("basin", self.x2, -v_alpha)
         # cases 2, 3 and 5 have a finite mv, so only case 4 can be superattracting
         x2_report = FixedPointReport(self.x2, mult, mv, kind, region, case,
                                      superattracting=(mult == 0))
@@ -440,7 +489,8 @@ class CanonicalMap:
         inside the sphere, so f is an isometry of the sphere onto itself.
         In that sense S_r(x1) is invariant iff r < alpha. S_r(x2) is
         invariant iff the map is in case 2 or 3 and r < alpha; in cases 4
-        and 5 no sphere around x2 is invariant.
+        and 5 no sphere around x2 is invariant. Reads alpha_beta() and the
+        case of _case_facts; no Classification is built.
 
         The weaker definition f(S) ⊆ S (Albeverio, Khrennikov, Tirozzi and
         De Smedt, "p-adic dynamical systems", Theor. Math. Phys. 114, 1998)
@@ -451,9 +501,8 @@ class CanonicalMap:
         refuses it.
         """
         v_alpha, _ = self.alpha_beta()
-        case = self.classify().case
         bound = -v_alpha
-        return InvariantSpheres(bound, bound if case in (2, 3) else None)
+        return InvariantSpheres(bound, bound if self._case_facts()[0] in (2, 3) else None)
 
     def sphere_is_invariant(self, sphere: SphereSpec) -> bool:
         inv = self.invariant_spheres()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .dynamics import (
@@ -34,6 +35,7 @@ from .padic import (
     Valuation,
     _coerce_fraction,
     _fraction_valuation,
+    _int_valuation,
     hensel_sqrt,
     is_square,
     rational_sqrt,
@@ -127,30 +129,58 @@ def h_of_q(q: Fraction) -> Fraction:
 _EXCLUDED_Q = (Fraction(0), Fraction(-1), Fraction(-2, 3))
 
 
+def _three_cycle(p: int, q: Fraction) -> tuple[CanonicalMap, tuple]:
+    """The family map of q and the integer pairs of a, f(a), f^2(a) and
+    f^3(a), checked exactly.
+
+    c = q*a - 1 is built from the integers of q and a. The orbit runs on the
+    unreduced pairs of CanonicalMap._eval_pair, and f^3(a) = a and
+    f(a) != a are checked by cross-multiplying them; P(a) = 0 is checked on
+    the integer numerator of P (_p6_numerator). A failed check raises
+    VerificationError, whose message is built only then. ValueError for q
+    in _EXCLUDED_Q and at the poles of h.
+    """
+    if q in _EXCLUDED_Q:
+        raise ValueError(f"q = {q} is excluded (construction degenerates)")
+    a = h_of_q(q)
+    an, ad = a.numerator, a.denominator
+    m = CanonicalMap(p, a, Fraction(q.numerator * an - q.denominator * ad, q.denominator * ad))
+    # no pole: the orbit is a -> 1/(q+1) -> (3q+2)/(2q+1), where x^2 + cx + a is
+    # q^2(3q+2)^2/((q+1)(2q+1)^2(3q+1)^2), q/((q+1)^2(3q+1)) and (3q+2)/(2q+1),
+    # zero only at q in {0, -2/3}, which _EXCLUDED_Q refuses
+    y1 = m._eval_pair(an, ad)
+    y2 = m._eval_pair(*y1)
+    back = m._eval_pair(*y2)
+    if back[0] * ad != an * back[1]:
+        raise VerificationError(f"f^3(a) != a for q = {q}")
+    if y1[0] * ad == an * y1[1]:
+        raise VerificationError(f"a is a fixed point for q = {q}")
+    if _p6_numerator(m, an, ad):
+        raise VerificationError(f"P6(a) != 0 for q = {q}")
+    return m, ((an, ad), y1, y2, back)
+
+
 def three_periodic_from_q(p: int, q) -> tuple[CanonicalMap, PeriodicOrbit]:
     """The map with a = h(q), c = q*h(q) - 1 and its 3-cycle {a, f(a), f^2(a)}.
 
     q must avoid {0, -1, -2/3} (where the construction degenerates) and the
-    poles of h. The orbit is verified exactly: f^3(a) = a, f(a) != a, and
-    P(a) = 0 for the degree-6 polynomial of 3-periodic points.
+    poles of h. The orbit is verified exactly, on integers: f^3(a) = a and
+    f(a) != a by cross-multiplying the unreduced pairs of the orbit, and
+    P(a) = 0 for the degree-6 polynomial of 3-periodic points on P's integer
+    numerator. The multiplier's valuation is read off the same pairs.
     """
-    q = _coerce_fraction(q)
-    if q in _EXCLUDED_Q:
-        raise ValueError(f"q = {q} is excluded (construction degenerates)")
-    a = h_of_q(q)
-    c = q * a - 1
-    m = CanonicalMap(p, a, c)
-    # no pole: the orbit is a -> 1/(q+1) -> (3q+2)/(2q+1), where x^2 + cx + a is
-    # q^2(3q+2)^2/((q+1)(2q+1)^2(3q+1)^2), q/((q+1)^2(3q+1)) and (3q+2)/(2q+1),
-    # zero only at q in {0, -2/3}, which _EXCLUDED_Q refuses
-    y1 = m.eval(a)
-    y2 = m.eval(y1)
-    back = m.eval(y2)
-    _verify(back == a, f"f^3(a) != a for q = {q}")
-    _verify(y1 != a, f"a is a fixed point for q = {q}")
-    _verify(p6_eval(m, a) == 0, f"P6(a) != 0 for q = {q}")
-    mult = sum(_fraction_valuation(m.derivative(y), p) for y in (a, y1, y2))
-    return m, PeriodicOrbit((a, y1, y2), mult, True)
+    m, pairs = _three_cycle(p, _coerce_fraction(q))
+    # v((f^3)'(a)) is the sum of v(f'(y)) over the orbit; with y = yn/yd and den
+    # the denominator of f(y)'s pair, f'(y) = an*cd^2*yd^2*(an*yd^2 - ad*yn^2)/den^2
+    # (as CanonicalMap.derivative), homogeneous in (yn, yd)
+    an, ad = pairs[0]
+    cd = m.c.denominator
+    mult = 0
+    for (yn, yd), (_, den) in zip(pairs, pairs[1:]):
+        top = an * cd * cd * yd * yd * (an * yd * yd - ad * yn * yn)
+        mult += _int_valuation(top, p) - 2 * _int_valuation(den, p) if top else INFINITY
+    points = tuple(Fraction(*pair) for pair in pairs[:3])
+    return m, PeriodicOrbit(points, mult, True)
 
 
 # The terms of P as (coefficient, power of a, power of c, power of x); the
@@ -159,21 +189,29 @@ _P6_TERMS = ((1, 0, 0, 6), (6, 0, 1, 5), (11, 0, 2, 4), (6, 1, 0, 4), (6, 0, 3, 
              (20, 1, 1, 3), (15, 1, 2, 2), (9, 2, 0, 2), (12, 2, 1, 1), (3, 3, 0, 0))
 
 
-def p6_eval(m: CanonicalMap, x) -> Fraction:
-    """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate.
+def _p6_numerator(m: CanonicalMap, xn: int, xd: int) -> int:
+    """P(xn/xd) * ad^3 cd^3 xd^6 for a = an/ad and c = cn/cd, xd != 0.
 
-    Evaluated in integers: with a = an/ad, c = cn/cd and x = xn/xd, each term
-    k * a^i c^j x^l times ad^3 cd^3 xd^6 is k * an^i ad^(3-i) cn^j cd^(3-j)
-    xn^l xd^(6-l), and the sum is divided by ad^3 cd^3 xd^6 once.
+    Each term k * a^i c^j x^l times ad^3 cd^3 xd^6 is
+    k * an^i ad^(3-i) cn^j cd^(3-j) xn^l xd^(6-l).
     """
-    x = _coerce_fraction(x)
     an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
-    xn, xd = x.numerator, x.denominator
     pa = [an**i * ad ** (3 - i) for i in range(4)]
     pc = [cn**j * cd ** (3 - j) for j in range(4)]
     px = [xn**l * xd ** (6 - l) for l in range(7)]
-    total = sum(k * pa[i] * pc[j] * px[l] for k, i, j, l in _P6_TERMS)
-    return Fraction(total, ad**3 * cd**3 * xd**6)
+    return sum(k * pa[i] * pc[j] * px[l] for k, i, j, l in _P6_TERMS)
+
+
+def p6_eval(m: CanonicalMap, x) -> Fraction:
+    """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate.
+
+    Evaluated in integers: _p6_numerator's sum is divided by
+    ad^3 cd^3 xd^6 once.
+    """
+    x = _coerce_fraction(x)
+    xd = x.denominator
+    return Fraction(_p6_numerator(m, x.numerator, xd),
+                    m.a.denominator**3 * m.c.denominator**3 * xd**6)
 
 
 @dataclass(frozen=True)
@@ -272,29 +310,39 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
     parameters land on invariant spheres of their own map.
 
     Height bound: |numerator| <= max_height and denominator <= max_height.
-    Deterministic order (by denominator, then numerator).
+    Deterministic order (by denominator, then numerator). A q not in lowest
+    terms is skipped by its gcd before any Fraction is built. Each map is
+    built and its 3-cycle checked as in three_periodic_from_q, on integers
+    (f^3(a) = a, f(a) != a, P(a) = 0); the multiplier is not computed.
+    Invariance reads the map's pole valuations and case, not a full
+    classification, and v(a + c) is read off integers.
     """
     out = []
     for den in range(1, max_height + 1):
         for num in range(-max_height, max_height + 1):
-            if num == 0:
+            if num == 0 or gcd(num, den) != 1:  # q = 0, or visited in lowest terms
                 continue
             q = Fraction(num, den)
-            if q.denominator != den:  # not in lowest terms; already visited
-                continue
             try:
-                m, _ = three_periodic_from_q(p, q)
+                m, _ = _three_cycle(p, q)
             except ValueError:  # excluded q, or a pole of h
                 continue
-            # sphere_conditions refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =
+            # invariant_spheres refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =
             # q(q+1)(2q+1)(3q+1)(3q+2)/N^2 with N = 3q^3 + 9q^2 + 6q + 1. For v(q) < 0,
             # v(kappa) = v(2) - v(q) > 0. Otherwise, where p | N (never p = 3: N = 1
             # mod 3), the five factors are units, as their resultants with N are +-1
             # or +-3, so a negative v(kappa) = -2v(N) is even
-            sc = sphere_conditions(m)
+            inv = m.invariant_spheres()
+            # a + c = h(q)(q+1) - 1 = -(q+1)(3q^2+3q+1)/((q+1)(2q+1)(3q+1)), never 0
+            # (3q^2 + 3q + 1 > 0), so with q = num/den its radius exponent is
+            # -v(a + c) = v(2num + den) + v(3num + den) - v(3num^2 + 3num*den + den^2)
+            e1 = -m.va
+            e2 = (_int_valuation(2 * num + den, p) + _int_valuation(3 * num + den, p)
+                  - _int_valuation((3 * num + 3 * den) * num + den * den, p))
+            x2_bound = inv.x2_exponent_bound
             out.append(QSweepRecord(
                 q, m.a, m.c,
-                sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
-                sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
+                e1 if e1 < inv.x1_exponent_bound else None,
+                e2 if x2_bound is not None and e2 < x2_bound else None,
             ))
     return out

@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity
+from padicdyn import cli, ergodicity, periodic
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
 
-from util import reference_json, sphere_points
+from util import faulty_eval_pair, reference_json, sphere_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -533,6 +533,18 @@ def test_periodic_q_precision_is_checked_before_any_work(capsys, monkeypatch, pr
     monkeypatch.setattr(cli, "three_periodic_from_q", None)  # no work may start
     code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("target,fault,message", [
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
+    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
+])
+def test_failed_three_cycle_check_exits_3_with_one_line(capsys, monkeypatch, target, fault,
+                                                         message):
+    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
+    code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1", "--json"])
+    assert (code, out, err) == (3, "", f"internal verification failed: {message}\n")
 
 
 def test_truncated_orbit_at_a_prime_wider_than_32_bits(capsys):

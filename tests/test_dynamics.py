@@ -14,9 +14,11 @@ from padicdyn import (
     PoleHitError,
     SphereSpec,
     UnsupportedCaseError,
+    VerificationError,
 )
 from padicdyn.dynamics import (
     EXACT_HEIGHT_BUDGET,
+    InvariantSpheres,
     PoleHitRecord,
     _height,
     _height_loss,
@@ -28,6 +30,7 @@ from util import (
     norm_image_profile,
     random_nonzero_rational,
     random_rational,
+    reference_case,
     representative,
     sphere_points,
     validate_norm_image,
@@ -270,6 +273,76 @@ def test_classification_is_computed_once_per_map(monkeypatch):
     first = m.classify()
     assert m.sphere_is_invariant(SphereSpec("x2", -1))
     assert m.classify() is first and calls == [m]
+
+
+def test_sphere_is_invariant_builds_no_classification():
+    m = CanonicalMap(5, 3, 1)
+    assert m.sphere_is_invariant(SphereSpec("x2", -1))
+    assert m.sphere_is_invariant(SphereSpec("x1", -1))
+    assert m._cls is None
+
+
+@pytest.mark.parametrize("m,mult,message", [
+    (CASE2, Fraction(5), "case 2 needs |f'(x2)| = 1, got v = 1"),
+    (CASE3, Fraction(5), "case 3 needs |f'(x2)| = 1, got v = 1"),
+    (CASE4, Fraction(1), "case 4 needs |f'(x2)| < 1, got v = 0"),
+    (CASE5, Fraction(1), "case 5 needs |f'(x2)| = beta/alpha > 1, got v = 0"),
+])
+def test_case_cross_checks_name_the_failure(monkeypatch, m, mult, message):
+    monkeypatch.setattr(CanonicalMap, "multiplier_x2", lambda self: mult)
+    m = CanonicalMap(m.p, m.a, m.c)  # the shared maps may hold their case already
+    for read in (m.invariant_spheres, m.classify):
+        with pytest.raises(VerificationError) as exc:
+            read()
+        assert str(exc.value) == message
+
+
+def test_case_check_of_a_minus_c_squared_names_the_failure(monkeypatch):
+    # |c| = alpha = beta forces v(a - c^2) >= 2 v_alpha; wrong pole
+    # valuations break it
+    monkeypatch.setattr(CanonicalMap, "alpha_beta", lambda self: (1, 1))
+    with pytest.raises(VerificationError) as exc:
+        CanonicalMap(5, 3, 1).classify()
+    assert str(exc.value) == "|a - c^2| exceeds alpha^2 (v = 0)"
+
+
+def test_integer_case_matches_the_papers_comparisons():
+    # the case of x2, the invariant-sphere bounds and the superattracting
+    # flag against reference_case on seeded maps: maps with rational poles,
+    # maps with a = c^2 and maps with random p-adic sizes of a and c
+    rng = random.Random(4041)
+    seen, refused, superattracting = set(), 0, 0
+    for k in range(2000):
+        p = rng.choice((2, 3, 5, 7))
+        scale = [Fraction(p) ** rng.randint(-3, 3) for _ in range(2)]
+        r1, r2 = (random_nonzero_rational(rng, 30) * s for s in scale)
+        if k % 4 == 0:  # poles r1 and r2
+            a, c = r1 * r2, -(r1 + r2)
+        elif k % 4 == 1:
+            a, c = r2 * r2, r2
+        else:
+            a, c = r1, r2
+        if c == 0:
+            continue
+        m = CanonicalMap(p, a, c)
+        try:
+            case, v_alpha, v_beta = reference_case(m)
+        except InconsistentParametersError:
+            refused += 1
+            for read in (m.invariant_spheres, m.classify):
+                with pytest.raises(InconsistentParametersError, match="is odd"):
+                    read()
+            continue
+        assert m.alpha_beta() == (v_alpha, v_beta)
+        assert m.invariant_spheres() == InvariantSpheres(
+            -v_alpha, -v_alpha if case in (2, 3) else None)
+        assert m._cls is None
+        cls = m.classify()
+        assert (cls.case, cls.x1.case, cls.x2.case) == (case, 1, case)
+        assert cls.x2.superattracting == (a == c * c)
+        superattracting += cls.x2.superattracting
+        seen.add(case)
+    assert seen == {2, 3, 4, 5} and refused > 0 and superattracting > 0
 
 
 def test_invariant_spheres():

@@ -11,6 +11,7 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
+from padicdyn import periodic
 from padicdyn.ergodicity import rescale_to_unit, rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
@@ -30,7 +31,9 @@ from util import (
     p6_coefficients,
     random_nonzero_rational,
     reference_derivative_truncated,
+    reference_q_sweep,
     reference_rho,
+    reference_three_periodic_from_q,
 )
 
 
@@ -177,6 +180,48 @@ def test_three_periodic_exclusions():
     for pole in (Fraction(-1, 2), Fraction(-1, 3)):
         with pytest.raises(ValueError):
             three_periodic_from_q(5, pole)
+
+
+@pytest.mark.parametrize("target,fault,message", [
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
+    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
+])
+def test_three_cycle_checks_name_the_failure(monkeypatch, target, fault, message):
+    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
+    for run in (lambda: three_periodic_from_q(5, 1), lambda: q_sweep(5, 1)):
+        with pytest.raises(VerificationError) as exc:
+            run()
+        assert str(exc.value) == message
+
+
+def test_q_sweep_computes_no_derivative(monkeypatch):
+    # the sweep drops the multiplier, so it must not compute one
+    calls = []
+    monkeypatch.setattr(CanonicalMap, "derivative", lambda self, x: calls.append(x))
+    assert q_sweep(5, 8) and calls == []
+
+
+def _admissible_q(height: int) -> list[Fraction]:
+    refused = {Fraction(-1), Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)}
+    return [Fraction(n, d) for d in range(1, height + 1) for n in range(-height, height + 1)
+            if n and gcd(n, d) == 1 and Fraction(n, d) not in refused]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_integer_three_cycle_matches_the_fraction_reference(p):
+    # the integer construction, checks and multiplier against the Fraction
+    # path: every admissible q of height <= 12, and seeded q of larger height
+    rng = random.Random(4000 + p)
+    qs = _admissible_q(12)
+    while len(qs) < len(_admissible_q(12)) + 40:
+        q = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
+        if q not in (0, -1, Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)):
+            qs.append(q)
+    for q in qs:
+        assert three_periodic_from_q(p, q) == reference_three_periodic_from_q(p, q)
+    for height in range(1, 13):
+        assert q_sweep(p, height) == reference_q_sweep(p, height)
 
 
 def test_h_identity_and_family_equation():

@@ -20,8 +20,15 @@ from padicdyn.ergodicity import (
     _sample,
     rescale_to_unit,
 )
-from padicdyn.errors import NotApplicableError, PoleHitError, PrecisionError, VerificationError
+from padicdyn.errors import (
+    InconsistentParametersError,
+    NotApplicableError,
+    PoleHitError,
+    PrecisionError,
+    VerificationError,
+)
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
+from padicdyn.periodic import PeriodicOrbit, QSweepRecord, sphere_conditions
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -112,6 +119,83 @@ def p6_coefficients(m) -> tuple[Fraction, ...]:
         6 * c,
         Fraction(1),
     )
+
+
+# -- Fraction references for the 3-periodic family and the case of x2 ------------
+
+
+def reference_three_periodic_from_q(p: int, q) -> tuple:
+    """The Fraction path of periodic.three_periodic_from_q: a = h(q) and
+    c = q*a - 1 by Fraction formulas, the orbit by CanonicalMap.eval, P(a)
+    by Horner's rule on p6_coefficients and the multiplier as the sum of
+    v(f'(y)) through CanonicalMap.derivative."""
+    q = Fraction(q)
+    if q in (0, -1, Fraction(-2, 3)):
+        raise ValueError(f"q = {q} is excluded (construction degenerates)")
+    den = 6 * q**3 + 11 * q**2 + 6 * q + 1
+    if den == 0:
+        raise ValueError(f"h(q) is undefined at q = {q} (denominator vanishes)")
+    a = (3 * q**2 + 2 * q) / den
+    m = CanonicalMap(p, a, q * a - 1)
+    y1 = m.eval(a)
+    y2 = m.eval(y1)
+    if m.eval(y2) != a or y1 == a or _horner(p6_coefficients(m), a) != 0:
+        raise VerificationError(f"the 3-cycle of q = {q} fails its checks")
+    mult = sum(_fraction_valuation(m.derivative(y), p) for y in (a, y1, y2))
+    return m, PeriodicOrbit((a, y1, y2), mult, True)
+
+
+def reference_q_sweep(p: int, max_height: int) -> list:
+    """The Fraction path of periodic.q_sweep: every q of the height box,
+    reduced by Fraction, built by reference_three_periodic_from_q, with the
+    spheres of sphere_conditions."""
+    out = []
+    for den in range(1, max_height + 1):
+        for num in range(-max_height, max_height + 1):
+            if num == 0:
+                continue
+            q = Fraction(num, den)
+            if q.denominator != den:
+                continue
+            try:
+                m, _ = reference_three_periodic_from_q(p, q)
+            except ValueError:
+                continue
+            sc = sphere_conditions(m)
+            out.append(QSweepRecord(
+                q, m.a, m.c,
+                sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
+                sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
+            ))
+    return out
+
+
+def reference_case(m) -> tuple[int, int, int]:
+    """(case, v_alpha, v_beta) by the paper's comparisons in Fraction
+    arithmetic: the pole valuations from the roots of x^2 + c*x + a when
+    they are rational, otherwise from the Newton polygon; then case 5 when
+    alpha < beta, case 2 when |c| < alpha, and cases 3 and 4 by
+    |a - c^2| = alpha^2 or < alpha^2. InconsistentParametersError when the
+    pole norms are not powers of p."""
+    p = m.p
+    poles = m.poles()
+    if poles.kind == "rational":
+        vs = [_fraction_valuation(x, p) for x in poles.values]
+        v_alpha, v_beta = max(vs), min(vs)
+    else:
+        va, vc = _fraction_valuation(m.a, p), _fraction_valuation(m.c, p)
+        if 2 * vc < va:
+            v_alpha, v_beta = va - vc, vc
+        elif va % 2:
+            raise InconsistentParametersError(f"v(a) = {va} is odd with 2*v(c) >= v(a)")
+        else:
+            v_alpha = v_beta = va // 2
+    if v_alpha > v_beta:
+        return 5, v_alpha, v_beta
+    if _fraction_valuation(m.c, p) > v_alpha:
+        return 2, v_alpha, v_beta
+    gap = _fraction_valuation(m.a - m.c * m.c, p)
+    return (3 if gap == 2 * v_alpha else 4), v_alpha, v_beta
 
 
 # -- operator-path reference for the truncated orbit kernel ----------------------

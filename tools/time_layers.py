@@ -8,9 +8,11 @@ precisions 24, 64 and 256, and ``orbit`` of (p, a, c, x0) = (3, -2, 1, 5)
 at precision 64 in auto and truncated mode, whose exact iterates outgrow
 12,000 bits at step 13. For the maps of MAPS it times the construction
 ``CanonicalMap(p, a, c)``, ``classify()`` on a freshly built map (the
-construction included) and ``multiplier_x2()``. On the ergodicity path it
-times, at the spheres of ORACLE_SPHERES (one per prime at its
-``oracle_deep`` depth), one ``_ball_permutation`` level and
+construction included), ``invariant_spheres()`` on a freshly built map
+and ``multiplier_x2()``. On the periodic path it times ``q_sweep(p, 8)``
+for p in SWEEP_PRIMES and ``three_periodic_from_q(7, 1)``. On the
+ergodicity path it times, at the spheres of ORACLE_SPHERES (one per prime
+at its ``oracle_deep`` depth), one ``_ball_permutation`` level and
 ``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
 unit form; and ``verify_rho`` plus ``isometry_check`` with 32 samples,
 unseeded and seeded, next to ``sampled_checks``, which runs both on one
@@ -64,6 +66,8 @@ ORBIT_STEPS = (12, 13, 25, 150)
 # (p, a, c): the golden analyze maps (cases 4 and 2), a case-5 map and a case-3
 # map with larger heights
 MAPS = ((3, "-2", "1"), (5, "-1", "5"), (3, "3", "1"), (7, "-26/3", "5/2"))
+SWEEP_PRIMES = (2, 3, 5, 7)
+SWEEP_HEIGHT = 8
 ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -1))
 # (p, a, c, center, e, oracle depth): the golden spheres at p = 2 and 3 and one
 # sphere each at p = 5 and 7, at the depths of the oracle_deep workload
@@ -137,13 +141,25 @@ def _map_facts(out: dict) -> None:
     from padicdyn.dynamics import CanonicalMap
 
     out["canonical_map"], out["classify_fresh"], out["multiplier_x2"] = {}, {}, {}
+    out["invariant_spheres_fresh"] = {}
     for p, a, c in MAPS:
         a, c = Fraction(a), Fraction(c)
         case = f"p={p} a={a} c={c}"
         m = CanonicalMap(p, a, c)
         out["canonical_map"][case] = _best_us(lambda: CanonicalMap(p, a, c), 2000)
         out["classify_fresh"][case] = _best_us(lambda: CanonicalMap(p, a, c).classify(), 500)
+        out["invariant_spheres_fresh"][case] = _best_us(
+            lambda: CanonicalMap(p, a, c).invariant_spheres(), 500)
         out["multiplier_x2"][case] = _best_us(m.multiplier_x2, 2000)
+
+
+def _periodic_path(out: dict) -> None:
+    from padicdyn import periodic
+
+    out["q_sweep"] = {f"p={p} h={SWEEP_HEIGHT}": _best_us(
+        lambda: periodic.q_sweep(p, SWEEP_HEIGHT), 5) for p in SWEEP_PRIMES}
+    out["three_periodic_from_q"] = {"p=7 q=1": _best_us(
+        lambda: periodic.three_periodic_from_q(7, 1), 500)}
 
 
 def _ergodicity_path(out: dict) -> None:
@@ -298,6 +314,7 @@ def main() -> None:
             out["orbit"][f"steps={steps} {mode}"] = _best_us(
                 lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
     _map_facts(out)
+    _periodic_path(out)
     _ergodicity_path(out)
     _request_path(out)
     out["import_cli"] = import_cli
