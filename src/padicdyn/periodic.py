@@ -126,7 +126,8 @@ def h_of_q(q: Fraction) -> Fraction:
     return Fraction(n * d * (3 * n + 2 * d), den)
 
 
-_EXCLUDED_Q = (Fraction(0), Fraction(-1), Fraction(-2, 3))
+# q = 0, -1 and -2/3 as (numerator, denominator)
+_EXCLUDED_Q = ((0, 1), (-1, 1), (-2, 3))
 
 
 def _three_cycle(p: int, q: Fraction) -> tuple[CanonicalMap, tuple]:
@@ -140,7 +141,7 @@ def _three_cycle(p: int, q: Fraction) -> tuple[CanonicalMap, tuple]:
     VerificationError, whose message is built only then. ValueError for q
     in _EXCLUDED_Q and at the poles of h.
     """
-    if q in _EXCLUDED_Q:
+    if (q.numerator, q.denominator) in _EXCLUDED_Q:
         raise ValueError(f"q = {q} is excluded (construction degenerates)")
     a = h_of_q(q)
     an, ad = a.numerator, a.denominator
@@ -193,13 +194,19 @@ def _p6_numerator(m: CanonicalMap, xn: int, xd: int) -> int:
     """P(xn/xd) * ad^3 cd^3 xd^6 for a = an/ad and c = cn/cd, xd != 0.
 
     Each term k * a^i c^j x^l times ad^3 cd^3 xd^6 is
-    k * an^i ad^(3-i) cn^j cd^(3-j) xn^l xd^(6-l).
+    k * pa[i] * pc[j] * px[l] with pa[i] = an^i ad^(3-i),
+    pc[j] = cn^j cd^(3-j) and px[l] = xn^l xd^(6-l), built by products.
     """
     an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
-    pa = [an**i * ad ** (3 - i) for i in range(4)]
-    pc = [cn**j * cd ** (3 - j) for j in range(4)]
-    px = [xn**l * xd ** (6 - l) for l in range(7)]
-    return sum(k * pa[i] * pc[j] * px[l] for k, i, j, l in _P6_TERMS)
+    pa = (ad * ad * ad, an * ad * ad, an * an * ad, an * an * an)
+    pc = (cd * cd * cd, cn * cd * cd, cn * cn * cd, cn * cn * cn)
+    xn2, xd2 = xn * xn, xd * xd
+    px = (xd2 * xd2 * xd2, xn * xd2 * xd2 * xd, xn2 * xd2 * xd2, xn2 * xn * xd2 * xd,
+          xn2 * xn2 * xd2, xn2 * xn2 * xn * xd, xn2 * xn2 * xn2)
+    total = 0
+    for k, i, j, l in _P6_TERMS:
+        total += k * pa[i] * pc[j] * px[l]
+    return total
 
 
 def p6_eval(m: CanonicalMap, x) -> Fraction:
