@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity, periodic
+from padicdyn import cli, ergodicity
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
 
-from util import faulty_eval_pair, reference_json, sphere_points
+from util import THREE_CYCLE_FAULTS, install_three_cycle_fault, reference_json, sphere_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -535,14 +535,10 @@ def test_periodic_q_precision_is_checked_before_any_work(capsys, monkeypatch, pr
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("target,fault,message", [
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
-    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
-])
+@pytest.mark.parametrize("target,fault,message", THREE_CYCLE_FAULTS)
 def test_failed_three_cycle_check_exits_3_with_one_line(capsys, monkeypatch, target, fault,
                                                          message):
-    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
+    install_three_cycle_fault(monkeypatch, target, fault)
     code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1", "--json"])
     assert (code, out, err) == (3, "", f"internal verification failed: {message}\n")
 

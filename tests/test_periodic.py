@@ -11,7 +11,6 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
-from padicdyn import periodic
 from padicdyn.ergodicity import rescale_to_unit, rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
@@ -26,8 +25,10 @@ from padicdyn.periodic import (
     verify_orbit_structure,
 )
 from util import (
+    THREE_CYCLE_FAULTS,
     agrees_on_reported_digits,
     faulty_eval_pair,
+    install_three_cycle_fault,
     p6_coefficients,
     random_nonzero_rational,
     reference_derivative_truncated,
@@ -182,13 +183,9 @@ def test_three_periodic_exclusions():
             three_periodic_from_q(5, pole)
 
 
-@pytest.mark.parametrize("target,fault,message", [
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
-    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
-])
+@pytest.mark.parametrize("target,fault,message", THREE_CYCLE_FAULTS)
 def test_three_cycle_checks_name_the_failure(monkeypatch, target, fault, message):
-    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
+    install_three_cycle_fault(monkeypatch, target, fault)
     for run in (lambda: three_periodic_from_q(5, 1), lambda: q_sweep(5, 1)):
         with pytest.raises(VerificationError) as exc:
             run()
@@ -203,6 +200,8 @@ def test_q_sweep_computes_no_derivative(monkeypatch):
 
 
 def _admissible_q(height: int) -> list[Fraction]:
+    """The q of height <= height in sweep order, less the excluded q and the
+    poles of h."""
     refused = {Fraction(-1), Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)}
     return [Fraction(n, d) for d in range(1, height + 1) for n in range(-height, height + 1)
             if n and gcd(n, d) == 1 and Fraction(n, d) not in refused]
@@ -214,10 +213,8 @@ def test_integer_three_cycle_matches_the_fraction_reference(p):
     # path: every admissible q of height <= 12, and seeded q of larger height
     rng = random.Random(4000 + p)
     qs = _admissible_q(12)
-    while len(qs) < len(_admissible_q(12)) + 40:
-        q = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
-        if q not in (0, -1, Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)):
-            qs.append(q)
+    for _ in range(40):
+        qs.append(Fraction(rng.randint(1, 10**4) * rng.choice((1, -1)), rng.randint(1, 10**4)))
     for q in qs:
         assert three_periodic_from_q(p, q) == reference_three_periodic_from_q(p, q)
     for height in range(1, 13):
@@ -449,10 +446,7 @@ def test_two_cycle_check_names_the_precision():
 def test_q_sweep_keeps_every_admissible_q(p):
     # the sweep skips only the q that the construction refuses, the excluded
     # values and the poles of h: every other q of height <= 12 has a record
-    refused = {Fraction(-1), Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3)}
-    admissible = [Fraction(n, d) for d in range(1, 13) for n in range(-12, 13)
-                  if n and gcd(n, d) == 1 and Fraction(n, d) not in refused]
-    assert [rec.q for rec in q_sweep(p, 12)] == admissible
+    assert [rec.q for rec in q_sweep(p, 12)] == _admissible_q(12)
 
 
 def test_q_sweep_deterministic_and_verified():

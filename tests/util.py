@@ -28,6 +28,7 @@ from padicdyn.errors import (
     VerificationError,
 )
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
+from padicdyn import periodic
 from padicdyn.periodic import PeriodicOrbit, QSweepRecord, sphere_conditions
 
 
@@ -330,6 +331,19 @@ def faulty_eval_pair(image):
         return y.numerator, y.denominator
 
     return eval_pair
+
+
+# (attribute, stand-in, message): faults of CanonicalMap._eval_pair and of P's
+# terms that the 3-cycle checks of q = 1 name
+THREE_CYCLE_FAULTS = [
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
+    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
+    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
+]
+
+
+def install_three_cycle_fault(monkeypatch, target, fault) -> None:
+    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
 
 
 # -- pair-scan reference for the isometry check's level classes ------------------
