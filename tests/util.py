@@ -343,6 +343,7 @@ THREE_CYCLE_FAULTS = [
 
 
 def install_three_cycle_fault(monkeypatch, target, fault) -> None:
+    """Patch one entry of THREE_CYCLE_FAULTS in for the test's duration."""
     monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
 
 
