@@ -37,6 +37,7 @@ from .padic import (
     _fraction_valuation,
     _int_valuation,
     _inverse_unit,
+    _unit_residue,
     hensel_sqrt,
     is_prime,
     is_square,
@@ -249,20 +250,12 @@ class CanonicalMap:
 
     def _digit_context(self, k: int) -> tuple:
         """(p**k, v(a), v(c), unit of a mod p**k, unit of c mod p**k), built
-        on first use. The units are a and c with p**va and p**vc divided out
-        of their numerator or denominator."""
+        on first use."""
         entry = self._digits.get(k)
         if entry is None:
-            p, mod = self.p, self.p ** k
-            units = []
-            for x, v in ((self.a, self.va), (self.c, self.vc)):
-                num, den = x.numerator, x.denominator
-                if v > 0:
-                    num //= p ** v
-                elif v < 0:
-                    den //= p ** -v
-                units.append(num * _inverse_unit(den, p, k) % mod)
-            entry = self._digits[k] = (mod, self.va, self.vc, *units)
+            p = self.p
+            entry = self._digits[k] = (p ** k, self.va, self.vc, _unit_residue(self.a, p, k),
+                                       _unit_residue(self.c, p, k))
         return entry
 
     def _step_triple(self, v, u: int, n: int) -> tuple:
@@ -339,14 +332,19 @@ class CanonicalMap:
         """Exact f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2; raises PoleHitError on
         the denominator's roots.
 
-        In integers, as in eval:
-        an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / (ad*xn*(cd*xn + cn*xd) + an*cd*xd^2)^2.
+        In integers, as in eval, by _derivative_pair.
         """
         x = _coerce_fraction(x)
         xn, xd = x.numerator, x.denominator
+        return Fraction(*self._derivative_pair(xn, xd, self._eval_pair(xn, xd)[1]))
+
+    def _derivative_pair(self, xn: int, xd: int, den: int) -> tuple[int, int]:
+        """f'(xn/xd) as an unreduced (numerator, denominator) pair, given den,
+        the denominator of _eval_pair(xn, xd):
+        an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / den^2, homogeneous in (xn, xd).
+        """
         an, ad, cd = self.a.numerator, self.a.denominator, self.c.denominator
-        den = self._eval_pair(xn, xd)[1]
-        return Fraction(an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den)
+        return an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den
 
     def multiplier_x2(self) -> Fraction:
         """f'(-c) = 1 - c^2/a = (an*cd^2 - ad*cn^2) / (an*cd^2)."""

@@ -171,15 +171,12 @@ def three_periodic_from_q(p: int, q) -> tuple[CanonicalMap, PeriodicOrbit]:
     numerator. The multiplier's valuation is read off the same pairs.
     """
     m, pairs = _three_cycle(p, _coerce_fraction(q))
-    # v((f^3)'(a)) is the sum of v(f'(y)) over the orbit; with y = yn/yd and den
-    # the denominator of f(y)'s pair, f'(y) = an*cd^2*yd^2*(an*yd^2 - ad*yn^2)/den^2
-    # (as CanonicalMap.derivative), homogeneous in (yn, yd)
-    an, ad = pairs[0]
-    cd = m.c.denominator
+    # v((f^3)'(a)) is the sum of v(f'(y)) over the orbit; the denominator of
+    # f(y)'s pair is the next pair's
     mult = 0
     for (yn, yd), (_, den) in zip(pairs, pairs[1:]):
-        top = an * cd * cd * yd * yd * (an * yd * yd - ad * yn * yn)
-        mult += _int_valuation(top, p) - 2 * _int_valuation(den, p) if top else INFINITY
+        top, bottom = m._derivative_pair(yn, yd, den)
+        mult += _int_valuation(top, p) - _int_valuation(bottom, p) if top else INFINITY
     points = tuple(Fraction(*pair) for pair in pairs[:3])
     return m, PeriodicOrbit(points, mult, True)
 
@@ -237,12 +234,16 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
     """Which invariant spheres the parameter a lies on.
 
     Around x1: |a|_p = r, i.e. |h(q)|_p = r. Around x2: |a - x2|_p =
-    |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r. Raises
+    |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r, with v(a + c) read off the
+    integer an*cd + cn*ad over ad*cd. Invariance reads the map's pole
+    valuations and case (sphere_is_invariant), not a classification. Raises
     InconsistentParametersError when the map's pole norms are not in p**Z.
     """
     e1 = -m.va
-    v2 = _fraction_valuation(m.a + m.c, m.p)
-    e2 = None if v2 is INFINITY else -v2
+    an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
+    top = an * cd + cn * ad
+    # v(ad) and v(cd) are the negative parts of v(a) and v(c), as both are reduced
+    e2 = max(0, -m.va) + max(0, -m.vc) - _int_valuation(top, m.p) if top else None
     return SphereConditions(
         e1, m.sphere_is_invariant(SphereSpec("x1", e1)),
         e2, e2 is not None and m.sphere_is_invariant(SphereSpec("x2", e2)),
@@ -321,8 +322,7 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
     terms is skipped by its gcd before any Fraction is built. Each map is
     built and its 3-cycle checked as in three_periodic_from_q, on integers
     (f^3(a) = a, f(a) != a, P(a) = 0); the multiplier is not computed.
-    Invariance reads the map's pole valuations and case, not a full
-    classification, and v(a + c) is read off integers.
+    The spheres are those of sphere_conditions.
     """
     out = []
     for den in range(1, max_height + 1):
@@ -334,22 +334,15 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
                 m, _ = _three_cycle(p, q)
             except ValueError:  # excluded q, or a pole of h
                 continue
-            # invariant_spheres refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =
+            # sphere_conditions refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =
             # q(q+1)(2q+1)(3q+1)(3q+2)/N^2 with N = 3q^3 + 9q^2 + 6q + 1. For v(q) < 0,
             # v(kappa) = v(2) - v(q) > 0. Otherwise, where p | N (never p = 3: N = 1
             # mod 3), the five factors are units, as their resultants with N are +-1
             # or +-3, so a negative v(kappa) = -2v(N) is even
-            inv = m.invariant_spheres()
-            # a + c = h(q)(q+1) - 1 = -(q+1)(3q^2+3q+1)/((q+1)(2q+1)(3q+1)), never 0
-            # (3q^2 + 3q + 1 > 0), so with q = num/den its radius exponent is
-            # -v(a + c) = v(2num + den) + v(3num + den) - v(3num^2 + 3num*den + den^2)
-            e1 = -m.va
-            e2 = (_int_valuation(2 * num + den, p) + _int_valuation(3 * num + den, p)
-                  - _int_valuation((3 * num + 3 * den) * num + den * den, p))
-            x2_bound = inv.x2_exponent_bound
+            sc = sphere_conditions(m)
             out.append(QSweepRecord(
                 q, m.a, m.c,
-                e1 if e1 < inv.x1_exponent_bound else None,
-                e2 if x2_bound is not None and e2 < x2_bound else None,
+                sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
+                sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
             ))
     return out

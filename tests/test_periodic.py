@@ -323,6 +323,28 @@ def test_sphere_conditions_when_a_is_x2():
     assert sc.x1_radius_exponent == 2 and not sc.x1_sphere_invariant
 
 
+def test_sphere_conditions_match_fraction_valuations():
+    # the radius exponents -v(a) and -v(a + c), read off integers, against
+    # Fraction arithmetic on seeded maps, a + c = 0 among them
+    rng = random.Random(4042)
+    on_x2 = 0
+    for k in range(600):
+        p = rng.choice((2, 3, 5, 7))
+        a, c = (random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-3, 3)
+                for _ in range(2))
+        if k % 5 == 0:
+            c = -a
+        try:
+            sc = sphere_conditions(CanonicalMap(p, a, c))
+        except InconsistentParametersError:
+            continue
+        assert sc.x1_radius_exponent == -_fraction_valuation(a, p)
+        v2 = _fraction_valuation(a + c, p)
+        assert sc.x2_radius_exponent == (None if v2 is INFINITY else -v2)
+        on_x2 += v2 is INFINITY
+    assert on_x2 > 0
+
+
 def test_sphere_conditions_need_pole_norms_in_p_z():
     # v(a) = 1 is odd with 2 v(c) >= v(a): the pole norms are not powers of 3
     with pytest.raises(InconsistentParametersError):

@@ -29,7 +29,7 @@ from padicdyn.errors import (
 )
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
 from padicdyn import periodic
-from padicdyn.periodic import PeriodicOrbit, QSweepRecord, sphere_conditions
+from padicdyn.periodic import PeriodicOrbit, QSweepRecord
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -129,7 +129,7 @@ def reference_three_periodic_from_q(p: int, q) -> tuple:
     """The Fraction path of periodic.three_periodic_from_q: a = h(q) and
     c = q*a - 1 by Fraction formulas, the orbit by CanonicalMap.eval, P(a)
     by Horner's rule on p6_coefficients and the multiplier as the sum of
-    v(f'(y)) through CanonicalMap.derivative."""
+    v(f'(y)) with f'(y) = a*(a - y^2)/(y^2 + c*y + a)^2 in Fractions."""
     q = Fraction(q)
     if q in (0, -1, Fraction(-2, 3)):
         raise ValueError(f"q = {q} is excluded (construction degenerates)")
@@ -142,14 +142,17 @@ def reference_three_periodic_from_q(p: int, q) -> tuple:
     y2 = m.eval(y1)
     if m.eval(y2) != a or y1 == a or _horner(p6_coefficients(m), a) != 0:
         raise VerificationError(f"the 3-cycle of q = {q} fails its checks")
-    mult = sum(_fraction_valuation(m.derivative(y), p) for y in (a, y1, y2))
+    c = m.c
+    mult = sum(_fraction_valuation(a * (a - y * y) / (y * y + c * y + a) ** 2, p)
+               for y in (a, y1, y2))
     return m, PeriodicOrbit((a, y1, y2), mult, True)
 
 
 def reference_q_sweep(p: int, max_height: int) -> list:
     """The Fraction path of periodic.q_sweep: every q of the height box,
     reduced by Fraction, built by reference_three_periodic_from_q, with the
-    spheres of sphere_conditions."""
+    radius exponents -v(a) and -v(a + c) in Fraction arithmetic and the
+    invariance bounds of reference_case."""
     out = []
     for den in range(1, max_height + 1):
         for num in range(-max_height, max_height + 1):
@@ -162,11 +165,13 @@ def reference_q_sweep(p: int, max_height: int) -> list:
                 m, _ = reference_three_periodic_from_q(p, q)
             except ValueError:
                 continue
-            sc = sphere_conditions(m)
+            case, v_alpha, _ = reference_case(m)
+            e1 = -_fraction_valuation(m.a, p)
+            e2 = -_fraction_valuation(m.a + m.c, p)  # a + c is never 0 on the family
             out.append(QSweepRecord(
                 q, m.a, m.c,
-                sc.x1_radius_exponent if sc.x1_sphere_invariant else None,
-                sc.x2_radius_exponent if sc.x2_sphere_invariant else None,
+                e1 if e1 < -v_alpha else None,
+                e2 if case in (2, 3) and e2 < -v_alpha else None,
             ))
     return out
 
