@@ -3,57 +3,20 @@
 Fixed-point classification, Siegel disks and basins, invariant spheres,
 ergodicity on invariant spheres (with an independent residue-cycle oracle),
 and 2-/3-periodic orbits, all in exact arithmetic.
+
+The package re-exports the public names of its modules: each module's
+``__all__`` is the one list of them, and ``padicdyn.__all__`` is their union.
 """
 
-from .conjugation import ConjugationResult, GeneralMap, conjugate
-from .dynamics import (
-    CanonicalMap,
-    Classification,
-    FixedPointReport,
-    OrbitResult,
-    SphereSpec,
-    orbit,
-)
-from .ergodicity import (
-    ErgodicityVerdict,
-    Mod4Sums,
-    decide_ergodicity,
-    ergodicity_theorem,
-    isometry_check,
-    mod4_criterion,
-    residue_cycle_oracle,
-    rescale_to_unit,
-    rho,
-)
-from .errors import (
-    DegenerateMapError,
-    InconsistentParametersError,
-    NotApplicableError,
-    NotASquareError,
-    PadicDynError,
-    PoleHitError,
-    PrecisionError,
-    PrimeMismatchError,
-    UnsupportedCaseError,
-    VerificationError,
-)
-from .padic import (
-    INFINITY,
-    TruncatedPadic,
-    hensel_sqrt,
-    is_prime,
-    is_square,
-    parse_rational,
-)
-from .periodic import (
-    PeriodicOrbit,
-    h_of_q,
-    p6_eval,
-    q_sweep,
-    sphere_conditions,
-    three_periodic_from_q,
-    two_periodic,
-    verify_orbit_structure,
-)
+from . import conjugation, dynamics, ergodicity, errors, padic, periodic
+from .conjugation import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .ergodicity import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .padic import *  # noqa: F401,F403
+from .periodic import *  # noqa: F401,F403
+
+__all__ = [name for module in (errors, padic, dynamics, ergodicity, periodic, conjugation)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

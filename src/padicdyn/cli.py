@@ -48,7 +48,6 @@ from .errors import (
 from .ergodicity import decide_ergodicity, sampled_checks
 from .padic import INFINITY, TruncatedPadic, parse_rational
 from .periodic import (
-    p6_eval,
     sphere_conditions,
     three_periodic_from_q,
     two_periodic,
@@ -342,7 +341,7 @@ def _cmd_periodic(args) -> int:
             "h_q": m.a,
             "map": m,
             **_fields(orb, "points", "multiplier_norm_exponent"),
-            "p6_at_a": p6_eval(m, m.a),
+            "p6_at_a": "0",  # three_periodic_from_q has checked P(a) = 0
             "sphere_conditions": sphere_conditions(m),
         }
         lines = [

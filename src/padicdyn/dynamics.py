@@ -57,8 +57,6 @@ __all__ = [
     "Region",
     "SphereSpec",
     "orbit",
-    "sphere_pairs",
-    "sphere_units",
 ]
 
 CenterKind = Literal["x1", "x2"]
@@ -328,16 +326,6 @@ class CanonicalMap:
         s = (u + uc) % mod
         return -(v + _int_valuation(s, self.p)) if s else "-inf"
 
-    def derivative(self, x) -> Fraction:
-        """Exact f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2; raises PoleHitError on
-        the denominator's roots.
-
-        In integers, as in eval, by _derivative_pair.
-        """
-        x = _coerce_fraction(x)
-        xn, xd = x.numerator, x.denominator
-        return Fraction(*self._derivative_pair(xn, xd, self._eval_pair(xn, xd)[1]))
-
     def _derivative_pair(self, xn: int, xd: int, den: int) -> tuple[int, int]:
         """f'(xn/xd) as an unreduced (numerator, denominator) pair, given den,
         the denominator of _eval_pair(xn, xd):
@@ -363,7 +351,6 @@ class CanonicalMap:
         Newton polygon of x^2 + c*x + a: when 2*v(c) < v(a) the root
         valuations are v(c) and v(a) - v(c); otherwise both equal v(a)/2,
         and v(a) must then be even for the roots to have norms in p**Z.
-        Cross-checked against |a|_p = alpha*beta and the |c|_p relations.
         """
         va, vc = self.va, self.vc
         if 2 * vc < va:
@@ -376,11 +363,8 @@ class CanonicalMap:
                     f"integer powers of {self.p} (roots of x^2+cx+a lie outside Q_p)"
                 )
             v_alpha = v_beta = va // 2
-        # alpha <= beta, |a| = alpha*beta, and the |c| constraints
-        if not (v_alpha >= v_beta and v_alpha + v_beta == va
-                and ((vc >= v_alpha) if v_alpha == v_beta else (vc == v_beta))):
-            raise VerificationError(f"pole valuations ({v_alpha}, {v_beta}) contradict "
-                                    f"v(a) = {va}, v(c) = {vc}")
+        # |a| = alpha*beta, alpha <= beta and the |c| relations hold for all integers va, vc: the
+        # sum is va; 2vc < va gives v_alpha = va - vc > vc = v_beta, else v_alpha = va/2 <= vc
         return v_alpha, v_beta
 
     # -- classification --------------------------------------------------------

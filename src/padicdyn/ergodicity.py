@@ -47,6 +47,7 @@ from .padic import (  # noqa: F401 - perfbench's tracer patches _unit_residue he
 
 __all__ = [
     "ORACLE_BALL_BUDGET",
+    "ErgodicityDecision",
     "ErgodicityVerdict",
     "IsometryReport",
     "Mod4Sums",
@@ -118,16 +119,15 @@ def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> UnitForm:
     map sends residue balls to residue balls. The valuations
     v(t1) = v(c) - v(a) - e and v(t2) = -v(a) - 2e are read off the map's
     ``va`` and ``vc``; v(lam) is 0 around x1, and around x2 lam and v(lam)
-    are the classification's multiplier and its exponent. The conditions
-    also make |a - x*y| = |a| for x = x_i + s*u, y = x_i + s*u':
-    a - x*y is a*(1 - t2*u*u') around x1 and
+    are f'(x2) and its valuation from the map's case facts, without building
+    a classification. The conditions also make |a - x*y| = |a| for
+    x = x_i + s*u, y = x_i + s*u': a - x*y is a*(1 - t2*u*u') around x1 and
     a*(lam + t1*(u + u') - t2*u*u') around x2.
     """
     _require_invariant(m, sphere)
     p, e, c = m.p, sphere.radius_exponent, m.c
     v1, v2 = m.vc - m.va - e, -m.va - 2 * e
-    x2 = None if sphere.center == "x1" else m.classify().x2
-    vl = 0 if x2 is None else x2.multiplier_norm_exponent
+    lam, vl = (None, 0) if sphere.center == "x1" else m._case_facts()[1:]
     if v1 < 1 or v2 < 1 or vl != 0:  # the message is built only on failure
         failed = ", ".join(text for holds, text in (
             (v1 >= 1, f"v(t1) = {v1} < 1"), (v2 >= 1, f"v(t2) = {v2} < 1"),
@@ -138,8 +138,8 @@ def rescale_to_unit(m: CanonicalMap, sphere: SphereSpec) -> UnitForm:
     an, ad = m.a.numerator, m.a.denominator
     t1 = Fraction(c.numerator * sn * ad, c.denominator * sd * an)
     t2 = Fraction(sn * sn * ad, sd * sd * an)
-    if x2 is not None:
-        return UnitForm(m, sphere, v1, v2, (Fraction(0), x2.multiplier, t1),
+    if lam is not None:
+        return UnitForm(m, sphere, v1, v2, (Fraction(0), lam, t1),
                         (Fraction(1), -t1, t2))
     return UnitForm(m, sphere, v1, v2, (Fraction(0), Fraction(1)), (Fraction(1), t1, t2))
 
@@ -191,7 +191,8 @@ def _displacement_rule(form: UnitForm) -> Optional[int]:
 # only for a message or a counterexample. sampled_checks, which ``ergodic``
 # runs, makes both checks on one draw and one unit form of f. verify_rho and
 # isometry_check make one check each; the library does not call them, so
-# they are not in __all__, and the tests use them as the single checks.
+# they are not in __all__; the tests and perfbench's tracer call them as the
+# single checks.
 
 
 def _sample(form: UnitForm, count: int, seed: Optional[int]):

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DegenerateMapError",
+    "InconsistentParametersError",
+    "NotASquareError",
+    "NotApplicableError",
+    "PadicDynError",
+    "PoleHitError",
+    "PrecisionError",
+    "PrimeMismatchError",
+    "UnsupportedCaseError",
+    "VerificationError",
+]
+
 
 class PadicDynError(Exception):
     """Base class for all errors raised by this package."""

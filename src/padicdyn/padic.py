@@ -27,12 +27,10 @@ __all__ = [
     "INFINITY",
     "PRIME_BOUND",
     "TruncatedPadic",
-    "Valuation",
     "hensel_sqrt",
     "is_prime",
     "is_square",
     "parse_rational",
-    "rational_sqrt",
 ]
 
 

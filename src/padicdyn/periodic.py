@@ -43,9 +43,9 @@ from .padic import (
 
 __all__ = [
     "PeriodicOrbit",
+    "QSweepRecord",
     "SphereConditions",
     "h_of_q",
-    "p6_eval",
     "q_sweep",
     "sphere_conditions",
     "three_periodic_from_q",
@@ -204,18 +204,6 @@ def _p6_numerator(m: CanonicalMap, xn: int, xd: int) -> int:
     for k, i, j, l in _P6_TERMS:
         total += k * pa[i] * pc[j] * px[l]
     return total
-
-
-def p6_eval(m: CanonicalMap, x) -> Fraction:
-    """Exact value of P(x); P(x) = 0 iff x is a 3-periodic (non-fixed) candidate.
-
-    Evaluated in integers: _p6_numerator's sum is divided by
-    ad^3 cd^3 xd^6 once.
-    """
-    x = _coerce_fraction(x)
-    xd = x.denominator
-    return Fraction(_p6_numerator(m, x.numerator, xd),
-                    m.a.denominator**3 * m.c.denominator**3 * xd**6)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,13 @@ from padicdyn.ergodicity import (
 )
 from padicdyn.padic import _fraction_valuation
 from padicdyn.periodic import (
-    p6_eval,
     three_periodic_from_q,
     two_periodic,
     verify_orbit_structure,
 )
 from util import (
     brute_force_is_square,
+    p6,
     random_rational,
     reference_rho,
     sphere_points,
@@ -176,7 +176,7 @@ def test_criterion_6_periodic_orbits_exact():
     assert m5.a == Fraction(5, 24) and m5.c == Fraction(-19, 24)
     a = Fraction(5, 24)
     assert m5.eval(m5.eval(m5.eval(a))) == a
-    assert p6_eval(m5, a) == 0
+    assert p6(m5, a) == 0
     # excluded parameters rejected
     for bad in (0, -1, Fraction(-2, 3)):
         with pytest.raises(ValueError):

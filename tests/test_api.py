@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import padicdyn
 
 
 @pytest.mark.parametrize("module", ["padic", "dynamics", "ergodicity", "periodic",
-                                    "conjugation"])
+                                    "conjugation", "errors"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"padicdyn.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
@@ -78,3 +79,28 @@ def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
         unused += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", ())
                    if name not in used]
     assert unused == []
+
+
+def _module_lists() -> dict[str, list[str]]:
+    """Each package module's __all__, by module name; cli has none."""
+    package = Path(padicdyn.__file__).parent
+    modules = [importlib.import_module(f"padicdyn.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    return {mod.__name__.removeprefix("padicdyn."): list(mod.__all__)
+            for mod in modules if hasattr(mod, "__all__")}
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    # the public API is written once, in the modules; the package re-exports it
+    union = [name for names in _module_lists().values() for name in names]
+    assert len(set(union)) == len(union)
+    assert sorted(padicdyn.__all__) == sorted(union)
+    assert [name for name in padicdyn.__all__ if not hasattr(padicdyn, name)] == []
+
+
+def test_the_readme_tour_lists_each_modules_public_names():
+    # one row per module, whose names column is exactly that module's __all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `padicdyn\.(\w+)` \| ([^|]*) \|", readme, re.M)
+    assert {module: sorted(re.findall(r"`(\w+)`", names)) for module, names in rows} == {
+        module: sorted(names) for module, names in _module_lists().items()}

@@ -945,7 +945,7 @@ def test_ergodic_request_builds_one_unit_form(capsys, monkeypatch, argv):
 
 
 def test_x2_sphere_request_computes_the_multiplier_once(capsys, monkeypatch):
-    # the unit form reads lambda = f'(x2) off the classification
+    # the unit form reads lambda = f'(x2) off the map's case facts
     calls = []
     real = CanonicalMap.multiplier_x2
     monkeypatch.setattr(CanonicalMap, "multiplier_x2",

@@ -27,10 +27,12 @@ from padicdyn.dynamics import (
 from padicdyn.padic import INFINITY, _fraction_valuation
 
 from util import (
+    derivative,
     norm_image_profile,
     random_nonzero_rational,
     random_rational,
     reference_case,
+    reference_derivative,
     representative,
     sphere_points,
     validate_norm_image,
@@ -67,14 +69,14 @@ def test_eval_and_derivative_match_the_fraction_formulas():
         den = x * x + m.c * x + m.a
         if den == 0:
             continue
-        value, slope = m.eval(x), m.derivative(x)
+        value, slope = m.eval(x), derivative(m, x)
         assert value == m.a * x / den and type(value) is Fraction
-        assert slope == m.a * (m.a - x * x) / (den * den) and type(slope) is Fraction
+        assert slope == reference_derivative(m, x)
         checked += 1
     # an integer point and a pole (x^2 + x - 2 = (x + 2)(x - 1))
-    assert CASE4.derivative(0) == 1 and CASE4.eval(2) == Fraction(-1)
+    assert derivative(CASE4, 0) == 1 and CASE4.eval(2) == Fraction(-1)
     with pytest.raises(PoleHitError):
-        CASE4.derivative(-2)
+        derivative(CASE4, -2)
 
 
 def test_eval_pole_raises():
@@ -238,7 +240,7 @@ def test_multiplier_kind_consistency_property():
         else:
             assert mv < 0
         # direct multiplier recomputation through the derivative
-        assert m.derivative(-m.c) == m.multiplier_x2()
+        assert derivative(m, -m.c) == m.multiplier_x2()
         seen.add(cls.case)
     assert seen >= {2, 3, 4, 5}
 

@@ -402,15 +402,15 @@ def test_every_sphere_reader_reports_a_gate_disagreement_as_verification(
 
 
 def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
-    # the displacement rule and the gate read integer valuations; the
-    # classification, which the invariance bound reads, is computed first
+    # the displacement rule and the gate read integer valuations; the case
+    # facts, which the invariance bound and the gate read, are computed first
     calls = []
     for module in ("padic", "dynamics", "ergodicity"):
         monkeypatch.setattr(f"padicdyn.{module}._fraction_valuation",
                             lambda x, p: calls.append(x) or _fraction_valuation(x, p))
     for m, sphere in [(M2, SphereSpec("x1", -2)), (CASE3, SphereSpec("x2", -1)),
                       (CASE2, SphereSpec("x1", -1)), (CASE2, SphereSpec("x2", -2))]:
-        m.classify()
+        m._case_facts()
         calls.clear()
         try:
             rho(rescale_to_unit(m, sphere))
@@ -418,6 +418,14 @@ def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
             pass
         sampled_checks(rescale_to_unit(m, sphere), 8)
         assert calls == [], (m, sphere)
+
+
+def test_x2_gate_builds_no_classification():
+    # the gate reads f'(x2) and its valuation off the map's case facts
+    m = CanonicalMap(5, 3, 1)
+    form = rescale_to_unit(m, SphereSpec("x2", -1))
+    assert m._cls is None
+    assert form.numerator[1] == m.classify().x2.multiplier
 
 
 # -- minimal invariant ball -----------------------------------------------------------

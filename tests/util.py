@@ -29,7 +29,7 @@ from padicdyn.errors import (
 )
 from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
 from padicdyn import periodic
-from padicdyn.periodic import PeriodicOrbit, QSweepRecord
+from padicdyn.periodic import PeriodicOrbit, QSweepRecord, _p6_numerator
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -108,7 +108,7 @@ def p6_coefficients(m) -> tuple[Fraction, ...]:
     P(x) = x^6 + 6c x^5 + (11c^2+6a) x^4 + (6c^3+20ac) x^3
            + (15ac^2+9a^2) x^2 + 12a^2 c x + 3a^3,
 
-    the Fraction reference of periodic.p6_eval.
+    the Fraction reference of periodic._p6_numerator.
     """
     a, c = m.a, m.c
     return (
@@ -122,14 +122,44 @@ def p6_coefficients(m) -> tuple[Fraction, ...]:
     )
 
 
+def reference_p6(m, x: Fraction) -> Fraction:
+    """P(x) by Horner's rule on p6_coefficients in Fraction arithmetic."""
+    value = Fraction(0)
+    for coefficient in reversed(p6_coefficients(m)):
+        value = value * x + coefficient
+    return value
+
+
+def p6(m, x) -> Fraction:
+    """P(x) as the library computes it: the integer numerator of
+    periodic._p6_numerator over its denominator ad^3 cd^3 xd^6."""
+    x = Fraction(x)
+    return Fraction(_p6_numerator(m, x.numerator, x.denominator),
+                    (m.a.denominator * m.c.denominator) ** 3 * x.denominator ** 6)
+
+
+def reference_derivative(m, x: Fraction) -> Fraction:
+    """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2 in Fraction arithmetic."""
+    den = x * x + m.c * x + m.a
+    return m.a * (m.a - x * x) / (den * den)
+
+
+def derivative(m, x) -> Fraction:
+    """f'(x) as the library computes it: CanonicalMap._derivative_pair over
+    the denominator of _eval_pair, which raises PoleHitError at a pole."""
+    x = Fraction(x)
+    xn, xd = x.numerator, x.denominator
+    return Fraction(*m._derivative_pair(xn, xd, m._eval_pair(xn, xd)[1]))
+
+
 # -- Fraction references for the 3-periodic family and the case of x2 ------------
 
 
 def reference_three_periodic_from_q(p: int, q) -> tuple:
     """The Fraction path of periodic.three_periodic_from_q: a = h(q) and
     c = q*a - 1 by Fraction formulas, the orbit by CanonicalMap.eval, P(a)
-    by Horner's rule on p6_coefficients and the multiplier as the sum of
-    v(f'(y)) with f'(y) = a*(a - y^2)/(y^2 + c*y + a)^2 in Fractions."""
+    by reference_p6 and the multiplier as the sum of v(f'(y)) by
+    reference_derivative."""
     q = Fraction(q)
     if q in (0, -1, Fraction(-2, 3)):
         raise ValueError(f"q = {q} is excluded (construction degenerates)")
@@ -140,11 +170,9 @@ def reference_three_periodic_from_q(p: int, q) -> tuple:
     m = CanonicalMap(p, a, q * a - 1)
     y1 = m.eval(a)
     y2 = m.eval(y1)
-    if m.eval(y2) != a or y1 == a or _horner(p6_coefficients(m), a) != 0:
+    if m.eval(y2) != a or y1 == a or reference_p6(m, a) != 0:
         raise VerificationError(f"the 3-cycle of q = {q} fails its checks")
-    c = m.c
-    mult = sum(_fraction_valuation(a * (a - y * y) / (y * y + c * y + a) ** 2, p)
-               for y in (a, y1, y2))
+    mult = sum(_fraction_valuation(reference_derivative(m, y), p) for y in (a, y1, y2))
     return m, PeriodicOrbit((a, y1, y2), mult, True)
 
 

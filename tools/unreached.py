@@ -47,13 +47,15 @@ def _runs(lines: list[int]) -> list[tuple[int, int]]:
     return [(a, b) for a, b in out]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
-                        help="checkout whose src/padicdyn and tests/ are used")
-    args = parser.parse_args(argv)
-    repo = Path(args.repo).resolve()
-    package = repo / "src" / "padicdyn"
+def report_unreached(package: Path, run):
+    """Call ``run()`` under ``sys.settrace`` and print the lines of
+    ``package``'s modules that hold bytecode but raised no trace event,
+    grouped into runs with the source of each run's first line, then a
+    count per module. Returns what ``run`` returns.
+
+    Only code of modules imported inside ``run`` counts its ``def`` lines
+    as reached, so ``run`` should make the first import of the package.
+    """
     files = {str(path): path for path in sorted(package.glob("*.py"))}
     executable = {name: _code_lines(compile(path.read_text(), name, "exec"), True)
                   for name, path in files.items()}
@@ -69,18 +71,11 @@ def main(argv=None) -> int:
             return local(frame, event, arg)
         return None
 
-    import pytest
-
-    sys.path.insert(0, str(repo / "src"))
-    os.chdir(repo)
     sys.settrace(tracer)
     try:
-        stdout, sys.stdout = sys.stdout, sys.stderr
-        status = pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-                              str(repo / "tests")])
+        result = run()
     finally:
         sys.settrace(None)
-        sys.stdout = stdout
     total = 0
     counts = []
     for name, path in files.items():
@@ -92,7 +87,29 @@ def main(argv=None) -> int:
             where = f"{path.name}:{a}" + (f"-{b}" if b > a else "")
             print(f"{where:24} {source[a - 1].strip()}")
     print(f"unreached: {total} lines ({'; '.join(counts)})")
-    return int(status)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/padicdyn and tests/ are used")
+    args = parser.parse_args(argv)
+    repo = Path(args.repo).resolve()
+
+    import pytest
+
+    def run_tests() -> int:
+        stdout, sys.stdout = sys.stdout, sys.stderr
+        try:
+            return pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+                                str(repo / "tests")])
+        finally:
+            sys.stdout = stdout
+
+    sys.path.insert(0, str(repo / "src"))
+    os.chdir(repo)
+    return int(report_unreached(repo / "src" / "padicdyn", run_tests))
 
 
 if __name__ == "__main__":
