@@ -8,15 +8,12 @@ The package re-exports the public names of its modules: each module's
 ``__all__`` is the one list of them, and ``padicdyn.__all__`` is their union.
 """
 
-from . import conjugation, dynamics, ergodicity, errors, padic, periodic
-from .conjugation import *  # noqa: F401,F403
-from .dynamics import *  # noqa: F401,F403
-from .ergodicity import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .padic import *  # noqa: F401,F403
-from .periodic import *  # noqa: F401,F403
+from . import errors, padic, dynamics, ergodicity, periodic, conjugation
 
-__all__ = [name for module in (errors, padic, dynamics, ergodicity, periodic, conjugation)
-           for name in module.__all__]
+__all__ = []
+for _module in (errors, padic, dynamics, ergodicity, periodic, conjugation):
+    globals().update({name: getattr(_module, name) for name in _module.__all__})
+    __all__ += _module.__all__
+del _module
 
 __version__ = "0.1.0"

@@ -3,15 +3,16 @@
 Runs a seeded set of requests in this process through ``padicdyn.cli.main``,
 with stdout and stderr captured: the golden, help and usage-error commands
 of ``tests/test_cli.py`` (each golden command with and without ``--json``),
-then ``--requests`` random requests over all five commands at p <= 11,
-one in ten at a composite p. Prints the lines of ``src/padicdyn`` that no request
+then ``REQUESTS`` random requests (seed ``SEED``) over all five commands at
+p <= 11, one in ten at a composite p. Prints the lines of ``src/padicdyn`` that no request
 executed, as ``tools/unreached.py`` prints those that no test executes, and
 the number of requests per exit code on stderr. A line that only a library
 caller reaches (the tests, the benchmark's ``q_sweep``) shows as unreached.
 
-    python3 tools/cli_reach.py                    # 1500 random requests, seed 0
-    python3 tools/cli_reach.py --requests 300 --seed 7
+    python3 tools/cli_reach.py
     python3 tools/cli_reach.py --repo /path/to/other/checkout
+
+The request set is fixed so that counts taken on two checkouts compare.
 
 Exits 1 when a request raises out of ``main``, else 0.
 """
@@ -28,6 +29,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from unreached import report_unreached
+
+REQUESTS = 1500  # random requests after the fixed ones
+SEED = 0  # seed of the random requests
 
 
 def _rational(rng: random.Random, p: int, height: int = 30) -> str:
@@ -67,12 +71,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/padicdyn and tests/test_cli.py are used")
-    parser.add_argument("--requests", type=int, default=1500, help="random requests to run")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the random requests")
     args = parser.parse_args(argv)
     repo = Path(args.repo).resolve()
-    rng = random.Random(args.seed)
-    randoms = [random_request(rng) for _ in range(args.requests)]
+    rng = random.Random(SEED)
+    randoms = [random_request(rng) for _ in range(REQUESTS)]
     codes: Counter = Counter()
     escaped = []
 
