@@ -23,12 +23,7 @@ from .dynamics import (
     sphere_units,
 )
 from .ergodicity import rescale_to_unit, rho
-from .errors import (
-    NotApplicableError,
-    PrecisionError,
-    VerificationError,
-    _verify,
-)
+from .errors import NotApplicableError, VerificationError, _verify
 from .padic import (
     INFINITY,
     TruncatedPadic,
@@ -80,6 +75,15 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     so f'(x) = a*(3a + 2c*x)/(c*x + a)^2. Over the two roots (sum -2c,
     product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
     factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
+
+    The swap holds for every a and c, so only s is checked. On a root t (no
+    pole, see below) f(t) = -a*t/(c*t + a), so f(t1) = t2 iff
+    -a*t1 = t2*(c*t1 + a), i.e. -a*(t1 + t2) = c*t1*t2, which is 2ac = 2ac;
+    likewise f(t2) = t1. A truncated s = p^v * (u + O(p^N)) is checked
+    exactly, on its representative r = p^v * u: v(r^2 - (c^2 - 2a)) >= 2v + N,
+    and one more at p = 2, where the N digits of s fix N + 1 digits of s^2
+    (and are fixed by them up to sign). VerificationError naming the
+    precision otherwise.
     """
     _require_precision_budget(m.p, precision)
     disc = m.c * m.c - 2 * m.a
@@ -96,21 +100,10 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     if not is_square(disc, m.p):
         return None
     s = hensel_sqrt(disc, precision, m.p)
-    t1 = s - m.c
-    t2 = -s - m.c
-    try:
-        f_t1 = m.eval_truncated(t1)
-        f_t2 = m.eval_truncated(t2)
-    except PrecisionError as exc:
-        raise PrecisionError(
-            f"2-cycle check became indeterminate at precision {precision}; "
-            f"rerun with a higher precision ({exc})"
-        ) from exc
-    if not (f_t1.approx_equal(t2) and f_t2.approx_equal(t1)):
-        raise VerificationError(
-            f"truncated 2-cycle verification failed at precision {precision}"
-        )
-    return PeriodicOrbit((t1, t2), mult, False)
+    r = Fraction(m.p) ** s.valuation * s.unit  # r^2 != disc: disc is no rational square
+    _verify(_fraction_valuation(r * r - disc, m.p) >= 2 * s.valuation + precision + (m.p == 2),
+            f"truncated 2-cycle verification failed at precision {precision}")
+    return PeriodicOrbit((s - m.c, -s - m.c), mult, False)
 
 
 def h_of_q(q: Fraction) -> Fraction:

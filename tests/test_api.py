@@ -68,19 +68,6 @@ def _loaded_names(paths) -> set[str]:
     return names
 
 
-def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
-    # public API that nothing runs belongs in tests/ or nowhere
-    package = Path(padicdyn.__file__).parent
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    used = _loaded_names(sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py")))
-    unused = []
-    for path in sorted(package.glob("*.py")):
-        mod = importlib.import_module(f"padicdyn.{path.stem}")
-        unused += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", ())
-                   if name not in used]
-    assert unused == []
-
-
 def _module_lists() -> dict[str, list[str]]:
     """Each package module's __all__, by module name; cli has none."""
     package = Path(padicdyn.__file__).parent
@@ -88,6 +75,16 @@ def _module_lists() -> dict[str, list[str]]:
                for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
     return {mod.__name__.removeprefix("padicdyn."): list(mod.__all__)
             for mod in modules if hasattr(mod, "__all__")}
+
+
+def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
+    # public API that nothing runs belongs in tests/ or nowhere
+    package = Path(padicdyn.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    used = _loaded_names(sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py")))
+    unused = [f"{module}.{name}" for module, names in _module_lists().items()
+              for name in names if name not in used]
+    assert unused == []
 
 
 def test_the_package_exports_the_union_of_the_module_lists():

@@ -11,12 +11,20 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity
+from padicdyn import cli, ergodicity, periodic
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
 
-from util import THREE_CYCLE_FAULTS, install_three_cycle_fault, reference_json, sphere_points
+from util import (
+    THREE_CYCLE_FAULTS,
+    install_three_cycle_fault,
+    last_digit_wrong,
+    on_the_two_cycle,
+    parse_truncated,
+    reference_json,
+    sphere_points,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,6 +60,10 @@ LATER_GOLDEN_COMMANDS = {
     # f'(x2) = -31 generates Z_3^*: the generator rule's ergodic x2-sphere
     "ergodic_x2_generator.json": ["ergodic", "--p", "3", "--a", "1/18", "--c", "-4/3",
                                   "--radius-exp", "-1", "--center", "x2", "--oracle-depth", "6"],
+    # a truncated 2-cycle that f cannot map at 32 digits: at the first point,
+    # c*t + a has valuation 23 but reads O(2^20)
+    "periodic_two_cycle_low_precision.json": ["periodic", "--p", "2", "--a=-64/21",
+                                              "--c=-7/64"],
 }
 GOLDEN_CASES = sorted(GOLDEN_COMMANDS.items()) + list(LATER_GOLDEN_COMMANDS.items())
 
@@ -159,12 +171,22 @@ def test_exit_unsupported_regimes(capsys):
     # pole norms outside p**Z (odd v(a) with 2v(c) >= v(a))
     code, _, err = run_cli(capsys, ["analyze", "--p", "3", "--a", "3", "--c", "3"])
     assert code == 2
-    # truncated 2-cycle check out of digits: names the precision used
-    code, _, err = run_cli(
-        capsys, ["periodic", "--p", "2", "--a", "32/7", "--c", "23/12", "--precision", "16"]
-    )
-    assert code == 2
-    assert "precision 16" in err and "rerun with a higher precision" in err
+    # a truncated orbit step out of digits names the precision used: x0 = 1 + 3^4
+    # reads 1 + O(3^4) at 4 digits, and 1 is a pole of x^2 - 3x + 2
+    code, out, err = run_cli(capsys, ["orbit", "--p", "3", "--a", "2", "--c=-3", "--x0", "82",
+                                      "--steps", "2", "--mode", "truncated", "--precision", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("precision: orbit step 1 became indeterminate at precision 4; "
+                          "rerun with a higher precision")
+    # a truncated 2-cycle that f cannot map at 16 digits is answered, not refused
+    code, out, err = run_cli(capsys, ["periodic", "--p", "2", "--a", "32/7", "--c", "23/12",
+                                      "--precision", "16", "--json"])
+    doc = json.loads(out)
+    assert (code, err, doc["exists"], doc["exact"]) == (0, "", True, False)
+    m = CanonicalMap(2, Fraction(32, 7), Fraction(23, 12))
+    points = [parse_truncated(x, 2) for x in doc["points"]]
+    assert [t.precision for t in points] == [7, 15]
+    assert all(on_the_two_cycle(m, t) for t in points)
 
 
 def test_analyze_four_parameter_routing(capsys):
@@ -586,11 +608,19 @@ def test_exact_orbit_whose_last_iterate_is_over_the_height_budget(capsys):
 
 
 def test_periodic_exits_3_when_the_truncated_2_cycle_check_fails(capsys, monkeypatch):
-    monkeypatch.setattr(CanonicalMap, "eval_truncated", lambda self, t: t)
+    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
     code, out, err = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_truncated.json"])
     assert (code, out) == (3, "")
     assert err == ("internal verification failed: truncated 2-cycle verification failed "
                    "at precision 32\n")
+
+
+def test_low_precision_two_cycle_golden_holds_on_every_reported_digit():
+    # the golden's points, read back from their digits, against exact arithmetic
+    doc = json.loads((GOLDEN / "periodic_two_cycle_low_precision.json").read_bytes())
+    m = CanonicalMap(2, Fraction(doc["input"]["a"]), Fraction(doc["input"]["c"]))
+    points = [parse_truncated(x, 2) for x in doc["points"]]
+    assert len(points) == 2 and all(on_the_two_cycle(m, t) for t in points)
 
 
 def test_orbit_step_budget_exits_1(capsys):

@@ -11,6 +11,7 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
+from padicdyn import periodic
 from padicdyn.ergodicity import rescale_to_unit, rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
@@ -29,6 +30,8 @@ from util import (
     derivative,
     faulty_eval_pair,
     install_three_cycle_fault,
+    last_digit_wrong,
+    on_the_two_cycle,
     p6,
     p6_coefficients,
     random_nonzero_rational,
@@ -64,11 +67,36 @@ def test_two_periodic_truncated():
 
 
 def test_two_periodic_refuses_a_truncated_cycle_that_f_does_not_swap(monkeypatch):
-    # f fixing both points instead of swapping them fails the truncated check
-    monkeypatch.setattr(CanonicalMap, "eval_truncated", lambda self, t: t)
+    # a square root wrong in its last digit gives points that f does not swap
+    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
     with pytest.raises(VerificationError,
-                       match="truncated 2-cycle verification failed at precision 24"):
+                       match="^truncated 2-cycle verification failed at precision 24$"):
         two_periodic(CanonicalMap(3, 3, 1), precision=24)
+
+
+def test_truncated_two_cycles_hold_on_every_reported_digit():
+    # each point is checked on its exact representative, also where f cannot
+    # map the points at that precision (a division that runs out of digits)
+    rng = random.Random(4343)
+    unmappable = 0
+    for p in (2, 3, 5, 7, 11):
+        for precision in (8, 16, 32):
+            found = 0
+            while found < 20:
+                a, c = (random_nonzero_rational(rng) * Fraction(p) ** rng.randint(-6, 6)
+                        for _ in range(2))
+                m = CanonicalMap(p, a, c)
+                orb = two_periodic(m, precision)
+                if orb is None or orb.exact:
+                    continue
+                found += 1
+                assert all(on_the_two_cycle(m, t) for t in orb.points)
+                try:
+                    for t in orb.points:
+                        m.eval_truncated(t)
+                except PrecisionError:
+                    unmappable += 1
+    assert unmappable >= 90  # 102 of the 300 maps
 
 
 def test_two_periodic_none_when_not_square():
@@ -458,11 +486,18 @@ def test_structure_check_3_catches_an_image_off_the_inner_sphere(monkeypatch):
     assert exc.value.counterexample == 32
 
 
-def test_two_cycle_check_names_the_precision():
+def test_two_cycle_check_names_the_precision(monkeypatch):
+    # f cannot map this cycle at 16 digits, and the cycle is still answered
     m = CanonicalMap(2, Fraction(32, 7), Fraction(23, 12))
-    with pytest.raises(PrecisionError, match="at precision 16; rerun with a higher precision"):
+    orb = two_periodic(m, precision=16)
+    assert not orb.exact and all(on_the_two_cycle(m, t) for t in orb.points)
+    with pytest.raises(PrecisionError):
+        m.eval_truncated(orb.points[0])
+    # at p = 2 the check reaches the last digit of s, one digit past those of s*s
+    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
+    with pytest.raises(VerificationError,
+                       match="^truncated 2-cycle verification failed at precision 16$"):
         two_periodic(m, precision=16)
-    assert not two_periodic(m).exact
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

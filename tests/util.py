@@ -27,7 +27,14 @@ from padicdyn.errors import (
     PrecisionError,
     VerificationError,
 )
-from padicdyn.padic import INFINITY, TruncatedPadic, _fraction_valuation, _horner, _unit_residue
+from padicdyn.padic import (
+    INFINITY,
+    TruncatedPadic,
+    _fraction_valuation,
+    _horner,
+    _unit_residue,
+    hensel_sqrt,
+)
 from padicdyn import periodic
 from padicdyn.periodic import PeriodicOrbit, QSweepRecord, _p6_numerator
 
@@ -100,6 +107,39 @@ def agrees_on_reported_digits(x: Fraction, t: TruncatedPadic, p: int) -> bool:
     """Whether the exact x reduces to t: x = t + O(p**abs_precision)."""
     diff = x - representative(t)
     return diff == 0 or _fraction_valuation(diff, p) >= t.abs_precision
+
+
+def on_the_two_cycle(m, t: TruncatedPadic) -> bool:
+    """Whether t agrees with a root of x^2 + 2c*x + 2a on its reported digits.
+
+    With A = t.abs_precision, r = representative(t) and y, y' the roots
+    (y - y' = +-2s, s^2 = c^2 - 2a), r^2 + 2c*r + 2a = (r - y)(r - y'). It
+    has valuation at least A + min(A, v(2s)) exactly when v(r - y) >= A for
+    one of the roots.
+    """
+    r = representative(t)
+    value = r * r + 2 * m.c * r + 2 * m.a
+    d = m.c * m.c - 2 * m.a
+    v_2s = _fraction_valuation(Fraction(2), m.p) + _fraction_valuation(d, m.p) // 2
+    prec = t.abs_precision
+    return value == 0 or _fraction_valuation(value, m.p) >= prec + min(prec, v_2s)
+
+
+def last_digit_wrong(x, precision: int, prime: int) -> TruncatedPadic:
+    """hensel_sqrt with the last of its digits changed (precision >= 2)."""
+    s = hensel_sqrt(x, precision, prime)
+    unit = (s.unit + prime ** (precision - 1)) % prime ** precision
+    return TruncatedPadic(prime, s.valuation, unit, precision)
+
+
+def parse_truncated(text: str, prime: int) -> TruncatedPadic:
+    """The nonzero TruncatedPadic whose str() is text."""
+    head, rest = text.split(" * (", 1)
+    terms = rest.split(") [", 1)[0].split(" + ")
+    unit = sum(int(term.split("*")[0]) * prime**i for i, term in enumerate(terms))
+    t = TruncatedPadic(prime, int(head.split("^")[1]), unit, len(terms))
+    assert str(t) == text
+    return t
 
 
 def p6_coefficients(m) -> tuple[Fraction, ...]:
