@@ -86,10 +86,11 @@ class ConjugationResult:
 def conjugate(m: GeneralMap) -> ConjugationResult:
     """Shift the double fixed point x2 to 0 and report the conjugated map.
 
-    Raises UnsupportedCaseError when there is no double fixed point. When
-    x2 = 0 the result carries the canonical two-parameter map (then B = d = a
-    and D = c, which is verified); when x2 != 0 only B, D and the family
-    label are returned.
+    Raises UnsupportedCaseError when there is no double fixed point, and
+    VerificationError when (x - x1)(x - x2)^2 fails a Vieta identity of the
+    cubic. When x2 = 0 the result carries the canonical two-parameter map
+    (then B = d = a and D = c); when x2 != 0 only B, D and the family label
+    are returned.
     """
     kind, x1, x2 = _cubic_root_profile(m)
     if kind == "distinct":
@@ -102,13 +103,13 @@ def conjugate(m: GeneralMap) -> ConjugationResult:
             "fixed-point cubic has a triple root: single fixed point of multiplicity three",
             label="triple-fixed-point",
         )
-    _verify(x1 + 2 * x2 == -m.c and x2 * x2 + 2 * x1 * x2 == m.d - m.a
-            and x1 * x2 * x2 == m.b,
+    # x1 + 2*x2 = -c holds by _cubic_root_profile's x1 = -c - 2*x2
+    _verify(x2 * x2 + 2 * x1 * x2 == m.d - m.a and x1 * x2 * x2 == m.b,
             f"Vieta identities fail for (x - {x1})(x - {x2})^2")
     B = x2 * x2 + m.c * x2 + m.d
     D = 2 * x2 + m.c
     if x2 == 0:
-        _verify(B == m.d == m.a and D == m.c, "x2 = 0 but (B, D) != (a, c)")
+        # B = d and D = c by their formulas, and d = a by the first identity
         canonical = CanonicalMap(m.p, B, D)
         return ConjugationResult(x1, x2, B, D, "two-parameter", canonical)
     return ConjugationResult(x1, x2, B, D, "three-parameter", None)

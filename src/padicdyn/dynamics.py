@@ -24,10 +24,8 @@ from .errors import (
     PrecisionError,
     PrimeMismatchError,
     UnsupportedCaseError,
-    VerificationError,
 )
 from .padic import (
-    INFINITY,
     TruncatedPadic,
     Valuation,
     _add_triples,
@@ -181,7 +179,7 @@ class CanonicalMap:
 
     def poles(self, precision: int = 24) -> PolePair:
         d = self.discriminant
-        s = rational_sqrt(d) if d >= 0 else None
+        s = rational_sqrt(d)
         if s is not None:
             return PolePair("rational", ((-self.c + s) / 2, (-self.c - s) / 2))
         if not is_square(d, self.p):
@@ -372,12 +370,20 @@ class CanonicalMap:
     def _case_facts(self) -> tuple:
         """(case, f'(x2), v(f'(x2))), computed once per map on integers.
 
-        The case follows from alpha_beta() and v(c), and cases 3 and 4 split
-        on v(a - c^2), read off the integer an*cd^2 - ad*cn^2 over ad*cd^2
-        (classify's table). Each case is cross-checked against mv, the
-        valuation of the one multiplier_x2() of the map, which v(a - c^2)
-        does not read. A failed check raises VerificationError; its message
-        is built only then.
+        With kappa = a/c^2, v(kappa) = va - 2vc and f'(x2) = 1 - 1/kappa
+        (multiplier_x2), so mv = v(f'(x2)) = v(a - c^2) - va. The case is
+        read off v(kappa), by the Newton polygon of alpha_beta(), and off mv:
+
+          5: v(kappa) > 0, alpha < beta; then v(a - c^2) = 2vc < va, so
+             mv = vc - (va - vc) = v_beta - v_alpha < 0;
+          2: v(kappa) < 0 and even (alpha_beta refuses odd), |c| < alpha;
+             then v(a - c^2) = va, so mv = 0;
+          3, 4: v(kappa) = 0, |c| = alpha = beta; then v(a - c^2) >= va,
+             so mv >= 0, and |a - c^2| = alpha^2 iff mv = 0 (case 3), else
+             mv > 0 (case 4; mv is INFINITY when a = c^2).
+
+        Each case thus fixes the norm of f'(x2), so the case is not checked
+        against it again.
         """
         cached = self._case
         if cached is not None:
@@ -386,32 +392,11 @@ class CanonicalMap:
         mult = self.multiplier_x2()
         mv = _fraction_valuation(mult, self.p)
         if v_alpha > v_beta:
-            if not mv == v_beta - v_alpha < 0:
-                raise VerificationError(f"case 5 needs |f'(x2)| = beta/alpha > 1, got v = {mv}")
             case = 5
         elif self.vc > v_alpha:
-            if mv != 0:
-                raise VerificationError(f"case 2 needs |f'(x2)| = 1, got v = {mv}")
             case = 2
         else:
-            # |c| = alpha = beta; split on |a - c^2| vs alpha^2. v(ad) and
-            # v(cd) are the negative parts of v(a) and v(c), as both are reduced
-            an, ad = self.a.numerator, self.a.denominator
-            cn, cd = self.c.numerator, self.c.denominator
-            gap = an * cd * cd - ad * cn * cn
-            gv = (_int_valuation(gap, self.p) - max(0, -self.va) - 2 * max(0, -self.vc)
-                  if gap else INFINITY)
-            if gv < 2 * v_alpha:
-                raise VerificationError(f"|a - c^2| exceeds alpha^2 (v = {gv})")
-            if gv == 2 * v_alpha:
-                if mv != 0:
-                    raise VerificationError(f"case 3 needs |f'(x2)| = 1, got v = {mv}")
-                case = 3
-            else:
-                # mv is INFINITY when a = c^2 (superattracting)
-                if not mv > 0:
-                    raise VerificationError(f"case 4 needs |f'(x2)| < 1, got v = {mv}")
-                case = 4
+            case = 3 if mv == 0 else 4
         result = (case, mult, mv)
         object.__setattr__(self, "_case", result)
         return result
@@ -431,9 +416,9 @@ class CanonicalMap:
           5: alpha < beta                   -> repelling on U_beta(x2),
                                                |f'(x2)| = beta/alpha
 
-        The case, f'(x2) and its valuation come from _case_facts, which
-        compares integers and runs the cross-checks of each case against
-        |f'(x2)|; this method builds the reports from them.
+        The case, f'(x2) and its valuation come from _case_facts, which reads
+        the case off v(a), v(c) and v(f'(x2)); this method builds the reports
+        from them.
         """
         cached = self._cls
         if cached is not None:

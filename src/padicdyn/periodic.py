@@ -76,8 +76,10 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
     factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
 
-    The swap holds for every a and c, so only s is checked. On a root t (no
-    pole, see below) f(t) = -a*t/(c*t + a), so f(t1) = t2 iff
+    The swap holds for every a and c, so f is never evaluated on the cycle
+    and only a truncated s is checked. No root t is a pole: a common root of
+    x^2 + 2c*x + 2a and x^2 + c*x + a has c*t + a = 0 and t^2 = 0, so a = 0,
+    which CanonicalMap refuses. So f(t) = -a*t/(c*t + a), and f(t1) = t2 iff
     -a*t1 = t2*(c*t1 + a), i.e. -a*(t1 + t2) = c*t1*t2, which is 2ac = 2ac;
     likewise f(t2) = t1. A truncated s = p^v * (u + O(p^N)) is checked
     exactly, on its representative r = p^v * u: v(r^2 - (c^2 - 2a)) >= 2v + N,
@@ -90,13 +92,9 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     if disc == 0:
         return None
     mult = _fraction_valuation(9 - 4 * m.c * m.c / m.a, m.p)
-    s = rational_sqrt(disc) if disc > 0 else None
+    s = rational_sqrt(disc)
     if s is not None:
-        t1, t2 = -m.c + s, -m.c - s
-        # no pole: a common root of x^2 + 2cx + 2a and x^2 + cx + a has
-        # cx + a = 0 and x^2 = 0, so a = 0, which CanonicalMap refuses
-        _verify(m.eval(t1) == t2 and m.eval(t2) == t1, "f does not swap -c +- s")
-        return PeriodicOrbit((t1, t2), mult, True)
+        return PeriodicOrbit((-m.c + s, -m.c - s), mult, True)
     if not is_square(disc, m.p):
         return None
     s = hensel_sqrt(disc, precision, m.p)
@@ -216,15 +214,14 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
 
     Around x1: |a|_p = r, i.e. |h(q)|_p = r. Around x2: |a - x2|_p =
     |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r, with v(a + c) read off the
-    integer an*cd + cn*ad over ad*cd. Invariance reads the map's pole
+    integer pairs of a and -c; x2_radius_exponent is None when a = -c. Invariance reads the map's pole
     valuations and case (sphere_is_invariant), not a classification. Raises
     InconsistentParametersError when the map's pole norms are not in p**Z.
     """
     e1 = -m.va
-    an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
-    top = an * cd + cn * ad
-    # v(ad) and v(cd) are the negative parts of v(a) and v(c), as both are reduced
-    e2 = max(0, -m.va) + max(0, -m.vc) - _int_valuation(top, m.p) if top else None
+    c = m.c
+    e2 = _distance_exponent_pairs(m.p, m.a.numerator, m.a.denominator, -c.numerator, c.denominator)
+    e2 = None if e2 == "-inf" else e2
     return SphereConditions(
         e1, m.sphere_is_invariant(SphereSpec("x1", e1)),
         e2, e2 is not None and m.sphere_is_invariant(SphereSpec("x2", e2)),

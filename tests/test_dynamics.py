@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +10,6 @@ from padicdyn import (
     PoleHitError,
     SphereSpec,
     UnsupportedCaseError,
-    VerificationError,
 )
 from padicdyn.dynamics import (
     EXACT_HEIGHT_BUDGET,
@@ -31,6 +26,7 @@ from util import (
     norm_image_profile,
     random_nonzero_rational,
     random_rational,
+    random_unit,
     reference_case,
     reference_derivative,
     representative,
@@ -245,27 +241,6 @@ def test_multiplier_kind_consistency_property():
     assert seen >= {2, 3, 4, 5}
 
 
-def test_classification_check_survives_python_O():
-    # python -O strips assert statements; the case invariants must still run
-    script = (
-        "from fractions import Fraction\n"
-        "from padicdyn import CanonicalMap, VerificationError\n"
-        "assert False, 'assert statements are not stripped'\n"
-        "CanonicalMap.multiplier_x2 = lambda self: Fraction(5)  # breaks case 3\n"
-        "try:\n"
-        "    CanonicalMap(5, 3, 1).classify()\n"
-        "except VerificationError as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "VerificationError case 3 needs |f'(x2)| = 1, got v = 1\n"
-
-
 def test_classification_is_computed_once_per_map(monkeypatch):
     calls = []
     real = CanonicalMap.multiplier_x2
@@ -282,30 +257,6 @@ def test_sphere_is_invariant_builds_no_classification():
     assert m.sphere_is_invariant(SphereSpec("x2", -1))
     assert m.sphere_is_invariant(SphereSpec("x1", -1))
     assert m._cls is None
-
-
-@pytest.mark.parametrize("m,mult,message", [
-    (CASE2, Fraction(5), "case 2 needs |f'(x2)| = 1, got v = 1"),
-    (CASE3, Fraction(5), "case 3 needs |f'(x2)| = 1, got v = 1"),
-    (CASE4, Fraction(1), "case 4 needs |f'(x2)| < 1, got v = 0"),
-    (CASE5, Fraction(1), "case 5 needs |f'(x2)| = beta/alpha > 1, got v = 0"),
-])
-def test_case_cross_checks_name_the_failure(monkeypatch, m, mult, message):
-    monkeypatch.setattr(CanonicalMap, "multiplier_x2", lambda self: mult)
-    m = CanonicalMap(m.p, m.a, m.c)  # the shared maps may hold their case already
-    for read in (m.invariant_spheres, m.classify):
-        with pytest.raises(VerificationError) as exc:
-            read()
-        assert str(exc.value) == message
-
-
-def test_case_check_of_a_minus_c_squared_names_the_failure(monkeypatch):
-    # |c| = alpha = beta forces v(a - c^2) >= 2 v_alpha; wrong pole
-    # valuations break it
-    monkeypatch.setattr(CanonicalMap, "alpha_beta", lambda self: (1, 1))
-    with pytest.raises(VerificationError) as exc:
-        CanonicalMap(5, 3, 1).classify()
-    assert str(exc.value) == "|a - c^2| exceeds alpha^2 (v = 0)"
 
 
 def test_integer_case_matches_the_papers_comparisons():
@@ -345,6 +296,43 @@ def test_integer_case_matches_the_papers_comparisons():
         superattracting += cls.x2.superattracting
         seen.add(case)
     assert seen == {2, 3, 4, 5} and refused > 0 and superattracting > 0
+
+
+def test_case_follows_the_kappa_table():
+    # with kappa = a/c^2 and f'(x2) = 1 - 1/kappa: case 5 iff v(kappa) > 0,
+    # case 2 iff v(kappa) < 0 is even, InconsistentParametersError iff
+    # v(kappa) < 0 is odd, and at v(kappa) = 0 case 4 iff v(f'(x2)) > 0, else
+    # case 3. Seeded maps with a and c scaled by powers of p, maps with
+    # kappa = 1 mod p and maps with a = c^2; both the map's case and
+    # reference_case must follow the table
+    rng = random.Random(4412)
+    seen = set()
+    for k in range(3000):
+        p = rng.choice((2, 3, 5, 7, 11))
+        c = random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-4, 4)
+        if k % 3 == 0:
+            a = random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-4, 4)
+        elif k % 3 == 1:  # kappa = 1 + p^j u with u a unit
+            a = (1 + Fraction(p) ** rng.randint(1, 4) * random_unit(rng, p, 30)) * c * c
+        else:
+            a = c * c
+        m = CanonicalMap(p, a, c)
+        kappa = a / (c * c)
+        vk = _fraction_valuation(kappa, p)
+        if vk > 0:
+            expected = 5
+        elif vk < 0:
+            expected = "refused" if vk % 2 else 2
+        else:
+            expected = 4 if _fraction_valuation(1 - 1 / kappa, p) > 0 else 3
+        for read in (lambda: m._case_facts()[0], lambda: reference_case(m)[0]):
+            try:
+                got = read()
+            except InconsistentParametersError:
+                got = "refused"
+            assert got == expected, (p, a, c)
+        seen.add(expected)
+    assert seen == {2, 3, 4, 5, "refused"}
 
 
 def test_invariant_spheres():

@@ -595,15 +595,6 @@ def test_mod4_rejects_bad_inputs():
         mod4_criterion([0, 2], [1])  # 2t does not preserve the odd units
 
 
-def test_mod4_checks_the_sums_against_the_values_at_one(monkeypatch):
-    # off by 4 at t = 1 only: the value stays odd, so the spot checks pass
-    real = ergodicity._horner
-    monkeypatch.setattr(ergodicity, "_horner",
-                        lambda coeffs, t: real(coeffs, t) + (4 if t == 1 else 0))
-    with pytest.raises(VerificationError, match="coefficient sums differ"):
-        mod4_criterion(*_coefficients(M2, SphereSpec("x1", -2)))
-
-
 def _odd_unit_cycles(num, den, k):
     """Cycle lengths of t -> num(t)/den(t) on the odd residues mod 2^k, each
     image an exact Fraction reduced mod 2^k."""
