@@ -214,8 +214,8 @@ def sphere_conditions(m: CanonicalMap) -> SphereConditions:
 
     Around x1: |a|_p = r, i.e. |h(q)|_p = r. Around x2: |a - x2|_p =
     |a + c|_p = r, i.e. |h(q)(q+1) - 1|_p = r, with v(a + c) read off the
-    integer pairs of a and -c; x2_radius_exponent is None when a = -c. Invariance reads the map's pole
-    valuations and case (sphere_is_invariant), not a classification. Raises
+    integer pairs of a and -c. Invariance reads the map's pole valuations
+    and case (sphere_is_invariant), not a classification. Raises
     InconsistentParametersError when the map's pole norms are not in p**Z.
     """
     e1 = -m.va
