@@ -86,9 +86,8 @@ class ConjugationResult:
 def conjugate(m: GeneralMap) -> ConjugationResult:
     """Shift the double fixed point x2 to 0 and report the conjugated map.
 
-    Raises UnsupportedCaseError when there is no double fixed point, and
-    VerificationError when (x - x1)(x - x2)^2 fails a Vieta identity of the
-    cubic. When x2 = 0 the result carries the canonical two-parameter map
+    Raises UnsupportedCaseError when there is no double fixed point. When
+    x2 = 0 the result carries the canonical two-parameter map
     (then B = d = a and D = c); when x2 != 0 only B, D and the family label
     are returned.
     """
@@ -103,13 +102,15 @@ def conjugate(m: GeneralMap) -> ConjugationResult:
             "fixed-point cubic has a triple root: single fixed point of multiplicity three",
             label="triple-fixed-point",
         )
-    # x1 + 2*x2 = -c holds by _cubic_root_profile's x1 = -c - 2*x2
-    _verify(x2 * x2 + 2 * x1 * x2 == m.d - m.a and x1 * x2 * x2 == m.b,
-            f"Vieta identities fail for (x - {x1})(x - {x2})^2")
+    # No Vieta identity of (x - x1)(x - x2)^2 can fail. For roots (r, r, s),
+    # A = -(2r + s), B = r^2 + 2rs and C = -r^2*s, so 9C - AB = 2r(r - s)^2
+    # and A^2 - 3B = (r - s)^2: _cubic_root_profile returns x2 = r and
+    # x1 = -A - 2r = s exactly, and then x2^2 + 2*x1*x2 = B = d - a and
+    # x1*x2^2 = -C = b.
     B = x2 * x2 + m.c * x2 + m.d
     D = 2 * x2 + m.c
     if x2 == 0:
-        # B = d and D = c by their formulas, and d = a by the first identity
+        # B = d and D = c by their formulas, and d = a by x2^2 + 2*x1*x2 = d - a
         canonical = CanonicalMap(m.p, B, D)
         return ConjugationResult(x1, x2, B, D, "two-parameter", canonical)
     return ConjugationResult(x1, x2, B, D, "three-parameter", None)

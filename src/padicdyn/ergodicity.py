@@ -11,9 +11,12 @@ distance rho(r). Three independent deciders are provided and cross-checked:
     on the sphere's unit coordinate (p = 2, spheres around x1);
   * residue_cycle_oracle: brute-force cycle structure of the induced
     permutations of residue balls, level by level. One integer pass of f on
-    the unit coordinate at the deepest level gives every level (each
-    coarser one is its reduction), and exact evaluation of f anchors the
-    first balls of that pass.
+    the unit coordinate at the deepest level p^L gives every level, each a
+    list indexed by residue, each coarser one the reduction of the finer
+    list. The pass computes no modular inverse per ball: the gate puts
+    every denominator of f's unit form in the group 1 + pZ, and one table
+    of that group's inverses mod p^L is built per call. Exact evaluation
+    of f anchors the first balls of the pass.
 
 rescale_to_unit is the one place that writes f on a sphere's unit
 coordinate and decides which spheres the checks apply to. It returns a
@@ -316,23 +319,47 @@ def _residue(x: Fraction, mod: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def _verify_permutation(perm: dict[int, int], p: int, level: int) -> None:
-    left = next((u for u, w in perm.items() if w % p == 0), None)
-    _verify(left is None, f"image left the sphere at ball u={left}", left)
-    _verify(perm.keys() == set(perm.values()),
-            f"induced ball map at level {level} is not a permutation")
-
-
 #: Balls whose kernel image is checked against exact evaluation of f.
 _ANCHOR_BALLS = 8
 
 
-def _ball_permutation(form: UnitForm, level: int) -> dict[int, int]:
+def _inverse_table(p: int, mod: int) -> list[int]:
+    """The inverses of the group 1 + pZ mod ``mod`` (a power of p), as a list
+    read at x: x^-1 mod ``mod`` for every x = 1 (mod p), and 0 for every
+    other x < mod.
+
+    The group is cyclic, generated by 1 + p, for odd p, and it is
+    {1, -1} x <5> for p = 2. Its powers g^0 ... g^(N-1) take one
+    multiplication each, and g^(N-i) is the inverse of g^i.
+    """
+    g, n = (5, max(mod // 4, 1)) if p == 2 else (1 + p, mod // p)
+    powers = [1]
+    while len(powers) < n:  # g^j for j < 2*len from g^j for j < len
+        step = powers[-1] * g % mod
+        powers += [x * step % mod for x in powers]
+    del powers[n:]
+    inverses = powers[:1] + powers[:0:-1]
+    table = [0] * mod
+    for x, y in zip(powers, inverses):
+        table[x] = y
+    if p == 2:  # -x has the inverse -x^-1
+        for x, y in zip(powers, inverses):
+            table[mod - x] = mod - y
+    return table
+
+
+def _ball_permutation(form: UnitForm, level: int) -> list[int]:
     """The permutation f induces on radius-r*p^-level balls of the sphere.
 
     Balls are indexed by unit residues u mod p**level; the ball of index u
-    is V_(r*p^-level)(center + u*p^-e). The images come from the form's
-    coefficients, reduced mod p**level once.
+    is V_(r*p^-level)(center + u*p^-e). The result is a list of length
+    p**level that reads the image index at every unit u and 0 at every
+    other index. The images come from the form's coefficients, reduced
+    mod p**level once, and from one _inverse_table: the gate of
+    rescale_to_unit makes v(t1) >= 1 and v(t2) >= 1, so every denominator
+    1 + d1*u + d2*u^2 is 1 mod p and lies in the table's group. A kernel
+    for spheres past that gate must not read the table. An entry the table
+    lacks reads 0 and sends its ball off the sphere.
     Every image is checked to be a unit and the map to be a bijection; the
     first _ANCHOR_BALLS images are checked against exact evaluation of f at
     two representatives each. The anchors evaluate f
@@ -346,15 +373,25 @@ def _ball_permutation(form: UnitForm, level: int) -> dict[int, int]:
     # w = u*(n1 + n2*u) / (1 + d1*u + d2*u^2); around x1 the numerator is u
     n1, n2 = ([_residue(x, mod) for x in form.numerator[1:]] + [0])[:2]
     _, d1, d2 = (_residue(x, mod) for x in form.denominator)
-    perm = {u: u * (n1 + n2 * u) * pow(1 + (d1 + d2 * u) * u, -1, mod) % mod
-            for u in range(1, mod) if u % p}
-    _verify_permutation(perm, p, level)
+    inverse = _inverse_table(p, mod)
+    perm = [0] * mod
+    for r in range(1, p):  # the units, one residue class mod p at a time
+        perm[r::p] = [u * (n1 + n2 * u) * inverse[(1 + (d1 + d2 * u) * u) % mod] % mod
+                      for u in range(r, mod, p)]
+    images = set(perm)
+    # the non-units read 0, so every unit image is a unit iff 0 occurs
+    # mod/p times and no other multiple of p occurs
+    if perm.count(0) != mod // p or not images.isdisjoint(range(p, mod, p)):
+        left = next(u for u, w in enumerate(perm) if u % p and not w % p)
+        raise VerificationError(f"image left the sphere at ball u={left}", counterexample=left)
+    _verify(len(images) == mod - mod // p + 1,
+            f"induced ball map at level {level} is not a permutation")
     # the centre is xn/xd and s = p^-e is sn/sd; the point of rep is
     # (xn*sd + rep*sn*xd)/(xd*sd), and its image coordinate
     # w = (f(x) - xn/xd)/s = ((num*xd - xn*den)*sd) / (den*xd*sn)
     xn, xd = (0, 1) if sphere.center == "x1" else (-m.c.numerator, m.c.denominator)
     sn, sd = (p ** -e, 1) if e <= 0 else (1, p ** e)
-    for u in islice(perm, _ANCHOR_BALLS):
+    for u in islice((u for u in range(1, mod) if u % p), _ANCHOR_BALLS):
         for rep in (u, u + mod):
             num, den = m._eval_pair(xn * sd + rep * sn * xd, xd * sd)
             wn, wd = (num * xd - xn * den) * sd, den * xd * sn
@@ -368,18 +405,19 @@ def _ball_permutation(form: UnitForm, level: int) -> dict[int, int]:
     return perm
 
 
-def _cycle_lengths(perm: dict[int, int]) -> list[int]:
-    seen: set[int] = set()
+def _cycle_lengths(perm: list[int]) -> list[int]:
+    """Cycle lengths, longest first, of a permutation of the units mod
+    len(perm), given as a list that reads 0 at every non-unit."""
+    seen = bytearray(len(perm))
     lengths = []
-    for start in perm:
-        if start in seen:
-            continue
-        n, u = 0, start
-        while u not in seen:
-            seen.add(u)
-            u = perm[u]
-            n += 1
-        lengths.append(n)
+    for start, w in enumerate(perm):
+        if w and not seen[start]:
+            n, u = 0, start
+            while not seen[u]:
+                seen[u] = 1
+                u = perm[u]
+                n += 1
+            lengths.append(n)
     return sorted(lengths, reverse=True)
 
 
@@ -421,9 +459,12 @@ def residue_cycle_oracle(form: UnitForm, depth: Optional[int] = None) -> OracleR
     the default depth is 8 for p = 2 and 5 otherwise, lowered to the
     largest depth that fits.
 
-    The kernel runs once, at ``depth``. Level k is read off level k + 1:
-    ball u < p^k maps to the reduction of its image, and every finer ball
-    must map into the image of its parent ball (checked).
+    The kernel runs once, at ``depth``, and returns a list (see
+    _ball_permutation). Level k is read off level k + 1: reduced mod p^k,
+    the finer list's first p^k entries are level k, and each of its p - 1
+    upper slices of p^k entries must equal them, that is, every finer ball
+    maps into the image of its parent ball (checked). Cycle lengths are
+    walked on each level's list.
     """
     p = form.m.p
     fits = 1
@@ -443,13 +484,15 @@ def residue_cycle_oracle(form: UnitForm, depth: Optional[int] = None) -> OracleR
     perm = _ball_permutation(form, depth)
     levels = []
     for k in range(depth, 0, -1):
+        mod = p ** k
         if k < depth:
-            mod = p ** k
-            finer, perm = perm, {u: w % mod for u, w in perm.items() if u < mod}
-            stray = next((u for u, w in finer.items() if w % mod != perm[u % mod]), None)
-            _verify(stray is None,
+            finer = [w % mod for w in perm]
+            perm = finer[:mod]
+            if any(finer[j * mod:(j + 1) * mod] != perm for j in range(1, p)):
+                stray = next(u for u, w in enumerate(finer) if w != perm[u % mod])
+                raise VerificationError(
                     f"induced ball map not well defined at level {k}: ball u={stray}",
-                    stray)
+                    counterexample=stray)
             # No permutation check is needed here. The finer level is a
             # bijection of the units mod p^(k+1) (checked at the deepest
             # level, and by this argument at the others), and this level is
@@ -458,7 +501,7 @@ def residue_cycle_oracle(form: UnitForm, depth: Optional[int] = None) -> OracleR
             # u' mod p^k. The map is onto, hence a bijection of this finite
             # set, and its images, reductions of units, are units.
         lengths = _cycle_lengths(perm)
-        levels.append(OracleLevel(k, len(perm), len(lengths), tuple(lengths)))
+        levels.append(OracleLevel(k, mod - mod // p, len(lengths), tuple(lengths)))
     levels.reverse()
     return OracleResult(depth, tuple(levels), all(lv.cycle_count == 1 for lv in levels))
 

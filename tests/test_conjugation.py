@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -117,24 +113,3 @@ def test_vieta_roundtrip_and_conjugacy_property():
         ts = [Fraction(k, 11) for k in range(1, 12)]
         assert verify_conjugacy(m, r, ts) >= 8
         built += 1
-
-
-def test_vieta_check_survives_python_O():
-    # python -O strips assert statements; the Vieta identities must still run
-    script = (
-        "from fractions import Fraction\n"
-        "from padicdyn import VerificationError, conjugation\n"
-        "assert False, 'assert statements are not stripped'\n"
-        "conjugation._cubic_root_profile = lambda m: ('double', Fraction(1), Fraction(0))\n"
-        "try:\n"
-        "    conjugation.conjugate(conjugation.GeneralMap(5, 1, 0, -1, 2))  # d - a = 1 != 0\n"
-        "except VerificationError as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "VerificationError Vieta identities fail for (x - 1)(x - 0)^2\n"

@@ -1,8 +1,12 @@
 import dataclasses
 import inspect
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,7 @@ from padicdyn.ergodicity import (
     ErgodicityVerdict,
     _ball_permutation,
     _cycle_lengths,
-    _verify_permutation,
+    _inverse_table,
     decide_ergodicity,
     ergodicity_theorem,
     isometry_check,
@@ -437,8 +441,10 @@ def _minimal_invariant_ball(m, sphere):
     rho_exp = rho(rescale_to_unit(m, sphere))
     level = sphere.radius_exponent - rho_exp
     if level >= 1:
-        assert all(u == w for u, w in _ball_permutation(rescale_to_unit(m, sphere), level).items())
-    assert all(u != w for u, w in _ball_permutation(rescale_to_unit(m, sphere), level + 1).items())
+        perm = _ball_permutation(rescale_to_unit(m, sphere), level)
+        assert all(u == w for u, w in enumerate(perm) if u % m.p)
+    perm = _ball_permutation(rescale_to_unit(m, sphere), level + 1)
+    assert all(u != w for u, w in enumerate(perm) if u % m.p)
     return rho_exp
 
 
@@ -599,7 +605,7 @@ def _odd_unit_cycles(num, den, k):
     """Cycle lengths of t -> num(t)/den(t) on the odd residues mod 2^k, each
     image an exact Fraction reduced mod 2^k."""
     mod = 2 ** k
-    perm = {}
+    perm = [0] * mod
     for t in range(1, mod, 2):
         w = _horner(num, Fraction(t)) / _horner(den, Fraction(t))
         perm[t] = w.numerator * pow(w.denominator, -1, mod) % mod
@@ -697,23 +703,103 @@ def test_kernel_refuses_a_sphere_whose_balls_do_not_map_to_balls():
         _ball_permutation(rescale_to_unit(M2, SphereSpec("x1", -1)), 3)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_inverse_table_inverts_the_group_one_plus_p(p):
+    level = 1
+    while p ** level <= 2 ** 12:
+        mod = p ** level
+        table = _inverse_table(p, mod)
+        assert table == [pow(x, -1, mod) if x % p == 1 else 0 for x in range(mod)], mod
+        level += 1
+
+
+# The ergodic p = 2 sphere at the default depth 8: ball 1 is anchored, ball
+# 255 is not (it shares its denominator residue with ball 127, not anchored
+# either). "missing" drops the ball's table entry, "wrong" multiplies it by
+# 1 + p, so it stays a unit.
+TABLE_FAULTS = [
+    (1, "missing", "image left the sphere at ball u=1"),
+    (1, "wrong", "induced ball map at level 8 is not a permutation"),
+    (255, "missing", "image left the sphere at ball u=127"),
+    (255, "wrong", "induced ball map at level 8 is not a permutation"),
+]
+TABLE_FAULT_ARGV = ["ergodic", "--p", "2", "--a", "2", "--c", "1", "--radius-exp", "-2"]
+
+
+def _denominator_residue(form, u: int, mod: int) -> int:
+    """1 + d1*u + d2*u^2 mod ``mod``, on Fractions: the table entry ball u reads."""
+    x = _horner(form.denominator, Fraction(u))
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def _install_table_fault(monkeypatch, ball: int, fault: str) -> None:
+    form = rescale_to_unit(M2, SphereSpec("x1", -2))
+    key, real = _denominator_residue(form, ball, 2 ** 8), ergodicity._inverse_table
+
+    def table(p, mod):
+        out = real(p, mod)
+        out[key] = 0 if fault == "missing" else out[key] * (1 + p) % mod
+        return out
+
+    monkeypatch.setattr(ergodicity, "_inverse_table", table)
+
+
+@pytest.mark.parametrize("ball,fault,message", TABLE_FAULTS)
+def test_a_table_with_one_wrong_entry_is_refused(monkeypatch, capsys, ball, fault, message):
+    _install_table_fault(monkeypatch, ball, fault)
+    with pytest.raises(VerificationError) as exc:
+        residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)))
+    assert str(exc.value) == message
+    assert cli.main(TABLE_FAULT_ARGV) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"internal verification failed: {message}\n")
+
+
+def test_table_refusal_survives_python_O():
+    # python -O strips assert statements; the kernel's checks must still run
+    form = rescale_to_unit(M2, SphereSpec("x1", -2))
+    key = _denominator_residue(form, 1, 2 ** 8)
+    script = (
+        "import sys\n"
+        "from padicdyn import cli, ergodicity\n"
+        "assert False, 'assert statements are not stripped'\n"
+        "real = ergodicity._inverse_table\n"
+        "def table(p, mod):\n"
+        "    out = real(p, mod)\n"
+        f"    out[{key}] = 0\n"
+        "    return out\n"
+        "ergodicity._inverse_table = table\n"
+        f"sys.exit(cli.main({TABLE_FAULT_ARGV!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "internal verification failed: image left the sphere at ball u=1\n")
+
+
 def test_ball_map_checks_catch_broken_tables(monkeypatch):
-    with pytest.raises(VerificationError, match="image left the sphere at ball u=2"):
-        _verify_permutation({1: 1, 2: 3}, 3, 1)
-    with pytest.raises(VerificationError, match="level 1 is not a permutation"):
-        _verify_permutation({1: 2, 2: 2}, 3, 1)
     # swap the images of balls 1 and 3 mod 8: still a bijection at level 3,
     # but ball 5 no longer maps into the image of its parent ball 1 mod 4
     real = ergodicity._ball_permutation
+    pair = [1, 3]
 
     def swapped(form, level):
         perm = real(form, level)
-        perm[1], perm[3] = perm[3], perm[1]
+        i, j = pair
+        perm[i], perm[j] = perm[j], perm[i]
         return perm
 
     monkeypatch.setattr(ergodicity, "_ball_permutation", swapped)
     with pytest.raises(VerificationError, match="not well defined at level 2: ball u=5"):
         residue_cycle_oracle(rescale_to_unit(M2, SphereSpec("x1", -2)), depth=3)
+    # at p = 3, swap balls 19 and 20 mod 27, in the top third (18-26) of level
+    # 3: ball 19 no longer maps into the image of its parent ball 1 mod 9
+    pair[:] = [19, 20]
+    with pytest.raises(VerificationError, match="not well defined at level 2: ball u=19"):
+        residue_cycle_oracle(rescale_to_unit(CASE4, SphereSpec("x1", -1)), depth=3)
 
 
 def _differential_spheres(p: int, rng: random.Random, count: int):

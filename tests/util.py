@@ -362,9 +362,10 @@ def reference_rho(m, sphere: SphereSpec) -> int:
 # -- Fraction reference for the residue oracle's integer kernel --------------------
 
 
-def reference_ball_permutation(m, sphere: SphereSpec, level: int) -> dict[int, int]:
+def reference_ball_permutation(m, sphere: SphereSpec, level: int) -> list[int]:
     """f on the radius-r*p^-level balls of the sphere, read off exact values
-    of f at two representatives, u and u + p^level, of every ball."""
+    of f at two representatives, u and u + p^level, of every ball, in the
+    kernel's list form: the image of every unit u, and 0 at non-units."""
     p = m.p
     center = m.center_point(sphere.center)
     scale = Fraction(p) ** -sphere.radius_exponent
@@ -381,7 +382,7 @@ def reference_ball_permutation(m, sphere: SphereSpec, level: int) -> dict[int, i
         assert len(images) == 1, f"induced ball map not well defined at u={u}"
         perm[u] = images.pop()
     assert sorted(perm.values()) == sorted(perm), "induced ball map is not a permutation"
-    return perm
+    return [perm.get(u, 0) for u in range(mod)]
 
 
 def reference_oracle_levels(m, sphere: SphereSpec, depth: int) -> tuple:

@@ -12,7 +12,9 @@ construction included), ``invariant_spheres()`` on a freshly built map
 and ``multiplier_x2()``. On the periodic path it times ``q_sweep(p, 8)``
 for p in SWEEP_PRIMES and ``three_periodic_from_q(7, 1)``. On the
 ergodicity path it times, at the spheres of ORACLE_SPHERES (one per prime
-at its ``oracle_deep`` depth), one ``_ball_permutation`` level and
+at its ``oracle_deep`` depth) and at ORACLE_FLAGSHIP (p = 2, depth 14), the
+table of inverses of 1 + pZ mod p**depth (``_inverse_table``, where the
+checkout has it), one ``_ball_permutation`` level and
 ``decide_ergodicity``; ``mod4_criterion`` of the golden p = 2 sphere's
 unit form; and ``verify_rho`` plus ``isometry_check`` with 32 samples,
 unseeded and seeded, next to ``sampled_checks``, which runs both on one
@@ -73,6 +75,8 @@ ISOMETRY_SPHERES = ((2, 2, 1, "x1", -2), (3, -2, 1, "x1", -1), (5, 3, 1, "x2", -
 # sphere each at p = 5 and 7, at the depths of the oracle_deep workload
 ORACLE_SPHERES = ((2, 2, 1, "x1", -2, 8), (3, -2, 1, "x1", -1, 5), (5, 3, 1, "x2", -1, 4),
                   (7, 3, 1, "x1", -2, 3))
+# oracle_deep's unscored p = 2 flagship: (p, a, c, center, e, depth)
+ORACLE_FLAGSHIP = (2, 2, 1, "x1", -2, 14)
 # (p, a, c, center, e, samples)
 ISOMETRY_LARGE = ((3, -2, 1, "x1", -16, 833), (2, 2, 1, "x1", -2, 1024),
                   (101, 1, 1, "x1", -256, 1024))
@@ -167,14 +171,22 @@ def _ergodicity_path(out: dict) -> None:
     from padicdyn.dynamics import CanonicalMap, SphereSpec
 
     out["ball_permutation"], out["decide_ergodicity"] = {}, {}
-    for p, a, c, center, e, depth in ORACLE_SPHERES:
+    # absent from checkouts whose kernel takes one modular inverse per ball
+    inverse_table = getattr(ergodicity, "_inverse_table", None)
+    if inverse_table:
+        out["inverse_table"] = {}
+    for (p, a, c, center, e, depth), number in ([(s, 20) for s in ORACLE_SPHERES]
+                                                + [(ORACLE_FLAGSHIP, 1)]):
         m, sphere = CanonicalMap(p, Fraction(a), Fraction(c)), SphereSpec(center, e)
         case = f"p={p} {center} e={e} depth={depth}"
         form = ergodicity.rescale_to_unit(m, sphere)
+        if inverse_table:
+            out["inverse_table"][f"p={p} depth={depth}"] = _best_us(
+                lambda: inverse_table(p, p ** depth), number)
         out["ball_permutation"][case] = _best_us(
-            lambda: ergodicity._ball_permutation(form, depth), 20)
+            lambda: ergodicity._ball_permutation(form, depth), number)
         out["decide_ergodicity"][case] = _best_us(
-            lambda: ergodicity.decide_ergodicity(m, sphere, depth), 20)
+            lambda: ergodicity.decide_ergodicity(m, sphere, depth), number)
     m, sphere = CanonicalMap(2, Fraction(2), Fraction(1)), SphereSpec("x1", -2)
     form = ergodicity.rescale_to_unit(m, sphere)
     out["mod4_criterion"] = _best_us(
