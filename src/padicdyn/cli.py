@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import __version__
 from .conjugation import GeneralMap, conjugate, verify_conjugacy
-from .dynamics import CanonicalMap, SphereSpec, _require_precision_budget, orbit
+from .dynamics import CanonicalMap, Classification, SphereSpec, _require_precision_budget, orbit
 from .errors import (
     InconsistentParametersError,
     NotApplicableError,
@@ -161,22 +161,23 @@ def _write_members(members: list, out: list, newline: str) -> None:
     out.append(newline + "}")
 
 
-def _analyze_report(m: CanonicalMap, input_echo, conjugation_block=None):
+def _analyze_report(m: CanonicalMap, cls: Classification, input_echo, conjugation_block=None):
     v_alpha, v_beta = m.alpha_beta()
-    classification = _fields(m.classify())
+    classification = _fields(cls)
     for point in ("x1", "x2"):
         fixed = classification[point] = _fields(classification[point])
         fixed["region"] = {**_fields(fixed["region"]), "open": True}
     inv = m.invariant_spheres()
+    poles = m.poles()
     report = {
         "input": input_echo,
         "map": {
             **_fields(m, "p", "a", "c", "discriminant"),
             "fixed_points": _fields(m, "x1", "x2"),
-            "poles": m.poles(),
+            "poles": poles,
             "alpha_norm_exponent": -v_alpha,
             "beta_norm_exponent": -v_beta,
-            "discriminant_is_square_in_qp": m.discriminant_is_square(),
+            "discriminant_is_square_in_qp": poles.kind != "absent",
         },
         "classification": classification,
         "invariant_spheres": {
@@ -234,11 +235,12 @@ def _cmd_analyze(args) -> int:
                 label="three-parameter",
             )
         m = result.canonical
-        report = _analyze_report(m, gm, _conjugation_dict(gm, result))
+        echo, block = gm, _conjugation_dict(gm, result)
     else:
         m = CanonicalMap(args.p, args.a, args.c)
-        report = _analyze_report(m, m)
+        echo, block = m, None
     cls = m.classify()
+    report = _analyze_report(m, cls, echo, block)
     lines = [
         f"f(x) = {m.a}*x / (x^2 + {m.c}*x + {m.a}) over Q_{m.p}",
         f"alpha = {m.p}^{report['map']['alpha_norm_exponent']}, "

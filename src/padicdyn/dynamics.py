@@ -35,11 +35,9 @@ from .padic import (
     _fraction_valuation,
     _int_valuation,
     _inverse_unit,
+    _sqrt_in_qp,
     _unit_residue,
-    hensel_sqrt,
     is_prime,
-    is_square,
-    rational_sqrt,
 )
 
 __all__ = [
@@ -127,9 +125,8 @@ class CanonicalMap:
     Construction checks p and a, c != 0 and computes ``va`` = v(a) and
     ``vc`` = v(c), the two numbers every structural fact of the map follows
     from; every reader takes them from here. The case of x2 (with f'(x2)
-    and its valuation), the classification and the orbit kernel's
-    per-precision residues of a and c are built on first use and kept on
-    the map.
+    and its valuation) and the orbit kernel's per-precision residues of a
+    and c are built on first use and kept on the map.
     """
 
     p: int
@@ -138,7 +135,6 @@ class CanonicalMap:
     va: int = field(init=False, compare=False)
     vc: int = field(init=False, compare=False)
     _case: Optional[tuple] = field(default=None, init=False, compare=False)
-    _cls: Optional[Classification] = field(default=None, init=False, compare=False)
     _digits: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
@@ -173,20 +169,14 @@ class CanonicalMap:
     def val(self, x) -> Valuation:
         return _fraction_valuation(_coerce_fraction(x), self.p)
 
-    def discriminant_is_square(self) -> bool:
-        d = self.discriminant
-        return True if d == 0 else is_square(d, self.p)
-
     def poles(self, precision: int = 24) -> PolePair:
-        d = self.discriminant
-        s = rational_sqrt(d)
-        if s is not None:
-            return PolePair("rational", ((-self.c + s) / 2, (-self.c - s) / 2))
-        if not is_square(d, self.p):
+        """(+-s - c)/2 with s^2 = c^2 - 4a, s from padic._sqrt_in_qp (checked)."""
+        s = _sqrt_in_qp(self.discriminant, self.p, precision)
+        if s is None:
             return PolePair("absent", ())
-        sq = hensel_sqrt(d, precision, self.p)
         half = Fraction(1, 2)
-        return PolePair("truncated", ((sq - self.c) * half, (-sq - self.c) * half))
+        return PolePair("rational" if isinstance(s, Fraction) else "truncated",
+                        ((s - self.c) * half, (-s - self.c) * half))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -418,11 +408,8 @@ class CanonicalMap:
 
         The case, f'(x2) and its valuation come from _case_facts, which reads
         the case off v(a), v(c) and v(f'(x2)); this method builds the reports
-        from them.
+        from them on every call.
         """
-        cached = self._cls
-        if cached is not None:
-            return cached
         case, mult, mv = self._case_facts()
         v_alpha, v_beta = self.alpha_beta()
         x1_report = FixedPointReport(
@@ -444,9 +431,7 @@ class CanonicalMap:
         # cases 2, 3 and 5 have a finite mv, so only case 4 can be superattracting
         x2_report = FixedPointReport(self.x2, mult, mv, kind, region, case,
                                      superattracting=(mult == 0))
-        result = Classification(case, x1_report, x2_report)
-        object.__setattr__(self, "_cls", result)
-        return result
+        return Classification(case, x1_report, x2_report)
 
     def invariant_spheres(self) -> InvariantSpheres:
         """Exponent bounds below which S_r(x_i) is invariant.

@@ -40,7 +40,7 @@ from typing import Optional
 
 from .dynamics import CanonicalMap, SphereSpec, _distance_exponent_pairs, sphere_pairs, sphere_units
 from .errors import NotApplicableError, VerificationError, _verify
-from .padic import (  # noqa: F401 - perfbench's tracer patches _unit_residue here
+from .padic import (  # noqa: F401 - perfbench's tracer test asserts _unit_residue is bound here
     _fraction_valuation,
     _horner,
     _int_valuation,

@@ -21,6 +21,7 @@ from .errors import (
     NotASquareError,
     PrecisionError,
     PrimeMismatchError,
+    _verify,
 )
 
 __all__ = [
@@ -600,10 +601,6 @@ class TruncatedPadic:
     def __rtruediv__(self, other):
         return self._coerce(other, INFINITY).__truediv__(self)
 
-    def approx_equal(self, other) -> bool:
-        """True when self - other is indistinguishable from zero."""
-        return (self - other).is_zero
-
     def __repr__(self):
         if self.is_zero:
             return f"TruncatedPadic.zero({self.prime}, {self.valuation!r})"
@@ -665,3 +662,31 @@ def hensel_sqrt(x, precision: int, prime: int) -> TruncatedPadic:
             r = prime ** work - r
     r %= prime ** precision
     return TruncatedPadic(prime, v // 2, r, precision)
+
+
+def _sqrt_in_qp(x: Fraction, prime: int, precision: int) -> Fraction | TruncatedPadic | None:
+    """A square root of x in Q_p: the exact root when x is a rational square
+    (0 included), hensel_sqrt's root to ``precision`` digits when x is only
+    a square in Q_p, else None.
+
+    A truncated s = p^v * (u + O(p^N)) is checked by its square on its
+    representative r = p^v * u, not by the lift: v(r^2 - x) >= 2v + k, with
+    k = N, and N + 1 at p = 2. For a root y = r + O(p^(v+N)), r^2 - x =
+    (r - y)(r + y) with v(r - y) >= v + N and v(r + y) >= v, one more at
+    p = 2; conversely (r/y)^2 = 1 mod p^k gives r/y = +-1 mod p^N. On
+    integers, with e = 2v, x = n/d and q+, q- = p^max(e, 0), p^max(-e, 0),
+    r^2 - x = (u^2*d*q+ - n*q-) / (d*q-) and v(d*q-) = 2*max(-e, 0) when
+    v(x) = e, so the bound is p^(|e| + k) | u^2*d*q+ - n*q-; when v(x) != e
+    that numerator has valuation at most |e|. VerificationError otherwise.
+    """
+    s = rational_sqrt(x)
+    if s is not None:
+        return s
+    if not is_square(x, prime):
+        return None
+    s = hensel_sqrt(x, precision, prime)
+    e = 2 * s.valuation
+    num = s.unit ** 2 * x.denominator * prime ** max(e, 0) - x.numerator * prime ** max(-e, 0)
+    _verify(num % prime ** (abs(e) + precision + (prime == 2)) == 0,
+            f"truncated square root of {x} failed its check at precision {precision}")
+    return s

@@ -23,7 +23,7 @@ from .dynamics import (
     sphere_units,
 )
 from .ergodicity import rescale_to_unit, rho
-from .errors import NotApplicableError, VerificationError, _verify
+from .errors import NotApplicableError, VerificationError
 from .padic import (
     INFINITY,
     TruncatedPadic,
@@ -31,9 +31,7 @@ from .padic import (
     _coerce_fraction,
     _fraction_valuation,
     _int_valuation,
-    hensel_sqrt,
-    is_square,
-    rational_sqrt,
+    _sqrt_in_qp,
 )
 
 __all__ = [
@@ -76,32 +74,20 @@ def two_periodic(m: CanonicalMap, precision: int = 32) -> Optional[PeriodicOrbit
     product 2a) the numerators multiply to a*a*(9a - 4c^2) and the
     factors c*x + a to a^2, so (f^2)'(y0) = 9 - 4c^2/a.
 
-    The swap holds for every a and c, so f is never evaluated on the cycle
-    and only a truncated s is checked. No root t is a pole: a common root of
-    x^2 + 2c*x + 2a and x^2 + c*x + a has c*t + a = 0 and t^2 = 0, so a = 0,
-    which CanonicalMap refuses. So f(t) = -a*t/(c*t + a), and f(t1) = t2 iff
-    -a*t1 = t2*(c*t1 + a), i.e. -a*(t1 + t2) = c*t1*t2, which is 2ac = 2ac;
-    likewise f(t2) = t1. A truncated s = p^v * (u + O(p^N)) is checked
-    exactly, on its representative r = p^v * u: v(r^2 - (c^2 - 2a)) >= 2v + N,
-    and one more at p = 2, where the N digits of s fix N + 1 digits of s^2
-    (and are fixed by them up to sign). VerificationError naming the
-    precision otherwise.
+    The swap holds for every a and c, so f is never evaluated on the cycle;
+    padic._sqrt_in_qp checks a truncated s exactly. No root t is a pole: a
+    common root of x^2 + 2c*x + 2a and x^2 + c*x + a has c*t + a = 0 and
+    t^2 = 0, so a = 0, which CanonicalMap refuses. So f(t) = -a*t/(c*t + a),
+    and f(t1) = t2 iff -a*t1 = t2*(c*t1 + a), i.e. -a*(t1 + t2) = c*t1*t2,
+    which is 2ac = 2ac; likewise f(t2) = t1.
     """
     _require_precision_budget(m.p, precision)
     disc = m.c * m.c - 2 * m.a
-    if disc == 0:
+    s = None if disc == 0 else _sqrt_in_qp(disc, m.p, precision)
+    if s is None:
         return None
     mult = _fraction_valuation(9 - 4 * m.c * m.c / m.a, m.p)
-    s = rational_sqrt(disc)
-    if s is not None:
-        return PeriodicOrbit((-m.c + s, -m.c - s), mult, True)
-    if not is_square(disc, m.p):
-        return None
-    s = hensel_sqrt(disc, precision, m.p)
-    r = Fraction(m.p) ** s.valuation * s.unit  # r^2 != disc: disc is no rational square
-    _verify(_fraction_valuation(r * r - disc, m.p) >= 2 * s.valuation + precision + (m.p == 2),
-            f"truncated 2-cycle verification failed at precision {precision}")
-    return PeriodicOrbit((s - m.c, -s - m.c), mult, False)
+    return PeriodicOrbit((s - m.c, -s - m.c), mult, isinstance(s, Fraction))
 
 
 def h_of_q(q: Fraction) -> Fraction:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from padicdyn import CanonicalMap, SphereSpec, TruncatedPadic
-from padicdyn import cli, ergodicity, periodic
+from padicdyn import cli, ergodicity, padic
 from padicdyn.cli import main
 from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
@@ -20,6 +20,7 @@ from util import (
     THREE_CYCLE_FAULTS,
     install_three_cycle_fault,
     last_digit_wrong,
+    on_a_pole,
     on_the_two_cycle,
     parse_truncated,
     reference_json,
@@ -540,7 +541,7 @@ def test_periodic_precision_is_checked_before_any_work(capsys, monkeypatch, a, c
                                                        message):
     argv = ["periodic", "--p", "7", "--a", a, "--c", c]
     assert run_cli(capsys, argv + ["--json"])[0] == 0
-    monkeypatch.setattr("padicdyn.periodic.rational_sqrt", None)  # no work may start
+    monkeypatch.setattr("padicdyn.periodic._sqrt_in_qp", None)  # no work may start
     code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -608,11 +609,40 @@ def test_exact_orbit_whose_last_iterate_is_over_the_height_budget(capsys):
 
 
 def test_periodic_exits_3_when_the_truncated_2_cycle_check_fails(capsys, monkeypatch):
-    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
+    monkeypatch.setattr(padic, "hensel_sqrt", last_digit_wrong)
     code, out, err = run_cli(capsys, LATER_GOLDEN_COMMANDS["periodic_two_cycle_truncated.json"])
     assert (code, out) == (3, "")
-    assert err == ("internal verification failed: truncated 2-cycle verification failed "
-                   "at precision 32\n")
+    assert err == ("internal verification failed: truncated square root of -7/4 failed its "
+                   "check at precision 32\n")
+
+
+_POLE_FAULT_ERR = ("internal verification failed: truncated square root of 29 failed its check "
+                   "at precision 24\n")
+
+
+def test_analyze_exits_3_when_the_truncated_pole_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(padic, "hensel_sqrt", last_digit_wrong)
+    code, out, err = run_cli(capsys, GOLDEN_COMMANDS["analyze_case2.json"] + ["--json"])
+    assert (code, out, err) == (3, "", _POLE_FAULT_ERR)
+
+
+def test_analyze_pole_check_runs_under_python_O():
+    # the check is no assert: a wrong last digit still exits 3 under -O
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "from padicdyn import cli, padic\n"
+        "from util import last_digit_wrong\n"
+        "assert False, 'assert statements are not stripped'\n"
+        "padic.hensel_sqrt = last_digit_wrong\n"
+        f"sys.exit(cli.main({GOLDEN_COMMANDS['analyze_case2.json']!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", _POLE_FAULT_ERR)
 
 
 def test_low_precision_two_cycle_golden_holds_on_every_reported_digit():
@@ -621,6 +651,14 @@ def test_low_precision_two_cycle_golden_holds_on_every_reported_digit():
     m = CanonicalMap(2, Fraction(doc["input"]["a"]), Fraction(doc["input"]["c"]))
     points = [parse_truncated(x, 2) for x in doc["points"]]
     assert len(points) == 2 and all(on_the_two_cycle(m, t) for t in points)
+
+
+def test_case2_golden_poles_hold_on_every_reported_digit():
+    doc = json.loads((GOLDEN / "analyze_case2.json").read_bytes())
+    assert doc["map"]["poles"]["kind"] == "truncated"
+    m = CanonicalMap(5, -1, 5)
+    poles = [parse_truncated(x, 5) for x in doc["map"]["poles"]["values"]]
+    assert all(t.precision == 24 and on_a_pole(m, t) for t in poles)
 
 
 def test_orbit_step_budget_exits_1(capsys):
@@ -999,3 +1037,27 @@ def test_on_sphere_periodic_request_computes_rho_once(capsys, monkeypatch):
                            + ["--json"])
     assert code == 0 and out == (GOLDEN / "periodic_two_cycle_structure.json").read_text()
     assert calls == [SphereSpec("x2", -1)]
+
+
+def test_random_requests_keep_the_cli_contract(capsys, monkeypatch):
+    # seeded requests over all five commands, composite p included: each
+    # exits 0, 1 or 2, never 3 (no valid input fails a library check), and a
+    # refused request prints one stderr line and nothing on stdout
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from cli_reach import random_request
+
+    rng = random.Random(1)
+    codes = Counter()
+    for _ in range(300):
+        argv = random_request(rng)
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - named in the failure
+            pytest.fail(f"{argv} raised out of main: {exc!r}")
+        out, err = capsys.readouterr()
+        codes[code] += 1
+        if code == 0:
+            assert out and not err, argv
+        else:
+            assert code in (1, 2) and not out and err.count("\n") == 1 and err.endswith("\n"), argv
+    assert set(codes) == {0, 1, 2}, codes

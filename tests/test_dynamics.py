@@ -11,6 +11,7 @@ from padicdyn import (
     SphereSpec,
     UnsupportedCaseError,
 )
+from padicdyn.cli import main
 from padicdyn.dynamics import (
     EXACT_HEIGHT_BUDGET,
     InvariantSpheres,
@@ -22,8 +23,10 @@ from padicdyn.dynamics import (
 from padicdyn.padic import INFINITY, _fraction_valuation
 
 from util import (
+    count_calls,
     derivative,
     norm_image_profile,
+    on_a_pole,
     random_nonzero_rational,
     random_rational,
     random_unit,
@@ -136,10 +139,10 @@ def test_alpha_beta_matches_hensel_pole_norms():
         if a == 0 or c == 0:
             continue
         m = CanonicalMap(p, a, c)
-        if m.discriminant == 0 or not m.discriminant_is_square():
+        poles = m.poles(precision=64)
+        if m.discriminant == 0 or poles.kind == "absent":
             continue
         va, vb = m.alpha_beta()
-        poles = m.poles(precision=64)
         vals = sorted(
             x.valuation if not isinstance(x, Fraction) else _fraction_valuation(x, p)
             for x in poles.values
@@ -154,6 +157,24 @@ def test_alpha_beta_matches_hensel_pole_norms():
             prod = poles.values[0] * poles.values[1]
             assert (s + c).is_zero and (prod - a).is_zero
         checked += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_truncated_poles_hold_on_every_reported_digit(p):
+    # each pole t, at each precision, against x^2 + c*x + a on its exact
+    # representative, as the truncated 2-cycle is checked
+    rng = random.Random(1300 + p)
+    found = 0
+    while found < 40:
+        a = random_nonzero_rational(rng, 400) * Fraction(p) ** rng.randint(-3, 3)
+        c = random_nonzero_rational(rng, 400) * Fraction(p) ** rng.randint(-3, 3)
+        m = CanonicalMap(p, a, c)
+        if m.poles(precision=1).kind != "truncated":
+            continue
+        found += 1
+        for n in (1, 8, 24, 64):
+            poles = m.poles(precision=n)
+            assert poles.kind == "truncated" and all(on_a_pole(m, t) for t in poles.values)
 
 
 def test_classification_case2():
@@ -241,29 +262,29 @@ def test_multiplier_kind_consistency_property():
     assert seen >= {2, 3, 4, 5}
 
 
-def test_classification_is_computed_once_per_map(monkeypatch):
-    calls = []
-    real = CanonicalMap.multiplier_x2
-    monkeypatch.setattr(CanonicalMap, "multiplier_x2",
-                        lambda self: calls.append(self) or real(self))
-    m = CanonicalMap(5, 3, 1)
-    first = m.classify()
-    assert m.sphere_is_invariant(SphereSpec("x2", -1))
-    assert m.classify() is first and calls == [m]
+def test_classification_is_computed_once_per_map(capsys, monkeypatch):
+    # one Classification per request, and f'(x2) computed once per map
+    multipliers = count_calls(monkeypatch, CanonicalMap, "multiplier_x2")
+    classified = count_calls(monkeypatch, CanonicalMap, "classify")
+    assert main(["analyze", "--p", "5", "--a", "3", "--c", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert multipliers == classified == [CanonicalMap(5, 3, 1)]
 
 
-def test_sphere_is_invariant_builds_no_classification():
+def test_sphere_is_invariant_builds_no_classification(monkeypatch):
+    classified = count_calls(monkeypatch, CanonicalMap, "classify")
     m = CanonicalMap(5, 3, 1)
     assert m.sphere_is_invariant(SphereSpec("x2", -1))
     assert m.sphere_is_invariant(SphereSpec("x1", -1))
-    assert m._cls is None
+    assert classified == []
 
 
-def test_integer_case_matches_the_papers_comparisons():
+def test_integer_case_matches_the_papers_comparisons(monkeypatch):
     # the case of x2, the invariant-sphere bounds and the superattracting
     # flag against reference_case on seeded maps: maps with rational poles,
     # maps with a = c^2 and maps with random p-adic sizes of a and c
     rng = random.Random(4041)
+    classified = count_calls(monkeypatch, CanonicalMap, "classify")
     seen, refused, superattracting = set(), 0, 0
     for k in range(2000):
         p = rng.choice((2, 3, 5, 7))
@@ -278,6 +299,7 @@ def test_integer_case_matches_the_papers_comparisons():
         if c == 0:
             continue
         m = CanonicalMap(p, a, c)
+        classified.clear()
         try:
             case, v_alpha, v_beta = reference_case(m)
         except InconsistentParametersError:
@@ -289,7 +311,7 @@ def test_integer_case_matches_the_papers_comparisons():
         assert m.alpha_beta() == (v_alpha, v_beta)
         assert m.invariant_spheres() == InvariantSpheres(
             -v_alpha, -v_alpha if case in (2, 3) else None)
-        assert m._cls is None
+        assert classified == []
         cls = m.classify()
         assert (cls.case, cls.x1.case, cls.x2.case) == (case, 1, case)
         assert cls.x2.superattracting == (a == c * c)

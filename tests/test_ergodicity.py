@@ -33,6 +33,7 @@ from padicdyn.padic import _fraction_valuation, _horner
 
 from util import (
     HaarMeasureContext,
+    count_calls,
     displacement_table,
     faulty_eval_pair,
     random_unit,
@@ -424,11 +425,12 @@ def test_rho_and_sampled_checks_take_no_fraction_valuation(monkeypatch):
         assert calls == [], (m, sphere)
 
 
-def test_x2_gate_builds_no_classification():
+def test_x2_gate_builds_no_classification(monkeypatch):
     # the gate reads f'(x2) and its valuation off the map's case facts
+    classified = count_calls(monkeypatch, CanonicalMap, "classify")
     m = CanonicalMap(5, 3, 1)
     form = rescale_to_unit(m, SphereSpec("x2", -1))
-    assert m._cls is None
+    assert classified == []
     assert form.numerator[1] == m.classify().x2.multiplier
 
 

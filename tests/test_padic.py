@@ -14,11 +14,13 @@ from padicdyn import (
     PrecisionError,
     PrimeMismatchError,
     TruncatedPadic,
+    VerificationError,
     hensel_sqrt,
     is_prime,
     is_square,
     parse_rational,
 )
+from padicdyn import padic
 from padicdyn.conjugation import GeneralMap
 from padicdyn.dynamics import PRECISION_BIT_BUDGET
 from padicdyn.padic import (
@@ -27,10 +29,14 @@ from padicdyn.padic import (
     _int_valuation,
     _inverse_unit,
     _prime_factors,
+    _sqrt_in_qp,
+    rational_sqrt,
 )
 from util import (
+    approx_equal,
     brute_force_is_square,
     int_valuation_loop,
+    last_digit_wrong,
     random_rational,
     random_unit,
     representative,
@@ -201,9 +207,9 @@ def test_prime_factors_match_trial_division():
 def test_arithmetic_and_prime_mismatch():
     x = TruncatedPadic.from_rational(Fraction(1, 3), 3, 8)
     y = TruncatedPadic.from_rational(Fraction(2, 3), 3, 8)
-    assert (x + y).approx_equal(TruncatedPadic.from_rational(1, 3, 8))
-    assert (x * y).approx_equal(TruncatedPadic.from_rational(Fraction(2, 9), 3, 8))
-    assert (x / y).approx_equal(TruncatedPadic.from_rational(Fraction(1, 2), 3, 8))
+    assert approx_equal(x + y, TruncatedPadic.from_rational(1, 3, 8))
+    assert approx_equal(x * y, TruncatedPadic.from_rational(Fraction(2, 9), 3, 8))
+    assert approx_equal(x / y, TruncatedPadic.from_rational(Fraction(1, 2), 3, 8))
     z5 = TruncatedPadic.from_rational(1, 5, 8)
     with pytest.raises(PrimeMismatchError):
         x * z5
@@ -313,6 +319,43 @@ def test_hensel_sqrt_rejects_non_squares():
         hensel_sqrt(4, 0, 5)
 
 
+def test_sqrt_in_qp_kinds():
+    assert _sqrt_in_qp(Fraction(9, 4), 5, 8) == Fraction(3, 2)
+    assert _sqrt_in_qp(Fraction(0), 5, 8) == 0
+    assert _sqrt_in_qp(Fraction(2), 5, 8) is None  # 2 is not a QR mod 5
+    assert _sqrt_in_qp(Fraction(-4), 5, 8) == hensel_sqrt(-4, 8, 5)
+    assert _sqrt_in_qp(Fraction(-7), 2, 8) == hensel_sqrt(-7, 8, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1021])
+def test_sqrt_in_qp_checks_every_digit_of_the_lift(p, monkeypatch):
+    # a correct root passes the check at every precision; the same root with
+    # its last digit changed fails it, also at p = 2, where the check reaches
+    # one digit past those that s*s fixes (except at two digits, where the
+    # change turns s = 1 mod 4 into -s mod 4, the other root); so does the
+    # root with its valuation off by one, at every precision
+    rng = random.Random(7000 + p)
+    xs = []
+    while len(xs) < 12:
+        x = random_rational(rng, 10**4) * Fraction(p) ** rng.randint(-4, 4)
+        if x and is_square(x, p) and rational_sqrt(x) is None:
+            xs.append(x)
+    roots = [(x, n) for x in xs for n in (1, 2, 8, 64, 256)]
+    for x, n in roots:
+        assert _sqrt_in_qp(x, p, n) == hensel_sqrt(x, n, p)
+
+    def valuation_off(x, precision, prime):
+        s = hensel_sqrt(x, precision, prime)
+        return TruncatedPadic(prime, s.valuation + rng.choice((-1, 1)), s.unit, precision)
+
+    for fault, least in ((last_digit_wrong, 2 + (p == 2)), (valuation_off, 1)):
+        monkeypatch.setattr(padic, "hensel_sqrt", fault)
+        for x, n in roots:
+            if n >= least:
+                with pytest.raises(VerificationError, match=f"at precision {n}$"):
+                    _sqrt_in_qp(x, p, n)
+
+
 # -- truncated arithmetic --------------------------------------------------------
 
 
@@ -369,9 +412,9 @@ def test_truncated_prime_mismatch():
 
 def test_truncated_mixed_exact_operands():
     t = TruncatedPadic.from_rational(Fraction(7, 4), 2, 10)
-    assert (t * Fraction(4, 7)).approx_equal(TruncatedPadic.from_rational(1, 2, 10))
+    assert approx_equal(t * Fraction(4, 7), TruncatedPadic.from_rational(1, 2, 10))
     assert (t - Fraction(7, 4)).is_zero
-    assert (Fraction(7, 2) / t).approx_equal(TruncatedPadic.from_rational(2, 2, 10))
+    assert approx_equal(Fraction(7, 2) / t, TruncatedPadic.from_rational(2, 2, 10))
 
 
 def test_truncated_display_format():

@@ -11,7 +11,7 @@ from padicdyn import (
     SphereSpec,
     VerificationError,
 )
-from padicdyn import periodic
+from padicdyn import padic
 from padicdyn.ergodicity import rescale_to_unit, rho
 from padicdyn.errors import PrecisionError
 from padicdyn.padic import INFINITY, _fraction_valuation
@@ -27,6 +27,7 @@ from padicdyn.periodic import (
 from util import (
     THREE_CYCLE_FAULTS,
     agrees_on_reported_digits,
+    approx_equal,
     derivative,
     faulty_eval_pair,
     install_three_cycle_fault,
@@ -60,17 +61,17 @@ def test_two_periodic_truncated():
     orb = two_periodic(m, precision=24)
     assert not orb.exact and len(orb.points) == 2
     t1, t2 = orb.points
-    assert m.eval_truncated(t1).approx_equal(t2)
-    assert m.eval_truncated(t2).approx_equal(t1)
+    assert approx_equal(m.eval_truncated(t1), t2)
+    assert approx_equal(m.eval_truncated(t2), t1)
     # valuations of the two points: {1, 0} (product 2a = 6, sum -2c = -2)
     assert sorted([t1.valuation, t2.valuation]) == [0, 1]
 
 
 def test_two_periodic_refuses_a_truncated_cycle_that_f_does_not_swap(monkeypatch):
     # a square root wrong in its last digit gives points that f does not swap
-    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
+    monkeypatch.setattr(padic, "hensel_sqrt", last_digit_wrong)
     with pytest.raises(VerificationError,
-                       match="^truncated 2-cycle verification failed at precision 24$"):
+                       match="^truncated square root of -5 failed its check at precision 24$"):
         two_periodic(CanonicalMap(3, 3, 1), precision=24)
 
 
@@ -494,9 +495,9 @@ def test_two_cycle_check_names_the_precision(monkeypatch):
     with pytest.raises(PrecisionError):
         m.eval_truncated(orb.points[0])
     # at p = 2 the check reaches the last digit of s, one digit past those of s*s
-    monkeypatch.setattr(periodic, "hensel_sqrt", last_digit_wrong)
-    with pytest.raises(VerificationError,
-                       match="^truncated 2-cycle verification failed at precision 16$"):
+    monkeypatch.setattr(padic, "hensel_sqrt", last_digit_wrong)
+    with pytest.raises(VerificationError, match="^truncated square root of -5513/1008 failed "
+                                                "its check at precision 16$"):
         two_periodic(m, precision=16)
 
 

@@ -125,6 +125,40 @@ def on_the_two_cycle(m, t: TruncatedPadic) -> bool:
     return value == 0 or _fraction_valuation(value, m.p) >= prec + min(prec, v_2s)
 
 
+def on_a_pole(m, t: TruncatedPadic) -> bool:
+    """Whether t agrees with a root of x^2 + c*x + a on its reported digits.
+
+    As on_the_two_cycle, with the roots y, y' differing by +-s, s^2 = c^2 - 4a:
+    with A = t.abs_precision and r = representative(t), r^2 + c*r + a =
+    (r - y)(r - y') has valuation at least A + min(A, v(s)) exactly when
+    v(r - y) >= A for one of the roots.
+    """
+    r = representative(t)
+    value = r * r + m.c * r + m.a
+    v_s = _fraction_valuation(m.discriminant, m.p) // 2
+    prec = t.abs_precision
+    return value == 0 or _fraction_valuation(value, m.p) >= prec + min(prec, v_s)
+
+
+def approx_equal(x: TruncatedPadic, y) -> bool:
+    """True when x - y is indistinguishable from zero."""
+    return (x - y).is_zero
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap the method ``name`` of ``owner``; each call appends its receiver to
+    the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def last_digit_wrong(x, precision: int, prime: int) -> TruncatedPadic:
     """hensel_sqrt with the last of its digits changed (precision >= 2)."""
     s = hensel_sqrt(x, precision, prime)
