@@ -343,7 +343,7 @@ def _cmd_periodic(args) -> int:
             "h_q": m.a,
             "map": m,
             **_fields(orb, "points", "multiplier_norm_exponent"),
-            "p6_at_a": "0",  # three_periodic_from_q has checked P(a) = 0
+            "p6_at_a": "0",  # P(a) = 0 for every q: see three_periodic_from_q
             "sphere_conditions": sphere_conditions(m),
         }
         lines = [

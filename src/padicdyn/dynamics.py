@@ -314,14 +314,6 @@ class CanonicalMap:
         s = (u + uc) % mod
         return -(v + _int_valuation(s, self.p)) if s else "-inf"
 
-    def _derivative_pair(self, xn: int, xd: int, den: int) -> tuple[int, int]:
-        """f'(xn/xd) as an unreduced (numerator, denominator) pair, given den,
-        the denominator of _eval_pair(xn, xd):
-        an*cd^2*xd^2*(an*xd^2 - ad*xn^2) / den^2, homogeneous in (xn, xd).
-        """
-        an, ad, cd = self.a.numerator, self.a.denominator, self.c.denominator
-        return an * (cd * xd) ** 2 * (an * xd * xd - ad * xn * xn), den * den
-
     def multiplier_x2(self) -> Fraction:
         """f'(-c) = 1 - c^2/a = (an*cd^2 - ad*cn^2) / (an*cd^2)."""
         an, ad = self.a.numerator, self.a.denominator

@@ -668,10 +668,11 @@ def decide_ergodicity(
     m: CanonicalMap, sphere: SphereSpec, depth: Optional[int] = None
 ) -> ErgodicityDecision:
     """Run every applicable decider on one unit form of f and fail loudly
-    unless they all agree."""
+    unless they all agree. The oracle runs first, so that its depth budget
+    is checked before the theorem factors p - 1."""
     form = rescale_to_unit(m, sphere)
-    thm = ergodicity_theorem(form)
     oracle = residue_cycle_oracle(form, depth)
+    thm = ergodicity_theorem(form)
     verdicts = {thm.verdict, "ergodic" if oracle.ergodic else "notErgodic"}
     mod4 = None
     if m.p == 2 and sphere.center == "x1":

@@ -667,7 +667,9 @@ def hensel_sqrt(x, precision: int, prime: int) -> TruncatedPadic:
 def _sqrt_in_qp(x: Fraction, prime: int, precision: int) -> Fraction | TruncatedPadic | None:
     """A square root of x in Q_p: the exact root when x is a rational square
     (0 included), hensel_sqrt's root to ``precision`` digits when x is only
-    a square in Q_p, else None.
+    a square in Q_p, else None. Squareness is decided once, by hensel_sqrt,
+    so a precision below 1 raises ValueError for every x that is not a
+    rational square.
 
     A truncated s = p^v * (u + O(p^N)) is checked by its square on its
     representative r = p^v * u, not by the lift: v(r^2 - x) >= 2v + k, with
@@ -682,9 +684,10 @@ def _sqrt_in_qp(x: Fraction, prime: int, precision: int) -> Fraction | Truncated
     s = rational_sqrt(x)
     if s is not None:
         return s
-    if not is_square(x, prime):
+    try:
+        s = hensel_sqrt(x, precision, prime)
+    except NotASquareError:
         return None
-    s = hensel_sqrt(x, precision, prime)
     e = 2 * s.valuation
     num = s.unit ** 2 * x.denominator * prime ** max(e, 0) - x.numerator * prime ** max(-e, 0)
     _verify(num % prime ** (abs(e) + precision + (prime == 2)) == 0,

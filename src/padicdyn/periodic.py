@@ -25,7 +25,6 @@ from .dynamics import (
 from .ergodicity import rescale_to_unit, rho
 from .errors import NotApplicableError, VerificationError
 from .padic import (
-    INFINITY,
     TruncatedPadic,
     Valuation,
     _coerce_fraction,
@@ -107,80 +106,64 @@ def h_of_q(q: Fraction) -> Fraction:
 _EXCLUDED_Q = ((0, 1), (-1, 1), (-2, 3))
 
 
-def _three_cycle(p: int, q: Fraction) -> tuple[CanonicalMap, tuple]:
-    """The family map of q and the integer pairs of a, f(a), f^2(a) and
-    f^3(a), checked exactly.
-
-    c = q*a - 1 is built from the integers of q and a. The orbit runs on the
-    unreduced pairs of CanonicalMap._eval_pair, and f^3(a) = a and
-    f(a) != a are checked by cross-multiplying them; P(a) = 0 is checked on
-    the integer numerator of P (_p6_numerator). A failed check raises
-    VerificationError, whose message is built only then. ValueError for q
-    in _EXCLUDED_Q and at the poles of h.
-    """
+def _family_map(p: int, q: Fraction) -> CanonicalMap:
+    """The map with a = h(q) and c = q*a - 1, c built from the integers of
+    q and a. ValueError for q in _EXCLUDED_Q and at the poles of h."""
     if (q.numerator, q.denominator) in _EXCLUDED_Q:
         raise ValueError(f"q = {q} is excluded (construction degenerates)")
     a = h_of_q(q)
     an, ad = a.numerator, a.denominator
-    m = CanonicalMap(p, a, Fraction(q.numerator * an - q.denominator * ad, q.denominator * ad))
-    # no pole: the orbit is a -> 1/(q+1) -> (3q+2)/(2q+1), where x^2 + cx + a is
-    # q^2(3q+2)^2/((q+1)(2q+1)^2(3q+1)^2), q/((q+1)^2(3q+1)) and (3q+2)/(2q+1),
-    # zero only at q in {0, -2/3}, which _EXCLUDED_Q refuses
-    y1 = m._eval_pair(an, ad)
-    y2 = m._eval_pair(*y1)
-    back = m._eval_pair(*y2)
-    if back[0] * ad != an * back[1]:
-        raise VerificationError(f"f^3(a) != a for q = {q}")
-    if y1[0] * ad == an * y1[1]:
-        raise VerificationError(f"a is a fixed point for q = {q}")
-    if _p6_numerator(m, an, ad):
-        raise VerificationError(f"P6(a) != 0 for q = {q}")
-    return m, ((an, ad), y1, y2, back)
+    return CanonicalMap(p, a, Fraction(q.numerator * an - q.denominator * ad, q.denominator * ad))
 
 
 def three_periodic_from_q(p: int, q) -> tuple[CanonicalMap, PeriodicOrbit]:
-    """The map with a = h(q), c = q*h(q) - 1 and its 3-cycle {a, f(a), f^2(a)}.
+    """The map with a = h(q), c = q*h(q) - 1 and its 3-cycle
+    {a, 1/(q+1), (3q+2)/(2q+1)}, in closed form.
 
     q must avoid {0, -1, -2/3} (where the construction degenerates) and the
-    poles of h. The orbit is verified exactly, on integers: f^3(a) = a and
-    f(a) != a by cross-multiplying the unreduced pairs of the orbit, and
-    P(a) = 0 for the degree-6 polynomial of 3-periodic points on P's integer
-    numerator. The multiplier's valuation is read off the same pairs.
+    poles -1/2 and -1/3 of h. Nothing is evaluated or checked at run time:
+    each fact below is a polynomial identity in q, true for every admitted q.
+
+    With a = q(3q+2)/((q+1)(2q+1)(3q+1)), c = -(3q^3+9q^2+6q+1)/((q+1)(2q+1)(3q+1))
+    and D(x) = x^2 + c*x + a:
+    - f(a) = a^2/D(a) = a/(a + c + 1), and a + c + 1 = q(3q+2)/((2q+1)(3q+1)),
+      so f(a) = 1/(q+1);
+    - f(a) - a = (3q^2+3q+1)/((q+1)(2q+1)(3q+1)), and 3q^2 + 3q + 1 has
+      discriminant -3, so a is not fixed;
+    - D(a) = q^2(3q+2)^2/((q+1)(2q+1)^2(3q+1)^2), D(1/(q+1)) =
+      q/((q+1)^2(3q+1)) and D((3q+2)/(2q+1)) = (3q+2)/(2q+1), zero only at
+      q in {0, -2/3}: no point is a pole. Then f(1/(q+1)) =
+      a/((q+1)D(1/(q+1))) = (3q+2)/(2q+1), and f((3q+2)/(2q+1)) = a;
+    - P is the dynatomic polynomial Phi_3 of f (Silverman, The Arithmetic of
+      Dynamical Systems, 4.1): f^3(x) - x = -x^2(x + c)P(x)/D3(x) with D3 the
+      cleared denominator of f^3, and f^3(a) = a, a != 0 and
+      a + c = (q+1)a - 1 = -(3q^2+3q+1)/((2q+1)(3q+1)) != 0, so P(a) = 0;
+    - with f'(x) = a(a - x^2)/D(x)^2, N1 = 3q^3-q^2-3q-1, N2 = 6q^3+8q^2+4q+1
+      and N3 = 9q^3+16q^2+10q+2, f'(a) = (2q+1)(3q+1)N2/(q^2(q+1)(3q+2)^2),
+      f'(1/(q+1)) = (q+1)(3q+2)N1/(q(2q+1)^2) and f'((3q+2)/(2q+1)) =
+      -q*N3/((q+1)^2(2q+1)(3q+1)^2), so
+      (f^3)'(a) = -N1*N2*N3/(q^2(q+1)^2(2q+1)^2(3q+1)(3q+2)).
+      By the rational root test no N_i vanishes at a rational q (N1 is -2 at
+      +-1 and 1/3, -2/9 at -1/3; N2 > 0 for q >= 0 and is -1, 1/4, 1/3,
+      19/36 at -1, -1/2, -1/3, -1/6; N3 > 0 for q >= 0 and is -1, -26, 1/9,
+      -2/9, 29/27, 38/81 at -1, -2, -1/3, -2/3, -1/9, -2/9), so the
+      multiplier is never 0.
+    With q = n/d, N_i(q) = N_i(n, d)/d^3 and the denominator is
+    n^2(n+d)^2(2n+d)^2(3n+d)(3n+2d)/d^8, so the valuation of the multiplier is
+    sum v(N_i(n, d)) - v(d) - 2v(n) - 2v(n+d) - 2v(2n+d) - v(3n+d) - v(3n+2d),
+    read here as the valuations of the two products.
     """
-    m, pairs = _three_cycle(p, _coerce_fraction(q))
-    # v((f^3)'(a)) is the sum of v(f'(y)) over the orbit; the denominator of
-    # f(y)'s pair is the next pair's
-    mult = 0
-    for (yn, yd), (_, den) in zip(pairs, pairs[1:]):
-        top, bottom = m._derivative_pair(yn, yd, den)
-        mult += _int_valuation(top, p) - _int_valuation(bottom, p) if top else INFINITY
-    points = tuple(Fraction(*pair) for pair in pairs[:3])
+    q = _coerce_fraction(q)
+    m = _family_map(p, q)
+    n, d = q.numerator, q.denominator
+    nn, dd = n * n, d * d
+    n1 = (3 * n - d) * nn - (3 * n + d) * dd
+    n2 = (6 * n + 8 * d) * nn + (4 * n + d) * dd
+    n3 = (9 * n + 16 * d) * nn + (10 * n + 2 * d) * dd
+    linear = d * (n * (n + d) * (2 * n + d)) ** 2 * (3 * n + d) * (3 * n + 2 * d)
+    mult = _int_valuation(n1 * n2 * n3, p) - _int_valuation(linear, p)
+    points = (m.a, Fraction(d, n + d), Fraction(3 * n + 2 * d, 2 * n + d))
     return m, PeriodicOrbit(points, mult, True)
-
-
-# The terms of P as (coefficient, power of a, power of c, power of x); the
-# weights 2, 1, 1 of a, c, x make every term of weight 6.
-_P6_TERMS = ((1, 0, 0, 6), (6, 0, 1, 5), (11, 0, 2, 4), (6, 1, 0, 4), (6, 0, 3, 3),
-             (20, 1, 1, 3), (15, 1, 2, 2), (9, 2, 0, 2), (12, 2, 1, 1), (3, 3, 0, 0))
-
-
-def _p6_numerator(m: CanonicalMap, xn: int, xd: int) -> int:
-    """P(xn/xd) * ad^3 cd^3 xd^6 for a = an/ad and c = cn/cd, xd != 0.
-
-    Each term k * a^i c^j x^l times ad^3 cd^3 xd^6 is
-    k * pa[i] * pc[j] * px[l] with pa[i] = an^i ad^(3-i),
-    pc[j] = cn^j cd^(3-j) and px[l] = xn^l xd^(6-l), built by products.
-    """
-    an, ad, cn, cd = m.a.numerator, m.a.denominator, m.c.numerator, m.c.denominator
-    pa = (ad * ad * ad, an * ad * ad, an * an * ad, an * an * an)
-    pc = (cd * cd * cd, cn * cd * cd, cn * cn * cd, cn * cn * cn)
-    xn2, xd2 = xn * xn, xd * xd
-    px = (xd2 * xd2 * xd2, xn * xd2 * xd2 * xd, xn2 * xd2 * xd2, xn2 * xn * xd2 * xd,
-          xn2 * xn2 * xd2, xn2 * xn2 * xn * xd, xn2 * xn2 * xn2)
-    total = 0
-    for k, i, j, l in _P6_TERMS:
-        total += k * pa[i] * pc[j] * px[l]
-    return total
 
 
 @dataclass(frozen=True)
@@ -284,9 +267,9 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
     Height bound: |numerator| <= max_height and denominator <= max_height.
     Deterministic order (by denominator, then numerator). A q not in lowest
     terms is skipped by its gcd before any Fraction is built. Each map is
-    built and its 3-cycle checked as in three_periodic_from_q, on integers
-    (f^3(a) = a, f(a) != a, P(a) = 0); the multiplier is not computed.
-    The spheres are those of sphere_conditions.
+    built as in three_periodic_from_q, whose docstring proves its 3-cycle;
+    neither the cycle nor its multiplier is computed. The spheres are those
+    of sphere_conditions.
     """
     out = []
     for den in range(1, max_height + 1):
@@ -295,7 +278,7 @@ def q_sweep(p: int, max_height: int = 6) -> list[QSweepRecord]:
                 continue
             q = Fraction(num, den)
             try:
-                m, _ = _three_cycle(p, q)
+                m = _family_map(p, q)
             except ValueError:  # excluded q, or a pole of h
                 continue
             # sphere_conditions refuses only when v(kappa) < 0 is odd, kappa = a/c^2 =

@@ -31,8 +31,8 @@ from padicdyn.periodic import (
 )
 from util import (
     brute_force_is_square,
-    p6,
     random_rational,
+    reference_p6,
     reference_rho,
     sphere_points,
     square_residue_set,
@@ -176,7 +176,7 @@ def test_criterion_6_periodic_orbits_exact():
     assert m5.a == Fraction(5, 24) and m5.c == Fraction(-19, 24)
     a = Fraction(5, 24)
     assert m5.eval(m5.eval(m5.eval(a))) == a
-    assert p6(m5, a) == 0
+    assert reference_p6(m5, a) == 0
     # excluded parameters rejected
     for bad in (0, -1, Fraction(-2, 3)):
         with pytest.raises(ValueError):

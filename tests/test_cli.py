@@ -17,8 +17,6 @@ from padicdyn.ergodicity import ErgodicityVerdict, OracleLevel
 from padicdyn.padic import INFINITY
 
 from util import (
-    THREE_CYCLE_FAULTS,
-    install_three_cycle_fault,
     last_digit_wrong,
     on_a_pole,
     on_the_two_cycle,
@@ -495,6 +493,21 @@ def test_oracle_over_budget_exits_1(capsys):
     assert code == 1 and "the largest depth that fits is 20" in err
 
 
+def test_oracle_budget_is_checked_before_the_theorem_factors_p_minus_1(capsys, monkeypatch):
+    # p - 1 = 2 * 617640922471 * 739856209811 takes Pollard rho, but no oracle
+    # depth fits this p, so the request is refused before the theorem runs
+    calls = []
+    real = ergodicity._prime_factors
+    monkeypatch.setattr(ergodicity, "_prime_factors", lambda n: calls.append(n) or real(n))
+    p = "913930943847127521125963"
+    code, out, err = run_cli(capsys, ["ergodic", f"--p={p}", "--a=1", "--c=2",
+                                      "--radius-exp=-1", "--center=x2"])
+    assert (code, out) == (1, "")
+    assert err == (f"error: oracle depth 2 needs {p}^2 - 1 balls, over the budget of 1048576; "
+                   f"no depth >= 2 fits for p = {p}\n")
+    assert calls == []
+
+
 def test_radius_exponent_over_budget_exits_1(capsys):
     code, out, err = run_cli(capsys, ["ergodic", "--p", "2", "--a", "2", "--c", "1",
                                       "--radius-exp", "-1000000"])
@@ -556,14 +569,6 @@ def test_periodic_q_precision_is_checked_before_any_work(capsys, monkeypatch, pr
     monkeypatch.setattr(cli, "three_periodic_from_q", None)  # no work may start
     code, out, err = run_cli(capsys, argv + ["--precision", precision, "--json"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("target,fault,message", THREE_CYCLE_FAULTS)
-def test_failed_three_cycle_check_exits_3_with_one_line(capsys, monkeypatch, target, fault,
-                                                         message):
-    install_three_cycle_fault(monkeypatch, target, fault)
-    code, out, err = run_cli(capsys, ["periodic", "--p", "5", "--q", "1", "--json"])
-    assert (code, out, err) == (3, "", f"internal verification failed: {message}\n")
 
 
 def test_truncated_orbit_at_a_prime_wider_than_32_bits(capsys):
@@ -1047,7 +1052,7 @@ def test_random_requests_keep_the_cli_contract(capsys, monkeypatch):
     from cli_reach import random_request
 
     rng = random.Random(1)
-    codes = Counter()
+    codes, conjugated = Counter(), Counter()
     for _ in range(300):
         argv = random_request(rng)
         try:
@@ -1056,8 +1061,12 @@ def test_random_requests_keep_the_cli_contract(capsys, monkeypatch):
             pytest.fail(f"{argv} raised out of main: {exc!r}")
         out, err = capsys.readouterr()
         codes[code] += 1
+        if argv[0] == "conjugate":
+            conjugated[code] += 1
         if code == 0:
             assert out and not err, argv
         else:
             assert code in (1, 2) and not out and err.count("\n") == 1 and err.endswith("\n"), argv
     assert set(codes) == {0, 1, 2}, codes
+    # conjugate both reduces a map with a double fixed point and refuses one without
+    assert conjugated[0] and conjugated[2], conjugated

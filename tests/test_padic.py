@@ -325,6 +325,19 @@ def test_sqrt_in_qp_kinds():
     assert _sqrt_in_qp(Fraction(2), 5, 8) is None  # 2 is not a QR mod 5
     assert _sqrt_in_qp(Fraction(-4), 5, 8) == hensel_sqrt(-4, 8, 5)
     assert _sqrt_in_qp(Fraction(-7), 2, 8) == hensel_sqrt(-7, 8, 2)
+    # only a rational square needs no precision
+    assert _sqrt_in_qp(Fraction(9, 4), 5, 0) == Fraction(3, 2)
+    for x in (Fraction(2), Fraction(-4)):
+        with pytest.raises(ValueError, match="^precision must be >= 1$"):
+            _sqrt_in_qp(x, 5, 0)
+
+
+def test_sqrt_in_qp_decides_squareness_once(monkeypatch):
+    calls = []
+    real = padic.is_square
+    monkeypatch.setattr(padic, "is_square", lambda x, p: calls.append(x) or real(x, p))
+    assert _sqrt_in_qp(Fraction(2), 5, 8) is None and _sqrt_in_qp(Fraction(-4), 5, 8)
+    assert calls == [2, -4]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1021])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -25,17 +26,15 @@ from padicdyn.periodic import (
     verify_orbit_structure,
 )
 from util import (
-    THREE_CYCLE_FAULTS,
     agrees_on_reported_digits,
     approx_equal,
-    derivative,
+    count_calls,
     faulty_eval_pair,
-    install_three_cycle_fault,
     last_digit_wrong,
     on_the_two_cycle,
-    p6,
     p6_coefficients,
     random_nonzero_rational,
+    reference_derivative,
     reference_derivative_truncated,
     reference_p6,
     reference_q_sweep,
@@ -145,7 +144,8 @@ def test_two_cycle_multiplier_closed_form_matches_the_chain_rule():
         m = CanonicalMap(rng.choice((2, 3, 5, 7)), a, c)
         orb = two_periodic(m)
         closed = 9 - 4 * c * c / a
-        product = derivative(m, orb.points[0]) * derivative(m, orb.points[1])
+        t1, t2 = orb.points
+        product = reference_derivative(m, t1) * reference_derivative(m, t2)
         assert orb.exact and product == closed
         assert orb.multiplier_norm_exponent == _fraction_valuation(closed, m.p)
         exact += 1
@@ -195,41 +195,33 @@ def test_three_periodic_q1():
     assert a == Fraction(5, 24)
     assert m.eval(m.eval(m.eval(a))) == a
     assert m.eval(a) != a
-    assert p6(m, a) == 0
+    assert reference_p6(m, a) == 0
 
 
 def test_three_periodic_q2():
     m, _ = three_periodic_from_q(5, 2)
     assert m.a == h_of_q(2) == Fraction(16, 105)
     assert m.c == Fraction(32, 105) - 1 == Fraction(-73, 105)
-    assert p6(m, m.a) == 0
+    assert reference_p6(m, m.a) == 0
 
 
 def test_three_periodic_exclusions():
     for bad in (0, -1, Fraction(-2, 3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^q = {bad} is excluded \(construction "
+                                             r"degenerates\)$"):
             three_periodic_from_q(5, bad)
     for pole in (Fraction(-1, 2), Fraction(-1, 3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^h\(q\) is undefined at q = {pole} "
+                                             r"\(denominator vanishes\)$"):
             three_periodic_from_q(5, pole)
 
 
-@pytest.mark.parametrize("target,fault,message", THREE_CYCLE_FAULTS)
-def test_three_cycle_checks_name_the_failure(monkeypatch, target, fault, message):
-    install_three_cycle_fault(monkeypatch, target, fault)
-    for run in (lambda: three_periodic_from_q(5, 1), lambda: q_sweep(5, 1)):
-        with pytest.raises(VerificationError) as exc:
-            run()
-        assert str(exc.value) == message
-
-
-def test_q_sweep_computes_no_derivative(monkeypatch):
-    # the sweep drops the multiplier, so it must not compute one
-    calls = []
-    real = CanonicalMap._derivative_pair
-    monkeypatch.setattr(CanonicalMap, "_derivative_pair",
-                        lambda self, *args: calls.append(args) or real(self, *args))
-    assert q_sweep(5, 8) and calls == []
+def test_three_cycle_evaluates_f_nowhere(monkeypatch):
+    # the cycle and its multiplier are closed forms in q, and the sweep
+    # builds only the maps, so neither evaluates f
+    calls = count_calls(monkeypatch, CanonicalMap, "_eval_pair")
+    assert q_sweep(5, 8) and three_periodic_from_q(5, 1) and three_periodic_from_q(7, -3)
+    assert calls == []
 
 
 def _admissible_q(height: int) -> list[Fraction]:
@@ -242,8 +234,9 @@ def _admissible_q(height: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_integer_three_cycle_matches_the_fraction_reference(p):
-    # the integer construction, checks and multiplier against the Fraction
-    # path: every admissible q of height <= 12, and seeded q of larger height
+    # the closed-form cycle and multiplier, and the sweep, against the
+    # Fraction path: every admissible q of height <= 12, and seeded q of
+    # larger height
     rng = random.Random(4000 + p)
     qs = _admissible_q(12)
     for _ in range(40):
@@ -252,6 +245,23 @@ def test_integer_three_cycle_matches_the_fraction_reference(p):
         assert three_periodic_from_q(p, q) == reference_three_periodic_from_q(p, q)
     for height in range(1, 13):
         assert q_sweep(p, height) == reference_q_sweep(p, height)
+
+
+def test_closed_form_three_cycle_matches_the_fraction_reference():
+    # map, points and multiplier against f evaluated in Fraction arithmetic,
+    # and the same ValueError, on q = +-k/m * p^j of every p-adic size
+    rng = random.Random(47)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 1021))
+        q = (Fraction(rng.randint(1, 400) * rng.choice((1, -1)), rng.randint(1, 50))
+             * Fraction(p) ** rng.randint(-3, 3))
+        try:
+            expected = reference_three_periodic_from_q(p, q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                three_periodic_from_q(p, q)
+            continue
+        assert three_periodic_from_q(p, q) == expected, (p, q)
 
 
 def test_h_identity_and_family_equation():
@@ -278,19 +288,19 @@ def test_h_identity_and_family_equation():
 
 
 def test_h_and_p6_match_the_fraction_formulas():
-    # the integer forms of h(q) and P(x) against the formula for h and
-    # Horner's rule on p6_coefficients in Fraction arithmetic (reference_p6)
+    # the integer form of h(q) against its Fraction formula, and P(a) = 0 on
+    # each family map, by Horner's rule on p6_coefficients (reference_p6): the
+    # "p6_at_a" that `periodic --q` prints without computing it
     rng = random.Random(1618)
     checked = 0
     while checked < 200:
         q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         den = 6 * q**3 + 11 * q**2 + 6 * q + 1
-        if den == 0:
+        if q in (0, -1, Fraction(-2, 3)) or den == 0:
             continue
         assert h_of_q(q) == (3 * q**2 + 2 * q) / den
-        m = CanonicalMap(rng.choice((2, 3, 5)), Fraction(rng.randint(1, 99), rng.randint(1, 99)),
-                         Fraction(-rng.randint(1, 99), rng.randint(1, 99)))
-        assert p6(m, q) == reference_p6(m, q)
+        m, _ = three_periodic_from_q(rng.choice((2, 3, 5)), q)
+        assert reference_p6(m, m.a) == 0
         checked += 1
     assert h_of_q(2) == Fraction(16, 105)
     with pytest.raises(ValueError):
@@ -299,7 +309,7 @@ def test_h_and_p6_match_the_fraction_formulas():
 
 def test_p6_constant_term():
     m = CanonicalMap(7, 4, 3)
-    assert p6(m, 0) == 3 * Fraction(4) ** 3
+    assert reference_p6(m, 0) == 3 * Fraction(4) ** 3
     coeffs = p6_coefficients(m)
     assert coeffs[6] == 1 and coeffs[5] == 6 * 3 and coeffs[0] == 3 * 4**3
 
@@ -322,7 +332,7 @@ def test_p6_divides_cleared_third_iterate():
             if D == 0 or D2 == 0 or D3 == 0:
                 continue
             f3 = m.eval(m.eval(m.eval(x)))
-            assert (f3 - x) * D3 == -x * x * (x + c) * p6(m, x)
+            assert (f3 - x) * D3 == -x * x * (x + c) * reference_p6(m, x)
             checked += 1
 
 

@@ -35,8 +35,7 @@ from padicdyn.padic import (
     _unit_residue,
     hensel_sqrt,
 )
-from padicdyn import periodic
-from padicdyn.periodic import PeriodicOrbit, QSweepRecord, _p6_numerator
+from padicdyn.periodic import PeriodicOrbit, QSweepRecord
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 10**6) -> Fraction:
@@ -182,7 +181,7 @@ def p6_coefficients(m) -> tuple[Fraction, ...]:
     P(x) = x^6 + 6c x^5 + (11c^2+6a) x^4 + (6c^3+20ac) x^3
            + (15ac^2+9a^2) x^2 + 12a^2 c x + 3a^3,
 
-    the Fraction reference of periodic._p6_numerator.
+    the dynatomic polynomial Phi_3 of f: f^3(x) - x = -x^2 (x + c) P(x) / D3(x).
     """
     a, c = m.a, m.c
     return (
@@ -204,36 +203,21 @@ def reference_p6(m, x: Fraction) -> Fraction:
     return value
 
 
-def p6(m, x) -> Fraction:
-    """P(x) as the library computes it: the integer numerator of
-    periodic._p6_numerator over its denominator ad^3 cd^3 xd^6."""
-    x = Fraction(x)
-    return Fraction(_p6_numerator(m, x.numerator, x.denominator),
-                    (m.a.denominator * m.c.denominator) ** 3 * x.denominator ** 6)
-
-
 def reference_derivative(m, x: Fraction) -> Fraction:
     """f'(x) = a*(a - x^2)/(x^2 + c*x + a)^2 in Fraction arithmetic."""
     den = x * x + m.c * x + m.a
     return m.a * (m.a - x * x) / (den * den)
 
 
-def derivative(m, x) -> Fraction:
-    """f'(x) as the library computes it: CanonicalMap._derivative_pair over
-    the denominator of _eval_pair, which raises PoleHitError at a pole."""
-    x = Fraction(x)
-    xn, xd = x.numerator, x.denominator
-    return Fraction(*m._derivative_pair(xn, xd, m._eval_pair(xn, xd)[1]))
-
-
 # -- Fraction references for the 3-periodic family and the case of x2 ------------
 
 
 def reference_three_periodic_from_q(p: int, q) -> tuple:
-    """The Fraction path of periodic.three_periodic_from_q: a = h(q) and
-    c = q*a - 1 by Fraction formulas, the orbit by CanonicalMap.eval, P(a)
-    by reference_p6 and the multiplier as the sum of v(f'(y)) by
-    reference_derivative."""
+    """periodic.three_periodic_from_q by evaluating f, where the library
+    reads closed forms in q: a = h(q) and c = q*a - 1 by Fraction formulas,
+    the orbit by a*x/(x^2 + c*x + a) in Fraction arithmetic, f^3(a) = a,
+    f(a) != a and P(a) = 0 (reference_p6) checked, and the multiplier as the
+    sum of v(f'(y)) by reference_derivative."""
     q = Fraction(q)
     if q in (0, -1, Fraction(-2, 3)):
         raise ValueError(f"q = {q} is excluded (construction degenerates)")
@@ -242,9 +226,13 @@ def reference_three_periodic_from_q(p: int, q) -> tuple:
         raise ValueError(f"h(q) is undefined at q = {q} (denominator vanishes)")
     a = (3 * q**2 + 2 * q) / den
     m = CanonicalMap(p, a, q * a - 1)
-    y1 = m.eval(a)
-    y2 = m.eval(y1)
-    if m.eval(y2) != a or y1 == a or reference_p6(m, a) != 0:
+
+    def f(x):
+        return m.a * x / (x * x + m.c * x + m.a)
+
+    y1 = f(a)
+    y2 = f(y1)
+    if f(y2) != a or y1 == a or reference_p6(m, a) != 0:
         raise VerificationError(f"the 3-cycle of q = {q} fails its checks")
     mult = sum(_fraction_valuation(reference_derivative(m, y), p) for y in (a, y1, y2))
     return m, PeriodicOrbit((a, y1, y2), mult, True)
@@ -439,20 +427,6 @@ def faulty_eval_pair(image):
         return y.numerator, y.denominator
 
     return eval_pair
-
-
-# (attribute, stand-in, message): faults of CanonicalMap._eval_pair and of P's
-# terms that the 3-cycle checks of q = 1 name
-THREE_CYCLE_FAULTS = [
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: f(x) + 1), "f^3(a) != a for q = 1"),
-    ("_eval_pair", faulty_eval_pair(lambda m, x, f: x), "a is a fixed point for q = 1"),
-    ("_P6_TERMS", periodic._P6_TERMS[:-1], "P6(a) != 0 for q = 1"),
-]
-
-
-def install_three_cycle_fault(monkeypatch, target, fault) -> None:
-    """Patch one entry of THREE_CYCLE_FAULTS in for the test's duration."""
-    monkeypatch.setattr(CanonicalMap if target == "_eval_pair" else periodic, target, fault)
 
 
 # -- pair-scan reference for the isometry check's level classes ------------------

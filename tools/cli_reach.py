@@ -34,23 +34,36 @@ REQUESTS = 1500  # random requests after the fixed ones
 SEED = 0  # seed of the random requests
 
 
-def _rational(rng: random.Random, p: int, height: int = 30) -> str:
+def _rational(rng: random.Random, p: int, height: int = 30) -> Fraction:
     """A signed rational of small height times a small power of p."""
     value = Fraction(rng.randint(1, height) * rng.choice((1, -1)), rng.randint(1, height))
-    return str(value * Fraction(p) ** rng.randint(-2, 2))
+    return value * Fraction(p) ** rng.randint(-2, 2)
 
 
 def random_request(rng: random.Random) -> list[str]:
-    """One argv over the five commands, with values of every p-adic size."""
+    """One argv over the five commands, with values of every p-adic size.
+
+    Half of the four-parameter requests (``conjugate`` and some ``analyze``)
+    have a double fixed point x2, so that they get past the root profile:
+    their fixed-point cubic is (x - x1)(x - x2)^2, i.e. b = x1*x2^2,
+    c = -(x1 + 2*x2) and d = a + x2^2 + 2*x1*x2, with x2 = 0 (the canonical
+    form) in about a third of them.
+    """
     p = rng.choice((4, 6, 9, 10)) if rng.random() < 0.1 else rng.choice((2, 3, 5, 7, 11))
     cmd = rng.choice(("analyze", "orbit", "ergodic", "periodic", "conjugate"))
     argv = [cmd, f"--p={p}"]
+    four = cmd == "conjugate" or (cmd == "analyze" and rng.random() < 0.3)
     if cmd == "periodic" and rng.random() < 0.5:
         argv.append(f"--q={Fraction(rng.randint(-6, 6), rng.randint(1, 6))}")
+    elif four and rng.random() < 0.5:
+        a, x1 = _rational(rng, p), _rational(rng, p)
+        x2 = 0 if rng.random() < 0.35 else _rational(rng, p)
+        argv += [f"--a={a}", f"--c={-(x1 + 2 * x2)}", f"--b={x1 * x2 * x2}",
+                 f"--d={a + x2 * x2 + 2 * x1 * x2}"]
     else:
         argv += [f"--a={_rational(rng, p)}", f"--c={_rational(rng, p)}"]
-    if cmd == "conjugate" or (cmd == "analyze" and rng.random() < 0.3):
-        argv += [f"--b={_rational(rng, p)}", f"--d={_rational(rng, p)}"]
+        if four:
+            argv += [f"--b={_rational(rng, p)}", f"--d={_rational(rng, p)}"]
     if cmd == "orbit":
         argv += [f"--x0={_rational(rng, p)}", f"--steps={rng.randint(0, 30)}",
                  f"--mode={rng.choice(('auto', 'exact', 'truncated'))}",
