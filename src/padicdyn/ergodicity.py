@@ -3,10 +3,11 @@
 On every invariant sphere f is an isometry moving each point by the same
 distance rho(r). Three independent deciders are provided and cross-checked:
 
-  * ergodicity_theorem: exponent comparisons and the multiplier at x2 (for
-    p >= 3 a sphere around x2 is ergodic iff f'(x2) topologically generates
-    Z_p^*, and no other sphere is; for p = 2 the sphere S_r(0) is ergodic
-    iff |c|_2 = beta and r = alpha/2);
+  * ergodicity_theorem: rules on the unit form's integers (for p >= 3 a
+    sphere around x2 is ergodic iff f'(x2) topologically generates Z_p^*,
+    and no other sphere is; for p = 2 the sphere S_r(0) is ergodic iff
+    v(t1) = 1 and v(t2) >= 2, which is the paper's |c|_2 = beta and
+    r = alpha/2, and no sphere around x2 is);
   * mod4_criterion: the odd/even coefficient-sum test mod 4 applied to f
     on the sphere's unit coordinate (p = 2, spheres around x1);
   * residue_cycle_oracle: brute-force cycle structure of the induced
@@ -21,10 +22,11 @@ distance rho(r). Three independent deciders are provided and cross-checked:
 rescale_to_unit is the one place that writes f on a sphere's unit
 coordinate and decides which spheres the checks apply to. It returns a
 UnitForm, and every sphere reader takes that record instead of the map and
-the sphere, so no reader can be reached past the gate: ergodicity_theorem,
-rho and the sampled checks read its integer valuations, the mod-4 test and
-the ball kernel its coefficients. decide_ergodicity builds one form per
-request. Every exact check runs on integer numerators and denominators, with
+the sphere, so no reader can be reached past the gate: ergodicity_theorem
+reads p, the centre, v(t1), v(t2) and f'(x2) off it, rho and the sampled
+checks its integer valuations, the mod-4 test and the ball kernel its
+coefficients. decide_ergodicity builds one form per request. Every exact
+check runs on integer numerators and denominators, with
 CanonicalMap._eval_pair (not eval) on unreduced pairs, and the mod-4 test
 scales each polynomial to integer coefficients.
 """
@@ -516,23 +518,48 @@ class ErgodicityVerdict:
 
 
 def ergodicity_theorem(form: UnitForm) -> ErgodicityVerdict:
-    """Decide ergodicity on an invariant sphere by exponent comparisons.
+    """Decide ergodicity on an invariant sphere from the unit form's integers
+    alone: p, the centre, v1 = v(t1), v2 = v(t2) and, around x2,
+    lam = f'(x2) = 1 - c^2/a, the form's numerator[1]. Nothing else of the
+    map is read.
 
-    p >= 3 around x1: never ergodic ("pGe3Rule"). p >= 3 around x2, with
-    lam = f'(x2) = 1 - c^2/a: when lam mod p is a primitive root, ergodic iff
-    lam^(p-1) != 1 (mod p^2), that is iff lam topologically generates Z_p^*
-    ("generatorRule"); otherwise not ergodic ("pGe3Rule"). p = 2 around x2:
-    never ergodic, by the mod-4 criterion. In the unit coordinate of
-    rescale_to_unit f is (lam*u + t1*u^2)/(1 - t1*u + t2*u^2), so A2 = t1
-    and B1 = -t1 add to 0, while each of the criterion's four patterns has
-    A2 + B1 = 2 (mod 4), and a swapped pattern needs B1 odd, which -t1 (p
-    divides t1) is not. p = 2 around x1: ergodic iff |c|_2 = beta and
-    r = alpha/2.
+    p >= 3 around x1: never ergodic ("pGe3Rule"). p >= 3 around x2: when
+    lam mod p is a primitive root, ergodic iff lam^(p-1) != 1 (mod p^2),
+    that is iff lam topologically generates Z_p^* ("generatorRule");
+    otherwise not ergodic ("pGe3Rule"). p = 2: ergodic iff the sphere is
+    centred at x1, v1 = 1 and v2 >= 2 ("radiusRule").
 
-    The x2 rule is derived here (the paper's text is not in the repository),
-    as in the monomial theorem of Gundlach, Khrennikov and Lindahl ("On
-    ergodic behavior of p-adic dynamical systems", IDAQP 4, 2001). In the
-    unit coordinate of rescale_to_unit, f is
+    p = 2 around x2: in the unit coordinate f is
+    (lam*u + t1*u^2)/(1 - t1*u + t2*u^2), so A2 = t1 and B1 = -t1 add to 0,
+    while each of the mod-4 criterion's four patterns has A2 + B1 = 2
+    (mod 4), and a swapped pattern needs B1 odd, which -t1 (p divides t1)
+    is not: never ergodic. The gate already keeps v1 = 1 and v2 >= 2 off
+    every x2-sphere, since lam = 1 - t1^2/t2 would then be even or not
+    2-integral; the centre test states the rule without that argument.
+
+    p = 2 around x1: f is u/(1 + t1*u + t2*u^2), whose sums
+    (A1, A2, B1, B2) = (1, 0, t1, 1 + t2) match the criterion's pattern
+    (1, 0, 2, 1) iff v1 = 1 and v2 >= 2. They match no other pattern:
+    A1 = 1 rules out pattern (3, 0, 2, 3), A2 = 0 the two with A2 = 2, and
+    every swapped pattern has an even third entry. This is the paper's
+    radius rule, |c|_2 = beta and r = alpha/2, on every sphere the gate
+    admits. There r < alpha, that is e <= -v_alpha - 1 for r = 2^e, with
+    v1 = vc - va - e, v2 = -va - 2e and va = v_alpha + v_beta. When
+    2vc < va, v_alpha = va - vc and v_beta = vc, so v1 = 1, that is
+    e = vc - va - 1, reads e = -v_alpha - 1. Otherwise
+    v_alpha = v_beta = va/2 <= vc, and v1 = 1 with e <= -v_alpha - 1 gives
+    vc <= va/2, so vc = va/2 = v_beta and again e = -v_alpha - 1. Either
+    way v1 = 1 forces vc = v_beta and e = -v_alpha - 1, and then
+    v2 = v_alpha - v_beta + 2 >= 2. Conversely vc = v_beta and
+    e = -v_alpha - 1 give v1 = 1. No admitted sphere needs v2 >= 2, but a
+    ramified one does: at a = c = 2, e = -1 (v(a) odd, refused today)
+    v1 = v2 = 1, and the sphere is not ergodic by the mod-4 test and by
+    its level-2 balls.
+
+    The x2 rule for p >= 3 is derived here (the paper's text is not in the
+    repository), as in the monomial theorem of Gundlach, Khrennikov and
+    Lindahl ("On ergodic behavior of p-adic dynamical systems", IDAQP 4,
+    2001). In the unit coordinate of rescale_to_unit, f is
     g(u) = u(lam + t1*u)/(1 - t1*u + t2*u^2) with p | t1 and p^2 | t2 on
     every invariant x2-sphere, so g(u) = lam*u mod p: the level-1 balls form
     one cycle iff lam is a primitive root mod p. Then
@@ -541,27 +568,18 @@ def ergodicity_theorem(form: UnitForm) -> ErgodicityVerdict:
     (lam != 1 mod p), so p^2 divides t1*S and t2*S2, and g^(p-1) is
     multiplication by lam^(p-1) on the level-2 balls: one cycle iff
     lam^(p-1) != 1 (mod p^2). As for monomials, the deeper levels follow.
-    The form has passed the gate of rescale_to_unit, which makes lam, its
-    numerator[1] around x2, a unit on every x2-sphere.
+    The gate of rescale_to_unit makes lam a unit on every x2-sphere.
     """
-    m, sphere, p = form.m, form.sphere, form.m.p
-    if p >= 3:
-        if sphere.center == "x2" and _is_primitive_root(lam := form.numerator[1], p):
-            ergodic = pow(_residue(lam, p * p), p - 1, p * p) != 1
+    p, center = form.m.p, form.sphere.center
+    if p == 2:
+        ergodic = center == "x1" and form.v1 == 1 and form.v2 >= 2
+        return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "radiusRule")
+    if center == "x2":
+        lam = _residue(form.numerator[1], p * p)
+        if all(pow(lam, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
+            ergodic = pow(lam, p - 1, p * p) != 1
             return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "generatorRule")
-        return ErgodicityVerdict("notErgodic", "pGe3Rule")
-    if sphere.center == "x2":
-        return ErgodicityVerdict("notErgodic", "radiusRule")
-    v_alpha, v_beta = m.alpha_beta()
-    ergodic = (m.vc == v_beta) and (sphere.radius_exponent == -v_alpha - 1)
-    return ErgodicityVerdict("ergodic" if ergodic else "notErgodic", "radiusRule")
-
-
-def _is_primitive_root(x: Fraction, p: int) -> bool:
-    """Whether the residue of x generates (Z/p)^*; x is a unit (the gate of
-    rescale_to_unit checked v(f'(x2)) = 0)."""
-    g = _residue(x, p)
-    return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
+    return ErgodicityVerdict("notErgodic", "pGe3Rule")
 
 
 # -- mod-4 coefficient-sum criterion -------------------------------------------------
@@ -577,7 +595,7 @@ class Mod4Sums:
     B2: Fraction
 
     def residues(self) -> tuple[int, int, int, int]:
-        return tuple(_mod4(x) for x in (self.A1, self.A2, self.B1, self.B2))
+        return tuple(_residue(x, 4) for x in (self.A1, self.A2, self.B1, self.B2))
 
 
 @dataclass(frozen=True)
@@ -585,12 +603,6 @@ class Mod4Verdict:
     ergodic: bool
     case: Optional[int]  # 1..5, None when no case matches
     sums: Mod4Sums
-
-
-def _mod4(x: Fraction) -> int:
-    if _fraction_valuation(x, 2) < 0:
-        raise ValueError(f"{x} is not a 2-adic integer")
-    return _residue(x, 4)
 
 
 _MOD4_CASES = {

@@ -20,7 +20,6 @@ from padicdyn.ergodicity import (
     rescale_to_unit,
     mod4_criterion,
     residue_cycle_oracle,
-    rho,
     verify_rho,
 )
 from padicdyn.padic import _fraction_valuation

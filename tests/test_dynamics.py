@@ -20,7 +20,9 @@ from padicdyn.dynamics import (
     _height_loss,
     orbit,
 )
+from padicdyn.ergodicity import decide_ergodicity
 from padicdyn.padic import INFINITY, _fraction_valuation
+from padicdyn.periodic import two_periodic
 
 from util import (
     count_calls,
@@ -352,6 +354,63 @@ def test_case_follows_the_kappa_table():
             assert got == expected, (p, a, c)
         seen.add(expected)
     assert seen == {2, 3, 4, 5, "refused"}
+
+
+def test_scaling_conjugacy_keeps_every_answer():
+    # x -> x/lam conjugates (a, c) to (a/lam^2, c/lam): kappa, and so the
+    # case, stays; |x - x_i| scales by |lam|^-1, so both invariance bounds
+    # and every sphere's radius exponent shift by v(lam), and each unit
+    # coordinate is multiplied by a unit, so each sphere keeps its verdict,
+    # theorem rule and ball cycle lengths; c^2 - 2a scales by lam^-2, so
+    # the 2-cycle exists, and is exact, exactly when it was. lam is a unit
+    # or a power of p
+    rng = random.Random(4413)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 11))
+        c = random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-3, 3)
+        kind = rng.randrange(4)
+        if kind == 0:  # a of any size
+            a = random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-3, 3)
+        elif kind == 1:  # kappa = 1 mod p
+            a = (1 + Fraction(p) ** rng.randint(1, 3) * random_unit(rng, p, 30)) * c * c
+        elif kind == 2:  # kappa a unit
+            a = random_unit(rng, p, 30) * c * c
+        else:  # c^2 - 2a = t^2: an exact 2-cycle
+            t = random_nonzero_rational(rng, 30) * Fraction(p) ** rng.randint(-2, 2)
+            a = (c * c - t * t) / 2 or c * c
+        if rng.random() < 0.5:
+            lam, vl = random_unit(rng, p, 30), 0
+        else:
+            vl = rng.choice((-3, -2, -1, 1, 2, 3))
+            lam = rng.choice((1, -1)) * Fraction(p) ** vl
+        m, scaled = CanonicalMap(p, a, c), CanonicalMap(p, a / lam**2, c / lam)
+        cases = []
+        for mm in (m, scaled):
+            try:
+                cases.append(mm._case_facts()[0])
+            except InconsistentParametersError:
+                cases.append("refused")
+        assert cases[0] == cases[1], (p, a, c, lam)
+        seen.add((cases[0], vl != 0))
+        cycles = [None if o is None else o.exact for o in map(two_periodic, (m, scaled))]
+        assert cycles[0] == cycles[1], (p, a, c, lam)
+        if cases[0] == "refused":
+            continue
+        bounds, moved = m.invariant_spheres(), scaled.invariant_spheres()
+        assert moved.x1_exponent_bound == bounds.x1_exponent_bound + vl
+        x2 = bounds.x2_exponent_bound
+        assert moved.x2_exponent_bound == (None if x2 is None else x2 + vl)
+        depth = 4 if p == 2 else 3
+        for center, bound in (("x1", bounds.x1_exponent_bound), ("x2", x2)):
+            for e in () if bound is None else range(bound - 3, bound):
+                one = decide_ergodicity(m, SphereSpec(center, e), depth)
+                other = decide_ergodicity(scaled, SphereSpec(center, e + vl), depth)
+                assert (one.verdict, one.theorem) == (other.verdict, other.theorem)
+                assert [lv.cycle_lengths for lv in one.oracle.levels] == \
+                    [lv.cycle_lengths for lv in other.oracle.levels], (p, a, c, lam, center, e)
+    assert {case for case, _ in seen} == {2, 3, 4, 5, "refused"}
+    assert {power for _, power in seen} == {False, True}
 
 
 def test_invariant_spheres():

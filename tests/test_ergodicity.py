@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from padicdyn.errors import InconsistentParametersError, VerificationError
 from padicdyn.ergodicity import (
     ORACLE_BALL_BUDGET,
     ErgodicityVerdict,
+    UnitForm,
     _ball_permutation,
     _cycle_lengths,
     _inverse_table,
@@ -39,6 +41,7 @@ from util import (
     random_unit,
     reference_isometry_check,
     reference_oracle_levels,
+    reference_radius_rule,
     reference_rho,
     sphere_points,
     verify_rescaled,
@@ -527,6 +530,78 @@ def test_theorem_x2_split_multiplier():
 def test_theorem_requires_invariance():
     with pytest.raises(NotApplicableError):
         ergodicity_theorem(rescale_to_unit(M2, SphereSpec("x1", 0)))
+
+
+def _gated_spheres(rng, p, count, below=4):
+    """``count`` invariant spheres, as (map, sphere), of seeded random maps:
+    around each centre that has invariant spheres, the ``below`` radii just
+    under the bound."""
+    out = []
+    while len(out) < count:
+        a, c = (random_unit(rng, p, 40) * Fraction(p) ** rng.randint(-3, 3) for _ in range(2))
+        m = CanonicalMap(p, a, c)
+        try:
+            bounds = m.invariant_spheres()
+        except InconsistentParametersError:  # odd v(kappa) < 0, refused
+            continue
+        for center, bound in (("x1", bounds.x1_exponent_bound),
+                              ("x2", bounds.x2_exponent_bound)):
+            if bound is not None:
+                out += [(m, SphereSpec(center, bound - k)) for k in range(1, below + 1)]
+    return out[:count]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_theorem_reads_only_p_off_the_map(p):
+    # the theorem is a function of the form's integers: with the map replaced
+    # by a stub that holds only p, every verdict and reason stays the same
+    rng = random.Random(f"theorem-stub:{p}")
+    spheres = _gated_spheres(rng, p, 300)
+    if p > 2:
+        spheres += [_random_x2_sphere(rng, p) for _ in range(60)]
+    seen = Counter()
+    for m, sphere in spheres:
+        form = rescale_to_unit(m, sphere)
+        verdict = ergodicity_theorem(form)
+        stub = dataclasses.replace(form, m=SimpleNamespace(p=p))
+        assert ergodicity_theorem(stub) == verdict, (m, sphere)
+        seen[sphere.center, verdict.reason, verdict.verdict] += 1
+    assert {center for center, _, _ in seen} == {"x1", "x2"}
+    expected = ({("x1", "radiusRule", "ergodic"), ("x1", "radiusRule", "notErgodic"),
+                 ("x2", "radiusRule", "notErgodic")} if p == 2 else
+                {("x1", "pGe3Rule", "notErgodic"), ("x2", "pGe3Rule", "notErgodic"),
+                 ("x2", "generatorRule", "ergodic"), ("x2", "generatorRule", "notErgodic")})
+    assert set(seen) == expected
+
+
+def test_p2_theorem_is_the_papers_radius_rule():
+    # at p = 2 the theorem reads v(t1) = 1 and v(t2) >= 2; on every gated
+    # sphere that is the paper's |c|_2 = beta and r = alpha/2 around x1 (and
+    # never ergodic around x2), and around x1 it is the mod-4 criterion
+    rng = random.Random("p2-radius-rule")
+    seen = Counter()
+    for m, sphere in _gated_spheres(rng, 2, 3000):
+        form = rescale_to_unit(m, sphere)
+        verdict = ergodicity_theorem(form)
+        assert verdict.reason == "radiusRule"
+        ergodic = verdict.verdict == "ergodic"
+        assert ergodic == reference_radius_rule(m, sphere), (m, sphere)
+        if sphere.center == "x1":
+            assert ergodic == mod4_criterion(form.numerator, form.denominator).ergodic, (m, sphere)
+        seen[sphere.center, ergodic] += 1
+    assert seen["x1", True] > 100 and seen["x1", False] > 100 and seen["x2", False] > 100
+
+
+def test_radius_rule_needs_v2_on_a_ramified_sphere():
+    # a = c = 2, e = -1: v(a) is odd, so the gate refuses the sphere today
+    # (ROADMAP item 10); its unit form u/(1 + 2u + 2u^2) has v1 = v2 = 1.
+    # v1 = 1 alone would call it ergodic; the mod-4 test and the level-2
+    # balls (both fixed) say it is not, and so does the theorem's v2 >= 2
+    num, den = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(2), Fraction(2))
+    form = UnitForm(SimpleNamespace(p=2), SphereSpec("x1", -1), 1, 1, num, den)
+    assert ergodicity_theorem(form) == ErgodicityVerdict("notErgodic", "radiusRule")
+    assert not mod4_criterion(num, den).ergodic
+    assert _odd_unit_cycles(num, den, 2) == [1, 1]
 
 
 # -- rescaling and the mod-4 criterion ---------------------------------------------------

@@ -381,6 +381,18 @@ def reference_rho(m, sphere: SphereSpec) -> int:
     return e
 
 
+def reference_radius_rule(m, sphere: SphereSpec) -> bool:
+    """The paper's p = 2 ergodicity rule, on its pole norms: S_r(0) is
+    ergodic iff |c|_2 = beta and r = alpha/2, and no sphere around x2 is.
+    The reference of ergodicity_theorem, which reads v(t1) = 1 and
+    v(t2) >= 2 off the unit form instead."""
+    if sphere.center == "x2":
+        return False
+    v_alpha, v_beta = m.alpha_beta()
+    vc = _fraction_valuation(m.c, m.p)
+    return vc == v_beta and sphere.radius_exponent == -v_alpha - 1
+
+
 # -- Fraction reference for the residue oracle's integer kernel --------------------
 
 

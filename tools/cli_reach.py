@@ -2,12 +2,13 @@
 
 Runs a seeded set of requests in this process through ``padicdyn.cli.main``,
 with stdout and stderr captured: the golden, help and usage-error commands
-of ``tests/test_cli.py`` (each golden command with and without ``--json``),
-then ``REQUESTS`` random requests (seed ``SEED``) over all five commands at
-p <= 11, one in ten at a composite p. Prints the lines of ``src/padicdyn`` that no request
-executed, as ``tools/unreached.py`` prints those that no test executes, and
-the number of requests per exit code on stderr. A line that only a library
-caller reaches (the tests, the benchmark's ``q_sweep``) shows as unreached.
+of ``tests/test_cli.py`` (each golden command with and without ``--json``)
+and the ``PINNED`` requests, then ``REQUESTS`` random requests (seed
+``SEED``) over all five commands at p <= 11, one in ten at a composite p.
+Prints the lines of ``src/padicdyn`` that no request executed, as
+``tools/unreached.py`` prints those that no test executes, and the number
+of requests per exit code on stderr. A line that only a library caller
+reaches (the tests, the benchmark's ``q_sweep``) shows as unreached.
 
     python3 tools/cli_reach.py
     python3 tools/cli_reach.py --repo /path/to/other/checkout
@@ -32,6 +33,14 @@ from unreached import report_unreached
 
 REQUESTS = 1500  # random requests after the fixed ones
 SEED = 0  # seed of the random requests
+
+# Fixed requests for paths that the random draws reach only by chance: a
+# pole (s - c)/2 that loses all 24 of its digits (a = 3^30), which prints a
+# truncated zero, and the p = 2 theorem around x2.
+PINNED = (
+    ["analyze", "--p", "3", "--a", "205891132094649", "--c", "1", "--json"],
+    ["ergodic", "--p", "2", "--a", "1", "--c", "4", "--center", "x2", "--radius-exp", "-1"],
+)
 
 
 def _rational(rng: random.Random, p: int, height: int = 30) -> Fraction:
@@ -97,6 +106,7 @@ def main(argv=None) -> int:
 
         fixed = [argv + flag for _, argv in test_cli.GOLDEN_CASES for flag in ([], ["--json"])]
         fixed += list(test_cli.HELP_COMMANDS.values()) + list(test_cli.USAGE_ERRORS.values())
+        fixed += PINNED
         for request in fixed + randoms:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
