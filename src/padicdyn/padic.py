@@ -383,30 +383,43 @@ def _sqrt_mod_prime(u: int, p: int) -> int:
     return r
 
 
-def _lift_sqrt_odd(u_mod: int, p: int, k: int) -> int:
-    """r with r*r = u mod p**k by Newton doubling (p odd)."""
-    r = _sqrt_mod_prime(u_mod, p)
-    reached = 1
-    while reached < k:
-        reached = min(2 * reached, k)
-        mod = p ** reached
-        r = (r - (r * r - u_mod) * _inverse_unit(2 * r, p, reached)) % mod
-    return r % p ** k
+def _lift_sqrt(u: int, p: int, k: int) -> int:
+    """r = u*y mod p**k with r*r = u mod p**k, by Newton's iteration for
+    y = u**(-1/2): y <- y*(3 - u*y*y)/2. u is a unit mod p**k; at p = 2,
+    u = 1 mod 8 and k >= 3.
 
+    One step. If u*y*y = 1 + e with v(e) >= j, the new y gives
+    u*y*y*(3 - u*y*y)**2/4 = (1 + e)*(2 - e)**2/4 = 1 - 3e**2/4 + e**3/4,
+    so u*y*y = 1 mod p**(2j) at odd p and mod 2**(2j-2) at p = 2, where the
+    4 costs two digits. A step must gain digits, 2j - 2 > j, so at p = 2 y
+    starts at 1 with j = 3 (u = 1 mod 8); at odd p it starts at the inverse
+    of _sqrt_mod_prime's root, with j = 1. The step goes to j' = min(2j, k),
+    respectively min(2j - 2, k), and reduces t = y*(3 - u*y*y) mod p**j'.
+    At odd p, t/2 or (t + p**j')/2, whichever is an integer, is the new y
+    mod p**j', and as y is a unit that fixes u*y*y mod p**j'. At p = 2, y
+    and u are odd, so t is even, and t/2 is the new y mod 2**(j'-1). That
+    still fixes u*y*y mod 2**j', as j' >= 2:
+    (y + 2**(j'-1)*z)**2 = y*y + 2**j'*y*z + 2**(2j'-2)*z*z. Once j = k,
+    r*r = u*(u*y*y) = u mod p**k.
 
-def _lift_sqrt_two(u_mod: int, k: int) -> int:
-    """r with r*r = u mod 2**k (k >= 3, u = 1 mod 8); r is normalized to 1 mod 4.
-
-    r is determined mod 2**(k-1); the returned representative lies in
-    [0, 2**(k-1)).
+    The root. At p = 2, y = 1 mod 4 after every step: u*y*y = 1 mod 8 gives
+    (3 - u*y*y)/2 = 1 mod 4, and the new y is kept mod 2**(j'-1) with
+    j' >= 3. So r = u*y = 1 mod 4, and as r + rho = 2 mod 4 for the root
+    rho = 1 mod 4 of u, r = rho mod 2**(k-1). At odd p, r = u*y = s*s/s = s
+    mod p for _sqrt_mod_prime's root s, and a root mod p**k of a unit is
+    fixed by its residue mod p (r - rho and r + rho are not both divisible
+    by p), so r is the one lift of s.
     """
-    r = 1
-    for j in range(3, k):
-        if (r * r - u_mod) % (1 << (j + 1)):
-            r += 1 << (j - 1)
-    # r = 1 mod 4 already: it starts at 1 and grows by multiples of 4, and
-    # reducing mod 2**(k-1) >= 4 keeps that
-    return r % (1 << (k - 1))
+    if p == 2:
+        y, j, lost = 1, 3, 2
+    else:
+        y, j, lost = _inverse_unit(_sqrt_mod_prime(u, p), p, 1), 1, 0
+    while j < k:
+        j = min(2 * j - lost, k)
+        mod = p ** j
+        t = y * (3 - u * y * y) % mod
+        y = (t + (t & 1) * mod) >> 1
+    return u * y % p ** k
 
 
 # -- digit-level rules of truncated arithmetic -----------------------------------
@@ -636,10 +649,13 @@ def _truncate_fraction(frac: Fraction, prime: int, precision: int) -> TruncatedP
 def hensel_sqrt(x, precision: int, prime: int) -> TruncatedPadic:
     """Canonical square root of x in Q_p to ``precision`` significant digits.
 
-    Requires is_square(x). Of the two roots +-s, returns the one whose first
-    digit lies in {1, ..., (p-1)/2} for odd p, respectively s = 1 mod 4 for
-    p = 2. The square of the result agrees with x modulo
-    p**(v(x) + precision).
+    Decides squareness itself: x = 0 or a precision below 1 raises
+    ValueError, and an x that is no square in Q_p raises NotASquareError.
+    The unit part's root comes from one Newton lift, _lift_sqrt. Of the two
+    roots +-s, returns the one whose first digit lies in
+    {1, ..., (p-1)/2} for odd p, respectively s = 1 mod 4 for p = 2. The
+    square of the result agrees with x modulo p**(v(x) + precision), one
+    digit more at p = 2.
     """
     frac = _coerce_fraction(x)
     if precision < 1:
@@ -649,18 +665,11 @@ def hensel_sqrt(x, precision: int, prime: int) -> TruncatedPadic:
     if not is_square(frac, prime):
         raise NotASquareError(f"{frac} is not a square in Q_{prime}")
     v = _fraction_valuation(frac, prime)
-    if prime == 2:
-        # r*r = u mod 2**(N+2) pins the root = 1 mod 4 down to N+1 bits
-        work = precision + 2
-        u = _unit_residue(frac, 2, work)
-        r = _lift_sqrt_two(u, work)
-    else:
-        work = precision
-        u = _unit_residue(frac, prime, work)
-        r = _lift_sqrt_odd(u, prime, work)
-        if r % prime > (prime - 1) // 2:
-            r = prime ** work - r
-    r %= prime ** precision
+    # p = 2: r*r = u mod 2**(N+2) pins the root = 1 mod 4 down to N+1 bits
+    work = precision + 2 if prime == 2 else precision
+    r = _lift_sqrt(_unit_residue(frac, prime, work), prime, work) % prime ** precision
+    if prime != 2 and r % prime > (prime - 1) // 2:
+        r = prime ** precision - r
     return TruncatedPadic(prime, v // 2, r, precision)
 
 

@@ -39,6 +39,7 @@ from util import (
     last_digit_wrong,
     random_rational,
     random_unit,
+    reference_hensel_sqrt,
     representative,
     square_residue_set,
     ultrametric_valuations,
@@ -301,6 +302,32 @@ def test_hensel_sqrt_random_squares(p):
         diff = s * s - x
         assert diff.is_zero and diff.valuation >= 2 * k + 8
         n += 1
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 17, 1021) + WIDE_PRIMES)
+def test_hensel_sqrt_matches_the_separate_lifts(p):
+    # one Newton lift gives the digits of the bit loop at p = 2 and of Newton
+    # on r at odd p, up to the bit budget; each root squares back to x and
+    # keeps the sign rule
+    rng = random.Random(5000 + p)
+    largest = PRECISION_BIT_BUDGET // p.bit_length()
+    xs = []
+    while len(xs) < 6:
+        x = random_rational(rng, 10**6) * Fraction(p) ** rng.randint(-4, 4)
+        if x and is_square(x, p):
+            xs.append(x)
+    for n in (1, 2, 3, 4, 8, 24, 64, 257, largest):
+        for x in xs:
+            s = hensel_sqrt(x, n, p)
+            ref = reference_hensel_sqrt(x, n, p)
+            assert (s.valuation, s.unit, s.precision) == (ref.valuation, ref.unit, n), (x, n)
+            r = Fraction(s.unit) * Fraction(p) ** s.valuation
+            if r * r != x:
+                assert _fraction_valuation(r * r - x, p) >= 2 * s.valuation + n + (p == 2)
+            if p == 2:
+                assert s.unit % 4 == 1
+            else:
+                assert 1 <= s.unit % p <= (p - 1) // 2
 
 
 @pytest.mark.parametrize("x", [2, -1, 8, 13])

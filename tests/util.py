@@ -32,6 +32,8 @@ from padicdyn.padic import (
     TruncatedPadic,
     _fraction_valuation,
     _horner,
+    _inverse_unit,
+    _sqrt_mod_prime,
     _unit_residue,
     hensel_sqrt,
 )
@@ -163,6 +165,48 @@ def last_digit_wrong(x, precision: int, prime: int) -> TruncatedPadic:
     s = hensel_sqrt(x, precision, prime)
     unit = (s.unit + prime ** (precision - 1)) % prime ** precision
     return TruncatedPadic(prime, s.valuation, unit, precision)
+
+
+def _lift_sqrt_odd(u_mod: int, p: int, k: int) -> int:
+    """r with r*r = u mod p**k by Newton doubling (p odd)."""
+    r = _sqrt_mod_prime(u_mod, p)
+    reached = 1
+    while reached < k:
+        reached = min(2 * reached, k)
+        mod = p ** reached
+        r = (r - (r * r - u_mod) * _inverse_unit(2 * r, p, reached)) % mod
+    return r % p ** k
+
+
+def _lift_sqrt_two(u_mod: int, k: int) -> int:
+    """r with r*r = u mod 2**k (k >= 3, u = 1 mod 8); r is normalized to 1 mod 4.
+
+    r is determined mod 2**(k-1); the returned representative lies in
+    [0, 2**(k-1)).
+    """
+    r = 1
+    for j in range(3, k):
+        if (r * r - u_mod) % (1 << (j + 1)):
+            r += 1 << (j - 1)
+    # r = 1 mod 4 already: it starts at 1 and grows by multiples of 4, and
+    # reducing mod 2**(k-1) >= 4 keeps that
+    return r % (1 << (k - 1))
+
+
+def reference_hensel_sqrt(x: Fraction, precision: int, prime: int) -> TruncatedPadic:
+    """hensel_sqrt by two separate lifts of the unit's root: Newton steps on
+    r for odd p, and one bit per pass at p = 2. x is a nonzero square in
+    Q_p and precision >= 1."""
+    v = _fraction_valuation(x, prime)
+    if prime == 2:
+        work = precision + 2
+        r = _lift_sqrt_two(_unit_residue(x, 2, work), work)
+    else:
+        work = precision
+        r = _lift_sqrt_odd(_unit_residue(x, prime, work), prime, work)
+        if r % prime > (prime - 1) // 2:
+            r = prime ** work - r
+    return TruncatedPadic(prime, v // 2, r % prime ** precision, precision)
 
 
 def parse_truncated(text: str, prime: int) -> TruncatedPadic:

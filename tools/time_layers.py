@@ -26,7 +26,10 @@ on the 2-cycle of the ``periodic_two_cycle_structure`` golden
 (p, a, c) = (3, -1, 1/2); ``isometry_check`` at the larger inputs of
 ISOMETRY_LARGE (up to 1024 samples at radius exponent -256), best of
 LARGE_REPEAT single calls; ``TruncatedPadic.digits`` at 64, 256 and 4096
-digits; ``cli.build_parser()`` and ``cli._scan`` of one well-formed request
+digits; ``hensel_sqrt`` of seeded squares in Q_p that are not rational
+squares, at p in SQRT_PRIMES to the precisions of PRECISIONS and at
+SQRT_DEEP (p = 2 at 4096 digits, best of REPEAT passes over SQRT_DEEP_INPUTS
+roots); ``cli.build_parser()`` and ``cli._scan`` of one well-formed request
 of each command (the argv of SCAN_REQUESTS with ``--json``); an in-process
 ``cli.main`` of each of the six golden commands with ``--json`` (stdout
 captured); and the writing of those six reports by the one-pass
@@ -82,6 +85,10 @@ ISOMETRY_LARGE = ((3, -2, 1, "x1", -16, 833), (2, 2, 1, "x1", -2, 1024),
                   (101, 1, 1, "x1", -256, 1024))
 LARGE_REPEAT = 3
 DIGIT_COUNTS = (64, 256, 4096)
+SQRT_PRIMES = (2, 3, 7)
+# (p, precision): the p = 2 root at a precision near the bit budget
+SQRT_DEEP = (2, 4096)
+SQRT_DEEP_INPUTS = 4
 GOLDEN_COMMANDS = {
     "analyze_case4": ["analyze", "--p", "3", "--a", "-2", "--c", "1"],
     "analyze_case2": ["analyze", "--p", "5", "--a", "-1", "--c", "5"],
@@ -139,6 +146,34 @@ def _import_cli(src: str) -> dict:
     return {"runs": IMPORT_RUNS, "median_ms": round(statistics.median(times), 2),
             "min_ms": round(min(times), 2),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None}
+
+
+def _squares(rng: random.Random, p: int, count: int) -> list[Fraction]:
+    """Nonzero squares in Q_p that are not rational squares."""
+    from padicdyn.padic import is_square, rational_sqrt
+
+    out = []
+    while len(out) < count:
+        x = (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+             * Fraction(p) ** rng.randint(-4, 4))
+        if x and is_square(x, p) and rational_sqrt(x) is None:
+            out.append(x)
+    return out
+
+
+def _sqrt_path(out: dict) -> None:
+    from padicdyn.padic import hensel_sqrt
+
+    out["hensel_sqrt"] = {}
+    for p in SQRT_PRIMES:
+        rng = random.Random(f"layers:sqrt:{p}")
+        xs = _squares(rng, p, INPUTS)
+        for n in PRECISIONS:
+            out["hensel_sqrt"][f"p={p} N={n}"] = _per_call(hensel_sqrt, [(x, n, p) for x in xs])
+    p, n = SQRT_DEEP
+    xs = _squares(random.Random(f"layers:sqrt:{p}:{n}"), p, SQRT_DEEP_INPUTS)
+    out["hensel_sqrt"][f"p={p} N={n}"] = round(_best_us(
+        lambda: [hensel_sqrt(x, n, p) for x in xs], 1) / len(xs), 3)
 
 
 def _map_facts(out: dict) -> None:
@@ -325,6 +360,7 @@ def main() -> None:
         for mode in ("auto", "truncated"):
             out["orbit"][f"steps={steps} {mode}"] = _best_us(
                 lambda: orbit(m, Fraction(5), steps, mode=mode, precision=64), 20)
+    _sqrt_path(out)
     _map_facts(out)
     _periodic_path(out)
     _ergodicity_path(out)
